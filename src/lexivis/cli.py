@@ -25,6 +25,7 @@ from .errors import ConfigError, DataError, LexivisError, SnapshotError
 from .knowledge import (
     SOURCES,
     KnowledgeStore,
+    iter_jsonl,
     knowledge_coverage,
     load_wiktionary_snapshot,
     load_wordnet_snapshot,
@@ -91,15 +92,11 @@ def _load_labeled_images(path):
     """JSONL rows {image: [floats], label: int} used by the eval commands."""
     path = _require_file(path, "image features")
     images, labels = [], []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            if "image" not in obj:
-                raise DataError(f"{path}:{lineno}: expected {{image[, label]}}")
-            images.append(obj["image"])
-            labels.append(obj.get("label"))
+    for lineno, obj in iter_jsonl(path, DataError):
+        if "image" not in obj:
+            raise DataError(f"{path}:{lineno}: expected {{image[, label]}}")
+        images.append(obj["image"])
+        labels.append(obj.get("label"))
     if not images:
         raise DataError(f"{path}: no rows found")
     has_labels = all(l is not None for l in labels)
@@ -177,7 +174,6 @@ def _cmd_train(args) -> dict:
         optimizer=args.optimizer,
         seed=args.seed,
         mode=args.mode,
-        scheme=args.scheme,
         source=args.source,
         base_checkpoint=args.base_checkpoint,
         encoder=encoder_cfg,
@@ -243,7 +239,7 @@ def _cmd_eval_zeroshot(args) -> dict:
             ]
         full_report = evaluation.make_eval_report(
             params,
-            images,
+            preds,
             labels,
             bank,
             eval_options={
@@ -302,20 +298,14 @@ def _cmd_ground_train(args) -> dict:
     if any(r.targets is None for r in regions):
         raise DataError("ground-train needs targets on every region row")
     class_names = json.loads(_require_file(args.classes, "class list").read_text(encoding="utf-8"))
-    store = _load_store(args) if args.with_knowledge else KnowledgeStore()
-    texts = []
-    for name in class_names:
-        query = queries.construct_query(str(name), "category")
-        item = store.retrieve(query.text, args.source) if args.with_knowledge else None
-        texts.append(
-            compose.compose_od_text(query.text, item.text if item else None).text
-        )
+    store = _load_store(args) if args.with_knowledge else None
     p_dim = regions[0].features.shape[1]
     cfg = _encoder_config(args, image_dim=p_dim)
     if cfg.embed_dim != p_dim:
         raise DataError(
             f"region feature dim {p_dim} must equal --embed-dim {cfg.embed_dim}"
         )
+    texts = grounding.category_texts(class_names, store, args.source, cfg.max_tokens)
     params = enc.init_params(cfg, seed=args.seed)
     token_ids = [enc.text_to_ids(t, cfg, pooling="cls") for t in texts]
     spec = enc.LossSpec(
@@ -324,22 +314,17 @@ def _cmd_ground_train(args) -> dict:
         focal_alpha=args.focal_alpha,
         focal_gamma=args.focal_gamma,
     )
-    optimizer = trainer._Optimizer(args.optimizer, args.learning_rate, params.tensors)
-    rng = np.random.default_rng(args.seed)
-    trace = []
-    step = 0
-    for _ in range(args.epochs):
-        for i in rng.permutation(len(regions)):
-            region = regions[i]
-            batch = enc.TrainBatch(
-                token_ids=token_ids,
-                region_features=region.features,
-                targets=region.targets,
-            )
-            losses, g = enc.grads(params, batch, spec)
-            optimizer.step(params.tensors, g)
-            step += 1
-            trace.append((step, losses["loss"]))
+
+    def make_batch(batch: list[grounding.RegionSet]) -> enc.TrainBatch:
+        (region,) = batch
+        return enc.TrainBatch(
+            token_ids=token_ids, region_features=region.features, targets=region.targets
+        )
+
+    trace, _ = trainer.fit(
+        params, spec, regions, make_batch, args.epochs, 1,
+        args.optimizer, args.learning_rate, args.seed,
+    )
     enc.save_checkpoint(
         params,
         args.out_checkpoint,
@@ -351,7 +336,7 @@ def _cmd_ground_train(args) -> dict:
     return {
         "command": "ground-train",
         "checkpoint": str(args.out_checkpoint),
-        "steps": step,
+        "steps": len(trace),
         "final_loss": trace[-1][1] if trace else None,
     }
 
@@ -360,12 +345,8 @@ def _cmd_ground_eval(args) -> dict:
     params, _ = enc.load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
     regions = grounding.load_regions_jsonl(_require_file(args.regions, "regions"))
     class_names = json.loads(_require_file(args.classes, "class list").read_text(encoding="utf-8"))
-    store = _load_store(args) if args.with_knowledge else KnowledgeStore()
-    texts = []
-    for name in class_names:
-        query = queries.construct_query(str(name), "category")
-        item = store.retrieve(query.text, args.source) if args.with_knowledge else None
-        texts.append(compose.compose_od_text(query.text, item.text if item else None).text)
+    store = _load_store(args) if args.with_knowledge else None
+    texts = grounding.category_texts(class_names, store, args.source, params.config.max_tokens)
     rows = []
     accuracies = []
     for region in regions:
@@ -466,7 +447,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_coverage)
 
     p = sub.add_parser("train", help="contrastive pretraining on a triplet dataset")
-    _add_store_flags(p)
+    p.add_argument("--source", default="wiki_def", choices=SOURCES)
     _add_encoder_flags(p)
     p.add_argument("--dataset", required=True)
     p.add_argument("--out-checkpoint", required=True)
@@ -477,7 +458,6 @@ def build_parser() -> _Parser:
     p.add_argument("--optimizer", default="adam", choices=trainer.OPTIMIZERS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", default="scratch_1branch", choices=trainer.TRAIN_MODES)
-    p.add_argument("--scheme", default="concat", choices=("concat", "combine"))
     p.add_argument("--base-checkpoint")
     p.set_defaults(fn=_cmd_train)
 

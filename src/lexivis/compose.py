@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-SCHEMES = ("class_eq2", "caption_concat", "caption_combine_member", "od_plain")
-
 SEPARATOR = ", "
 
 DEFAULT_TEMPLATE = "a photo of a {}"

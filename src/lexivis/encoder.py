@@ -202,18 +202,17 @@ def _layer_norm(x, g, b):
     return g * xhat + b, (xhat, inv)
 
 
-def _layer_norm_backward(dy, cache, g):
+def _layer_norm_backward(dy, cache, t, pre, grads):
     xhat, inv = cache
     lead = tuple(range(dy.ndim - 1))
-    dg = (dy * xhat).sum(axis=lead)
-    db = dy.sum(axis=lead)
-    dxhat = dy * g
-    dx = inv * (
+    grads[pre + "g"] += (dy * xhat).sum(axis=lead)
+    grads[pre + "b"] += dy.sum(axis=lead)
+    dxhat = dy * t[pre + "g"]
+    return inv * (
         dxhat
         - dxhat.mean(axis=-1, keepdims=True)
         - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
     )
-    return dx, dg, db
 
 
 def _softmax_last(z):
@@ -269,38 +268,30 @@ def _attention_backward(dout, cache, t, pre, grads):
     return dq @ t[pre + "Wq"].T + dk @ t[pre + "Wk"].T + dv @ t[pre + "Wv"].T
 
 
-def _mlp_forward(x, t, pre):
-    z = x @ t[pre + "W1"] + t[pre + "b1"]
+# Tensor names of the two-layer feed-forward blocks: (in weight, in bias, out
+# weight, out bias) under a key prefix.
+_MLP_KEYS = ("W1", "b1", "W2", "b2")
+_ADAPTER_KEYS = ("down", "bdown", "up", "bup")
+
+
+def _ffn_forward(x, t, pre, keys):
+    """Two-layer GELU feed-forward block: the MLP, adapter and image encoder."""
+    w1, b1, w2, b2 = (pre + k for k in keys)
+    z = x @ t[w1] + t[b1]
     h = _gelu(z)
-    return h @ t[pre + "W2"] + t[pre + "b2"], (x, z, h)
+    return h @ t[w2] + t[b2], (x, z, h)
 
 
-def _mlp_backward(dout, cache, t, pre, grads):
+def _ffn_backward(dout, cache, t, pre, keys, grads):
     x, z, h = cache
-    grads[pre + "W2"] += h.T @ dout
-    grads[pre + "b2"] += dout.sum(axis=0)
-    dh = dout @ t[pre + "W2"].T
+    w1, b1, w2, b2 = (pre + k for k in keys)
+    grads[w2] += h.T @ dout
+    grads[b2] += dout.sum(axis=0)
+    dh = dout @ t[w2].T
     dz = dh * _gelu_grad(z)
-    grads[pre + "W1"] += x.T @ dz
-    grads[pre + "b1"] += dz.sum(axis=0)
-    return dz @ t[pre + "W1"].T
-
-
-def _adapter_forward(x, t, pre):
-    z = x @ t[pre + "down"] + t[pre + "bdown"]
-    h = _gelu(z)
-    return h @ t[pre + "up"] + t[pre + "bup"], (x, z, h)
-
-
-def _adapter_backward(dout, cache, t, pre, grads):
-    x, z, h = cache
-    grads[pre + "up"] += h.T @ dout
-    grads[pre + "bup"] += dout.sum(axis=0)
-    dh = dout @ t[pre + "up"].T
-    dz = dh * _gelu_grad(z)
-    grads[pre + "down"] += x.T @ dz
-    grads[pre + "bdown"] += dz.sum(axis=0)
-    return dz @ t[pre + "down"].T
+    grads[w1] += x.T @ dz
+    grads[b1] += dz.sum(axis=0)
+    return dz @ t[w1].T
 
 
 # ---------------------------------------------------------------------------
@@ -343,15 +334,15 @@ def _text_forward(params: ModelParams, token_ids: list[int], pooling: str, use_a
         attn_out, attn_cache = _attention_forward(a_in, t, pre + "attn.", cfg.num_heads)
         x1 = x + attn_out
         if use_adapters:
-            ad1_out, ad1_cache = _adapter_forward(x1, t, pre + "ad1.")
+            ad1_out, ad1_cache = _ffn_forward(x1, t, pre + "ad1.", _ADAPTER_KEYS)
             x1 = x1 + ad1_out
         else:
             ad1_cache = None
         m_in, ln2_cache = _layer_norm(x1, t[pre + "ln2.g"], t[pre + "ln2.b"])
-        mlp_out, mlp_cache = _mlp_forward(m_in, t, pre + "mlp.")
+        mlp_out, mlp_cache = _ffn_forward(m_in, t, pre + "mlp.", _MLP_KEYS)
         x2 = x1 + mlp_out
         if use_adapters:
-            ad2_out, ad2_cache = _adapter_forward(x2, t, pre + "ad2.")
+            ad2_out, ad2_cache = _ffn_forward(x2, t, pre + "ad2.", _ADAPTER_KEYS)
             x2 = x2 + ad2_out
         else:
             ad2_cache = None
@@ -378,28 +369,22 @@ def _text_backward(params: ModelParams, cache: dict, dvec: np.ndarray, grads: di
 
     dy = np.zeros((length, cfg.embed_dim))
     dy[cache["pool"]] = dvec
-    dx, dg, db = _layer_norm_backward(dy, cache["lnf_cache"], t["lnf.g"])
-    grads["lnf.g"] += dg
-    grads["lnf.b"] += db
+    dx = _layer_norm_backward(dy, cache["lnf_cache"], t, "lnf.", grads)
 
     for i in reversed(range(cfg.text_layers)):
         pre = f"layers.{i}."
         ln1_cache, attn_cache, ad1_cache, ln2_cache, mlp_cache, ad2_cache = cache["layer_caches"][i]
         if use_adapters:
-            d_ad2_in = _adapter_backward(dx, ad2_cache, t, pre + "ad2.", grads)
+            d_ad2_in = _ffn_backward(dx, ad2_cache, t, pre + "ad2.", _ADAPTER_KEYS, grads)
             dx = dx + d_ad2_in
-        d_mlp_in = _mlp_backward(dx, mlp_cache, t, pre + "mlp.", grads)
-        d_x1a, dg, db = _layer_norm_backward(d_mlp_in, ln2_cache, t[pre + "ln2.g"])
-        grads[pre + "ln2.g"] += dg
-        grads[pre + "ln2.b"] += db
+        d_mlp_in = _ffn_backward(dx, mlp_cache, t, pre + "mlp.", _MLP_KEYS, grads)
+        d_x1a = _layer_norm_backward(d_mlp_in, ln2_cache, t, pre + "ln2.", grads)
         dx = dx + d_x1a
         if use_adapters:
-            d_ad1_in = _adapter_backward(dx, ad1_cache, t, pre + "ad1.", grads)
+            d_ad1_in = _ffn_backward(dx, ad1_cache, t, pre + "ad1.", _ADAPTER_KEYS, grads)
             dx = dx + d_ad1_in
         d_attn_in = _attention_backward(dx, attn_cache, t, pre + "attn.", grads)
-        d_a, dg, db = _layer_norm_backward(d_attn_in, ln1_cache, t[pre + "ln1.g"])
-        grads[pre + "ln1.g"] += dg
-        grads[pre + "ln1.b"] += db
+        d_a = _layer_norm_backward(d_attn_in, ln1_cache, t, pre + "ln1.", grads)
         dx = dx + d_a
 
     np.add.at(grads["tok_emb"], cache["ids"], dx)
@@ -422,39 +407,15 @@ def encode_text(
 
 
 def _images_forward(params: ModelParams, images: np.ndarray):
-    t = params.tensors
     images = np.asarray(images, dtype=np.float64)
-    squeeze = images.ndim == 1
-    if squeeze:
-        images = images[None, :]
-    if images.shape[1] != params.config.image_input_dim:
-        raise ValueError(
-            f"image input dim {images.shape[1]} != configured {params.config.image_input_dim}"
-        )
-    z = images @ t["img.W1"] + t["img.b1"]
-    h = _gelu(z)
-    out = h @ t["img.W2"] + t["img.b2"]
-    return out, (images, z, h, squeeze)
-
-
-def _images_backward(params: ModelParams, cache, dout: np.ndarray, grads: dict) -> None:
-    t = params.tensors
-    images, z, h, _ = cache
-    grads["img.W2"] += h.T @ dout
-    grads["img.b2"] += dout.sum(axis=0)
-    dh = dout @ t["img.W2"].T
-    dz = dh * _gelu_grad(z)
-    grads["img.W1"] += images.T @ dz
-    grads["img.b1"] += dz.sum(axis=0)
-
-
-def encode_image(params: ModelParams, image_vec: np.ndarray) -> np.ndarray:
-    """Unnormalized image feature in R^P for one input vector."""
-    out, cache = _images_forward(params, image_vec)
-    return out[0] if cache[3] else out
+    dim = params.config.image_input_dim
+    if images.ndim != 2 or images.shape[1] != dim:
+        raise ValueError(f"image input shape {images.shape} != (N, image_input_dim={dim})")
+    return _ffn_forward(images, params.tensors, "img.", _MLP_KEYS)
 
 
 def encode_images(params: ModelParams, images: np.ndarray) -> np.ndarray:
+    """Unnormalized image features (N, P) for an (N, D) batch of input vectors."""
     out, _ = _images_forward(params, images)
     return out
 
@@ -556,7 +517,7 @@ def grads(params: ModelParams, batch: TrainBatch, spec: LossSpec):
         dv = d_sim.T @ u
         d_img_raw = objective.normalize_rows_backward(img_raw, du)
         d_txt_raw = objective.normalize_rows_backward(txt_raw, dv)
-        _images_backward(params, img_cache, d_img_raw, g)
+        _ffn_backward(d_img_raw, img_cache, params.tensors, "img.", _MLP_KEYS, g)
         # Fold duplicate rows back onto their unique encoding.
         d_unique = np.zeros((len(encoded), params.config.embed_dim))
         np.add.at(d_unique, rows, d_txt_raw)

@@ -194,7 +194,7 @@ class EvalReport:
 
 def make_eval_report(
     params: enc.ModelParams,
-    images: np.ndarray,
+    preds: np.ndarray,
     labels: np.ndarray,
     bank: ClassEmbeddings,
     eval_options: Optional[dict] = None,
@@ -202,9 +202,9 @@ def make_eval_report(
     store: Optional[KnowledgeStore] = None,
     source: str = "wiki_def",
 ) -> EvalReport:
-    """Classify and assemble the report with overlap/coverage diagnostics."""
-    preds, accuracy = zero_shot_classify(params, images, bank, labels)
+    """Assemble the report for zero-shot predictions with overlap/coverage diagnostics."""
     labels = np.asarray(labels)
+    accuracy = float(np.mean(preds == labels))
     per_class = {}
     for idx, name in enumerate(bank.class_names):
         mask = labels == idx
@@ -222,7 +222,7 @@ def make_eval_report(
         json.dumps(digest_payload, sort_keys=True).encode("utf-8")
     ).hexdigest()[:16]
     return EvalReport(
-        top1_accuracy=float(accuracy),
+        top1_accuracy=accuracy,
         per_class_accuracy=per_class,
         concept_overlap_pct=overlap,
         knowledge_coverage_pct=coverage,
@@ -245,14 +245,10 @@ def write_breakdown_csv(rows: list[dict], path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _normalize_concept(name: str) -> str:
-    return " ".join(name.lower().split())
-
-
 def concept_overlap(pretrain_concepts, downstream_concepts) -> float:
     """Percentage of downstream concepts present in the pretraining pool."""
-    pretrain = {_normalize_concept(c) for c in pretrain_concepts}
-    downstream = {_normalize_concept(c) for c in downstream_concepts}
+    pretrain = {queries.normalize_text(c) for c in pretrain_concepts}
+    downstream = {queries.normalize_text(c) for c in downstream_concepts}
     if not pretrain or not downstream:
         raise ValueError("concept sets must be non-empty")
     return 100.0 * len(downstream & pretrain) / len(downstream)

@@ -9,15 +9,15 @@ encoder carries trainable parameters here.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from . import encoder as enc
+from . import compose, encoder as enc, queries
 from .errors import DataError, NumericsError
+from .knowledge import KnowledgeStore, iter_jsonl
 from .queries import tokenize
 
 
@@ -36,7 +36,6 @@ class PhraseBank:
 
     matrix: np.ndarray
     texts: list[str] = field(default_factory=list)
-    provenance: list[dict] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -54,27 +53,41 @@ class FocalParams:
 def load_regions_jsonl(path) -> list[RegionSet]:
     path = Path(path)
     regions = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            if "image_id" not in obj or "features" not in obj:
-                raise DataError(f"{path}:{lineno}: expected {{image_id, features[, targets]}}")
-            features = np.asarray(obj["features"], dtype=np.float64)
-            if features.ndim != 2 or features.shape[0] < 1:
-                raise DataError(f"{path}:{lineno}: features must be a non-empty M x P matrix")
-            targets = None
-            if obj.get("targets") is not None:
-                targets = np.asarray(obj["targets"], dtype=np.float64)
-                if targets.shape[0] != features.shape[0]:
-                    raise DataError(f"{path}:{lineno}: targets row count != features row count")
-                if not np.isin(targets, (0.0, 1.0)).all():
-                    raise DataError(f"{path}:{lineno}: targets must be binary")
-            regions.append(RegionSet(str(obj["image_id"]), features, targets))
+    for lineno, obj in iter_jsonl(path, DataError):
+        if "image_id" not in obj or "features" not in obj:
+            raise DataError(f"{path}:{lineno}: expected {{image_id, features[, targets]}}")
+        features = np.asarray(obj["features"], dtype=np.float64)
+        if features.ndim != 2 or features.shape[0] < 1:
+            raise DataError(f"{path}:{lineno}: features must be a non-empty M x P matrix")
+        targets = None
+        if obj.get("targets") is not None:
+            targets = np.asarray(obj["targets"], dtype=np.float64)
+            if targets.shape[0] != features.shape[0]:
+                raise DataError(f"{path}:{lineno}: targets row count != features row count")
+            if not np.isin(targets, (0.0, 1.0)).all():
+                raise DataError(f"{path}:{lineno}: targets must be binary")
+        regions.append(RegionSet(str(obj["image_id"]), features, targets))
     if not regions:
         raise DataError(f"{path}: no region rows found")
     return regions
+
+
+def category_texts(
+    class_names: list, store: Optional[KnowledgeStore], source: str, max_tokens: int
+) -> list[str]:
+    """Prompt-free "<query>, <knowledge>" text per category name.
+
+    Knowledge is retrieved only when a store is given, and trimmed to the
+    encoder's ``max_tokens`` so training and evaluation build the same texts.
+    """
+    texts = []
+    for name in class_names:
+        query = queries.construct_query(str(name), "category")
+        item = store.retrieve(query.text, source) if store is not None else None
+        texts.append(
+            compose.compose_od_text(query.text, item.text if item else None, max_tokens).text
+        )
+    return texts
 
 
 def encode_phrases_parallel(

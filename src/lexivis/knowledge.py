@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterator, Optional
 
-from .errors import SnapshotError
+from .errors import LexivisError, SnapshotError
+from .queries import normalize_text
 
 SOURCES = ("wn_hier", "wn_def", "wiki_def")
 
@@ -56,11 +57,13 @@ def _file_digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _normalize_query(query: str) -> str:
-    return " ".join(query.lower().split())
+def iter_jsonl(path, error: type[LexivisError]) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, object) for every non-blank line of a JSONL file.
 
-
-def _iter_jsonl(path: Path) -> Iterable[tuple[int, dict]]:
+    Invalid JSON and rows that are not JSON objects raise ``error`` with the
+    ``path:lineno`` prefix: ``SnapshotError`` for snapshots, ``DataError``
+    for data files.
+    """
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
@@ -68,9 +71,9 @@ def _iter_jsonl(path: Path) -> Iterable[tuple[int, dict]]:
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise SnapshotError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+                raise error(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
             if not isinstance(obj, dict):
-                raise SnapshotError(f"{path}:{lineno}: expected a JSON object")
+                raise error(f"{path}:{lineno}: expected a JSON object")
             yield lineno, obj
 
 
@@ -100,7 +103,7 @@ class WordNetGraph:
 
     def lookup(self, query: str) -> Optional[SynsetRecord]:
         """Locate a synset: exact multi-word lemma first, then head noun."""
-        norm = _normalize_query(query)
+        norm = normalize_text(query)
         if not norm:
             return None
         lemma = norm.replace(" ", "_")
@@ -140,7 +143,7 @@ class Dictionary:
 
     def lookup(self, query: str) -> Optional[DictionaryEntry]:
         """Lookup chain: exact phrase -> leading determiner stripped -> head noun."""
-        norm = _normalize_query(query)
+        norm = normalize_text(query)
         if not norm:
             return None
         candidates = [norm]
@@ -160,7 +163,7 @@ def load_wordnet_snapshot(path) -> WordNetGraph:
     """Load a WordNet JSONL snapshot, validating every row and all references."""
     path = Path(path)
     records = []
-    for lineno, obj in _iter_jsonl(path):
+    for lineno, obj in iter_jsonl(path, SnapshotError):
         for key in ("id", "lemmas", "definition", "hypernym_ids"):
             if key not in obj:
                 raise SnapshotError(f"{path}:{lineno}: missing field {key!r}")
@@ -182,7 +185,7 @@ def load_wiktionary_snapshot(path) -> Dictionary:
     """Load a Wiktionary JSONL snapshot of {term, senses} rows."""
     path = Path(path)
     entries = []
-    for lineno, obj in _iter_jsonl(path):
+    for lineno, obj in iter_jsonl(path, SnapshotError):
         for key in ("term", "senses"):
             if key not in obj:
                 raise SnapshotError(f"{path}:{lineno}: missing field {key!r}")
@@ -257,56 +260,3 @@ def knowledge_coverage(queries: list[str], store: KnowledgeStore, source: str) -
         raise ValueError("knowledge_coverage requires at least one query")
     hits = sum(1 for q in queries if store.retrieve(q, source) is not None)
     return hits / len(queries)
-
-
-@dataclass
-class KnowledgeCache:
-    """Memoizes (query, source) retrievals; a cached miss is stored as None.
-
-    Lookups through the cache are indistinguishable from direct retrieval;
-    the cache additionally distinguishes "known miss" from "never asked".
-    """
-
-    store: Optional[KnowledgeStore] = None
-    provenance: dict[str, str] = field(default_factory=dict)
-    _cache: dict[tuple[str, str], Optional[KnowledgeItem]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.store is not None and not self.provenance:
-            self.provenance = self.store.provenance()
-
-    def retrieve(self, query: str, source: str) -> Optional[KnowledgeItem]:
-        key = (query, source)
-        if key not in self._cache:
-            if self.store is None:
-                return None
-            self._cache[key] = self.store.retrieve(query, source)
-        return self._cache[key]
-
-    def has_entry(self, query: str, source: str) -> bool:
-        return (query, source) in self._cache
-
-    def save(self, path) -> None:
-        """Write the cache file: one digest header line, then one row per entry."""
-        path = Path(path)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps({"snapshots": self.provenance}, sort_keys=True) + "\n")
-            for (query, source), item in self._cache.items():
-                row = {"query": query, "source": source, "text": None if item is None else item.text}
-                handle.write(json.dumps(row, sort_keys=True) + "\n")
-
-    @classmethod
-    def load(cls, path, store: Optional[KnowledgeStore] = None) -> "KnowledgeCache":
-        path = Path(path)
-        rows = list(_iter_jsonl(path))
-        if not rows or "snapshots" not in rows[0][1]:
-            raise SnapshotError(f"{path}: missing snapshot digest header line")
-        cache = cls(store=store, provenance=dict(rows[0][1]["snapshots"]))
-        for lineno, obj in rows[1:]:
-            for key in ("query", "source", "text"):
-                if key not in obj:
-                    raise SnapshotError(f"{path}:{lineno}: missing field {key!r}")
-            text = obj["text"]
-            item = None if text is None else KnowledgeItem(obj["query"], obj["source"], text)
-            cache._cache[(obj["query"], obj["source"])] = item
-        return cache

@@ -16,19 +16,9 @@ import numpy as np
 
 from .errors import NumericsError
 
-NORM_TOLERANCE = 1e-4
-
-
-def normalize(v: np.ndarray) -> np.ndarray:
-    """Project a feature vector onto the unit sphere."""
-    v = np.asarray(v, dtype=np.float64)
-    norm = np.linalg.norm(v)
-    if norm <= 1e-12:
-        raise ValueError("cannot normalize a near-zero vector")
-    return v / norm
-
 
 def normalize_rows(m: np.ndarray) -> np.ndarray:
+    """Project each feature row onto the unit sphere."""
     m = np.asarray(m, dtype=np.float64)
     norms = np.linalg.norm(m, axis=1, keepdims=True)
     if np.any(norms <= 1e-12):
@@ -42,19 +32,6 @@ def normalize_rows_backward(raw: np.ndarray, d_normed: np.ndarray) -> np.ndarray
     unit = raw / norms
     inner = np.sum(d_normed * unit, axis=1, keepdims=True)
     return (d_normed - unit * inner) / norms
-
-
-def similarity_matrix(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Pairwise cosine similarities u_i . v_j for unit-norm row matrices."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.ndim != 2 or v.ndim != 2 or u.shape[1] != v.shape[1]:
-        raise ValueError(f"incompatible shapes {u.shape} and {v.shape}")
-    for name, m in (("u", u), ("v", v)):
-        norms = np.linalg.norm(m, axis=1)
-        if np.any(np.abs(norms - 1.0) > NORM_TOLERANCE):
-            raise ValueError(f"{name} rows are not unit-norm (tolerance {NORM_TOLERANCE})")
-    return u @ v.T
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ so the whole path is deterministic and hermetic.
 
 from __future__ import annotations
 
-import json
 import string
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,8 +16,6 @@ from typing import Iterable, Optional
 from .errors import DataError
 
 TAGS = ("NOUN", "ADJ", "NUM", "DET", "OTHER")
-
-QUERY_ORIGINS = ("category", "caption_np", "caption_fallback")
 
 _STRIP_CHARS = string.punctuation + "‘’“”"
 
@@ -41,6 +38,11 @@ class NounPhrase:
 class Query:
     text: str
     origin: str = "category"
+
+
+def normalize_text(text: str) -> str:
+    """Lowercase and collapse whitespace: the one key for comparing texts."""
+    return " ".join(text.lower().split())
 
 
 def tokenize(text: str) -> list[str]:
@@ -127,37 +129,6 @@ class FrequencyTable:
     def add(self, phrase: str, n: int = 1) -> None:
         self.counts[phrase] = self.counts.get(phrase, 0) + n
 
-    def merge(self, other: "FrequencyTable") -> "FrequencyTable":
-        merged = FrequencyTable(dict(self.counts), self.total_docs + other.total_docs)
-        for phrase, n in other.counts.items():
-            merged.add(phrase, n)
-        return merged
-
-    def save(self, path) -> None:
-        path = Path(path)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps({"total_docs": self.total_docs}) + "\n")
-            for phrase in sorted(self.counts):
-                row = {"phrase": phrase, "count": self.counts[phrase]}
-                handle.write(json.dumps(row, sort_keys=True) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "FrequencyTable":
-        path = Path(path)
-        table = cls()
-        with open(path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                obj = json.loads(line)
-                if lineno == 1 and "total_docs" in obj:
-                    table.total_docs = int(obj["total_docs"])
-                    continue
-                if "phrase" not in obj or "count" not in obj:
-                    raise DataError(f"{path}:{lineno}: expected {{phrase, count}}")
-                table.counts[obj["phrase"]] = int(obj["count"])
-        return table
-
 
 def caption_noun_phrases(caption: str, lexicon: dict[str, str]) -> list[NounPhrase]:
     return chunk_noun_phrases(pos_tag(tokenize(caption), lexicon))
@@ -212,4 +183,4 @@ def construct_query(
     nouns = [t.surface for t in tagged if t.tag == "NOUN"]
     if nouns:
         return Query(text=min(nouns, key=key), origin="caption_fallback")
-    return Query(text=" ".join(text.strip().lower().split()), origin="caption_fallback")
+    return Query(text=normalize_text(text), origin="caption_fallback")

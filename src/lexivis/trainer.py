@@ -1,4 +1,4 @@
-"""Triplet datasets, knowledge augmentation, and the contrastive training loop.
+"""Triplet datasets, knowledge augmentation, and the training loop shared with grounding.
 
 Training modes: ``scratch_1branch`` (plain dual encoders), ``scratch_2branch``
 (adapter branch routes knowledge-augmented texts, base branch routes vanilla
@@ -12,13 +12,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import compose, encoder as enc, queries
 from .errors import ConfigError, DataError, NumericsError
-from .knowledge import KnowledgeStore
+from .knowledge import KnowledgeStore, iter_jsonl
 
 TRAIN_MODES = ("scratch_1branch", "scratch_2branch", "continual_adapters")
 
@@ -42,37 +42,31 @@ class Triplet:
     query: Optional[str] = None
 
     def group_key(self) -> str:
-        return normalize_text(self.origin_text if self.origin_text is not None else self.text)
-
-
-def normalize_text(text: str) -> str:
-    return " ".join(text.lower().split())
+        return queries.normalize_text(
+            self.origin_text if self.origin_text is not None else self.text
+        )
 
 
 def load_dataset_jsonl(path) -> list[Triplet]:
     path = Path(path)
     triplets = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            if "image" not in obj or "text" not in obj:
-                raise DataError(f"{path}:{lineno}: expected {{image, text[, kind, label]}}")
-            kind = obj.get("kind", "category")
-            if kind not in ("category", "caption"):
-                raise DataError(f"{path}:{lineno}: kind must be 'category' or 'caption'")
-            triplets.append(
-                Triplet(
-                    image=np.asarray(obj["image"], dtype=np.float64),
-                    text=str(obj["text"]),
-                    kind=kind,
-                    label=obj.get("label"),
-                    augmented=bool(obj.get("augmented", False)),
-                    origin_text=obj.get("origin_text"),
-                    query=obj.get("query"),
-                )
+    for lineno, obj in iter_jsonl(path, DataError):
+        if "image" not in obj or "text" not in obj:
+            raise DataError(f"{path}:{lineno}: expected {{image, text[, kind, label]}}")
+        kind = obj.get("kind", "category")
+        if kind not in ("category", "caption"):
+            raise DataError(f"{path}:{lineno}: kind must be 'category' or 'caption'")
+        triplets.append(
+            Triplet(
+                image=np.asarray(obj["image"], dtype=np.float64),
+                text=str(obj["text"]),
+                kind=kind,
+                label=obj.get("label"),
+                augmented=bool(obj.get("augmented", False)),
+                origin_text=obj.get("origin_text"),
+                query=obj.get("query"),
             )
+        )
     if not triplets:
         raise DataError(f"{path}: dataset is empty")
     return triplets
@@ -176,7 +170,6 @@ class TrainConfig:
     optimizer: str = "adam"
     seed: int = 0
     mode: str = "scratch_1branch"
-    scheme: str = "concat"
     source: str = "wiki_def"
     base_checkpoint: Optional[str] = None
     encoder: enc.EncoderConfig = field(default_factory=enc.EncoderConfig)
@@ -255,6 +248,58 @@ def _batch_flags(config: TrainConfig, batch: list[Triplet]) -> list[bool]:
     return [t.augmented for t in batch]
 
 
+def fit(
+    params: enc.ModelParams,
+    spec: enc.LossSpec,
+    items: list,
+    make_batch: Callable[[list], enc.TrainBatch],
+    epochs: int,
+    batch_size: int,
+    optimizer: str,
+    learning_rate: float,
+    seed: int,
+) -> tuple[list[tuple], dict]:
+    """The training loop shared by contrastive training and grounding.
+
+    Each epoch visits ``items`` in a seeded permutation, ``batch_size`` at a
+    time; ``make_batch`` turns the sampled items into encoder inputs. After
+    every optimizer step log-tau is clamped to ``TAU_MAX``. Returns the loss
+    trace, with rows (step, l_i2t, l_t2i, l_ic, tau) for the contrastive loss
+    and (step, focal_loss) for grounding, plus the per-branch text counts.
+    """
+    opt = _Optimizer(optimizer, learning_rate, params.tensors)
+    rng = np.random.default_rng(seed)
+    trace = []
+    branch_counts = {"base": 0, "adapter": 0}
+    log_tau_max = np.log(enc.TAU_MAX)
+    for _ in range(epochs):
+        order = rng.permutation(len(items))
+        for start in range(0, len(items), batch_size):
+            idx = order[start : start + batch_size]
+            if spec.loss == "contrastive" and len(idx) < 2:
+                continue  # a singleton batch has a degenerate contrastive loss
+            batch = [items[i] for i in idx]
+            train_batch = make_batch(batch)
+            try:
+                losses, g = enc.grads(params, train_batch, spec)
+            except NumericsError as exc:
+                exc.diagnostics["step"] = len(trace)
+                exc.diagnostics["batch"] = batch
+                raise
+            opt.step(params.tensors, g)
+            if params.tensors["log_tau"] > log_tau_max:
+                params.tensors["log_tau"][...] = log_tau_max
+            flags = train_batch.adapter_flags or []
+            branch_counts["adapter"] += sum(flags)
+            branch_counts["base"] += len(flags) - sum(flags)
+            step = len(trace) + 1
+            if spec.loss == "contrastive":
+                trace.append((step, losses["l_i2t"], losses["l_t2i"], losses["l_ic"], params.tau))
+            else:
+                trace.append((step, losses["loss"]))
+    return trace, branch_counts
+
+
 def train(
     config: TrainConfig,
     triplets: list[Triplet],
@@ -274,41 +319,19 @@ def train(
     token_cache = {t.text: enc.text_to_ids(t.text, cfg, pooling="eos") for t in triplets}
     trainable = "adapters" if config.mode == "continual_adapters" else "all"
     spec = enc.LossSpec(loss="contrastive", trainable=trainable, pooling="eos")
-    optimizer = _Optimizer(config.optimizer, config.learning_rate, params.tensors)
-    rng = np.random.default_rng(config.seed)
 
-    trace = []
-    branch_counts = {"base": 0, "adapter": 0}
-    step = 0
-    log_tau_max = np.log(enc.TAU_MAX)
-    for _ in range(config.epochs):
-        order = rng.permutation(len(triplets))
-        for start in range(0, len(triplets), config.batch_size):
-            idx = order[start : start + config.batch_size]
-            if len(idx) < 2:
-                continue  # a singleton batch has a degenerate contrastive loss
-            batch = [triplets[i] for i in idx]
-            flags = _batch_flags(config, batch)
-            train_batch = enc.TrainBatch(
-                images=np.stack([np.asarray(t.image, dtype=np.float64) for t in batch]),
-                token_ids=[token_cache[t.text] for t in batch],
-                labels=np.array([t.label for t in batch]),
-                adapter_flags=flags,
-            )
-            try:
-                losses, g = enc.grads(params, train_batch, spec)
-            except NumericsError as exc:
-                exc.diagnostics["step"] = step
-                exc.diagnostics["batch_texts"] = [t.text for t in batch]
-                raise
-            optimizer.step(params.tensors, g)
-            if params.tensors["log_tau"] > log_tau_max:
-                params.tensors["log_tau"][...] = log_tau_max
-            branch_counts["adapter"] += sum(flags)
-            branch_counts["base"] += len(flags) - sum(flags)
-            step += 1
-            trace.append((step, losses["l_i2t"], losses["l_t2i"], losses["l_ic"], params.tau))
+    def make_batch(batch: list[Triplet]) -> enc.TrainBatch:
+        return enc.TrainBatch(
+            images=np.stack([np.asarray(t.image, dtype=np.float64) for t in batch]),
+            token_ids=[token_cache[t.text] for t in batch],
+            labels=np.array([t.label for t in batch]),
+            adapter_flags=_batch_flags(config, batch),
+        )
 
+    trace, branch_counts = fit(
+        params, spec, triplets, make_batch, config.epochs, config.batch_size,
+        config.optimizer, config.learning_rate, config.seed,
+    )
     return TrainResult(
         params=params, trace=trace, branch_counts=branch_counts, mode=config.mode, seed=config.seed
     )

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from lexivis import encoder as enc
 from lexivis.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from tests.conftest import FIXTURES
 
@@ -66,6 +67,11 @@ class TestUsage:
 
     def test_no_subcommand(self, capsys):
         assert main([]) == EXIT_USAGE
+
+    def test_train_scheme_flag_removed(self, capsys, dataset, tmp_path):
+        code = main(["train", "--dataset", str(dataset), "--out-checkpoint",
+                     str(tmp_path / "m.json"), "--scheme", "combine"])
+        assert code == EXIT_USAGE
 
 
 class TestAugment:
@@ -160,7 +166,7 @@ class TestTrainEval:
         assert summary["knowledge_hits"] == 4
         assert 0.0 <= summary["accuracy"] <= 1.0
 
-    def test_eval_report_breakdown(self, capsys, tmp_path, dataset):
+    def test_eval_report_breakdown(self, capsys, tmp_path, dataset, monkeypatch):
         ckpt = tmp_path / "model.json"
         code, _, err = run(
             capsys, "train", "--dataset", str(dataset), "--out-checkpoint", str(ckpt),
@@ -178,6 +184,14 @@ class TestTrainEval:
         concepts.write_text("boxer\ntench\n")
         breakdown = tmp_path / "breakdown.csv"
         out = tmp_path / "report.json"
+        encode_calls = []
+        encode_images = enc.encode_images
+
+        def counting_encode_images(*args, **kwargs):
+            encode_calls.append(1)
+            return encode_images(*args, **kwargs)
+
+        monkeypatch.setattr(enc, "encode_images", counting_encode_images)
         code, summary, err = run(
             capsys, "eval-zeroshot", "--checkpoint", str(ckpt), "--images", str(images),
             "--classes", str(classes), "--with-knowledge", "--wiktionary", WK,
@@ -185,6 +199,7 @@ class TestTrainEval:
             "--dataset-name", "toy4", "--out", str(out),
         )
         assert code == EXIT_OK
+        assert len(encode_calls) == 1  # the report reuses the zero-shot predictions
         assert summary["concept_overlap_pct"] == 50.0
         assert summary["knowledge_coverage_pct"] == 100.0
         lines = breakdown.read_text().splitlines()
@@ -208,6 +223,60 @@ class TestTrainEval:
             assert code == EXIT_OK
             checkpoints.append(json.loads(ckpt.read_text()))
         assert checkpoints[0] == checkpoints[1]
+
+
+class TestGrounding:
+    def test_knowledge_texts_fit_max_tokens_in_train_and_eval(self, capsys, tmp_path):
+        # Fixture definitions are longer than the 7-word budget of --max-tokens 8:
+        # train and eval must trim them the same way.
+        classes = tmp_path / "classes.json"
+        classes.write_text(json.dumps(["boxer", "crowd", "fireplug"]))
+        regions = tmp_path / "regions.jsonl"
+        row = {"image_id": "a", "features": np.eye(3, 8).tolist(), "targets": np.eye(3).tolist()}
+        regions.write_text(json.dumps(row) + "\n")
+        ckpt = tmp_path / "ground.json"
+        knowledge = ["--max-tokens", "8", "--with-knowledge", "--wiktionary", WK]
+        code, _, err = run(
+            capsys, "ground-train", "--regions", str(regions), "--classes", str(classes),
+            "--out-checkpoint", str(ckpt), "--epochs", "2", "--embed-dim", "8",
+            "--hidden-dim", "16", "--vocab-size", "64", "--adapter-bottleneck", "2", *knowledge,
+        )
+        assert code == EXIT_OK, err
+        code, summary, err = run(
+            capsys, "ground-eval", "--checkpoint", str(ckpt), "--regions", str(regions),
+            "--classes", str(classes), *knowledge[2:],
+        )
+        assert code == EXIT_OK, err
+        assert summary["n_images"] == 1
+
+
+@pytest.fixture
+def checkpoint(tmp_path):
+    cfg = enc.EncoderConfig(embed_dim=4, text_layers=1, hidden_dim=8, vocab_size=16,
+                            max_tokens=8, adapter_bottleneck=2, image_input_dim=4)
+    path = tmp_path / "model.json"
+    enc.save_checkpoint(enc.init_params(cfg, seed=0), path)
+    return path
+
+
+class TestMalformedJsonl:
+    @pytest.mark.parametrize("row", ["5", "[1, 2]", "not json"])
+    @pytest.mark.parametrize("command", ["stats", "ground-eval", "eval-probe"])
+    def test_bad_row_is_data_error_with_location(self, capsys, tmp_path, checkpoint, command, row):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(row + "\n")
+        classes = tmp_path / "classes.json"
+        classes.write_text(json.dumps(["boxer"]))
+        argv = {
+            "stats": ["stats", "--dataset", str(bad)],
+            "ground-eval": ["ground-eval", "--checkpoint", str(checkpoint), "--regions", str(bad),
+                            "--classes", str(classes)],
+            "eval-probe": ["eval-probe", "--checkpoint", str(checkpoint), "--images", str(bad)],
+        }[command]
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_DATA
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and f"{bad}:1" in lines[0]
 
 
 class TestBench:

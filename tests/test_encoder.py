@@ -199,7 +199,8 @@ class TestAdapters:
 class TestEncodeImage:
     def test_zero_input_zero_bias_gives_zero(self, toy_config):
         params = enc.init_params(toy_config, seed=5)
-        out = enc.encode_image(params, np.zeros(toy_config.image_input_dim))
+        out = enc.encode_images(params, np.zeros((2, toy_config.image_input_dim)))
+        assert out.shape == (2, toy_config.embed_dim)
         assert np.allclose(out, 0.0)
 
     def test_identity_like_weights_pass_through(self, toy_config):
@@ -211,15 +212,17 @@ class TestEncodeImage:
         w2[:d, :d] = np.eye(d) / 4.0
         params.tensors["img.W1"] = w1
         params.tensors["img.W2"] = w2
-        x = np.abs(np.random.default_rng(0).normal(size=d)) + 1.0
-        out = enc.encode_image(params, x)
-        assert np.allclose(out[:d], x, rtol=1e-3)
-        assert np.allclose(out[d:], 0.0, atol=1e-6)
+        x = np.abs(np.random.default_rng(0).normal(size=(3, d))) + 1.0
+        out = enc.encode_images(params, x)
+        assert np.allclose(out[:, :d], x, rtol=1e-3)
+        assert np.allclose(out[:, d:], 0.0, atol=1e-6)
 
     def test_dimension_mismatch_errors(self, toy_config):
         params = enc.init_params(toy_config, seed=5)
         with pytest.raises(ValueError, match="dim"):
-            enc.encode_image(params, np.zeros(toy_config.image_input_dim + 1))
+            enc.encode_images(params, np.zeros((2, toy_config.image_input_dim + 1)))
+        with pytest.raises(ValueError, match="dim"):
+            enc.encode_images(params, np.zeros(toy_config.image_input_dim))
 
 
 def _contrastive_batch(cfg, rng, b=4):
@@ -298,8 +301,8 @@ class TestCheckpoint:
             enc.encode_text(params, ids, use_adapters=True),
             enc.encode_text(loaded, ids, use_adapters=True),
         )
-        img = np.linspace(-1, 1, toy_config.image_input_dim)
-        assert np.array_equal(enc.encode_image(params, img), enc.encode_image(loaded, img))
+        img = np.linspace(-1, 1, 2 * toy_config.image_input_dim).reshape(2, -1)
+        assert np.array_equal(enc.encode_images(params, img), enc.encode_images(loaded, img))
 
     def test_save_is_byte_deterministic(self, tmp_path, toy_config):
         params = enc.init_params(toy_config, seed=10)

@@ -208,8 +208,9 @@ class TestEvalReport:
         bank = build_class_embeddings(
             params, ["boxer", "zzmiss"], store=toy_store, with_knowledge=True
         )
+        preds, _ = zero_shot_classify(params, images, bank, labels)
         report = make_eval_report(
-            params, images, labels, bank,
+            params, preds, labels, bank,
             pretrain_concepts=["boxer", "tench"],
             store=toy_store,
         )
@@ -226,8 +227,9 @@ class TestEvalReport:
         images = rng.normal(size=(4, toy_config.image_input_dim))
         labels = np.zeros(4, dtype=int)
         bank = build_class_embeddings(params, ["boxer"], store=toy_store)
-        a = make_eval_report(params, images, labels, bank, eval_options={"k": 1})
-        b = make_eval_report(params, images, labels, bank, eval_options={"k": 2})
+        preds, _ = zero_shot_classify(params, images, bank, labels)
+        a = make_eval_report(params, preds, labels, bank, eval_options={"k": 1})
+        b = make_eval_report(params, preds, labels, bank, eval_options={"k": 2})
         assert a.config_digest != b.config_digest
 
     def test_breakdown_csv(self, tmp_path):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from lexivis import encoder as enc
+from lexivis import encoder as enc, trainer
 from lexivis.errors import DataError
 from lexivis.grounding import (
     FocalParams,
@@ -195,13 +195,19 @@ class TestKnowledgeGain:
         params = enc.init_params(cfg, seed=seed)
         token_ids = [enc.text_to_ids(t, cfg, pooling="cls") for t in texts]
         spec = enc.LossSpec(loss="ground_focal", pooling="cls")
-        from lexivis.trainer import _Optimizer
 
-        optimizer = _Optimizer("adam", 1e-2, params.tensors)
-        batch = enc.TrainBatch(token_ids=token_ids, region_features=features, targets=targets)
-        for _ in range(steps):
-            _, g = enc.grads(params, batch, spec)
-            optimizer.step(params.tensors, g)
+        def make_batch(batch):
+            (region,) = batch
+            return enc.TrainBatch(
+                token_ids=token_ids, region_features=region.features, targets=region.targets
+            )
+
+        # One region set, so each epoch is exactly one full-batch step.
+        trace, _ = trainer.fit(
+            params, spec, [RegionSet("common", features, targets)], make_batch,
+            epochs=steps, batch_size=1, optimizer="adam", learning_rate=1e-2, seed=seed,
+        )
+        assert len(trace) == steps
         return params
 
     def test_rare_regions_score_higher_with_knowledge(self):

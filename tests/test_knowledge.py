@@ -8,7 +8,6 @@ from lexivis.errors import SnapshotError
 from lexivis.knowledge import (
     Dictionary,
     DictionaryEntry,
-    KnowledgeCache,
     KnowledgeStore,
     SynsetRecord,
     WordNetGraph,
@@ -180,47 +179,6 @@ class TestCoverage:
         assert knowledge_coverage(queries, big, "wiki_def") >= knowledge_coverage(
             queries, small, "wiki_def"
         )
-
-
-class TestCache:
-    @settings(max_examples=20, deadline=None)
-    @given(
-        queries=st.lists(
-            st.sampled_from(["boxer", "tench", "crowd", "zzz", "fireplug", "entity"]),
-            min_size=1,
-            max_size=12,
-        ),
-        sources=st.lists(st.sampled_from(["wn_hier", "wn_def", "wiki_def"]), min_size=1, max_size=12),
-    )
-    def test_cache_transparent(self, store, queries, sources):
-        cache = KnowledgeCache(store=store)
-        for q in queries:
-            for s in sources:
-                assert cache.retrieve(q, s) == store.retrieve(q, s)
-
-    def test_cached_miss_distinguishable_from_unqueried(self, store):
-        cache = KnowledgeCache(store=store)
-        assert not cache.has_entry("zzz", "wiki_def")
-        assert cache.retrieve("zzz", "wiki_def") is None
-        assert cache.has_entry("zzz", "wiki_def")
-
-    def test_save_load_roundtrip(self, tmp_path, store):
-        cache = KnowledgeCache(store=store)
-        cache.retrieve("boxer", "wiki_def")
-        cache.retrieve("zzz", "wn_def")
-        path = tmp_path / "cache.jsonl"
-        cache.save(path)
-        loaded = KnowledgeCache.load(path)
-        assert loaded.provenance == store.provenance()
-        assert loaded.retrieve("boxer", "wiki_def").text == "a participant (fighter) in a boxing match"
-        assert loaded.has_entry("zzz", "wn_def")
-        assert loaded.retrieve("zzz", "wn_def") is None
-
-    def test_load_requires_header(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        path.write_text('{"query": "a", "source": "wn_def", "text": null}\n')
-        with pytest.raises(SnapshotError, match="header"):
-            KnowledgeCache.load(path)
 
 
 def test_determinism_across_reloads(tmp_path, wordnet_graph):

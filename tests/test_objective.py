@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from lexivis.objective import (
-    normalize,
     normalize_rows,
-    similarity_matrix,
     grouped_contrastive_loss,
     grouped_contrastive_loss_with_grads,
 )
@@ -55,43 +53,19 @@ def _random_batch(rng, b, p):
 
 class TestNormalize:
     def test_pythagorean(self):
-        v = np.zeros(8)
-        v[0], v[1] = 3.0, 4.0
-        out = normalize(v)
+        v = np.zeros((1, 8))
+        v[0, 0], v[0, 1] = 3.0, 4.0
+        out = normalize_rows(v)[0]
         assert out[0] == pytest.approx(0.6)
         assert out[1] == pytest.approx(0.8)
 
     def test_idempotent(self):
-        v = normalize(np.array([1.0, 2.0, 2.0]))
-        assert np.allclose(normalize(v), v)
+        v = normalize_rows(np.array([[1.0, 2.0, 2.0], [0.0, -3.0, 4.0]]))
+        assert np.allclose(normalize_rows(v), v)
 
     def test_zero_vector_errors(self):
         with pytest.raises(ValueError):
-            normalize(np.zeros(4))
-
-
-class TestSimilarityMatrix:
-    def test_orthonormal_rows_give_identity(self):
-        u = np.eye(4)
-        assert np.allclose(similarity_matrix(u, u), np.eye(4))
-
-    def test_single_row(self):
-        u = normalize(np.array([1.0, 1.0]))[None, :]
-        assert similarity_matrix(u, u) == pytest.approx(np.array([[1.0]]))
-
-    def test_matches_elementwise_oracle(self):
-        rng = np.random.default_rng(0)
-        u = normalize_rows(rng.normal(size=(3, 7)))
-        v = normalize_rows(rng.normal(size=(3, 7)))
-        sim = similarity_matrix(u, v)
-        for i in range(3):
-            for j in range(3):
-                assert sim[i, j] == pytest.approx(sum(u[i] * v[j]), abs=1e-12)
-
-    def test_rejects_unnormalized(self):
-        u = np.eye(3) * 1.01
-        with pytest.raises(ValueError, match="unit-norm"):
-            similarity_matrix(u, u)
+            normalize_rows(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]))
 
 
 class TestGroupedLossValues:

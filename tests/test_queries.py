@@ -97,21 +97,6 @@ class TestFrequencyTable:
         with pytest.raises(DataError):
             build_frequency_table([], lexicon)
 
-    def test_save_load_roundtrip(self, tmp_path, lexicon):
-        table = build_frequency_table(["a dog", "a cat"], lexicon)
-        path = tmp_path / "freq.jsonl"
-        table.save(path)
-        loaded = FrequencyTable.load(path)
-        assert loaded.counts == table.counts
-        assert loaded.total_docs == table.total_docs
-
-    def test_merge_adds_counts(self, lexicon):
-        a = build_frequency_table(["a dog"], lexicon)
-        b = build_frequency_table(["a dog", "a cat"], lexicon)
-        merged = a.merge(b)
-        assert merged.counts["a dog"] == 2
-        assert merged.total_docs == 3
-
 
 class TestConstructQuery:
     def test_category_identity(self):
