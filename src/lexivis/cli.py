@@ -88,6 +88,18 @@ def _emit(summary: dict) -> None:
     print(json.dumps(summary, sort_keys=True))
 
 
+def _load_class_names(path) -> list[str]:
+    """The class list of the eval and grounding commands: a non-empty JSON array."""
+    path = _require_file(path, "class list")
+    try:
+        names = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: invalid JSON ({exc.msg})") from exc
+    if not isinstance(names, list) or not names:
+        raise DataError(f"{path}: expected a non-empty JSON list of names")
+    return [str(name) for name in names]
+
+
 def _load_labeled_images(path):
     """JSONL rows {image: [floats], label: int} used by the eval commands."""
     path = _require_file(path, "image features")
@@ -125,9 +137,11 @@ def _encoder_config(args, image_dim: int) -> enc.EncoderConfig:
 def _cmd_augment(args) -> dict:
     store = _load_store(args)
     lexicon = _load_lexicon(args)
-    triplets = trainer.load_dataset_jsonl(_require_file(args.dataset, "dataset"))
-    out, audit = trainer.augment_dataset(
-        triplets,
+    dataset = _require_file(args.dataset, "dataset")
+    audit = trainer.AugmentAudit()
+    rows = trainer.iter_augmented(
+        lambda: trainer.iter_dataset_jsonl(dataset),
+        audit,
         store,
         source=args.source,
         scheme=args.scheme,
@@ -135,7 +149,7 @@ def _cmd_augment(args) -> dict:
         max_tokens=args.max_tokens,
         lexicon=lexicon,
     )
-    trainer.save_dataset_jsonl(out, args.out)
+    trainer.save_dataset_jsonl(rows, args.out)
     return {"command": "augment", "out": str(args.out), **audit.to_dict()}
 
 
@@ -199,9 +213,7 @@ def _cmd_train(args) -> dict:
 def _cmd_eval_zeroshot(args) -> dict:
     params, _ = enc.load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
     store = _load_store(args) if args.with_knowledge else KnowledgeStore()
-    class_names = json.loads(_require_file(args.classes, "class list").read_text(encoding="utf-8"))
-    if not isinstance(class_names, list) or not class_names:
-        raise DataError(f"{args.classes}: expected a non-empty JSON list of names")
+    class_names = _load_class_names(args.classes)
     images, labels = _load_labeled_images(args.images)
     templates = (
         compose.load_templates(_require_file(args.templates, "templates"))
@@ -210,7 +222,7 @@ def _cmd_eval_zeroshot(args) -> dict:
     )
     bank = evaluation.build_class_embeddings(
         params,
-        [str(c) for c in class_names],
+        class_names,
         store=store,
         source=args.source,
         with_knowledge=args.with_knowledge,
@@ -297,7 +309,7 @@ def _cmd_ground_train(args) -> dict:
     regions = grounding.load_regions_jsonl(_require_file(args.regions, "regions"))
     if any(r.targets is None for r in regions):
         raise DataError("ground-train needs targets on every region row")
-    class_names = json.loads(_require_file(args.classes, "class list").read_text(encoding="utf-8"))
+    class_names = _load_class_names(args.classes)
     store = _load_store(args) if args.with_knowledge else None
     p_dim = regions[0].features.shape[1]
     cfg = _encoder_config(args, image_dim=p_dim)
@@ -328,7 +340,7 @@ def _cmd_ground_train(args) -> dict:
     enc.save_checkpoint(
         params,
         args.out_checkpoint,
-        meta={"task": "grounding", "seed": args.seed, "classes": list(map(str, class_names))},
+        meta={"task": "grounding", "seed": args.seed, "classes": class_names},
     )
     if args.trace:
         lines = ["step,focal_loss"] + [f"{s},{l!r}" for s, l in trace]
@@ -344,7 +356,7 @@ def _cmd_ground_train(args) -> dict:
 def _cmd_ground_eval(args) -> dict:
     params, _ = enc.load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
     regions = grounding.load_regions_jsonl(_require_file(args.regions, "regions"))
-    class_names = json.loads(_require_file(args.classes, "class list").read_text(encoding="utf-8"))
+    class_names = _load_class_names(args.classes)
     store = _load_store(args) if args.with_knowledge else None
     texts = grounding.category_texts(class_names, store, args.source, params.config.max_tokens)
     rows = []

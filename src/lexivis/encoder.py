@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, NumericsError
+from .errors import ConfigError, DataError, NumericsError
 from .queries import tokenize
 
 CLS_ID = 0
@@ -117,52 +117,61 @@ class ModelParams:
         return ModelParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
 
 
-def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
-    scale = 1.0 / math.sqrt(fan_in)
+def _param_specs(config: EncoderConfig, with_adapters: bool) -> list[tuple]:
+    """Every tensor as (name, shape, init), in creation and random-draw order.
+
+    ``init`` is "ones", "zeros", "tau" or the fan-in of a uniform draw.
+    """
+    p, h, a = config.embed_dim, config.hidden_dim, config.adapter_bottleneck
+    d = config.image_input_dim
+    specs = [("tok_emb", (config.vocab_size, p), p), ("pos_emb", (config.max_tokens, p), p)]
+    for i in range(config.text_layers):
+        pre = f"layers.{i}."
+        specs += [(pre + "ln1.g", (p,), "ones"), (pre + "ln1.b", (p,), "zeros")]
+        specs += [(pre + "attn." + name, (p, p), p) for name in ("Wq", "Wk", "Wv", "Wo")]
+        specs += [(pre + "attn." + name, (p,), "zeros") for name in ("bq", "bk", "bv", "bo")]
+        specs += [
+            (pre + "ln2.g", (p,), "ones"), (pre + "ln2.b", (p,), "zeros"),
+            (pre + "mlp.W1", (p, h), p), (pre + "mlp.b1", (h,), "zeros"),
+            (pre + "mlp.W2", (h, p), h), (pre + "mlp.b2", (p,), "zeros"),
+        ]
+        if with_adapters:
+            for ad in ("ad1.", "ad2."):
+                # Zero up-projection: the adapter starts as an exact identity residual.
+                specs += [
+                    (pre + ad + "down", (p, a), p), (pre + ad + "bdown", (a,), "zeros"),
+                    (pre + ad + "up", (a, p), "zeros"), (pre + ad + "bup", (p,), "zeros"),
+                ]
+    specs += [
+        ("lnf.g", (p,), "ones"), ("lnf.b", (p,), "zeros"),
+        ("img.W1", (d, h), d), ("img.b1", (h,), "zeros"),
+        ("img.W2", (h, p), h), ("img.b2", (p,), "zeros"),
+        ("log_tau", (), "tau"),
+    ]
+    return specs
+
+
+def _init_tensor(rng: np.random.Generator, shape: tuple, init) -> np.ndarray:
+    if init == "ones":
+        return np.ones(shape)
+    if init == "zeros":
+        return np.zeros(shape)
+    if init == "tau":
+        return np.array(math.log(TAU_INIT))
+    scale = 1.0 / math.sqrt(init)
     return rng.uniform(-scale, scale, size=shape)
-
-
-def _init_adapter(rng, tensors, prefix, p, a):
-    tensors[prefix + "down"] = _uniform(rng, (p, a), p)
-    tensors[prefix + "bdown"] = np.zeros(a)
-    # Zero up-projection: the adapter starts as an exact identity residual.
-    tensors[prefix + "up"] = np.zeros((a, p))
-    tensors[prefix + "bup"] = np.zeros(p)
 
 
 def init_params(config: EncoderConfig, seed: int, with_adapters: bool = False) -> ModelParams:
     """Seeded parameter initialization (uniform, fan-in scaled)."""
     rng = np.random.default_rng(seed)
-    p, h = config.embed_dim, config.hidden_dim
-    t: dict[str, np.ndarray] = {}
-    t["tok_emb"] = _uniform(rng, (config.vocab_size, p), p)
-    t["pos_emb"] = _uniform(rng, (config.max_tokens, p), p)
-    for i in range(config.text_layers):
-        pre = f"layers.{i}."
-        t[pre + "ln1.g"] = np.ones(p)
-        t[pre + "ln1.b"] = np.zeros(p)
-        for name in ("Wq", "Wk", "Wv", "Wo"):
-            t[pre + "attn." + name] = _uniform(rng, (p, p), p)
-        for name in ("bq", "bk", "bv", "bo"):
-            t[pre + "attn." + name] = np.zeros(p)
-        t[pre + "ln2.g"] = np.ones(p)
-        t[pre + "ln2.b"] = np.zeros(p)
-        t[pre + "mlp.W1"] = _uniform(rng, (p, h), p)
-        t[pre + "mlp.b1"] = np.zeros(h)
-        t[pre + "mlp.W2"] = _uniform(rng, (h, p), h)
-        t[pre + "mlp.b2"] = np.zeros(p)
-        if with_adapters:
-            _init_adapter(rng, t, pre + "ad1.", p, config.adapter_bottleneck)
-            _init_adapter(rng, t, pre + "ad2.", p, config.adapter_bottleneck)
-    t["lnf.g"] = np.ones(p)
-    t["lnf.b"] = np.zeros(p)
-    d = config.image_input_dim
-    t["img.W1"] = _uniform(rng, (d, h), d)
-    t["img.b1"] = np.zeros(h)
-    t["img.W2"] = _uniform(rng, (h, p), h)
-    t["img.b2"] = np.zeros(p)
-    t["log_tau"] = np.array(math.log(TAU_INIT))
-    return ModelParams(config, t)
+    return ModelParams(
+        config,
+        {
+            name: _init_tensor(rng, shape, init)
+            for name, shape, init in _param_specs(config, with_adapters)
+        },
+    )
 
 
 def add_adapters(params: ModelParams, seed: int) -> ModelParams:
@@ -171,11 +180,9 @@ def add_adapters(params: ModelParams, seed: int) -> ModelParams:
         raise ConfigError("parameters already carry adapter tensors")
     rng = np.random.default_rng(seed)
     out = params.copy()
-    p, a = params.config.embed_dim, params.config.adapter_bottleneck
-    for i in range(params.config.text_layers):
-        pre = f"layers.{i}."
-        _init_adapter(rng, out.tensors, pre + "ad1.", p, a)
-        _init_adapter(rng, out.tensors, pre + "ad2.", p, a)
+    for name, shape, init in _param_specs(params.config, with_adapters=True):
+        if is_adapter_key(name):
+            out.tensors[name] = _init_tensor(rng, shape, init)
     return out
 
 
@@ -282,7 +289,8 @@ def _ffn_forward(x, t, pre, keys):
     return h @ t[w2] + t[b2], (x, z, h)
 
 
-def _ffn_backward(dout, cache, t, pre, keys, grads):
+def _ffn_backward(dout, cache, t, pre, keys, grads, input_grad=True):
+    """Accumulate the block's weight gradients; return d input unless ``input_grad`` is off."""
     x, z, h = cache
     w1, b1, w2, b2 = (pre + k for k in keys)
     grads[w2] += h.T @ dout
@@ -291,7 +299,7 @@ def _ffn_backward(dout, cache, t, pre, keys, grads):
     dz = dh * _gelu_grad(z)
     grads[w1] += x.T @ dz
     grads[b1] += dz.sum(axis=0)
-    return dz @ t[w1].T
+    return dz @ t[w1].T if input_grad else None
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +525,8 @@ def grads(params: ModelParams, batch: TrainBatch, spec: LossSpec):
         dv = d_sim.T @ u
         d_img_raw = objective.normalize_rows_backward(img_raw, du)
         d_txt_raw = objective.normalize_rows_backward(txt_raw, dv)
-        _ffn_backward(d_img_raw, img_cache, params.tensors, "img.", _MLP_KEYS, g)
+        # Image inputs are fixed features: no gradient flows into them.
+        _ffn_backward(d_img_raw, img_cache, params.tensors, "img.", _MLP_KEYS, g, input_grad=False)
         # Fold duplicate rows back onto their unique encoding.
         d_unique = np.zeros((len(encoded), params.config.embed_dim))
         np.add.at(d_unique, rows, d_txt_raw)
@@ -582,12 +591,35 @@ def save_checkpoint(params: ModelParams, path, meta: Optional[dict] = None) -> N
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
+    """Read a checkpoint whose tensors match what ``init_params`` builds for its config.
+
+    Adapter tensors are expected iff the checkpoint holds any adapter key. A
+    missing, extra or misshapen tensor, or a malformed payload, raises
+    ``DataError``.
+    """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: checkpoint must be a JSON object")
     if payload.get("format_version") != CHECKPOINT_VERSION:
         raise ConfigError(f"unsupported checkpoint version in {path}")
-    config = EncoderConfig.from_dict(payload["encoder_config"])
+    stored = payload.get("tensors")
+    if not isinstance(payload.get("encoder_config"), dict) or not isinstance(stored, dict):
+        raise DataError(f"{path}: checkpoint needs encoder_config and tensors objects")
+    try:
+        config = EncoderConfig.from_dict(payload["encoder_config"])
+    except TypeError as exc:
+        raise DataError(f"{path}: bad encoder_config ({exc})") from exc
+    with_adapters = any(is_adapter_key(k) for k in stored)
+    schema = {name: shape for name, shape, _ in _param_specs(config, with_adapters)}
+    missing = sorted(schema.keys() - stored.keys())
+    extra = sorted(stored.keys() - schema.keys())
+    if missing or extra:
+        raise DataError(f"{path}: checkpoint tensors missing {missing}, unexpected {extra}")
     tensors = {}
-    for k, spec in payload["tensors"].items():
-        arr = np.array(spec["data"], dtype=np.float64).reshape(spec["shape"])
-        tensors[k] = arr
+    for k, spec in stored.items():
+        shape, size = list(schema[k]), math.prod(schema[k])
+        data = spec.get("data") if isinstance(spec, dict) else None
+        if not isinstance(data, list) or len(data) != size or spec.get("shape") != shape:
+            raise DataError(f"{path}: tensor {k!r} must hold {size} values of shape {shape}")
+        tensors[k] = np.array(data, dtype=np.float64).reshape(shape)
     return ModelParams(config, tensors), payload.get("meta", {})

@@ -130,6 +130,13 @@ def _softplus(x):
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
+def _sigmoid(x):
+    # For x < -709.78, e^-x overflows to inf and 1/(1+inf) gives 0, within
+    # 1e-308 of the exact value; only numpy's overflow warning is silenced.
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def focal_loss(scores: np.ndarray, targets: np.ndarray, fp: FocalParams = FocalParams()) -> float:
     loss, _ = focal_loss_with_grad(scores, targets, fp)
     return loss
@@ -151,7 +158,7 @@ def focal_loss_with_grad(
     if not np.all(np.isfinite(s)):
         raise NumericsError("grounding scores contain non-finite entries")
 
-    p = 1.0 / (1.0 + np.exp(-s))
+    p = _sigmoid(s)
     log_p = -_softplus(-s)
     log_1mp = -_softplus(s)
 
@@ -181,7 +188,7 @@ def zero_shot_region_classify(
     out = []
     for row in scores:
         k = int(np.argmax(row))
-        out.append((k, float(1.0 / (1.0 + np.exp(-row[k])))))
+        out.append((k, float(_sigmoid(row[k]))))
     return out
 
 

@@ -9,10 +9,12 @@ Every run is fully determined by (seed, config, data).
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -47,45 +49,65 @@ class Triplet:
         )
 
 
-def load_dataset_jsonl(path) -> list[Triplet]:
+def iter_dataset_jsonl(path) -> Iterator[Triplet]:
+    """Yield the validated triplets of a dataset file one row at a time.
+
+    A malformed row raises ``DataError`` with its ``path:lineno``; a file
+    without rows raises it once the file is exhausted.
+    """
     path = Path(path)
-    triplets = []
+    empty = True
     for lineno, obj in iter_jsonl(path, DataError):
         if "image" not in obj or "text" not in obj:
             raise DataError(f"{path}:{lineno}: expected {{image, text[, kind, label]}}")
         kind = obj.get("kind", "category")
         if kind not in ("category", "caption"):
             raise DataError(f"{path}:{lineno}: kind must be 'category' or 'caption'")
-        triplets.append(
-            Triplet(
-                image=np.asarray(obj["image"], dtype=np.float64),
-                text=str(obj["text"]),
-                kind=kind,
-                label=obj.get("label"),
-                augmented=bool(obj.get("augmented", False)),
-                origin_text=obj.get("origin_text"),
-                query=obj.get("query"),
-            )
+        empty = False
+        yield Triplet(
+            image=np.asarray(obj["image"], dtype=np.float64),
+            text=str(obj["text"]),
+            kind=kind,
+            label=obj.get("label"),
+            augmented=bool(obj.get("augmented", False)),
+            origin_text=obj.get("origin_text"),
+            query=obj.get("query"),
         )
-    if not triplets:
+    if empty:
         raise DataError(f"{path}: dataset is empty")
-    return triplets
 
 
-def save_dataset_jsonl(triplets: list[Triplet], path) -> None:
+def load_dataset_jsonl(path) -> list[Triplet]:
+    return list(iter_dataset_jsonl(path))
+
+
+def save_dataset_jsonl(triplets: Iterable[Triplet], path) -> None:
+    """Write triplets as they are produced; ``path`` appears only when all are written.
+
+    Rows go to a temporary file beside ``path`` that replaces it on success
+    and is deleted when writing, or producing a triplet, fails.
+    """
     path = Path(path)
-    with open(path, "w", encoding="utf-8") as handle:
-        for t in triplets:
-            row = {
-                "image": [float(x) for x in np.asarray(t.image).ravel()],
-                "text": t.text,
-                "kind": t.kind,
-                "label": t.label,
-                "augmented": t.augmented,
-                "origin_text": t.origin_text,
-                "query": t.query,
-            }
-            handle.write(json.dumps(row, sort_keys=True) + "\n")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    # One encoder for all rows: the bytes of json.dumps(row, sort_keys=True).
+    encode = json.JSONEncoder(sort_keys=True).encode
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            for t in triplets:
+                row = {
+                    "image": np.asarray(t.image, dtype=np.float64).ravel().tolist(),
+                    "text": t.text,
+                    "kind": t.kind,
+                    "label": t.label,
+                    "augmented": t.augmented,
+                    "origin_text": t.origin_text,
+                    "query": t.query,
+                }
+                handle.write(encode(row) + "\n")
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def assign_labels(triplets: list[Triplet]) -> list[Triplet]:
@@ -110,6 +132,65 @@ class AugmentAudit:
         return {"hits": self.hits, "misses": self.misses, "emitted": self.emitted}
 
 
+def iter_augmented(
+    rows: Callable[[], Iterable[Triplet]],
+    audit: AugmentAudit,
+    store: KnowledgeStore,
+    source: str,
+    scheme: str = "concat",
+    template: compose.PromptTemplate = compose.PromptTemplate(),
+    max_tokens: int = compose.DEFAULT_MAX_TOKENS,
+    lexicon: Optional[dict[str, str]] = None,
+) -> Iterator[Triplet]:
+    """Rewrite every triplet's text with retrieved knowledge, one row at a time.
+
+    ``rows()`` is iterated twice. The first pass only counts the captions'
+    noun phrases, which pick each caption's query. The second retrieves,
+    composes and labels one input row at a time, yields its output rows
+    before reading the next one, and counts them in ``audit``. Memory is
+    bounded by the number of distinct phrases and texts, not of rows.
+
+    Category names are replaced by the prompt composition; captions follow the
+    Concat/Combine scheme (Combine emits two triplets per knowledge hit).
+    Retrieval misses leave the text unchanged. Labels are dense in first-seen
+    order of the original text, so Combine pairs share a label.
+    """
+    lexicon = lexicon or {}
+    captions = (t.text for t in rows() if t.kind == "caption")
+    first = next(captions, None)
+    freq = (
+        queries.build_frequency_table(itertools.chain((first,), captions), lexicon)
+        if first is not None
+        else None
+    )
+
+    groups: dict[str, int] = {}
+    for t in rows():
+        query = queries.construct_query(t.text, t.kind, freq=freq, lexicon=lexicon)
+        item = store.retrieve(query.text, source)
+        if item is None:
+            audit.misses += 1
+            texts = [t.text]
+        elif t.kind == "category":
+            audit.hits += 1
+            texts = [compose.compose_class_text(template, query.text, item.text, max_tokens).text]
+        else:
+            audit.hits += 1
+            texts = [
+                aug.text
+                for aug in compose.compose_caption_texts(
+                    t.text, query.text, item.text, scheme, max_tokens
+                )
+            ]
+        label = groups.setdefault(queries.normalize_text(t.text), len(groups))
+        for text in texts:
+            audit.emitted += 1
+            yield Triplet(
+                image=t.image, text=text, kind=t.kind, label=label,
+                augmented=item is not None, origin_text=t.text, query=query.text,
+            )
+
+
 def augment_dataset(
     triplets: list[Triplet],
     store: KnowledgeStore,
@@ -119,46 +200,13 @@ def augment_dataset(
     max_tokens: int = compose.DEFAULT_MAX_TOKENS,
     lexicon: Optional[dict[str, str]] = None,
 ) -> tuple[list[Triplet], AugmentAudit]:
-    """Rewrite every triplet's text with retrieved knowledge.
-
-    Category names are replaced by the prompt composition; captions follow the
-    Concat/Combine scheme (Combine emits two triplets per knowledge hit).
-    Retrieval misses leave the text unchanged. Labels are reassigned afterward,
-    grouped on the original text so Combine pairs share a label.
-    """
-    lexicon = lexicon or {}
-    captions = [t.text for t in triplets if t.kind == "caption"]
-    freq = queries.build_frequency_table(captions, lexicon) if captions else None
-
+    """``iter_augmented`` over an in-memory list: the augmented list and its audit."""
     audit = AugmentAudit()
-    out: list[Triplet] = []
-    for t in triplets:
-        query = queries.construct_query(t.text, t.kind, freq=freq, lexicon=lexicon)
-        item = store.retrieve(query.text, source)
-        if item is None:
-            audit.misses += 1
-            out.append(replace(t, origin_text=t.text, query=query.text, augmented=False))
-            continue
-        audit.hits += 1
-        if t.kind == "category":
-            aug = compose.compose_class_text(template, query.text, item.text, max_tokens)
-            out.append(
-                replace(
-                    t, text=aug.text, origin_text=t.text, query=query.text, augmented=True
-                )
-            )
-        else:
-            texts = compose.compose_caption_texts(
-                t.text, query.text, item.text, scheme, max_tokens
-            )
-            for aug in texts:
-                out.append(
-                    replace(
-                        t, text=aug.text, origin_text=t.text, query=query.text, augmented=True
-                    )
-                )
-    out = assign_labels(out)
-    audit.emitted = len(out)
+    out = list(
+        iter_augmented(
+            lambda: triplets, audit, store, source, scheme, template, max_tokens, lexicon
+        )
+    )
     return out, audit
 
 

@@ -1,9 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from lexivis import encoder as enc
+from lexivis import encoder as enc, trainer
 from lexivis.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from tests.conftest import FIXTURES
 
@@ -95,6 +96,106 @@ class TestAugment:
         )
         assert code == EXIT_OK
         assert summary["hits"] == 16 and summary["misses"] == 0
+
+
+# Categories and captions over the fixture vocabulary: hits and misses in
+# every source, a case variant sharing a label, and a repeated caption.
+MIXED_ROWS = [
+    ("boxer", "category"), ("zzgib", "category"), ("Boxer", "category"),
+    ("a professional boxer is walking", "caption"),
+    ("the big crowd on the red fireplug", "caption"),
+    ("a small tench swimming in the water", "caption"),
+    ("a zzgib walking", "caption"),
+    ("tench", "category"), ("a professional boxer is walking", "caption"),
+]
+
+
+def _write_dataset(path, n_rows, dim=3):
+    rng = np.random.default_rng(n_rows)
+    with open(path, "w") as handle:
+        for i in range(n_rows):
+            text, kind = MIXED_ROWS[i % len(MIXED_ROWS)]
+            row = {"image": rng.normal(size=dim).tolist(), "text": text, "kind": kind}
+            handle.write(json.dumps(row) + "\n")
+    return path
+
+
+def _augment_argv(dataset, out, source="wiki_def", scheme="concat"):
+    return ["augment", "--dataset", str(dataset), "--out", str(out), "--wordnet", WN,
+            "--wiktionary", WK, "--source", source, "--scheme", scheme, "--lexicon", LEX]
+
+
+class TestStreamingAugment:
+    @pytest.mark.parametrize("scheme", ["concat", "combine"])
+    @pytest.mark.parametrize("source", ["wn_hier", "wn_def", "wiki_def"])
+    def test_cli_matches_in_memory_augment(self, capsys, tmp_path, store, lexicon, source, scheme):
+        dataset = _write_dataset(tmp_path / "ds.jsonl", 2 * len(MIXED_ROWS))
+        out = tmp_path / "aug.jsonl"
+        code, summary, err = run(capsys, *_augment_argv(dataset, out, source, scheme))
+        assert code == EXIT_OK, err
+        expected, audit = trainer.augment_dataset(
+            trainer.load_dataset_jsonl(dataset), store, source=source, scheme=scheme,
+            lexicon=lexicon,
+        )
+        reference = tmp_path / "reference.jsonl"
+        trainer.save_dataset_jsonl(expected, reference)
+        assert out.read_bytes() == reference.read_bytes()
+        assert {k: summary[k] for k in ("hits", "misses", "emitted")} == audit.to_dict()
+        assert audit.hits and audit.misses
+
+    @pytest.mark.parametrize("existing", [False, True])
+    @pytest.mark.parametrize("defect", ["bad_json_last_row", "blank_caption_mid_file"])
+    def test_failure_leaves_no_output(self, capsys, tmp_path, defect, existing):
+        dataset = _write_dataset(tmp_path / "ds.jsonl", 4 * len(MIXED_ROWS))
+        lines = dataset.read_text().splitlines()
+        if defect == "bad_json_last_row":
+            lines.append('{"image": [0.0, 0.0, 0.0], "text": ')
+        else:
+            # Pass 1 accepts it; pass 2 fails on it after writing earlier rows.
+            blank = {"image": [0.0, 0.0, 0.0], "text": "   ", "kind": "caption"}
+            lines.insert(len(lines) // 2, json.dumps(blank))
+        dataset.write_text("\n".join(lines) + "\n")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = out_dir / "aug.jsonl"
+        if existing:
+            out.write_text("previous run\n")
+        code, _, err = run(capsys, *_augment_argv(dataset, out))
+        assert code == EXIT_DATA
+        assert len(err.strip().splitlines()) == 1
+        assert [p.name for p in out_dir.iterdir()] == (["aug.jsonl"] if existing else [])
+        if existing:
+            assert out.read_text() == "previous run\n"
+
+    def test_out_may_be_the_dataset(self, capsys, tmp_path):
+        dataset = _write_dataset(tmp_path / "ds.jsonl", 2 * len(MIXED_ROWS))
+        in_place = tmp_path / "in_place.jsonl"
+        in_place.write_bytes(dataset.read_bytes())
+        reference = tmp_path / "reference.jsonl"
+        assert run(capsys, *_augment_argv(dataset, reference))[0] == EXIT_OK
+        assert run(capsys, *_augment_argv(in_place, in_place))[0] == EXIT_OK
+        assert in_place.read_bytes() == reference.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "ds.jsonl", "in_place.jsonl", "reference.jsonl",
+        ]
+
+    def test_memory_is_bounded_by_distinct_texts(self, capsys, tmp_path):
+        def peak(n_rows):
+            dataset = _write_dataset(tmp_path / f"ds{n_rows}.jsonl", n_rows, dim=16)
+            argv = _augment_argv(dataset, tmp_path / f"aug{n_rows}.jsonl", scheme="combine")
+            tracemalloc.start()
+            try:
+                code = main(argv)
+                traced_peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            capsys.readouterr()
+            assert code == EXIT_OK
+            return traced_peak
+
+        n = 45 * len(MIXED_ROWS)
+        peak(len(MIXED_ROWS))  # warm-up: lazily built module state is not per row
+        assert peak(4 * n) < 1.5 * peak(n)
 
 
 class TestStats:
@@ -277,6 +378,52 @@ class TestMalformedJsonl:
         assert code == EXIT_DATA
         lines = err.strip().splitlines()
         assert len(lines) == 1 and f"{bad}:1" in lines[0]
+
+
+class TestClassList:
+    @pytest.mark.parametrize("content", ["5", "{}", "[]", "not json"])
+    @pytest.mark.parametrize("command", ["eval-zeroshot", "ground-train", "ground-eval"])
+    def test_bad_class_list_is_data_error(self, capsys, tmp_path, checkpoint, command, content):
+        classes = tmp_path / "classes.json"
+        classes.write_text(content)
+        images = tmp_path / "images.jsonl"
+        images.write_text(json.dumps({"image": [1.0, 0.0, 0.0, 0.0], "label": 0}) + "\n")
+        regions = tmp_path / "regions.jsonl"
+        row = {"image_id": "a", "features": np.eye(1, 4).tolist(), "targets": [[1]]}
+        regions.write_text(json.dumps(row) + "\n")
+        argv = {
+            "eval-zeroshot": ["eval-zeroshot", "--checkpoint", str(checkpoint),
+                              "--images", str(images)],
+            "ground-train": ["ground-train", "--regions", str(regions), "--embed-dim", "4",
+                             "--out-checkpoint", str(tmp_path / "g.json")],
+            "ground-eval": ["ground-eval", "--checkpoint", str(checkpoint),
+                            "--regions", str(regions)],
+        }[command]
+        code, _, err = run(capsys, *argv, "--classes", str(classes))
+        assert code == EXIT_DATA
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and str(classes) in lines[0]
+
+
+class TestCorruptCheckpoint:
+    @pytest.mark.parametrize("command", ["eval-probe", "ground-eval"])
+    def test_missing_tensor_is_data_error(self, capsys, tmp_path, checkpoint, command):
+        payload = json.loads(checkpoint.read_text())
+        del payload["tensors"]["lnf.g"]
+        checkpoint.write_text(json.dumps(payload))
+        images = tmp_path / "images.jsonl"
+        images.write_text(json.dumps({"image": [1.0, 0.0, 0.0, 0.0], "label": 0}) + "\n")
+        classes = tmp_path / "classes.json"
+        classes.write_text(json.dumps(["boxer"]))
+        argv = {
+            "eval-probe": ["eval-probe", "--checkpoint", str(checkpoint), "--images", str(images)],
+            "ground-eval": ["ground-eval", "--checkpoint", str(checkpoint),
+                            "--regions", str(images), "--classes", str(classes)],
+        }[command]
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_DATA
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and "lnf.g" in lines[0]
 
 
 class TestBench:

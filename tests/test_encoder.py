@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from lexivis import encoder as enc
-from lexivis.errors import ConfigError
+from lexivis.errors import ConfigError, DataError
 
 
 def scalar_reference_forward(params, token_ids, pooling="eos"):
@@ -310,3 +311,53 @@ class TestCheckpoint:
         enc.save_checkpoint(params, a)
         enc.save_checkpoint(params, b)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "mutation", ["missing", "extra", "shape", "data_length", "not_a_tensor"]
+    )
+    @pytest.mark.parametrize("with_adapters", [False, True])
+    def test_schema_mismatch_is_data_error(self, tmp_path, toy_config, with_adapters, mutation):
+        params = enc.init_params(toy_config, seed=11, with_adapters=with_adapters)
+        path = tmp_path / "ckpt.json"
+        enc.save_checkpoint(params, path)
+        payload = json.loads(path.read_text())
+        t = payload["tensors"]
+        if mutation == "missing":
+            del t["layers.0.ad1.up" if with_adapters else "lnf.g"]
+        elif mutation == "extra":
+            t["bonus"] = {"shape": [1], "data": [0.0]}
+        elif mutation == "shape":  # same number of values, wrong shape
+            t["img.W1"]["shape"] = [1, toy_config.image_input_dim * toy_config.hidden_dim]
+        elif mutation == "data_length":
+            t["lnf.b"]["data"].pop()
+        else:
+            t["lnf.b"] = 5
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError):
+            enc.load_checkpoint(path)
+
+    def test_bad_encoder_config_is_data_error(self, tmp_path, toy_config):
+        path = tmp_path / "ckpt.json"
+        enc.save_checkpoint(enc.init_params(toy_config, seed=12), path)
+        payload = json.loads(path.read_text())
+        payload["encoder_config"]["depth"] = 3
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError):
+            enc.load_checkpoint(path)
+
+
+class TestImageBackward:
+    def test_skipping_input_gradient_keeps_weight_gradients(self, toy_config):
+        params = enc.init_params(toy_config, seed=13)
+        rng = np.random.default_rng(2)
+        images = rng.normal(size=(3, toy_config.image_input_dim))
+        out, cache = enc._images_forward(params, images)
+        dout = rng.normal(size=out.shape)
+        full, skipped = params.zeros_like(), params.zeros_like()
+        dx = enc._ffn_backward(dout, cache, params.tensors, "img.", enc._MLP_KEYS, full)
+        assert dx.shape == images.shape
+        none = enc._ffn_backward(
+            dout, cache, params.tensors, "img.", enc._MLP_KEYS, skipped, input_grad=False
+        )
+        assert none is None
+        assert all(np.array_equal(full[k], skipped[k]) for k in full)

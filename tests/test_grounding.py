@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -278,3 +279,19 @@ class TestRegionIo:
         path.write_text("\n")
         with pytest.raises(DataError):
             load_regions_jsonl(path)
+
+
+class TestSigmoidOverflow:
+    def test_extreme_scores_raise_no_warning(self, params, toy_config):
+        scores = np.array([[800.0, -800.0], [-800.0, 800.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, grad = focal_loss_with_grad(scores, np.eye(2))
+            bank = encode_phrases_parallel(params, ["a", "b"]).matrix
+            # Two regions whose scores are +800 and -800 against both texts.
+            wanted = np.array([[800.0, 800.0], [-800.0, -800.0]])
+            features = np.linalg.lstsq(bank.T, wanted.T, rcond=None)[0].T
+            preds = zero_shot_region_classify(params, RegionSet("im0", features), ["a", "b"])
+        assert np.isfinite(loss) and np.all(np.isfinite(grad))
+        assert loss == pytest.approx(0.0, abs=1e-300)
+        assert [s for _, s in preds] == [1.0, 0.0]

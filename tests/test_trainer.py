@@ -74,11 +74,14 @@ class TestAugment:
         assert audit.emitted == 3
 
     def test_labels_reassigned_dense(self):
+        lexicon = {"a": "DET", "walks": "OTHER", "boxer": "NOUN"}
         out, _ = augment_dataset(
-            [_triplet("boxer"), _triplet("zz1"), _triplet("boxer")],
-            _toy_store(), source="wiki_def",
+            [_triplet("boxer"), _triplet("zz1"), _triplet("Boxer"),
+             _triplet("a boxer walks", kind="caption")],
+            _toy_store(), source="wiki_def", scheme="combine", lexicon=lexicon,
         )
-        assert sorted({t.label for t in out}) == [0, 1]
+        assert [t.label for t in out] == [0, 1, 0, 2, 2]
+        assert [t.label for t in assign_labels(out)] == [0, 1, 0, 2, 2]
 
 
 def _synthetic_dataset(n_classes=8, per_class=4, dim=8, seed=0):
