@@ -25,6 +25,7 @@ from .errors import ConfigError, DataError, LexivisError, SnapshotError
 from .knowledge import (
     SOURCES,
     KnowledgeStore,
+    atomic_open,
     iter_jsonl,
     knowledge_coverage,
     load_wiktionary_snapshot,
@@ -88,6 +89,12 @@ def _emit(summary: dict) -> None:
     print(json.dumps(summary, sort_keys=True))
 
 
+def _write_json(path, obj) -> None:
+    """An indented JSON output file, written atomically."""
+    with atomic_open(path) as handle:
+        handle.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
 def _load_class_names(path) -> list[str]:
     """The class list of the eval and grounding commands: a non-empty JSON array."""
     path = _require_file(path, "class list")
@@ -101,20 +108,27 @@ def _load_class_names(path) -> list[str]:
 
 
 def _load_labeled_images(path):
-    """JSONL rows {image: [floats], label: int} used by the eval commands."""
+    """JSONL rows {image: [finite floats], label: int} used by the eval commands."""
     path = _require_file(path, "image features")
     images, labels = [], []
     for lineno, obj in iter_jsonl(path, DataError):
         if "image" not in obj:
             raise DataError(f"{path}:{lineno}: expected {{image[, label]}}")
-        images.append(obj["image"])
-        labels.append(obj.get("label"))
+        try:
+            image = np.asarray(obj["image"], dtype=np.float64)
+            if image.ndim != 1 or not np.isfinite(image).all():
+                raise ValueError
+        except (TypeError, ValueError):
+            raise DataError(f"{path}:{lineno}: image must be a list of finite numbers") from None
+        label = obj.get("label")
+        if label is not None and type(label) is not int:
+            raise DataError(f"{path}:{lineno}: label must be an integer")
+        images.append(image)
+        labels.append(label)
     if not images:
         raise DataError(f"{path}: no rows found")
     has_labels = all(l is not None for l in labels)
-    return np.asarray(images, dtype=np.float64), (
-        np.asarray(labels) if has_labels else None
-    )
+    return np.stack(images), (np.asarray(labels) if has_labels else None)
 
 
 def _encoder_config(args, image_dim: int) -> enc.EncoderConfig:
@@ -158,7 +172,7 @@ def _cmd_stats(args) -> dict:
     triplets = trainer.load_dataset_jsonl(_require_file(args.dataset, "dataset"))
     stats = evaluation.dataset_stats(triplets, lexicon=lexicon, min_freq=args.min_freq)
     if args.out:
-        Path(args.out).write_text(json.dumps(stats, indent=2, sort_keys=True) + "\n")
+        _write_json(args.out, stats)
     return {"command": "stats", **stats}
 
 
@@ -215,6 +229,8 @@ def _cmd_eval_zeroshot(args) -> dict:
     store = _load_store(args) if args.with_knowledge else KnowledgeStore()
     class_names = _load_class_names(args.classes)
     images, labels = _load_labeled_images(args.images)
+    if labels is not None and not ((labels >= 0) & (labels < len(class_names))).all():
+        raise DataError(f"{args.images}: labels must index the {len(class_names)} classes")
     templates = (
         compose.load_templates(_require_file(args.templates, "templates"))
         if args.templates
@@ -271,7 +287,7 @@ def _cmd_eval_zeroshot(args) -> dict:
         payload["provenance"] = bank.provenance
         if full_report is not None:
             payload["report"] = full_report.to_dict()
-        Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_json(args.out, payload)
     if args.breakdown_csv and full_report is not None:
         evaluation.write_breakdown_csv(
             [
@@ -292,8 +308,7 @@ def _cmd_eval_probe(args) -> dict:
     images, labels = _load_labeled_images(args.images)
     if labels is None:
         raise DataError("eval-probe needs labeled images")
-    feats = enc.encode_images(params, images)
-    feats = feats / np.linalg.norm(feats, axis=1, keepdims=True)
+    feats = evaluation.unit_image_features(params, images)
     result = evaluation.linear_probe(
         feats, labels, shots_per_class=args.shots, seeds=tuple(range(args.probe_seeds))
     )
@@ -343,8 +358,10 @@ def _cmd_ground_train(args) -> dict:
         meta={"task": "grounding", "seed": args.seed, "classes": class_names},
     )
     if args.trace:
-        lines = ["step,focal_loss"] + [f"{s},{l!r}" for s, l in trace]
-        Path(args.trace).write_text("\n".join(lines) + "\n")
+        with atomic_open(args.trace) as handle:
+            handle.write("step,focal_loss\n")
+            for step, loss in trace:
+                handle.write(f"{step},{loss!r}\n")
     return {
         "command": "ground-train",
         "checkpoint": str(args.out_checkpoint),
@@ -376,7 +393,7 @@ def _cmd_ground_eval(args) -> dict:
             if acc is not None:
                 accuracies.append(acc)
     if args.out:
-        Path(args.out).write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
+        _write_json(args.out, rows)
     return {
         "command": "ground-eval",
         "n_images": len(regions),
@@ -400,7 +417,7 @@ def _cmd_bench_synth(args) -> dict:
     )
     report = synth.run_bench(cfg)
     if args.out:
-        Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        _write_json(args.out, report)
     return {
         "command": "bench-synth",
         "n_seeds": report["n_seeds"],

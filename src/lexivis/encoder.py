@@ -19,11 +19,12 @@ import math
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericsError
+from .knowledge import atomic_open
 from .queries import tokenize
 
 CLS_ID = 0
@@ -49,6 +50,14 @@ class EncoderConfig:
     image_input_dim: int = 8
 
     def __post_init__(self):
+        for name, value in self.to_dict().items():
+            # Plain ints only: a bool or float would pass the checks below but
+            # break shape arithmetic and the checkpoint's canonical JSON.
+            if type(value) is not int:
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            low = 0 if name == "text_layers" else 1
+            if value < low:
+                raise ConfigError(f"{name} must be >= {low}, got {value}")
         if self.embed_dim % self.num_heads != 0:
             raise ConfigError("embed_dim must be divisible by num_heads")
         if not 0 < self.adapter_bottleneck < self.hidden_dim:
@@ -117,17 +126,18 @@ class ModelParams:
         return ModelParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
 
 
-def _param_specs(config: EncoderConfig, with_adapters: bool) -> list[tuple]:
+def _param_specs(config: EncoderConfig, with_adapters: bool) -> Iterator[tuple]:
     """Every tensor as (name, shape, init), in creation and random-draw order.
 
-    ``init`` is "ones", "zeros", "tau" or the fan-in of a uniform draw.
+    ``init`` is "ones", "zeros", "tau" or the fan-in of a uniform draw. The
+    specs are generated lazily, so a reader can stop at the first mismatch.
     """
     p, h, a = config.embed_dim, config.hidden_dim, config.adapter_bottleneck
     d = config.image_input_dim
-    specs = [("tok_emb", (config.vocab_size, p), p), ("pos_emb", (config.max_tokens, p), p)]
+    yield from [("tok_emb", (config.vocab_size, p), p), ("pos_emb", (config.max_tokens, p), p)]
     for i in range(config.text_layers):
         pre = f"layers.{i}."
-        specs += [(pre + "ln1.g", (p,), "ones"), (pre + "ln1.b", (p,), "zeros")]
+        specs = [(pre + "ln1.g", (p,), "ones"), (pre + "ln1.b", (p,), "zeros")]
         specs += [(pre + "attn." + name, (p, p), p) for name in ("Wq", "Wk", "Wv", "Wo")]
         specs += [(pre + "attn." + name, (p,), "zeros") for name in ("bq", "bk", "bv", "bo")]
         specs += [
@@ -142,13 +152,13 @@ def _param_specs(config: EncoderConfig, with_adapters: bool) -> list[tuple]:
                     (pre + ad + "down", (p, a), p), (pre + ad + "bdown", (a,), "zeros"),
                     (pre + ad + "up", (a, p), "zeros"), (pre + ad + "bup", (p,), "zeros"),
                 ]
-    specs += [
+        yield from specs
+    yield from [
         ("lnf.g", (p,), "ones"), ("lnf.b", (p,), "zeros"),
         ("img.W1", (d, h), d), ("img.b1", (h,), "zeros"),
         ("img.W2", (h, p), h), ("img.b2", (p,), "zeros"),
         ("log_tau", (), "tau"),
     ]
-    return specs
 
 
 def _init_tensor(rng: np.random.Generator, shape: tuple, init) -> np.ndarray:
@@ -574,47 +584,67 @@ CHECKPOINT_VERSION = 1
 
 
 def save_checkpoint(params: ModelParams, path, meta: Optional[dict] = None) -> None:
-    """Write a canonical-JSON checkpoint (field-wise and byte-wise stable)."""
-    payload = {
-        "format_version": CHECKPOINT_VERSION,
-        "encoder_config": params.config.to_dict(),
-        "meta": meta or {},
-        "tensors": {
-            k: {"shape": list(v.shape), "data": v.ravel().tolist()}
-            for k, v in params.tensors.items()
-        },
-    }
-    Path(path).write_text(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n",
-        encoding="utf-8",
-    )
+    """Write a canonical-JSON checkpoint (field-wise and byte-wise stable).
+
+    The bytes are ``json.dumps(payload, sort_keys=True, separators=(",", ":"))``
+    plus a newline, for the payload {encoder_config, format_version, meta,
+    tensors: {name: {data, shape}}}. They are written one tensor row (a
+    last-axis slice) at a time, so memory stays bounded by the longest row,
+    and the file replaces ``path`` only once complete (``atomic_open``).
+    """
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    with atomic_open(path) as out:
+        # Top-level and tensor keys in sorted order, as sort_keys would emit them.
+        out.write(
+            f'{{"encoder_config":{encode(params.config.to_dict())}'
+            f',"format_version":{encode(CHECKPOINT_VERSION)}'
+            f',"meta":{encode(meta or {})},"tensors":{{'
+        )
+        for i, name in enumerate(sorted(params.tensors)):
+            tensor = params.tensors[name]
+            out.write(f'{"," if i else ""}{encode(name)}:{{"data":[')
+            width = tensor.shape[-1] if tensor.ndim else 1
+            sep = ""
+            for row in tensor.reshape(math.prod(tensor.shape[:-1]), width):
+                if row.size:  # a zero-size row adds no values and no comma
+                    out.write(sep + encode(row.tolist())[1:-1])
+                    sep = ","
+            out.write(f'],"shape":{encode(list(tensor.shape))}}}')
+        out.write("}}\n")
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
     """Read a checkpoint whose tensors match what ``init_params`` builds for its config.
 
-    Adapter tensors are expected iff the checkpoint holds any adapter key. A
-    missing, extra or misshapen tensor, or a malformed payload, raises
-    ``DataError``.
+    Adapter tensors are expected iff the checkpoint holds any adapter key.
+    Every defect raises ``DataError``: a malformed payload, an unsupported
+    format version, an invalid ``encoder_config``, or a missing, extra or
+    misshapen tensor. The expected shapes come from the config alone, so a
+    corrupt config with huge dimensions allocates nothing.
     """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(payload, dict):
         raise DataError(f"{path}: checkpoint must be a JSON object")
-    if payload.get("format_version") != CHECKPOINT_VERSION:
-        raise ConfigError(f"unsupported checkpoint version in {path}")
+    version = payload.get("format_version")
+    if type(version) is not int or version != CHECKPOINT_VERSION:  # true == 1.0 == 1
+        raise DataError(f"{path}: unsupported checkpoint version")
     stored = payload.get("tensors")
     if not isinstance(payload.get("encoder_config"), dict) or not isinstance(stored, dict):
         raise DataError(f"{path}: checkpoint needs encoder_config and tensors objects")
     try:
         config = EncoderConfig.from_dict(payload["encoder_config"])
-    except TypeError as exc:
+    except (TypeError, ConfigError) as exc:
         raise DataError(f"{path}: bad encoder_config ({exc})") from exc
     with_adapters = any(is_adapter_key(k) for k in stored)
-    schema = {name: shape for name, shape, _ in _param_specs(config, with_adapters)}
-    missing = sorted(schema.keys() - stored.keys())
+    schema = {}
+    # Stop at the first missing tensor: a huge stored layer count ends there.
+    for name, shape, _ in _param_specs(config, with_adapters):
+        if name not in stored:
+            raise DataError(f"{path}: checkpoint tensor {name!r} is missing")
+        schema[name] = shape
     extra = sorted(stored.keys() - schema.keys())
-    if missing or extra:
-        raise DataError(f"{path}: checkpoint tensors missing {missing}, unexpected {extra}")
+    if extra:
+        raise DataError(f"{path}: unexpected checkpoint tensors {extra}")
     tensors = {}
     for k, spec in stored.items():
         shape, size = list(schema[k]), math.prod(schema[k])

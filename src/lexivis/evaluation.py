@@ -5,14 +5,13 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from . import compose, encoder as enc, queries
-from .errors import ConfigError, DataError
-from .knowledge import KnowledgeStore, knowledge_coverage
+from .errors import ConfigError, DataError, NumericsError
+from .knowledge import KnowledgeStore, atomic_open, knowledge_coverage
 
 BRANCH_MODES = ("one_branch", "two_branch_selective")
 
@@ -83,6 +82,23 @@ def build_class_embeddings(
     return ClassEmbeddings(np.stack(cols, axis=1), list(class_names), provenance)
 
 
+def unit_image_features(params: enc.ModelParams, images: np.ndarray) -> np.ndarray:
+    """Encoded image features projected onto the unit sphere.
+
+    A zero-norm or non-finite feature raises ``NumericsError`` instead of
+    becoming NaN scores, which ``argmax`` would silently read as class 0.
+    """
+    feats = enc.encode_images(params, np.asarray(images, dtype=np.float64))
+    norms = np.linalg.norm(feats, axis=1, keepdims=True)
+    bad = np.flatnonzero(~np.isfinite(norms[:, 0]) | (norms[:, 0] == 0))
+    if bad.size:
+        raise NumericsError(
+            f"image {int(bad[0])} encodes to a zero-norm or non-finite feature",
+            {"rows": bad.tolist()},
+        )
+    return feats / norms
+
+
 def zero_shot_classify(
     params: enc.ModelParams,
     images: np.ndarray,
@@ -90,9 +106,7 @@ def zero_shot_classify(
     labels: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, Optional[float]]:
     """Argmax of image-class cosine scores; ties resolve to the lowest index."""
-    feats = enc.encode_images(params, np.asarray(images, dtype=np.float64))
-    feats = feats / np.linalg.norm(feats, axis=1, keepdims=True)
-    scores = feats @ class_embeddings.matrix
+    scores = unit_image_features(params, images) @ class_embeddings.matrix
     preds = np.argmax(scores, axis=1)
     accuracy = None
     if labels is not None:
@@ -242,7 +256,8 @@ def write_breakdown_csv(rows: list[dict], path) -> None:
                 knowledge_coverage="" if row.get("knowledge_coverage") is None else repr(row["knowledge_coverage"]),
             )
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_open(path) as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
 def concept_overlap(pretrain_concepts, downstream_concepts) -> float:

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator, Optional, TextIO
 
 from .errors import LexivisError, SnapshotError
 from .queries import normalize_text
@@ -75,6 +77,25 @@ def iter_jsonl(path, error: type[LexivisError]) -> Iterator[tuple[int, dict]]:
             if not isinstance(obj, dict):
                 raise error(f"{path}:{lineno}: expected a JSON object")
             yield lineno, obj
+
+
+@contextmanager
+def atomic_open(path) -> Iterator[TextIO]:
+    """Open ``path`` for writing UTF-8 text; it appears only when the block succeeds.
+
+    The text goes to a temporary file beside ``path`` that replaces it on
+    success and is deleted on any failure, so a failed write leaves an
+    existing ``path`` untouched. ``path`` may be a file the block reads.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            yield handle
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class WordNetGraph:

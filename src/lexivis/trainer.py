@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import compose, encoder as enc, queries
 from .errors import ConfigError, DataError, NumericsError
-from .knowledge import KnowledgeStore, iter_jsonl
+from .knowledge import KnowledgeStore, atomic_open, iter_jsonl
 
 TRAIN_MODES = ("scratch_1branch", "scratch_2branch", "continual_adapters")
 
@@ -52,8 +51,9 @@ class Triplet:
 def iter_dataset_jsonl(path) -> Iterator[Triplet]:
     """Yield the validated triplets of a dataset file one row at a time.
 
-    A malformed row raises ``DataError`` with its ``path:lineno``; a file
-    without rows raises it once the file is exhausted.
+    A malformed row, including one whose text is blank, raises ``DataError``
+    with its ``path:lineno``; a file without rows raises it once the file is
+    exhausted.
     """
     path = Path(path)
     empty = True
@@ -63,10 +63,13 @@ def iter_dataset_jsonl(path) -> Iterator[Triplet]:
         kind = obj.get("kind", "category")
         if kind not in ("category", "caption"):
             raise DataError(f"{path}:{lineno}: kind must be 'category' or 'caption'")
+        text = str(obj["text"])
+        if not text.strip():
+            raise DataError(f"{path}:{lineno}: text is blank")
         empty = False
         yield Triplet(
             image=np.asarray(obj["image"], dtype=np.float64),
-            text=str(obj["text"]),
+            text=text,
             kind=kind,
             label=obj.get("label"),
             augmented=bool(obj.get("augmented", False)),
@@ -84,30 +87,23 @@ def load_dataset_jsonl(path) -> list[Triplet]:
 def save_dataset_jsonl(triplets: Iterable[Triplet], path) -> None:
     """Write triplets as they are produced; ``path`` appears only when all are written.
 
-    Rows go to a temporary file beside ``path`` that replaces it on success
-    and is deleted when writing, or producing a triplet, fails.
+    A failure while writing, or while producing a triplet, leaves no output
+    and an existing ``path`` untouched (``knowledge.atomic_open``).
     """
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     # One encoder for all rows: the bytes of json.dumps(row, sort_keys=True).
     encode = json.JSONEncoder(sort_keys=True).encode
-    try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            for t in triplets:
-                row = {
-                    "image": np.asarray(t.image, dtype=np.float64).ravel().tolist(),
-                    "text": t.text,
-                    "kind": t.kind,
-                    "label": t.label,
-                    "augmented": t.augmented,
-                    "origin_text": t.origin_text,
-                    "query": t.query,
-                }
-                handle.write(encode(row) + "\n")
-        tmp.replace(path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_open(path) as handle:
+        for t in triplets:
+            row = {
+                "image": np.asarray(t.image, dtype=np.float64).ravel().tolist(),
+                "text": t.text,
+                "kind": t.kind,
+                "label": t.label,
+                "augmented": t.augmented,
+                "origin_text": t.origin_text,
+                "query": t.query,
+            }
+            handle.write(encode(row) + "\n")
 
 
 def assign_labels(triplets: list[Triplet]) -> list[Triplet]:
@@ -386,8 +382,7 @@ def train(
 
 
 def save_trace_csv(trace: list[tuple], path) -> None:
-    path = Path(path)
-    lines = ["step,l_i2t,l_t2i,l_ic,tau"]
-    for step, l_i2t, l_t2i, l_ic, tau in trace:
-        lines.append(f"{step},{l_i2t!r},{l_t2i!r},{l_ic!r},{tau!r}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_open(path) as handle:
+        handle.write("step,l_i2t,l_t2i,l_ic,tau\n")
+        for step, l_i2t, l_t2i, l_ic, tau in trace:
+            handle.write(f"{step},{l_i2t!r},{l_t2i!r},{l_ic!r},{tau!r}\n")

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lexivis import encoder as enc, trainer
+from lexivis import cli, encoder as enc, evaluation, knowledge, trainer
 from lexivis.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from tests.conftest import FIXTURES
 
@@ -73,6 +73,16 @@ class TestUsage:
         code = main(["train", "--dataset", str(dataset), "--out-checkpoint",
                      str(tmp_path / "m.json"), "--scheme", "combine"])
         assert code == EXIT_USAGE
+
+
+    @pytest.mark.parametrize("flag, field", [("--embed-dim", "embed_dim"), ("--heads", "num_heads")])
+    def test_zero_encoder_dimension_is_usage_error(self, capsys, dataset, tmp_path, flag, field):
+        code, _, err = run(capsys, "train", "--dataset", str(dataset), "--out-checkpoint",
+                           str(tmp_path / "m.json"), flag, "0")
+        assert code == EXIT_USAGE
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and f"{field} must be >= 1" in lines[0]
+        assert not (tmp_path / "m.json").exists()
 
 
 class TestAugment:
@@ -151,7 +161,7 @@ class TestStreamingAugment:
         if defect == "bad_json_last_row":
             lines.append('{"image": [0.0, 0.0, 0.0], "text": ')
         else:
-            # Pass 1 accepts it; pass 2 fails on it after writing earlier rows.
+            # Pass 1 (the dataset reader) rejects it before any row is written.
             blank = {"image": [0.0, 0.0, 0.0], "text": "   ", "kind": "caption"}
             lines.insert(len(lines) // 2, json.dumps(blank))
         dataset.write_text("\n".join(lines) + "\n")
@@ -311,6 +321,21 @@ class TestTrainEval:
             "boxer", "tench", "crowd", "fireplug",
         }
 
+    def test_out_checkpoint_may_be_the_base_checkpoint(self, capsys, tmp_path, dataset):
+        small = ["--dataset", str(dataset), "--epochs", "1", "--batch-size", "8",
+                 "--embed-dim", "8", "--hidden-dim", "16", "--vocab-size", "64",
+                 "--max-tokens", "16", "--adapter-bottleneck", "2"]
+        base, separate = tmp_path / "base.json", tmp_path / "adapters.json"
+        assert run(capsys, "train", *small, "--out-checkpoint", str(base))[0] == EXIT_OK
+        continual = ["train", *small, "--mode", "continual_adapters",
+                     "--base-checkpoint", str(base)]
+        assert run(capsys, *continual, "--out-checkpoint", str(separate))[0] == EXIT_OK
+        assert run(capsys, *continual, "--out-checkpoint", str(base))[0] == EXIT_OK
+        assert base.read_bytes() == separate.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "adapters.json", "base.json", "ds.jsonl",
+        ]
+
     def test_train_determinism_fieldwise(self, capsys, tmp_path, dataset):
         checkpoints = []
         for name in ("m1.json", "m2.json"):
@@ -424,6 +449,123 @@ class TestCorruptCheckpoint:
         assert code == EXIT_DATA
         lines = err.strip().splitlines()
         assert len(lines) == 1 and "lnf.g" in lines[0]
+
+
+def _write_images(path, rows):
+    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    return path
+
+
+class TestEvalDefects:
+    @pytest.mark.parametrize("bad_label", [4, -1])
+    def test_zeroshot_label_outside_class_list(self, capsys, tmp_path, checkpoint, bad_label):
+        rows = [{"image": np.eye(4)[i].tolist(), "label": i} for i in range(4)]
+        rows[2]["label"] = bad_label
+        images = _write_images(tmp_path / "images.jsonl", rows)
+        classes = tmp_path / "classes.json"
+        classes.write_text(json.dumps(["boxer", "tench", "crowd", "fireplug"]))
+        code, _, err = run(capsys, "eval-zeroshot", "--checkpoint", str(checkpoint),
+                           "--images", str(images), "--classes", str(classes))
+        assert code == EXIT_DATA
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and str(images) in lines[0] and "4 classes" in lines[0]
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("command", ["eval-zeroshot", "eval-probe"])
+    def test_non_finite_feature_has_location(self, capsys, tmp_path, checkpoint, command, value):
+        images = tmp_path / "images.jsonl"
+        images.write_text(
+            '{"image": [1.0, 0.0, 0.0, 0.0], "label": 0}\n'
+            f'{{"image": [0.0, {value}, 0.0, 0.0], "label": 0}}\n'
+        )
+        classes = tmp_path / "classes.json"
+        classes.write_text(json.dumps(["boxer"]))
+        argv = [command, "--checkpoint", str(checkpoint), "--images", str(images)]
+        if command == "eval-zeroshot":
+            argv += ["--classes", str(classes)]
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_DATA
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and f"{images}:2" in lines[0]
+
+    @pytest.mark.parametrize("command", ["eval-zeroshot", "eval-probe"])
+    def test_zero_norm_feature_is_numerics_error(self, capsys, tmp_path, checkpoint, command):
+        payload = json.loads(checkpoint.read_text())
+        for name in ("img.W2", "img.b2"):
+            tensor = payload["tensors"][name]
+            tensor["data"] = [0.0] * len(tensor["data"])
+        checkpoint.write_text(json.dumps(payload))
+        rows = [{"image": np.eye(4)[i % 2].tolist(), "label": i % 2} for i in range(8)]
+        images = _write_images(tmp_path / "images.jsonl", rows)
+        classes = tmp_path / "classes.json"
+        classes.write_text(json.dumps(["boxer", "tench"]))
+        argv = [command, "--checkpoint", str(checkpoint), "--images", str(images)]
+        if command == "eval-zeroshot":
+            argv += ["--classes", str(classes)]
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_DATA
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and "zero-norm" in lines[0]
+
+
+class TestAtomicOutputs:
+    def test_every_output_file_is_written_atomically(self, capsys, tmp_path, dataset, monkeypatch):
+        opened = []
+        real_atomic_open = knowledge.atomic_open
+
+        def recording_atomic_open(path):
+            opened.append(str(path))
+            return real_atomic_open(path)
+
+        for module in (cli, enc, evaluation, trainer):
+            monkeypatch.setattr(module, "atomic_open", recording_atomic_open)
+        out = tmp_path / "out"
+        out.mkdir()
+        ckpt = str(out / "model.json")
+        small = ["--embed-dim", "4", "--hidden-dim", "8", "--vocab-size", "32",
+                 "--max-tokens", "8", "--adapter-bottleneck", "2"]
+        images = _write_images(
+            tmp_path / "images.jsonl",
+            [{"image": np.eye(4)[i % 4].tolist(), "label": i % 4} for i in range(8)],
+        )
+        classes = tmp_path / "classes.json"
+        classes.write_text(json.dumps(["boxer", "tench", "crowd", "fireplug"]))
+        regions = tmp_path / "regions.jsonl"
+        row = {"image_id": "a", "features": np.eye(4).tolist(), "targets": np.eye(4).tolist()}
+        regions.write_text(json.dumps(row) + "\n")
+        commands = [
+            ["augment", "--dataset", str(dataset), "--wiktionary", WK,
+             "--out", str(out / "aug.jsonl")],
+            ["stats", "--dataset", str(dataset), "--out", str(out / "stats.json")],
+            ["train", "--dataset", str(dataset), "--out-checkpoint", ckpt, "--epochs", "1",
+             "--trace", str(out / "train.csv"), *small],
+            ["eval-zeroshot", "--checkpoint", ckpt, "--images", str(images),
+             "--classes", str(classes), "--out", str(out / "zs.json"),
+             "--breakdown-csv", str(out / "breakdown.csv")],
+            ["ground-train", "--regions", str(regions), "--classes", str(classes),
+             "--out-checkpoint", str(out / "ground.json"), "--epochs", "1",
+             "--trace", str(out / "ground.csv"), *small],
+            ["ground-eval", "--checkpoint", str(out / "ground.json"), "--regions", str(regions),
+             "--classes", str(classes), "--out", str(out / "ground_eval.json")],
+            ["bench-synth", "--n-seeds", "1", "--epochs", "1", "--common-classes", "2",
+             "--rare-classes", "2", "--train-per-class", "2", "--eval-per-class", "1",
+             "--out", str(out / "bench.json")],
+        ]
+        summaries = {}
+        for argv in commands:
+            code, summary, err = run(capsys, *argv)
+            assert code == EXIT_OK, err
+            summaries[argv[0]] = summary
+        written = sorted(p.name for p in out.iterdir())
+        assert sorted(opened) == sorted(str(out / name) for name in written)
+        assert written == [
+            "aug.jsonl", "bench.json", "breakdown.csv", "ground.csv", "ground.json",
+            "ground_eval.json", "model.json", "stats.json", "train.csv", "zs.json",
+        ]
+        stats = {k: v for k, v in summaries["stats"].items() if k != "command"}
+        assert (out / "stats.json").read_text() == json.dumps(stats, indent=2, sort_keys=True) + "\n"
+        ground_trace = (out / "ground.csv").read_text().splitlines()
+        assert ground_trace[0] == "step,focal_loss" and len(ground_trace) == 2
 
 
 class TestBench:

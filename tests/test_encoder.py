@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,6 +105,24 @@ class TestConfig:
     def test_bottleneck_bound(self):
         with pytest.raises(ConfigError):
             enc.EncoderConfig(adapter_bottleneck=64, hidden_dim=64)
+
+    @pytest.mark.parametrize("value", [32.0, True, "32", None])
+    def test_dimensions_must_be_plain_ints(self, value):
+        with pytest.raises(ConfigError, match="embed_dim must be an integer"):
+            enc.EncoderConfig(embed_dim=value)
+
+    @pytest.mark.parametrize(
+        "field", ["embed_dim", "num_heads", "hidden_dim", "vocab_size", "max_tokens",
+                  "adapter_bottleneck", "image_input_dim"],
+    )
+    def test_dimensions_must_be_positive(self, field):
+        with pytest.raises(ConfigError, match=f"{field} must be >= 1"):
+            enc.EncoderConfig(**{field: 0})
+
+    def test_text_layers_may_be_zero(self):
+        assert enc.EncoderConfig(text_layers=0).text_layers == 0
+        with pytest.raises(ConfigError, match="text_layers must be >= 0"):
+            enc.EncoderConfig(text_layers=-1)
 
 
 class TestEncodeText:
@@ -344,6 +363,122 @@ class TestCheckpoint:
         path.write_text(json.dumps(payload))
         with pytest.raises(DataError):
             enc.load_checkpoint(path)
+
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("num_heads", 5), ("embed_dim", 8.0), ("vocab_size", True), ("max_tokens", 0),
+         ("hidden_dim", None), ("text_layers", -1), ("embed_dim", 10**18)],
+    )
+    def test_invalid_config_values_are_data_error(self, tmp_path, toy_config, key, value):
+        path = tmp_path / "ckpt.json"
+        enc.save_checkpoint(enc.init_params(toy_config, seed=12), path)
+        payload = json.loads(path.read_text())
+        payload["encoder_config"][key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=str(path)):
+            enc.load_checkpoint(path)
+
+    def test_huge_layer_count_allocates_nothing(self, tmp_path, toy_config):
+        path = tmp_path / "ckpt.json"
+        enc.save_checkpoint(enc.init_params(toy_config, seed=12), path)
+        payload = json.loads(path.read_text())
+        # Large enough to show in the peak if the schema were built in full,
+        # small enough to finish if it were.
+        payload["encoder_config"]["text_layers"] = 10**4
+        path.write_text(json.dumps(payload))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="'layers.2.ln1.g' is missing"):
+                enc.load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("version", [2, True, 1.0, "1", None])
+    def test_unsupported_version_is_data_error(self, tmp_path, toy_config, version):
+        path = tmp_path / "ckpt.json"
+        enc.save_checkpoint(enc.init_params(toy_config, seed=12), path)
+        payload = json.loads(path.read_text())
+        payload["format_version"] = version
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="unsupported checkpoint version"):
+            enc.load_checkpoint(path)
+
+
+def _reference_checkpoint_bytes(params, meta):
+    """The checkpoint bytes as one json.dumps call over the whole payload."""
+    payload = {
+        "format_version": enc.CHECKPOINT_VERSION,
+        "encoder_config": params.config.to_dict(),
+        "meta": meta or {},
+        "tensors": {
+            k: {"shape": list(v.shape), "data": v.ravel().tolist()}
+            for k, v in params.tensors.items()
+        },
+    }
+    return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+AWKWARD_META = {
+    "quote": 'say "cheese" \\ now',
+    "naïve": ["café", "\u4e2d\u6587", "\U0001f600"],
+    "nested": {"b": [1, [2.5, None]], "a": {"z": True, "y": "tab\there"}},
+    "seed": 3,
+}
+
+
+class TestCheckpointWriter:
+    @pytest.mark.parametrize("meta", [None, AWKWARD_META])
+    @pytest.mark.parametrize("with_adapters", [False, True])
+    def test_bytes_match_one_shot_json(self, tmp_path, toy_config, with_adapters, meta):
+        params = enc.init_params(toy_config, seed=14, with_adapters=with_adapters)
+        params.tensors["lnf.b"][:3] = [np.nan, np.inf, -np.inf]
+        params.tensors["log_tau"][...] = -0.0
+        path = tmp_path / "ckpt.json"
+        enc.save_checkpoint(params, path, meta=meta)
+        assert path.read_bytes() == _reference_checkpoint_bytes(params, meta)
+
+    def test_zero_size_tensors_write_empty_data(self, tmp_path, toy_config):
+        tensors = {
+            "empty_rows": np.zeros((3, 0)),
+            "no_rows": np.zeros((0, 4)),
+            "empty": np.zeros(0),
+            "scalar": np.array(2.5),
+            "matrix": np.arange(6.0).reshape(2, 3),
+            "cube": np.arange(8.0).reshape(2, 2, 2),
+        }
+        params = enc.ModelParams(toy_config, tensors)
+        path = tmp_path / "ckpt.json"
+        enc.save_checkpoint(params, path)
+        assert path.read_bytes() == _reference_checkpoint_bytes(params, None)
+        assert '"empty_rows":{"data":[],"shape":[3,0]}' in path.read_text()
+
+    def test_memory_is_bounded_by_one_row(self, tmp_path):
+        def peak(vocab_size):
+            params = enc.init_params(enc.EncoderConfig(vocab_size=vocab_size), seed=0)
+            path = tmp_path / f"ckpt{vocab_size}.json"
+            enc.save_checkpoint(params, path)  # warm-up: lazily built module state
+            tracemalloc.start()
+            try:
+                enc.save_checkpoint(params, path)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4096) < 1.5 * peak(512)
+
+    def test_failed_save_leaves_existing_file_untouched(self, tmp_path, toy_config):
+        path = tmp_path / "ckpt.json"
+        enc.save_checkpoint(enc.init_params(toy_config, seed=15), path)
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            enc.save_checkpoint(
+                enc.init_params(toy_config, seed=16), path, meta={"bad": object()}
+            )
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
 
 
 class TestImageBackward:

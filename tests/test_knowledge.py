@@ -11,6 +11,7 @@ from lexivis.knowledge import (
     KnowledgeStore,
     SynsetRecord,
     WordNetGraph,
+    atomic_open,
     knowledge_coverage,
     load_wordnet_snapshot,
     load_wiktionary_snapshot,
@@ -188,3 +189,35 @@ def test_determinism_across_reloads(tmp_path, wordnet_graph):
     for q in ("boxer", "entity", "crowd", "tench"):
         assert wn_hierarchy(again, q).text == wn_hierarchy(wordnet_graph, q).text
     assert again.digest == wordnet_graph.digest
+
+
+class TestAtomicOpen:
+    def test_success_replaces_target(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        with atomic_open(path) as handle:
+            handle.write("naïve\n")
+            assert path.read_text() == "old\n"  # not visible until the block ends
+        assert path.read_bytes() == "naïve\n".encode("utf-8")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failure_leaves_target_untouched(self, tmp_path, existing):
+        path = tmp_path / "out.txt"
+        if existing:
+            path.write_text("old\n")
+        with pytest.raises(RuntimeError):
+            with atomic_open(path) as handle:
+                handle.write("partial")
+                raise RuntimeError("boom")
+        assert [p.name for p in tmp_path.iterdir()] == (["out.txt"] if existing else [])
+        if existing:
+            assert path.read_text() == "old\n"
+
+    def test_block_may_read_the_target(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("a\nb\n")
+        with atomic_open(path) as handle:
+            for line in open(path):
+                handle.write(line.upper())
+        assert path.read_text() == "A\nB\n"

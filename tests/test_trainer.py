@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -219,6 +221,14 @@ class TestDatasetIo:
         path = tmp_path / "ds.jsonl"
         path.write_text('{"image": [1.0], "text": "x", "kind": "tag"}\n')
         with pytest.raises(DataError):
+            load_dataset_jsonl(path)
+
+    @pytest.mark.parametrize("text", ["", "   ", "\t\n", "\u00a0\u3000"])
+    def test_blank_text_errors_with_location(self, tmp_path, text):
+        path = tmp_path / "ds.jsonl"
+        rows = [{"image": [1.0], "text": "boxer"}, {"image": [1.0], "text": text}]
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        with pytest.raises(DataError, match=f"{path}:2: text is blank"):
             load_dataset_jsonl(path)
 
     def test_trace_csv(self, tmp_path):
