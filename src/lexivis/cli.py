@@ -26,6 +26,7 @@ from .knowledge import (
     SOURCES,
     KnowledgeStore,
     atomic_open,
+    finite_array,
     iter_jsonl,
     knowledge_coverage,
     load_wiktionary_snapshot,
@@ -114,12 +115,7 @@ def _load_labeled_images(path):
     for lineno, obj in iter_jsonl(path, DataError):
         if "image" not in obj:
             raise DataError(f"{path}:{lineno}: expected {{image[, label]}}")
-        try:
-            image = np.asarray(obj["image"], dtype=np.float64)
-            if image.ndim != 1 or not np.isfinite(image).all():
-                raise ValueError
-        except (TypeError, ValueError):
-            raise DataError(f"{path}:{lineno}: image must be a list of finite numbers") from None
+        image = finite_array(obj["image"], 1, f"{path}:{lineno}", "image")
         label = obj.get("label")
         if label is not None and type(label) is not int:
             raise DataError(f"{path}:{lineno}: label must be an integer")
@@ -151,10 +147,10 @@ def _encoder_config(args, image_dim: int) -> enc.EncoderConfig:
 def _cmd_augment(args) -> dict:
     store = _load_store(args)
     lexicon = _load_lexicon(args)
-    dataset = _require_file(args.dataset, "dataset")
+    dataset = trainer.DatasetFile(_require_file(args.dataset, "dataset"))
     audit = trainer.AugmentAudit()
     rows = trainer.iter_augmented(
-        lambda: trainer.iter_dataset_jsonl(dataset),
+        dataset,
         audit,
         store,
         source=args.source,
@@ -169,8 +165,8 @@ def _cmd_augment(args) -> dict:
 
 def _cmd_stats(args) -> dict:
     lexicon = _load_lexicon(args)
-    triplets = trainer.load_dataset_jsonl(_require_file(args.dataset, "dataset"))
-    stats = evaluation.dataset_stats(triplets, lexicon=lexicon, min_freq=args.min_freq)
+    dataset = trainer.DatasetFile(_require_file(args.dataset, "dataset"))
+    stats = evaluation.dataset_stats(dataset, lexicon=lexicon, min_freq=args.min_freq)
     if args.out:
         _write_json(args.out, stats)
     return {"command": "stats", **stats}
@@ -358,10 +354,7 @@ def _cmd_ground_train(args) -> dict:
         meta={"task": "grounding", "seed": args.seed, "classes": class_names},
     )
     if args.trace:
-        with atomic_open(args.trace) as handle:
-            handle.write("step,focal_loss\n")
-            for step, loss in trace:
-                handle.write(f"{step},{loss!r}\n")
+        trainer.save_trace_csv(trace, args.trace, header="step,focal_loss")
     return {
         "command": "ground-train",
         "checkpoint": str(args.out_checkpoint),
@@ -376,10 +369,11 @@ def _cmd_ground_eval(args) -> dict:
     class_names = _load_class_names(args.classes)
     store = _load_store(args) if args.with_knowledge else None
     texts = grounding.category_texts(class_names, store, args.source, params.config.max_tokens)
+    bank = grounding.encode_phrases_parallel(params, texts)
     rows = []
     accuracies = []
     for region in regions:
-        preds = grounding.zero_shot_region_classify(params, region, texts)
+        preds = grounding.classify_regions(region, bank)
         rows.append(
             {
                 "image_id": region.image_id,

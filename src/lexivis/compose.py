@@ -57,7 +57,6 @@ class AugmentedText:
 
     text: str
     parts: dict = field(default_factory=dict)
-    scheme: str = "class_eq2"
 
 
 def _word_budget(max_tokens: int) -> int:
@@ -103,23 +102,11 @@ def compose_class_text(
     if not query.strip():
         raise ValueError("query must be non-empty")
     prompt = template.format(query)
-    if knowledge is None:
-        return AugmentedText(
-            text=prompt,
-            parts={"prompt": prompt, "query": query, "knowledge": None},
-            scheme="class_eq2",
-        )
-    knowledge = _budgeted_knowledge([prompt, query], knowledge, max_tokens)
-    if knowledge is None:
-        return AugmentedText(
-            text=prompt,
-            parts={"prompt": prompt, "query": query, "knowledge": None},
-            scheme="class_eq2",
-        )
+    if knowledge is not None:
+        knowledge = _budgeted_knowledge([prompt, query], knowledge, max_tokens)
     return AugmentedText(
-        text=_join([prompt, query, knowledge]),
+        text=prompt if knowledge is None else _join([prompt, query, knowledge]),
         parts={"prompt": prompt, "query": query, "knowledge": knowledge},
-        scheme="class_eq2",
     )
 
 
@@ -141,13 +128,8 @@ def compose_caption_texts(
     if scheme not in ("concat", "combine"):
         raise ValueError(f"unknown caption scheme {scheme!r}")
     if knowledge is None:
-        return [
-            AugmentedText(
-                text=caption,
-                parts={"original_caption": caption, "query": query, "knowledge": None},
-                scheme="caption_concat" if scheme == "concat" else "caption_combine_member",
-            )
-        ]
+        parts = {"original_caption": caption, "query": query, "knowledge": None}
+        return [AugmentedText(text=caption, parts=parts)]
 
     budget = _word_budget(max_tokens)
     know = _budgeted_knowledge([caption, query], knowledge, max_tokens)
@@ -161,16 +143,10 @@ def compose_caption_texts(
     concat = AugmentedText(
         text=_join([cap, query, know]),
         parts={"original_caption": cap, "query": query, "knowledge": know},
-        scheme="caption_concat",
     )
     if scheme == "concat":
         return [concat]
-    query_only = AugmentedText(
-        text=_join([query, know]),
-        parts={"query": query, "knowledge": know},
-        scheme="caption_combine_member",
-    )
-    concat.scheme = "caption_combine_member"
+    query_only = AugmentedText(_join([query, know]), {"query": query, "knowledge": know})
     return [query_only, concat]
 
 
@@ -184,12 +160,7 @@ def compose_od_text(
         raise ValueError("query must be non-empty")
     if knowledge is not None:
         knowledge = _budgeted_knowledge([query], knowledge, max_tokens)
-    if knowledge is None:
-        return AugmentedText(
-            text=query, parts={"query": query, "knowledge": None}, scheme="od_plain"
-        )
     return AugmentedText(
-        text=_join([query, knowledge]),
+        text=query if knowledge is None else _join([query, knowledge]),
         parts={"query": query, "knowledge": knowledge},
-        scheme="od_plain",
     )

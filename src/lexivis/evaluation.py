@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -60,7 +61,7 @@ def build_class_embeddings(
     provenance = []
     for name in class_names:
         query = queries.construct_query(name, "category")
-        item = store.retrieve(query.text, source) if (with_knowledge and store) else None
+        item = store.retrieve(query, source) if (with_knowledge and store) else None
         knowledge = item.text if item is not None else None
         if not params.has_adapters:
             use_adapters = False
@@ -70,13 +71,13 @@ def build_class_embeddings(
             use_adapters = knowledge is not None
         embeds = []
         for template in templates:
-            aug = compose.compose_class_text(template, query.text, knowledge, max_tokens)
+            aug = compose.compose_class_text(template, query, knowledge, max_tokens)
             raw = _encode_class_text(params, aug.text, use_adapters)
             embeds.append(raw / np.linalg.norm(raw))
         mean = np.mean(embeds, axis=0)
         cols.append(mean / np.linalg.norm(mean))
         provenance.append(
-            {"class": name, "query": query.text, "hit": knowledge is not None,
+            {"class": name, "query": query, "hit": knowledge is not None,
              "branch": "adapter" if use_adapters else "base"}
         )
     return ClassEmbeddings(np.stack(cols, axis=1), list(class_names), provenance)
@@ -276,28 +277,23 @@ def dataset_stats(
 ) -> dict:
     """Concept/vocabulary statistics of a triplet dataset.
 
-    Concepts come from construct_query per item; the min-freq variants keep
+    ``triplets`` is a re-iterable row source: a list, or a
+    ``trainer.DatasetFile`` that streams the file twice. Concepts are the
+    queries of ``queries.iter_queries``; the min-freq variants keep
     concepts occurring strictly more than ``min_freq`` times. Vocabulary is
     the set of whitespace tokens over the (unique) concept pool. The
     instances-per-concept spread is the population standard deviation.
     """
-    if not triplets:
+    counts = Counter(query for _, query in queries.iter_queries(triplets, lexicon or {}))
+    if not counts:
         raise ValueError("dataset_stats requires a non-empty dataset")
-    lexicon = lexicon or {}
-    captions = [t.text for t in triplets if t.kind == "caption"]
-    freq = queries.build_frequency_table(captions, lexicon) if captions else None
-
-    counts: dict[str, int] = {}
-    for t in triplets:
-        concept = queries.construct_query(t.text, t.kind, freq=freq, lexicon=lexicon).text
-        counts[concept] = counts.get(concept, 0) + 1
 
     frequent = {c: n for c, n in counts.items() if n > min_freq}
     vocab_full = {tok for c in counts for tok in c.split()}
     vocab_minfreq = {tok for c in frequent for tok in c.split()}
     per_concept = np.array(list(counts.values()), dtype=np.float64)
     return {
-        "instances": len(triplets),
+        "instances": counts.total(),
         "concepts_full": len(counts),
         "concepts_minfreq": len(frequent),
         "vocab_full": len(vocab_full),

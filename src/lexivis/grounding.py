@@ -17,7 +17,7 @@ import numpy as np
 
 from . import compose, encoder as enc, queries
 from .errors import DataError, NumericsError
-from .knowledge import KnowledgeStore, iter_jsonl
+from .knowledge import KnowledgeStore, finite_array, iter_jsonl
 from .queries import tokenize
 
 
@@ -56,9 +56,7 @@ def load_regions_jsonl(path) -> list[RegionSet]:
     for lineno, obj in iter_jsonl(path, DataError):
         if "image_id" not in obj or "features" not in obj:
             raise DataError(f"{path}:{lineno}: expected {{image_id, features[, targets]}}")
-        features = np.asarray(obj["features"], dtype=np.float64)
-        if features.ndim != 2 or features.shape[0] < 1:
-            raise DataError(f"{path}:{lineno}: features must be a non-empty M x P matrix")
+        features = finite_array(obj["features"], 2, f"{path}:{lineno}", "features")
         targets = None
         if obj.get("targets") is not None:
             targets = np.asarray(obj["targets"], dtype=np.float64)
@@ -79,14 +77,19 @@ def category_texts(
 
     Knowledge is retrieved only when a store is given, and trimmed to the
     encoder's ``max_tokens`` so training and evaluation build the same texts.
+    A class whose text still exceeds that budget (the query is never
+    trimmed) raises ``DataError`` naming the class, for both of them.
     """
+    budget = max_tokens - 1
     texts = []
     for name in class_names:
         query = queries.construct_query(str(name), "category")
-        item = store.retrieve(query.text, source) if store is not None else None
-        texts.append(
-            compose.compose_od_text(query.text, item.text if item else None, max_tokens).text
-        )
+        item = store.retrieve(query, source) if store is not None else None
+        text = compose.compose_od_text(query, item.text if item else None, max_tokens).text
+        n_tokens = len(tokenize(text))
+        if n_tokens > budget:
+            raise DataError(f"class {name!r} has {n_tokens} tokens; max is {budget}")
+        texts.append(text)
     return texts
 
 
@@ -176,20 +179,24 @@ def focal_loss_with_grad(
     return loss, grad
 
 
-def zero_shot_region_classify(
-    params: enc.ModelParams,
-    regions: RegionSet,
-    texts: list[str],
-    use_adapters: bool = False,
-) -> list[tuple[int, float]]:
+def classify_regions(regions: RegionSet, bank: PhraseBank) -> list[tuple[int, float]]:
     """Per-region best category index and its sigmoid score (ties -> lowest index)."""
-    bank = encode_phrases_parallel(params, texts, use_adapters=use_adapters)
     scores = ground_scores(regions.features, bank.matrix)
     out = []
     for row in scores:
         k = int(np.argmax(row))
         out.append((k, float(_sigmoid(row[k]))))
     return out
+
+
+def zero_shot_region_classify(
+    params: enc.ModelParams,
+    regions: RegionSet,
+    texts: list[str],
+    use_adapters: bool = False,
+) -> list[tuple[int, float]]:
+    """``classify_regions`` against a phrase bank encoded from ``texts``."""
+    return classify_regions(regions, encode_phrases_parallel(params, texts, use_adapters))
 
 
 def region_accuracy(

@@ -16,7 +16,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional, TextIO
 
-from .errors import LexivisError, SnapshotError
+import numpy as np
+
+from .errors import DataError, LexivisError, SnapshotError
 from .queries import normalize_text
 
 SOURCES = ("wn_hier", "wn_def", "wiki_def")
@@ -77,6 +79,22 @@ def iter_jsonl(path, error: type[LexivisError]) -> Iterator[tuple[int, dict]]:
             if not isinstance(obj, dict):
                 raise error(f"{path}:{lineno}: expected a JSON object")
             yield lineno, obj
+
+
+def finite_array(value, ndim: int, where: str, what: str) -> np.ndarray:
+    """A feature field of a JSONL row as a non-empty float64 array of ``ndim`` axes.
+
+    Anything else, including a NaN or infinite entry, raises ``DataError``
+    prefixed with ``where`` (the row's ``path:lineno``).
+    """
+    try:
+        array = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        array = None
+    if array is None or array.ndim != ndim or array.size == 0 or not np.isfinite(array).all():
+        shape = "list" if ndim == 1 else "matrix"
+        raise DataError(f"{where}: {what} must be a non-empty {shape} of finite numbers")
+    return array
 
 
 @contextmanager

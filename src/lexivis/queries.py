@@ -9,9 +9,10 @@ so the whole path is deterministic and hermetic.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import DataError
 
@@ -32,12 +33,6 @@ class NounPhrase:
 
     tokens: tuple[TaggedToken, ...]
     normalized: str
-
-
-@dataclass(frozen=True)
-class Query:
-    text: str
-    origin: str = "category"
 
 
 def normalize_text(text: str) -> str:
@@ -116,71 +111,59 @@ def chunk_noun_phrases(tagged: list[TaggedToken]) -> list[NounPhrase]:
     return phrases
 
 
-@dataclass
-class FrequencyTable:
-    """Noun-phrase occurrence counts over a caption corpus."""
-
-    counts: dict[str, int] = field(default_factory=dict)
-    total_docs: int = 0
-
-    def count(self, phrase: str) -> int:
-        return self.counts.get(phrase, 0)
-
-    def add(self, phrase: str, n: int = 1) -> None:
-        self.counts[phrase] = self.counts.get(phrase, 0) + n
-
-
-def caption_noun_phrases(caption: str, lexicon: dict[str, str]) -> list[NounPhrase]:
-    return chunk_noun_phrases(pos_tag(tokenize(caption), lexicon))
-
-
-def build_frequency_table(corpus: Iterable[str], lexicon: dict[str, str]) -> FrequencyTable:
+def build_frequency_table(corpus: Iterable[str], lexicon: dict[str, str]) -> Counter:
     """Count every chunked noun phrase across a caption corpus."""
-    table = FrequencyTable()
+    table = Counter()
     for caption in corpus:
-        table.total_docs += 1
-        for phrase in caption_noun_phrases(caption, lexicon):
-            table.add(phrase.normalized)
-    if table.total_docs == 0:
-        raise DataError("cannot build a frequency table from an empty corpus")
+        phrases = chunk_noun_phrases(pos_tag(tokenize(caption), lexicon))
+        table.update(phrase.normalized for phrase in phrases)
     return table
-
-
-def _rarity_key(table: Optional[FrequencyTable]):
-    # Rarest first; ties broken by longer phrase, then lexicographically.
-    def key(phrase: str):
-        count = table.count(phrase) if table is not None else 0
-        return (count, -len(phrase), phrase)
-
-    return key
 
 
 def construct_query(
     text: str,
     kind: str,
-    freq: Optional[FrequencyTable] = None,
+    freq: Counter = Counter(),
     lexicon: Optional[dict[str, str]] = None,
-) -> Query:
+) -> str:
     """Reduce a language description to its knowledge query.
 
     Category names are used verbatim (lowercased). Captions map to the
-    rarest chunked noun phrase; a caption with no noun phrase falls back to
-    its least-frequent NOUN token, and finally to the whole caption.
+    rarest chunked noun phrase in ``freq``; a caption with no noun phrase
+    falls back to its least-frequent NOUN token, and finally to the whole
+    caption. Ties go to the longer phrase, then the lexicographically first.
     """
     if not text.strip():
         raise ValueError("cannot construct a query from empty text")
     if kind == "category":
-        return Query(text=text.strip().lower(), origin="category")
+        return text.strip().lower()
     if kind != "caption":
         raise ValueError(f"unknown query kind {kind!r}")
 
+    def rarity(phrase: str):
+        return (freq[phrase], -len(phrase), phrase)
+
     tagged = pos_tag(tokenize(text), lexicon or {})
     phrases = chunk_noun_phrases(tagged)
-    key = _rarity_key(freq)
     if phrases:
-        best = min((p.normalized for p in phrases), key=key)
-        return Query(text=best, origin="caption_np")
+        return min((p.normalized for p in phrases), key=rarity)
     nouns = [t.surface for t in tagged if t.tag == "NOUN"]
     if nouns:
-        return Query(text=min(nouns, key=key), origin="caption_fallback")
-    return Query(text=normalize_text(text), origin="caption_fallback")
+        return min(nouns, key=rarity)
+    return normalize_text(text)
+
+
+def iter_queries(rows: Iterable, lexicon: dict[str, str]) -> Iterator[tuple]:
+    """Yield ``(row, query)`` for every row of a dataset, in order.
+
+    ``rows`` is iterated twice, so it must be re-iterable: a list, or a
+    source that re-reads its file on every iteration. The first pass counts
+    the captions' noun phrases, the one frequency table that picks each
+    caption's query; the second constructs the queries one row at a time.
+    Memory is bounded by the number of distinct phrases, not of rows.
+    """
+    if isinstance(rows, Iterator):
+        raise TypeError("iter_queries needs a re-iterable row source, not an iterator")
+    freq = build_frequency_table((r.text for r in rows if r.kind == "caption"), lexicon)
+    for row in rows:
+        yield row, construct_query(row.text, row.kind, freq, lexicon)

@@ -9,7 +9,6 @@ Every run is fully determined by (seed, config, data).
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import compose, encoder as enc, queries
 from .errors import ConfigError, DataError, NumericsError
-from .knowledge import KnowledgeStore, atomic_open, iter_jsonl
+from .knowledge import KnowledgeStore, atomic_open, finite_array, iter_jsonl
 
 TRAIN_MODES = ("scratch_1branch", "scratch_2branch", "continual_adapters")
 
@@ -51,9 +50,9 @@ class Triplet:
 def iter_dataset_jsonl(path) -> Iterator[Triplet]:
     """Yield the validated triplets of a dataset file one row at a time.
 
-    A malformed row, including one whose text is blank, raises ``DataError``
-    with its ``path:lineno``; a file without rows raises it once the file is
-    exhausted.
+    A malformed row, including one whose text is blank or whose image is not
+    a non-empty list of finite numbers, raises ``DataError`` with its
+    ``path:lineno``; a file without rows raises it once the file is exhausted.
     """
     path = Path(path)
     empty = True
@@ -68,7 +67,7 @@ def iter_dataset_jsonl(path) -> Iterator[Triplet]:
             raise DataError(f"{path}:{lineno}: text is blank")
         empty = False
         yield Triplet(
-            image=np.asarray(obj["image"], dtype=np.float64),
+            image=finite_array(obj["image"], 1, f"{path}:{lineno}", "image"),
             text=text,
             kind=kind,
             label=obj.get("label"),
@@ -82,6 +81,16 @@ def iter_dataset_jsonl(path) -> Iterator[Triplet]:
 
 def load_dataset_jsonl(path) -> list[Triplet]:
     return list(iter_dataset_jsonl(path))
+
+
+@dataclass(frozen=True)
+class DatasetFile:
+    """A dataset file as a row source that re-reads the file on every iteration."""
+
+    path: Path
+
+    def __iter__(self) -> Iterator[Triplet]:
+        return iter_dataset_jsonl(self.path)
 
 
 def save_dataset_jsonl(triplets: Iterable[Triplet], path) -> None:
@@ -129,7 +138,7 @@ class AugmentAudit:
 
 
 def iter_augmented(
-    rows: Callable[[], Iterable[Triplet]],
+    rows: Iterable[Triplet],
     audit: AugmentAudit,
     store: KnowledgeStore,
     source: str,
@@ -140,50 +149,35 @@ def iter_augmented(
 ) -> Iterator[Triplet]:
     """Rewrite every triplet's text with retrieved knowledge, one row at a time.
 
-    ``rows()`` is iterated twice. The first pass only counts the captions'
-    noun phrases, which pick each caption's query. The second retrieves,
-    composes and labels one input row at a time, yields its output rows
-    before reading the next one, and counts them in ``audit``. Memory is
-    bounded by the number of distinct phrases and texts, not of rows.
+    ``rows`` is a re-iterable row source (``queries.iter_queries``). Each
+    input row is retrieved, composed and labelled, and its output rows are
+    yielded, and counted in ``audit``, before the next one is read. Memory
+    is bounded by the number of distinct phrases and texts, not of rows.
 
     Category names are replaced by the prompt composition; captions follow the
     Concat/Combine scheme (Combine emits two triplets per knowledge hit).
     Retrieval misses leave the text unchanged. Labels are dense in first-seen
     order of the original text, so Combine pairs share a label.
     """
-    lexicon = lexicon or {}
-    captions = (t.text for t in rows() if t.kind == "caption")
-    first = next(captions, None)
-    freq = (
-        queries.build_frequency_table(itertools.chain((first,), captions), lexicon)
-        if first is not None
-        else None
-    )
-
     groups: dict[str, int] = {}
-    for t in rows():
-        query = queries.construct_query(t.text, t.kind, freq=freq, lexicon=lexicon)
-        item = store.retrieve(query.text, source)
+    for t, query in queries.iter_queries(rows, lexicon or {}):
+        item = store.retrieve(query, source)
         if item is None:
             audit.misses += 1
             texts = [t.text]
         elif t.kind == "category":
             audit.hits += 1
-            texts = [compose.compose_class_text(template, query.text, item.text, max_tokens).text]
+            texts = [compose.compose_class_text(template, query, item.text, max_tokens).text]
         else:
             audit.hits += 1
-            texts = [
-                aug.text
-                for aug in compose.compose_caption_texts(
-                    t.text, query.text, item.text, scheme, max_tokens
-                )
-            ]
+            augs = compose.compose_caption_texts(t.text, query, item.text, scheme, max_tokens)
+            texts = [aug.text for aug in augs]
         label = groups.setdefault(queries.normalize_text(t.text), len(groups))
         for text in texts:
             audit.emitted += 1
             yield Triplet(
                 image=t.image, text=text, kind=t.kind, label=label,
-                augmented=item is not None, origin_text=t.text, query=query.text,
+                augmented=item is not None, origin_text=t.text, query=query,
             )
 
 
@@ -199,9 +193,7 @@ def augment_dataset(
     """``iter_augmented`` over an in-memory list: the augmented list and its audit."""
     audit = AugmentAudit()
     out = list(
-        iter_augmented(
-            lambda: triplets, audit, store, source, scheme, template, max_tokens, lexicon
-        )
+        iter_augmented(triplets, audit, store, source, scheme, template, max_tokens, lexicon)
     )
     return out, audit
 
@@ -381,8 +373,9 @@ def train(
     )
 
 
-def save_trace_csv(trace: list[tuple], path) -> None:
+def save_trace_csv(trace: list[tuple], path, header: str = "step,l_i2t,l_t2i,l_ic,tau") -> None:
+    """A loss trace as CSV: ``header``, then the ``repr`` of every value of each row."""
     with atomic_open(path) as handle:
-        handle.write("step,l_i2t,l_t2i,l_ic,tau\n")
-        for step, l_i2t, l_t2i, l_ic, tau in trace:
-            handle.write(f"{step},{l_i2t!r},{l_t2i!r},{l_ic!r},{tau!r}\n")
+        handle.write(header + "\n")
+        for row in trace:
+            handle.write(",".join(map(repr, row)) + "\n")

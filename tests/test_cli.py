@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lexivis import cli, encoder as enc, evaluation, knowledge, trainer
+from lexivis import cli, encoder as enc, evaluation, grounding, knowledge, trainer
 from lexivis.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from tests.conftest import FIXTURES
 
@@ -215,6 +215,33 @@ class TestStats:
         assert summary["instances"] == 16
         assert summary["concepts_full"] == 4
 
+    def test_cli_matches_in_memory_stats(self, capsys, tmp_path, lexicon):
+        dataset = _write_dataset(tmp_path / "ds.jsonl", 3 * len(MIXED_ROWS))
+        code, summary, err = run(capsys, "stats", "--dataset", str(dataset), "--lexicon", LEX,
+                                 "--min-freq", "2")
+        assert code == EXIT_OK, err
+        expected = evaluation.dataset_stats(
+            trainer.load_dataset_jsonl(dataset), lexicon=lexicon, min_freq=2
+        )
+        assert summary == {"command": "stats", **expected}
+
+    def test_memory_is_bounded_by_distinct_texts(self, capsys, tmp_path):
+        def peak(n_rows):
+            dataset = _write_dataset(tmp_path / f"ds{n_rows}.jsonl", n_rows, dim=16)
+            tracemalloc.start()
+            try:
+                code = main(["stats", "--dataset", str(dataset), "--lexicon", LEX])
+                traced_peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            capsys.readouterr()
+            assert code == EXIT_OK
+            return traced_peak
+
+        n = 45 * len(MIXED_ROWS)
+        peak(len(MIXED_ROWS))  # warm-up: lazily built module state is not per row
+        assert peak(4 * n) < 1.5 * peak(n)
+
 
 class TestConfigAndEnv:
     def test_config_file_supplies_flags(self, capsys, tmp_path):
@@ -374,6 +401,62 @@ class TestGrounding:
         )
         assert code == EXIT_OK, err
         assert summary["n_images"] == 1
+
+    def _ground_files(self, tmp_path, names):
+        classes = tmp_path / "classes.json"
+        classes.write_text(json.dumps(names))
+        regions = tmp_path / "regions.jsonl"
+        rows = [
+            {"image_id": f"im{i}", "features": np.eye(len(names), 8).tolist(),
+             "targets": np.eye(len(names)).tolist()}
+            for i in range(3)
+        ]
+        regions.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        return classes, regions
+
+    def test_over_budget_class_rejected_by_train_and_eval(self, capsys, tmp_path):
+        long_name = " ".join(f"w{i}" for i in range(12))
+        classes, regions = self._ground_files(tmp_path, ["boxer", long_name])
+        cfg = enc.EncoderConfig(embed_dim=8, text_layers=1, hidden_dim=16, vocab_size=64,
+                                max_tokens=8, adapter_bottleneck=2, image_input_dim=8)
+        ckpt = tmp_path / "ground.json"
+        enc.save_checkpoint(enc.init_params(cfg, seed=0), ckpt)
+        out = tmp_path / "trained.json"
+        train = ["ground-train", "--regions", str(regions), "--classes", str(classes),
+                 "--out-checkpoint", str(out), "--epochs", "1", "--embed-dim", "8",
+                 "--hidden-dim", "16", "--vocab-size", "64", "--adapter-bottleneck", "2",
+                 "--max-tokens", "8"]
+        evaluate = ["ground-eval", "--checkpoint", str(ckpt), "--regions", str(regions),
+                    "--classes", str(classes)]
+        errors = []
+        for argv in (train, evaluate):
+            code, _, err = run(capsys, *argv)
+            assert code == EXIT_DATA
+            errors.append(err.strip().splitlines())
+        assert errors[0] == errors[1]
+        (line,) = errors[0]
+        assert repr(long_name) in line and "12 tokens; max is 7" in line
+        assert not out.exists()
+
+    def test_eval_encodes_the_phrase_bank_once(self, capsys, tmp_path, monkeypatch):
+        classes, regions = self._ground_files(tmp_path, ["boxer", "crowd", "fireplug"])
+        cfg = enc.EncoderConfig(embed_dim=8, text_layers=1, hidden_dim=16, vocab_size=64,
+                                max_tokens=8, adapter_bottleneck=2, image_input_dim=8)
+        ckpt = tmp_path / "ground.json"
+        enc.save_checkpoint(enc.init_params(cfg, seed=0), ckpt)
+        calls = []
+        encode = grounding.encode_phrases_parallel
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return encode(*args, **kwargs)
+
+        monkeypatch.setattr(grounding, "encode_phrases_parallel", counting)
+        code, summary, err = run(capsys, "ground-eval", "--checkpoint", str(ckpt),
+                                 "--regions", str(regions), "--classes", str(classes))
+        assert code == EXIT_OK, err
+        assert summary["n_images"] == 3
+        assert len(calls) == 1
 
 
 @pytest.fixture

@@ -111,3 +111,92 @@ def test_blank_dataset_text_is_one_data_error_line(workdir, command, text, kind,
     code, err = run_quiet(argv)
     assert_one_data_error_line(code, err, f"{dataset}:{position + 1}: text is blank")
     assert not out.exists()
+
+
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+
+
+def corrupt_features(valid):
+    """Values that break a feature field: a non-finite or non-numeric entry, or the wrong shape."""
+    array = np.asarray(valid, dtype=np.float64)
+
+    def put(index, value):
+        out = array.tolist()
+        row = out if array.ndim == 1 else out[index // array.shape[1]]
+        row[index % array.shape[-1]] = value
+        return out
+
+    entry = st.integers(min_value=0, max_value=array.size - 1)
+    return st.one_of(
+        st.tuples(entry, NON_FINITE).map(lambda a: put(*a)),
+        st.tuples(entry, st.one_of(st.text(max_size=4), st.none(), st.just(10**400)))
+        .map(lambda a: put(*a)),
+        st.just([valid]),  # one axis too many
+        st.just(valid[0]),  # one axis too few
+        st.just([]),
+        st.just([valid[0], [valid[1]]] if array.ndim == 1 else [valid[0], valid[1][:1]]),  # ragged
+        st.one_of(st.floats(), st.booleans(), st.none(), st.text(max_size=6)),
+    )
+
+
+IMAGE = np.eye(4)[3].tolist()
+FEATURES = np.eye(2, 4).tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    command=st.sampled_from(["augment", "stats", "train", "eval-probe"]),
+    image=corrupt_features(IMAGE),
+    position=st.integers(min_value=0, max_value=4),
+)
+def test_bad_dataset_image_is_one_data_error_line(workdir, command, image, position):
+    rows = [
+        {"image": np.eye(4)[i].tolist(), "text": name, "kind": "category", "label": i}
+        for i, name in enumerate(["boxer", "tench", "crowd", "fireplug"])
+    ]
+    rows.insert(position, {"image": image, "text": "boxer", "kind": "category", "label": 0})
+    dataset = workdir / "bad_image.jsonl"
+    dataset.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    out = workdir / "bad_image_out"
+    argv = {
+        "augment": ["augment", "--dataset", str(dataset), "--out", str(out),
+                    "--wiktionary", str(FIXTURES / "wiktionary.jsonl")],
+        "stats": ["stats", "--dataset", str(dataset), "--out", str(out)],
+        "train": ["train", "--dataset", str(dataset), "--out-checkpoint", str(out),
+                  "--embed-dim", "4", "--hidden-dim", "8", "--vocab-size", "16",
+                  "--adapter-bottleneck", "2", "--epochs", "1"],
+        "eval-probe": ["eval-probe", "--checkpoint", str(workdir / "model.json"),
+                       "--images", str(dataset)],
+    }[command]
+    code, err = run_quiet(argv)
+    assert_one_data_error_line(code, err, f"{dataset}:{position + 1}: image must be")
+    assert not out.exists()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    command=st.sampled_from(["ground-train", "ground-eval"]),
+    features=corrupt_features(FEATURES),
+    position=st.integers(min_value=0, max_value=3),
+)
+def test_bad_region_features_are_one_data_error_line(workdir, command, features, position):
+    rows = [
+        {"image_id": f"im{i}", "features": FEATURES, "targets": np.eye(2).tolist()}
+        for i in range(3)
+    ]
+    rows.insert(position, {"image_id": "bad", "features": features, "targets": np.eye(2).tolist()})
+    regions = workdir / "bad_regions.jsonl"
+    regions.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    classes = workdir / "classes.json"
+    classes.write_text(json.dumps(["boxer", "crowd"]))
+    out = workdir / "bad_regions_out"
+    argv = {
+        "ground-train": ["ground-train", "--regions", str(regions), "--classes", str(classes),
+                         "--out-checkpoint", str(out), "--embed-dim", "4", "--hidden-dim", "8",
+                         "--vocab-size", "16", "--adapter-bottleneck", "2", "--epochs", "1"],
+        "ground-eval": ["ground-eval", "--checkpoint", str(workdir / "model.json"),
+                        "--regions", str(regions), "--classes", str(classes), "--out", str(out)],
+    }[command]
+    code, err = run_quiet(argv)
+    assert_one_data_error_line(code, err, f"{regions}:{position + 1}: features must be")
+    assert not out.exists()

@@ -37,7 +37,6 @@ class TestClassText:
     def test_published_composition(self):
         aug = compose_class_text(PromptTemplate("a photo of a {}"), "boxer", WIKI_BOXER)
         assert aug.text == f"a photo of a boxer, boxer, {WIKI_BOXER}"
-        assert aug.scheme == "class_eq2"
 
     def test_degenerates_to_prompt_without_knowledge(self):
         aug = compose_class_text(PromptTemplate("a photo of a {}"), "boxer", None)
@@ -108,7 +107,6 @@ class TestOdText:
     def test_with_knowledge(self):
         aug = compose_od_text("fireplug", "an upright hydrant for water")
         assert aug.text == "fireplug, an upright hydrant for water"
-        assert aug.scheme == "od_plain"
 
     def test_without_knowledge(self):
         assert compose_od_text("person", None).text == "person"

@@ -1,19 +1,20 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexivis.errors import DataError
 from lexivis.queries import (
-    FrequencyTable,
     TaggedToken,
     build_frequency_table,
     chunk_noun_phrases,
     construct_query,
+    iter_queries,
     pos_tag,
     tokenize,
 )
+from lexivis.trainer import Triplet
 
 
 class TestTokenize:
@@ -81,39 +82,37 @@ class TestChunker:
 class TestFrequencyTable:
     def test_enumeration(self, lexicon):
         table = build_frequency_table(["a dog", "a dog", "a cat"], lexicon)
-        assert table.counts == {"a dog": 2, "dog": 2, "a cat": 1, "cat": 1}
-        assert table.total_docs == 3
+        assert table == {"a dog": 2, "dog": 2, "a cat": 1, "cat": 1}
 
     def test_no_phrases(self, lexicon):
         table = build_frequency_table(["is to of"], lexicon)
-        assert table.counts == {}
-        assert table.total_docs == 1
+        assert table == {}
 
     def test_linearity(self, lexicon):
         table = build_frequency_table(["a big dog"] * 5, lexicon)
-        assert set(table.counts.values()) == {5}
+        assert set(table.values()) == {5}
 
-    def test_empty_corpus_errors(self, lexicon):
-        with pytest.raises(DataError):
-            build_frequency_table([], lexicon)
+    def test_empty_corpus_ranks_like_no_table(self, lexicon):
+        table = build_frequency_table([], lexicon)
+        assert table == {}
+        assert construct_query("a dog and a cat", "caption", table, lexicon) == "a cat"
 
 
 class TestConstructQuery:
     def test_category_identity(self):
-        q = construct_query("tench", "category")
-        assert (q.text, q.origin) == ("tench", "category")
+        assert construct_query("tench", "category") == "tench"
 
     def test_category_lowercases(self):
-        assert construct_query("Tench", "category").text == "tench"
+        assert construct_query("Tench", "category") == "tench"
 
     def test_rarest_phrase_wins(self, lexicon):
-        freq = FrequencyTable({"professional boxer": 1, "boxer": 9, "the crowd": 4, "crowd": 12})
+        freq = Counter({"professional boxer": 1, "boxer": 9, "the crowd": 4, "crowd": 12})
         q = construct_query("professional boxer is introduced to the crowd", "caption", freq, lexicon)
-        assert (q.text, q.origin) == ("professional boxer", "caption_np")
+        assert q == "professional boxer"
 
     def test_no_phrase_falls_back_to_caption(self, lexicon):
-        q = construct_query("is to of", "caption", None, lexicon)
-        assert (q.text, q.origin) == ("is to of", "caption_fallback")
+        q = construct_query("is to of", "caption", Counter(), lexicon)
+        assert q == "is to of"
 
     def test_empty_text_errors(self):
         with pytest.raises(ValueError):
@@ -134,22 +133,52 @@ class TestConstructQuery:
     )
     def test_rarity_argmin_brute_force(self, lexicon, counts):
         caption = "a dog and a cat on the street"
-        freq = FrequencyTable({k: v for k, v in counts.items() if v > 0})
+        freq = Counter({k: v for k, v in counts.items() if v > 0})
         q = construct_query(caption, "caption", freq, lexicon)
         phrases = [p.normalized for p in chunk_noun_phrases(_tag(caption, lexicon))]
-        assert q.text in phrases
-        assert freq.count(q.text) == min(freq.count(p) for p in phrases)
+        assert q in phrases
+        assert freq[q] == min(freq[p] for p in phrases)
 
     def test_tie_break_longer_then_lexicographic(self, lexicon):
-        freq = FrequencyTable({})
+        freq = Counter()
         q = construct_query("a dog and a cat", "caption", freq, lexicon)
         # all counts 0; "a dog" and "a cat" tie on length, lexicographic wins
-        assert q.text == "a cat"
+        assert q == "a cat"
 
     def test_corpus_permutation_invariance(self, lexicon):
         captions = ["a dog", "a cat", "a dog and a cat", "the street dog"]
         results = set()
         for perm in itertools.permutations(captions):
             freq = build_frequency_table(list(perm), lexicon)
-            results.add(construct_query("a dog and a cat on the street", "caption", freq, lexicon).text)
+            results.add(construct_query("a dog and a cat on the street", "caption", freq, lexicon))
         assert len(results) == 1
+
+
+class TestIterQueries:
+    def test_captions_ranked_over_the_whole_corpus(self, lexicon):
+        rows = [
+            Triplet(image=None, text="a dog and a cat", kind="caption"),
+            Triplet(image=None, text="a dog", kind="caption"),
+            Triplet(image=None, text="Tench", kind="category"),
+        ]
+        assert [(row.text, q) for row, q in iter_queries(rows, lexicon)] == [
+            ("a dog and a cat", "a cat"),
+            ("a dog", "a dog"),
+            ("Tench", "tench"),
+        ]
+
+    def test_reads_the_source_twice(self, lexicon):
+        class Source:
+            passes = 0
+
+            def __iter__(self):
+                Source.passes += 1
+                return iter([Triplet(image=None, text="a dog", kind="caption")])
+
+        assert [q for _, q in iter_queries(Source(), lexicon)] == ["a dog"]
+        assert Source.passes == 2
+
+    def test_one_shot_iterator_rejected(self, lexicon):
+        rows = iter([Triplet(image=None, text="a dog", kind="caption")])
+        with pytest.raises(TypeError, match="re-iterable"):
+            next(iter_queries(rows, lexicon))
