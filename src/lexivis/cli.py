@@ -115,7 +115,8 @@ def _load_labeled_images(path):
     for lineno, obj in iter_jsonl(path, DataError):
         if "image" not in obj:
             raise DataError(f"{path}:{lineno}: expected {{image[, label]}}")
-        image = finite_array(obj["image"], 1, f"{path}:{lineno}", "image")
+        width = images[0].size if images else None
+        image = finite_array(obj["image"], 1, f"{path}:{lineno}", "image", width)
         label = obj.get("label")
         if label is not None and type(label) is not int:
             raise DataError(f"{path}:{lineno}: label must be an integer")
@@ -317,10 +318,12 @@ def _cmd_eval_probe(args) -> dict:
 
 
 def _cmd_ground_train(args) -> dict:
-    regions = grounding.load_regions_jsonl(_require_file(args.regions, "regions"))
+    class_names = _load_class_names(args.classes)
+    regions = grounding.load_regions_jsonl(
+        _require_file(args.regions, "regions"), num_classes=len(class_names)
+    )
     if any(r.targets is None for r in regions):
         raise DataError("ground-train needs targets on every region row")
-    class_names = _load_class_names(args.classes)
     store = _load_store(args) if args.with_knowledge else None
     p_dim = regions[0].features.shape[1]
     cfg = _encoder_config(args, image_dim=p_dim)
@@ -365,8 +368,10 @@ def _cmd_ground_train(args) -> dict:
 
 def _cmd_ground_eval(args) -> dict:
     params, _ = enc.load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
-    regions = grounding.load_regions_jsonl(_require_file(args.regions, "regions"))
     class_names = _load_class_names(args.classes)
+    regions = grounding.load_regions_jsonl(
+        _require_file(args.regions, "regions"), num_classes=len(class_names)
+    )
     store = _load_store(args) if args.with_knowledge else None
     texts = grounding.category_texts(class_names, store, args.source, params.config.max_tokens)
     bank = grounding.encode_phrases_parallel(params, texts)

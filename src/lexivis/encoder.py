@@ -18,11 +18,11 @@ import json
 import math
 import zlib
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterator, Optional
 
 import numpy as np
 
+from . import checkpoint_json
 from .errors import ConfigError, DataError, NumericsError
 from .knowledge import atomic_open
 from .queries import tokenize
@@ -616,15 +616,17 @@ def save_checkpoint(params: ModelParams, path, meta: Optional[dict] = None) -> N
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
     """Read a checkpoint whose tensors match what ``init_params`` builds for its config.
 
-    Adapter tensors are expected iff the checkpoint holds any adapter key.
-    Every defect raises ``DataError``: a malformed payload, an unsupported
+    The file streams through ``checkpoint_json.load``, so memory beyond the
+    returned tensors is one buffer slice; any whitespace and key order is
+    accepted. Adapter tensors are expected iff the checkpoint holds any
+    adapter key. Every defect raises ``DataError``: malformed JSON, a data
+    element that is not a JSON number, a non-object payload, an unsupported
     format version, an invalid ``encoder_config``, or a missing, extra or
-    misshapen tensor. The expected shapes come from the config alone, so a
-    corrupt config with huge dimensions allocates nothing.
+    misshapen tensor. Arrays grow only with the values actually read and the
+    expected shapes come from the config alone, so a corrupt config with huge
+    dimensions allocates nothing.
     """
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(payload, dict):
-        raise DataError(f"{path}: checkpoint must be a JSON object")
+    payload = checkpoint_json.load(path)
     version = payload.get("format_version")
     if type(version) is not int or version != CHECKPOINT_VERSION:  # true == 1.0 == 1
         raise DataError(f"{path}: unsupported checkpoint version")
@@ -649,7 +651,7 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     for k, spec in stored.items():
         shape, size = list(schema[k]), math.prod(schema[k])
         data = spec.get("data") if isinstance(spec, dict) else None
-        if not isinstance(data, list) or len(data) != size or spec.get("shape") != shape:
+        if not isinstance(data, np.ndarray) or data.size != size or spec.get("shape") != shape:
             raise DataError(f"{path}: tensor {k!r} must hold {size} values of shape {shape}")
-        tensors[k] = np.array(data, dtype=np.float64).reshape(shape)
+        tensors[k] = data.reshape(shape)
     return ModelParams(config, tensors), payload.get("meta", {})

@@ -72,15 +72,21 @@ def build_class_embeddings(
         embeds = []
         for template in templates:
             aug = compose.compose_class_text(template, query, knowledge, max_tokens)
-            raw = _encode_class_text(params, aug.text, use_adapters)
-            embeds.append(raw / np.linalg.norm(raw))
-        mean = np.mean(embeds, axis=0)
-        cols.append(mean / np.linalg.norm(mean))
+            embeds.append(_unit_text(_encode_class_text(params, aug.text, use_adapters), name))
+        cols.append(_unit_text(np.mean(embeds, axis=0), name))
         provenance.append(
             {"class": name, "query": query, "hit": knowledge is not None,
              "branch": "adapter" if use_adapters else "base"}
         )
     return ClassEmbeddings(np.stack(cols, axis=1), list(class_names), provenance)
+
+
+def _unit_text(vec: np.ndarray, name: str) -> np.ndarray:
+    """A class text embedding on the unit sphere; zero or non-finite norm raises."""
+    norm = np.linalg.norm(vec)
+    if not np.isfinite(norm) or norm == 0:
+        raise NumericsError(f"class {name!r} encodes to a zero-norm or non-finite text embedding")
+    return vec / norm
 
 
 def unit_image_features(params: enc.ModelParams, images: np.ndarray) -> np.ndarray:

@@ -50,20 +50,29 @@ class FocalParams:
             raise ValueError("gamma must be >= 0")
 
 
-def load_regions_jsonl(path) -> list[RegionSet]:
+def load_regions_jsonl(path, num_classes: Optional[int] = None) -> list[RegionSet]:
+    """Region rows; every row's features have the first row's width.
+
+    Targets, where given, are a binary matrix with one row per region and,
+    when ``num_classes`` is given, one column per class. A row that breaks
+    this raises ``DataError`` with its ``path:lineno``.
+    """
     path = Path(path)
     regions = []
+    width = None
     for lineno, obj in iter_jsonl(path, DataError):
+        where = f"{path}:{lineno}"
         if "image_id" not in obj or "features" not in obj:
-            raise DataError(f"{path}:{lineno}: expected {{image_id, features[, targets]}}")
-        features = finite_array(obj["features"], 2, f"{path}:{lineno}", "features")
+            raise DataError(f"{where}: expected {{image_id, features[, targets]}}")
+        features = finite_array(obj["features"], 2, where, "features", width)
+        width = features.shape[1]
         targets = None
         if obj.get("targets") is not None:
-            targets = np.asarray(obj["targets"], dtype=np.float64)
+            targets = finite_array(obj["targets"], 2, where, "targets", num_classes)
             if targets.shape[0] != features.shape[0]:
-                raise DataError(f"{path}:{lineno}: targets row count != features row count")
+                raise DataError(f"{where}: targets row count != features row count")
             if not np.isin(targets, (0.0, 1.0)).all():
-                raise DataError(f"{path}:{lineno}: targets must be binary")
+                raise DataError(f"{where}: targets must be binary")
         regions.append(RegionSet(str(obj["image_id"]), features, targets))
     if not regions:
         raise DataError(f"{path}: no region rows found")

@@ -81,20 +81,30 @@ def iter_jsonl(path, error: type[LexivisError]) -> Iterator[tuple[int, dict]]:
             yield lineno, obj
 
 
-def finite_array(value, ndim: int, where: str, what: str) -> np.ndarray:
+def finite_array(
+    value, ndim: int, where: str, what: str, width: Optional[int] = None
+) -> np.ndarray:
     """A feature field of a JSONL row as a non-empty float64 array of ``ndim`` axes.
 
-    Anything else, including a NaN or infinite entry, raises ``DataError``
-    prefixed with ``where`` (the row's ``path:lineno``).
+    Anything else, including a NaN or infinite entry or, when ``width`` is
+    given, a last axis of another length, raises ``DataError`` prefixed with
+    ``where`` (the row's ``path:lineno``).
     """
     try:
-        array = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        array = None
-    if array is None or array.ndim != ndim or array.size == 0 or not np.isfinite(array).all():
+        array = np.asarray(value)
+    except ValueError:  # ragged rows
+        array = np.empty(0, dtype=object)
+    # Numbers (or bools) only: a string, null or an integer beyond 64 bits
+    # gives another dtype kind, and a float64 cast would accept a string "0".
+    if (
+        array.dtype.kind not in "biuf" or array.ndim != ndim or array.size == 0
+        or not np.isfinite(array).all()
+    ):
         shape = "list" if ndim == 1 else "matrix"
         raise DataError(f"{where}: {what} must be a non-empty {shape} of finite numbers")
-    return array
+    if width is not None and array.shape[-1] != width:
+        raise DataError(f"{where}: {what} width is {array.shape[-1]}, expected {width}")
+    return array.astype(np.float64, copy=False)
 
 
 @contextmanager

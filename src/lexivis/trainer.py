@@ -51,11 +51,12 @@ def iter_dataset_jsonl(path) -> Iterator[Triplet]:
     """Yield the validated triplets of a dataset file one row at a time.
 
     A malformed row, including one whose text is blank or whose image is not
-    a non-empty list of finite numbers, raises ``DataError`` with its
-    ``path:lineno``; a file without rows raises it once the file is exhausted.
+    a non-empty list of finite numbers of the first row's length, raises
+    ``DataError`` with its ``path:lineno``; a file without rows raises it once
+    the file is exhausted.
     """
     path = Path(path)
-    empty = True
+    width = None
     for lineno, obj in iter_jsonl(path, DataError):
         if "image" not in obj or "text" not in obj:
             raise DataError(f"{path}:{lineno}: expected {{image, text[, kind, label]}}")
@@ -65,9 +66,10 @@ def iter_dataset_jsonl(path) -> Iterator[Triplet]:
         text = str(obj["text"])
         if not text.strip():
             raise DataError(f"{path}:{lineno}: text is blank")
-        empty = False
+        image = finite_array(obj["image"], 1, f"{path}:{lineno}", "image", width)
+        width = image.size
         yield Triplet(
-            image=finite_array(obj["image"], 1, f"{path}:{lineno}", "image"),
+            image=image,
             text=text,
             kind=kind,
             label=obj.get("label"),
@@ -75,7 +77,7 @@ def iter_dataset_jsonl(path) -> Iterator[Triplet]:
             origin_text=obj.get("origin_text"),
             query=obj.get("query"),
         )
-    if empty:
+    if width is None:
         raise DataError(f"{path}: dataset is empty")
 
 

@@ -591,6 +591,103 @@ class TestEvalDefects:
         assert len(lines) == 1 and "zero-norm" in lines[0]
 
 
+    def test_zero_norm_class_text_is_numerics_error(self, capsys, tmp_path, checkpoint):
+        # Zero final layer norm: every text encodes to the zero vector. The
+        # unchecked division scored every image as class 0 (accuracy 0.25).
+        payload = json.loads(checkpoint.read_text())
+        for name in ("lnf.g", "lnf.b"):
+            tensor = payload["tensors"][name]
+            tensor["data"] = [0.0] * len(tensor["data"])
+        checkpoint.write_text(json.dumps(payload))
+        rows = [{"image": np.eye(4)[i].tolist(), "label": i} for i in range(4)]
+        images = _write_images(tmp_path / "images.jsonl", rows)
+        classes = tmp_path / "classes.json"
+        classes.write_text(json.dumps(["boxer", "tench", "crowd", "fireplug"]))
+        code, _, err = run(capsys, "eval-zeroshot", "--checkpoint", str(checkpoint),
+                           "--images", str(images), "--classes", str(classes))
+        assert code == EXIT_DATA
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and "'boxer'" in lines[0] and "zero-norm" in lines[0]
+
+
+def _region_rows(n_classes, n_rows=3, width=4):
+    return [
+        {"image_id": f"im{i}", "features": np.eye(2, width).tolist(),
+         "targets": np.eye(2, n_classes).tolist()}
+        for i in range(n_rows)
+    ]
+
+
+def _ground_argv(command, regions, classes, checkpoint, out):
+    if command == "ground-train":
+        return ["ground-train", "--regions", str(regions), "--classes", str(classes),
+                "--out-checkpoint", str(out), "--embed-dim", "4", "--hidden-dim", "8",
+                "--vocab-size", "16", "--adapter-bottleneck", "2", "--epochs", "1"]
+    return ["ground-eval", "--checkpoint", str(checkpoint), "--regions", str(regions),
+            "--classes", str(classes), "--out", str(out)]
+
+
+class TestRowWidths:
+    """Rows of one file agree on their widths; a row that does not is located."""
+
+    @pytest.mark.parametrize("defect", ["wide", "narrow", "ragged"])
+    @pytest.mark.parametrize("command", ["ground-train", "ground-eval"])
+    def test_targets_need_one_column_per_class(
+        self, capsys, tmp_path, checkpoint, command, defect
+    ):
+        # With 3-column targets and 2 classes, ground-eval reported accuracy 0.5.
+        rows = _region_rows(2)
+        rows[1]["targets"] = {
+            "wide": np.eye(2, 3).tolist(), "narrow": [[1], [0]], "ragged": [[1, 0], [0]],
+        }[defect]
+        regions = _write_images(tmp_path / "regions.jsonl", rows)
+        classes = tmp_path / "classes.json"
+        classes.write_text(json.dumps(["boxer", "crowd"]))
+        out = tmp_path / "out.json"
+        code, _, err = run(capsys, *_ground_argv(command, regions, classes, checkpoint, out))
+        assert code == EXIT_DATA
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and f"{regions}:2: targets" in lines[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ground-train", "ground-eval"])
+    def test_region_feature_widths_agree(self, capsys, tmp_path, checkpoint, command):
+        rows = _region_rows(2)
+        rows[2]["features"] = np.eye(2, 3).tolist()
+        regions = _write_images(tmp_path / "regions.jsonl", rows)
+        classes = tmp_path / "classes.json"
+        classes.write_text(json.dumps(["boxer", "crowd"]))
+        out = tmp_path / "out.json"
+        code, _, err = run(capsys, *_ground_argv(command, regions, classes, checkpoint, out))
+        assert code == EXIT_DATA
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and f"{regions}:3: features width is 3, expected 4" in lines[0]
+
+    @pytest.mark.parametrize("command", ["augment", "stats", "train", "eval-probe"])
+    def test_image_lengths_agree(self, capsys, tmp_path, dataset, checkpoint, command):
+        rows = [json.loads(line) for line in dataset.read_text().splitlines()]
+        rows[5]["image"] = rows[5]["image"][:3]
+        for i, row in enumerate(rows):
+            row["label"] = i % 4
+        _write_images(dataset, rows)
+        out = tmp_path / "out.json"
+        argv = {
+            "augment": ["augment", "--dataset", str(dataset), "--out", str(out),
+                        "--wiktionary", WK],
+            "stats": ["stats", "--dataset", str(dataset), "--out", str(out)],
+            "train": ["train", "--dataset", str(dataset), "--out-checkpoint", str(out),
+                      "--embed-dim", "4", "--hidden-dim", "8", "--vocab-size", "16",
+                      "--adapter-bottleneck", "2", "--epochs", "1"],
+            "eval-probe": ["eval-probe", "--checkpoint", str(checkpoint),
+                           "--images", str(dataset)],
+        }[command]
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_DATA
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and f"{dataset}:6: image width is 3, expected 4" in lines[0]
+        assert not out.exists()
+
+
 class TestAtomicOutputs:
     def test_every_output_file_is_written_atomically(self, capsys, tmp_path, dataset, monkeypatch):
         opened = []

@@ -200,3 +200,25 @@ def test_bad_region_features_are_one_data_error_line(workdir, command, features,
     code, err = run_quiet(argv)
     assert_one_data_error_line(code, err, f"{regions}:{position + 1}: features must be")
     assert not out.exists()
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), truncate=st.booleans())
+def test_corrupt_checkpoint_bytes_are_one_data_error_line(workdir, data, truncate):
+    raw = (workdir / "model.json").read_bytes()
+    if truncate:
+        # Every proper prefix is invalid except the one that drops only the newline.
+        raw = raw[: data.draw(st.integers(min_value=0, max_value=len(raw) - 2))]
+    else:
+        # An "x" anywhere from the tensors key on breaks the syntax, a tensor
+        # name or a "data"/"shape" key (no stored name holds an "x"); 0xff is
+        # never UTF-8.
+        start = raw.index(b'"tensors"')
+        offset = data.draw(st.integers(min_value=start, max_value=len(raw) - 1))
+        raw = raw[:offset] + data.draw(st.sampled_from([b"x", b"\xff"])) + raw[offset + 1 :]
+    corrupt = workdir / "corrupt.json"
+    corrupt.write_bytes(raw)
+    code, err = run_quiet(
+        ["eval-probe", "--checkpoint", str(corrupt), "--images", str(workdir / "images.jsonl")]
+    )
+    assert_one_data_error_line(code, err, str(corrupt))

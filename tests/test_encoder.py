@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lexivis import encoder as enc
+from lexivis import checkpoint_json, encoder as enc
 from lexivis.errors import ConfigError, DataError
 
 
@@ -479,6 +479,117 @@ class TestCheckpointWriter:
             )
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
+
+
+def _layouts(payload):
+    """The same payload as the canonical bytes, json.dumps spacing and indent=1."""
+    return {
+        "canonical": json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n",
+        "spaced": json.dumps(payload),
+        "indent1": json.dumps(payload, indent=1),
+    }
+
+
+class TestCheckpointReader:
+    @pytest.mark.parametrize("chunk", [1, 7, checkpoint_json._CHUNK])
+    @pytest.mark.parametrize("layout", ["canonical", "spaced", "indent1"])
+    def test_roundtrip_is_bitwise(self, tmp_path, toy_config, monkeypatch, layout, chunk):
+        params = enc.init_params(toy_config, seed=14, with_adapters=True)
+        params.tensors["lnf.b"][:4] = [np.nan, np.inf, -np.inf, -0.0]
+        params.tensors["img.b1"][:2] = [5e-324, 1.7976931348623157e308]
+        path = tmp_path / "ckpt.json"
+        enc.save_checkpoint(params, path, meta=AWKWARD_META)
+        payload = json.loads(path.read_text())
+        # Unknown top-level keys are ignored; a bare number must not be cut at
+        # a buffer boundary ("1." of "1.25e-10").
+        payload["zz_note"] = 1.25e-10
+        payload = dict(reversed(payload.items()))  # any key order
+        path.write_text(_layouts(payload)[layout])
+        monkeypatch.setattr(checkpoint_json, "_CHUNK", chunk)
+        loaded, meta = enc.load_checkpoint(path)
+        assert meta == AWKWARD_META
+        assert loaded.config == params.config
+        assert loaded.tensors.keys() == params.tensors.keys()
+        for name, tensor in params.tensors.items():
+            assert loaded.tensors[name].dtype == np.float64
+            assert loaded.tensors[name].shape == tensor.shape  # () for log_tau
+            assert loaded.tensors[name].tobytes() == tensor.tobytes(), name
+
+    @pytest.mark.parametrize("chunk", [1, checkpoint_json._CHUNK])
+    def test_zero_size_tensors_read_back(self, tmp_path, toy_config, monkeypatch, chunk):
+        tensors = {
+            "empty_rows": np.zeros((3, 0)), "no_rows": np.zeros((0, 4)), "empty": np.zeros(0),
+            "scalar": np.array(2.5), "ints": np.arange(3.0),
+        }
+        path = tmp_path / "ckpt.json"
+        enc.save_checkpoint(enc.ModelParams(toy_config, tensors), path)
+        monkeypatch.setattr(checkpoint_json, "_CHUNK", chunk)
+        for text in _layouts(json.loads(path.read_text())).values():
+            path.write_text(text.replace("0.0,1.0,2.0", "0, 1 ,2"))
+            stored = checkpoint_json.load(path)["tensors"]
+            for name, tensor in tensors.items():
+                data = stored[name]["data"]
+                assert data.dtype == np.float64 and data.tobytes() == tensor.tobytes(), name
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda text: text[: len(text) // 2],  # truncated
+            lambda text: text[:-2],  # last brace gone
+            lambda text: text + "}",  # trailing garbage
+            lambda text: text.replace('"shape"', '"shape" "x"', 1),
+            lambda text: text.replace("],", "],,", 1),  # empty member
+            lambda text: text.replace("[", "[,", 2),  # empty first element
+            lambda text: text.replace("],", ",],", 1),  # trailing comma in a list
+            lambda text: "",
+            lambda text: text.replace('"meta":{}', '"meta":' + "[" * 10**5 + "]" * 10**5),
+        ],
+        ids=["truncated", "unclosed", "trailing", "missing_colon", "empty_member",
+             "empty_first_element", "trailing_comma", "empty_file", "deep_nesting"],
+    )
+    def test_malformed_json_is_data_error_naming_the_file(self, tmp_path, toy_config, edit):
+        path = tmp_path / "ckpt.json"
+        enc.save_checkpoint(enc.init_params(toy_config, seed=15), path)
+        path.write_text(edit(path.read_text()))
+        with pytest.raises(DataError, match=str(path)):
+            enc.load_checkpoint(path)
+
+    def test_invalid_utf8_is_data_error(self, tmp_path, toy_config):
+        path = tmp_path / "ckpt.json"
+        enc.save_checkpoint(enc.init_params(toy_config, seed=15), path)
+        raw = bytearray(path.read_bytes())
+        raw[len(raw) // 2] = 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match=f"{path}: checkpoint is not UTF-8"):
+            enc.load_checkpoint(path)
+
+    # The one-shot json.loads reader turned true, "1.5" and null into numbers.
+    @pytest.mark.parametrize(
+        "element", [True, "1.5", None, [1.0], {}, 10**400],
+        ids=["true", "string", "null", "list", "object", "huge_int"],
+    )
+    def test_data_elements_must_be_json_numbers(self, tmp_path, toy_config, element):
+        path = tmp_path / "ckpt.json"
+        enc.save_checkpoint(enc.init_params(toy_config, seed=15), path)
+        payload = json.loads(path.read_text())
+        payload["tensors"]["lnf.b"]["data"][1] = element
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=str(path)):
+            enc.load_checkpoint(path)
+
+    def test_memory_is_bounded_by_the_tensors(self, tmp_path):
+        params = enc.init_params(enc.EncoderConfig(vocab_size=4096), seed=0, with_adapters=True)
+        path = tmp_path / "ckpt.json"
+        enc.save_checkpoint(params, path)
+        enc.load_checkpoint(path)  # warm-up: lazily built module state
+        tracemalloc.start()
+        try:
+            loaded, _ = enc.load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The one-shot json.loads reader peaked at 6.6x the tensor bytes.
+        assert peak < 2 * sum(t.nbytes for t in loaded.tensors.values())
 
 
 class TestImageBackward:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from lexivis import encoder as enc
 from lexivis.compose import PromptTemplate, compose_class_text
-from lexivis.errors import DataError
+from lexivis.errors import DataError, NumericsError
 from lexivis.evaluation import (
     ClassEmbeddings,
     build_class_embeddings,
@@ -85,6 +85,14 @@ class TestClassEmbeddings:
     def test_empty_class_list_errors(self, params):
         with pytest.raises(ValueError):
             build_class_embeddings(params, [])
+
+
+    @pytest.mark.parametrize("value", [0.0, np.nan])
+    def test_degenerate_text_embedding_is_numerics_error(self, params, value):
+        params.tensors["lnf.g"][:] = value
+        params.tensors["lnf.b"][:] = value
+        with pytest.raises(NumericsError, match="class 'boxer'"):
+            build_class_embeddings(params, ["boxer"])
 
 
 class TestZeroShot:

@@ -1,10 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexivis.errors import SnapshotError
+from lexivis.errors import DataError, SnapshotError
 from lexivis.knowledge import (
     Dictionary,
     DictionaryEntry,
@@ -12,6 +13,7 @@ from lexivis.knowledge import (
     SynsetRecord,
     WordNetGraph,
     atomic_open,
+    finite_array,
     knowledge_coverage,
     load_wordnet_snapshot,
     load_wiktionary_snapshot,
@@ -221,3 +223,22 @@ class TestAtomicOpen:
             for line in open(path):
                 handle.write(line.upper())
         assert path.read_text() == "A\nB\n"
+
+
+class TestFiniteArray:
+    # A numeric string used to pass: the float64 cast converted "0" to 0.0.
+    @pytest.mark.parametrize(
+        "value", [["0", 1.0], [None, 1.0], [10**20, 1.0], [[1.0], [1.0, 2.0]], "1.5"],
+        ids=["numeric_string", "null", "huge_int", "ragged", "string"],
+    )
+    def test_non_numbers_are_rejected(self, value):
+        with pytest.raises(DataError, match="row:3: image must be"):
+            finite_array(value, 1, "row:3", "image")
+
+    def test_numbers_become_float64(self):
+        array = finite_array([1, 2.5, True], 1, "row:1", "image", width=3)
+        assert array.dtype == np.float64 and array.tolist() == [1.0, 2.5, 1.0]
+
+    def test_width_is_checked_on_the_last_axis(self):
+        with pytest.raises(DataError, match="row:2: features width is 2, expected 3"):
+            finite_array([[1.0, 2.0]], 2, "row:2", "features", width=3)
