@@ -31,6 +31,7 @@ from .knowledge import (
     knowledge_coverage,
     load_wiktionary_snapshot,
     load_wordnet_snapshot,
+    read_lines,
 )
 
 ENV_PREFIX = "LEXIVIS_"
@@ -50,24 +51,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _require_file(path, what: str) -> Path:
-    if path is None:
-        raise ConfigError(f"missing required path for {what}")
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"{what} path does not exist: {p}")
-    return p
-
-
 def _load_store(args) -> KnowledgeStore:
     wordnet = None
     wiktionary = None
     if getattr(args, "wordnet", None):
-        wordnet = load_wordnet_snapshot(_require_file(args.wordnet, "wordnet snapshot"))
+        wordnet = load_wordnet_snapshot(args.wordnet)
     if getattr(args, "wiktionary", None):
-        wiktionary = load_wiktionary_snapshot(
-            _require_file(args.wiktionary, "wiktionary snapshot")
-        )
+        wiktionary = load_wiktionary_snapshot(args.wiktionary)
     source = getattr(args, "source", None)
     if source in ("wn_hier", "wn_def") and wordnet is None:
         raise ConfigError(f"source {source} needs --wordnet")
@@ -78,7 +68,7 @@ def _load_store(args) -> KnowledgeStore:
 
 def _load_lexicon(args) -> dict:
     if getattr(args, "lexicon", None):
-        return queries.load_lexicon(_require_file(args.lexicon, "lexicon"))
+        return queries.load_lexicon(args.lexicon)
     return {}
 
 
@@ -98,11 +88,13 @@ def _write_json(path, obj) -> None:
 
 def _load_class_names(path) -> list[str]:
     """The class list of the eval and grounding commands: a non-empty JSON array."""
-    path = _require_file(path, "class list")
     try:
-        names = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON ({exc.msg})") from exc
+        with open(path, encoding="utf-8") as handle:
+            names = json.load(handle)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text") from exc
+    except (ValueError, RecursionError) as exc:
+        raise DataError(f"{path}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
     if not isinstance(names, list) or not names:
         raise DataError(f"{path}: expected a non-empty JSON list of names")
     return [str(name) for name in names]
@@ -110,20 +102,15 @@ def _load_class_names(path) -> list[str]:
 
 def _load_labeled_images(path):
     """JSONL rows {image: [finite floats], label: int} used by the eval commands."""
-    path = _require_file(path, "image features")
     images, labels = [], []
-    for lineno, obj in iter_jsonl(path, DataError):
-        if "image" not in obj:
-            raise DataError(f"{path}:{lineno}: expected {{image[, label]}}")
+    for where, obj in iter_jsonl(path, DataError, ("image",)):
         width = images[0].size if images else None
-        image = finite_array(obj["image"], 1, f"{path}:{lineno}", "image", width)
+        image = finite_array(obj["image"], 1, where, "image", width)
         label = obj.get("label")
         if label is not None and type(label) is not int:
-            raise DataError(f"{path}:{lineno}: label must be an integer")
+            raise DataError(f"{where}: label must be an integer")
         images.append(image)
         labels.append(label)
-    if not images:
-        raise DataError(f"{path}: no rows found")
     has_labels = all(l is not None for l in labels)
     return np.stack(images), (np.asarray(labels) if has_labels else None)
 
@@ -148,7 +135,7 @@ def _encoder_config(args, image_dim: int) -> enc.EncoderConfig:
 def _cmd_augment(args) -> dict:
     store = _load_store(args)
     lexicon = _load_lexicon(args)
-    dataset = trainer.DatasetFile(_require_file(args.dataset, "dataset"))
+    dataset = trainer.DatasetFile(Path(args.dataset))
     audit = trainer.AugmentAudit()
     rows = trainer.iter_augmented(
         dataset,
@@ -166,7 +153,7 @@ def _cmd_augment(args) -> dict:
 
 def _cmd_stats(args) -> dict:
     lexicon = _load_lexicon(args)
-    dataset = trainer.DatasetFile(_require_file(args.dataset, "dataset"))
+    dataset = trainer.DatasetFile(Path(args.dataset))
     stats = evaluation.dataset_stats(dataset, lexicon=lexicon, min_freq=args.min_freq)
     if args.out:
         _write_json(args.out, stats)
@@ -175,19 +162,17 @@ def _cmd_stats(args) -> dict:
 
 def _cmd_coverage(args) -> dict:
     store = _load_store(args)
-    qpath = _require_file(args.queries, "queries file")
-    query_list = [line.strip() for line in qpath.read_text(encoding="utf-8").splitlines() if line.strip()]
-    if not query_list:
-        raise DataError(f"{qpath}: no queries found")
+    query_list = [query for _, query in read_lines(args.queries)]
     cov = knowledge_coverage(query_list, store, args.source)
     return {"command": "coverage", "source": args.source, "queries": len(query_list), "coverage": cov}
 
 
 def _cmd_train(args) -> dict:
-    triplets = trainer.load_dataset_jsonl(_require_file(args.dataset, "dataset"))
+    triplets = trainer.load_dataset_jsonl(args.dataset)
     image_dim = int(np.asarray(triplets[0].image).shape[0])
-    if args.mode == "continual_adapters":
-        base, _ = enc.load_checkpoint(_require_file(args.base_checkpoint, "base checkpoint"))
+    # Without --base-checkpoint, TrainConfig rejects continual_adapters (exit 1).
+    if args.mode == "continual_adapters" and args.base_checkpoint is not None:
+        base, _ = enc.load_checkpoint(args.base_checkpoint)
         encoder_cfg = base.config
     else:
         base = None
@@ -222,17 +207,13 @@ def _cmd_train(args) -> dict:
 
 
 def _cmd_eval_zeroshot(args) -> dict:
-    params, _ = enc.load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
+    params, _ = enc.load_checkpoint(args.checkpoint)
     store = _load_store(args) if args.with_knowledge else KnowledgeStore()
     class_names = _load_class_names(args.classes)
     images, labels = _load_labeled_images(args.images)
     if labels is not None and not ((labels >= 0) & (labels < len(class_names))).all():
         raise DataError(f"{args.images}: labels must index the {len(class_names)} classes")
-    templates = (
-        compose.load_templates(_require_file(args.templates, "templates"))
-        if args.templates
-        else [_template(args)]
-    )
+    templates = compose.load_templates(args.templates) if args.templates else [_template(args)]
     bank = evaluation.build_class_embeddings(
         params,
         class_names,
@@ -256,12 +237,7 @@ def _cmd_eval_zeroshot(args) -> dict:
     if labels is not None:
         pretrain = None
         if args.pretrain_concepts:
-            concepts_path = _require_file(args.pretrain_concepts, "pretrain concepts")
-            pretrain = [
-                line.strip()
-                for line in concepts_path.read_text(encoding="utf-8").splitlines()
-                if line.strip()
-            ]
+            pretrain = [concept for _, concept in read_lines(args.pretrain_concepts)]
         full_report = evaluation.make_eval_report(
             params,
             preds,
@@ -301,10 +277,10 @@ def _cmd_eval_zeroshot(args) -> dict:
 
 
 def _cmd_eval_probe(args) -> dict:
-    params, _ = enc.load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
+    params, _ = enc.load_checkpoint(args.checkpoint)
     images, labels = _load_labeled_images(args.images)
     if labels is None:
-        raise DataError("eval-probe needs labeled images")
+        raise DataError(f"{args.images}: eval-probe needs labeled images")
     feats = evaluation.unit_image_features(params, images)
     result = evaluation.linear_probe(
         feats, labels, shots_per_class=args.shots, seeds=tuple(range(args.probe_seeds))
@@ -319,11 +295,11 @@ def _cmd_eval_probe(args) -> dict:
 
 def _cmd_ground_train(args) -> dict:
     class_names = _load_class_names(args.classes)
-    regions = grounding.load_regions_jsonl(
-        _require_file(args.regions, "regions"), num_classes=len(class_names)
-    )
-    if any(r.targets is None for r in regions):
-        raise DataError("ground-train needs targets on every region row")
+    regions = grounding.load_regions_jsonl(args.regions, num_classes=len(class_names))
+    unlabeled = next((r.image_id for r in regions if r.targets is None), None)
+    if unlabeled is not None:
+        raise DataError(f"{args.regions}: image_id {unlabeled!r} has no targets; "
+                        "ground-train needs targets on every region row")
     store = _load_store(args) if args.with_knowledge else None
     p_dim = regions[0].features.shape[1]
     cfg = _encoder_config(args, image_dim=p_dim)
@@ -367,11 +343,9 @@ def _cmd_ground_train(args) -> dict:
 
 
 def _cmd_ground_eval(args) -> dict:
-    params, _ = enc.load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
+    params, _ = enc.load_checkpoint(args.checkpoint)
     class_names = _load_class_names(args.classes)
-    regions = grounding.load_regions_jsonl(
-        _require_file(args.regions, "regions"), num_classes=len(class_names)
-    )
+    regions = grounding.load_regions_jsonl(args.regions, num_classes=len(class_names))
     store = _load_store(args) if args.with_knowledge else None
     texts = grounding.category_texts(class_names, store, args.source, params.config.max_tokens)
     bank = grounding.encode_phrases_parallel(params, texts)
@@ -601,7 +575,7 @@ def _apply_overrides(parser: _Parser, argv: list[str]) -> list[str]:
         elif a.startswith("--config="):
             config_path = a.split("=", 1)[1]
     if config_path:
-        path = _require_file(config_path, "config file")
+        path = Path(config_path)
         for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -652,7 +626,7 @@ def main(argv=None) -> int:
     except LexivisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     _emit(summary)

@@ -11,8 +11,9 @@ never trimmed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
+
+from .errors import DataError
 
 SEPARATOR = ", "
 
@@ -38,16 +39,17 @@ class PromptTemplate:
 
 
 def load_templates(path) -> list[PromptTemplate]:
-    """Read one template pattern per non-empty line."""
-    path = Path(path)
+    """Read one template pattern per non-empty line; a bad one is located."""
+    # Imported here: at module level it loads knowledge before encoder is
+    # compiled, which raises the import-time memory peak of lexivis.cli.
+    from .knowledge import read_lines
+
     templates = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                templates.append(PromptTemplate(line))
-    if not templates:
-        raise ValueError(f"{path}: no templates found")
+    for where, line in read_lines(path):
+        try:
+            templates.append(PromptTemplate(line))
+        except ValueError as exc:
+            raise DataError(f"{where}: {exc}") from exc
     return templates
 
 

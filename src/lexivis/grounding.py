@@ -10,7 +10,6 @@ encoder carries trainable parameters here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -57,13 +56,9 @@ def load_regions_jsonl(path, num_classes: Optional[int] = None) -> list[RegionSe
     when ``num_classes`` is given, one column per class. A row that breaks
     this raises ``DataError`` with its ``path:lineno``.
     """
-    path = Path(path)
     regions = []
     width = None
-    for lineno, obj in iter_jsonl(path, DataError):
-        where = f"{path}:{lineno}"
-        if "image_id" not in obj or "features" not in obj:
-            raise DataError(f"{where}: expected {{image_id, features[, targets]}}")
+    for where, obj in iter_jsonl(path, DataError, ("image_id", "features")):
         features = finite_array(obj["features"], 2, where, "features", width)
         width = features.shape[1]
         targets = None
@@ -74,8 +69,6 @@ def load_regions_jsonl(path, num_classes: Optional[int] = None) -> list[RegionSe
             if not np.isin(targets, (0.0, 1.0)).all():
                 raise DataError(f"{where}: targets must be binary")
         regions.append(RegionSet(str(obj["image_id"]), features, targets))
-    if not regions:
-        raise DataError(f"{path}: no region rows found")
     return regions
 
 

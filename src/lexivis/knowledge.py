@@ -57,28 +57,61 @@ class KnowledgeItem:
     text: str
 
 
-def _file_digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _file_digest(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def iter_jsonl(path, error: type[LexivisError]) -> Iterator[tuple[int, dict]]:
-    """Yield (line number, object) for every non-blank line of a JSONL file.
+def iter_jsonl(path, error: type[LexivisError], fields=()) -> Iterator[tuple[str, dict]]:
+    """Yield (``path:lineno``, object) for every non-blank line of a UTF-8 JSONL file.
 
-    Invalid JSON and rows that are not JSON objects raise ``error`` with the
-    ``path:lineno`` prefix: ``SnapshotError`` for snapshots, ``DataError``
-    for data files.
+    Invalid JSON (nesting or an integer too large for ``json``), a row that
+    is not a JSON object, or one missing a name in ``fields`` (the first is
+    named) raises ``error`` with the row's ``path:lineno``: ``SnapshotError``
+    for snapshots, ``DataError`` for data files. Text that is not UTF-8 and
+    a file without a non-blank line raise it naming the file.
     """
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise error(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise error(f"{path}:{lineno}: expected a JSON object")
-            yield lineno, obj
+    empty = True
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                where = f"{path}:{lineno}"
+                try:
+                    obj = json.loads(line)
+                except (ValueError, RecursionError) as exc:
+                    raise error(f"{where}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
+                if not isinstance(obj, dict):
+                    raise error(f"{where}: expected a JSON object")
+                for key in fields:
+                    if key not in obj:
+                        raise error(f"{where}: missing field {key!r}")
+                empty = False
+                yield where, obj
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text") from exc
+    if empty:
+        raise error(f"{path}: no rows found")
+
+
+def read_lines(path) -> Iterator[tuple[str, str]]:
+    """Yield (``path:lineno``, stripped line) for every non-blank line of a UTF-8 text file.
+
+    Text that is not UTF-8 and a file without a non-blank line raise
+    ``DataError`` naming the file, as in ``iter_jsonl``.
+    """
+    empty = True
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                line = line.strip()
+                if line:
+                    empty = False
+                    yield f"{path}:{lineno}", line
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text") from exc
+    if empty:
+        raise DataError(f"{path}: no lines found")
 
 
 def finite_array(
@@ -210,44 +243,45 @@ class Dictionary:
 
 def load_wordnet_snapshot(path) -> WordNetGraph:
     """Load a WordNet JSONL snapshot, validating every row and all references."""
-    path = Path(path)
     records = []
-    for lineno, obj in iter_jsonl(path, SnapshotError):
-        for key in ("id", "lemmas", "definition", "hypernym_ids"):
-            if key not in obj:
-                raise SnapshotError(f"{path}:{lineno}: missing field {key!r}")
-        lemmas = obj["lemmas"]
+    fields = ("id", "lemmas", "definition", "hypernym_ids")
+    for where, obj in iter_jsonl(path, SnapshotError, fields):
+        lemmas, hypernym_ids = obj["lemmas"], obj["hypernym_ids"]
         if not isinstance(lemmas, list) or not lemmas:
-            raise SnapshotError(f"{path}:{lineno}: lemmas must be a non-empty list")
+            raise SnapshotError(f"{where}: lemmas must be a non-empty list")
+        if not isinstance(hypernym_ids, list):
+            raise SnapshotError(f"{where}: hypernym_ids must be a list")
         records.append(
             SynsetRecord(
                 id=str(obj["id"]),
                 lemmas=tuple(str(l).lower() for l in lemmas),
                 definition=str(obj["definition"]),
-                hypernym_ids=tuple(str(h) for h in obj["hypernym_ids"]),
+                hypernym_ids=tuple(str(h) for h in hypernym_ids),
             )
         )
-    return WordNetGraph(records, digest=_file_digest(path))
+    try:
+        return WordNetGraph(records, digest=_file_digest(path))
+    except SnapshotError as exc:  # a duplicate or a dangling reference
+        raise SnapshotError(f"{path}: {exc}") from exc
 
 
 def load_wiktionary_snapshot(path) -> Dictionary:
     """Load a Wiktionary JSONL snapshot of {term, senses} rows."""
-    path = Path(path)
     entries = []
-    for lineno, obj in iter_jsonl(path, SnapshotError):
-        for key in ("term", "senses"):
-            if key not in obj:
-                raise SnapshotError(f"{path}:{lineno}: missing field {key!r}")
+    for where, obj in iter_jsonl(path, SnapshotError, ("term", "senses")):
         senses = obj["senses"]
         if not isinstance(senses, list) or not senses:
-            raise SnapshotError(f"{path}:{lineno}: senses must be a non-empty list")
+            raise SnapshotError(f"{where}: senses must be a non-empty list")
         entries.append(
             DictionaryEntry(
                 term=str(obj["term"]).lower(),
                 senses=tuple(str(s) for s in senses),
             )
         )
-    return Dictionary(entries, digest=_file_digest(path))
+    try:
+        return Dictionary(entries, digest=_file_digest(path))
+    except SnapshotError as exc:  # a duplicate term
+        raise SnapshotError(f"{path}: {exc}") from exc
 
 
 def wn_hierarchy(graph: WordNetGraph, query: str) -> Optional[KnowledgeItem]:

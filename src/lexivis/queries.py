@@ -11,7 +11,6 @@ from __future__ import annotations
 import string
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 from .errors import DataError
@@ -52,19 +51,17 @@ def tokenize(text: str) -> list[str]:
 
 def load_lexicon(path) -> dict[str, str]:
     """Read a TSV POS lexicon mapping token -> tag."""
-    path = Path(path)
+    from .knowledge import read_lines  # knowledge imports this module
+
     lexicon = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected 'token<TAB>TAG'")
-            token, tag = parts[0].strip().lower(), parts[1].strip().upper()
-            if tag not in TAGS:
-                raise DataError(f"{path}:{lineno}: unknown tag {tag!r}")
-            lexicon[token] = tag
+    for where, line in read_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise DataError(f"{where}: expected 'token<TAB>TAG'")
+        token, tag = parts[0].strip().lower(), parts[1].strip().upper()
+        if tag not in TAGS:
+            raise DataError(f"{where}: unknown tag {tag!r}")
+        lexicon[token] = tag
     return lexicon
 
 

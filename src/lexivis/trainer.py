@@ -50,35 +50,31 @@ class Triplet:
 def iter_dataset_jsonl(path) -> Iterator[Triplet]:
     """Yield the validated triplets of a dataset file one row at a time.
 
-    A malformed row, including one whose text is blank or whose image is not
-    a non-empty list of finite numbers of the first row's length, raises
-    ``DataError`` with its ``path:lineno``; a file without rows raises it once
-    the file is exhausted.
+    A malformed row raises ``DataError`` with its ``path:lineno``: among
+    others one whose text is blank, whose image is not a non-empty list of
+    finite numbers of the first row's length, whose ``label`` is not an
+    integer or null, whose ``augmented`` is not a bool, or whose
+    ``origin_text`` or ``query`` is not a string or null.
     """
-    path = Path(path)
     width = None
-    for lineno, obj in iter_jsonl(path, DataError):
-        if "image" not in obj or "text" not in obj:
-            raise DataError(f"{path}:{lineno}: expected {{image, text[, kind, label]}}")
+    for where, obj in iter_jsonl(path, DataError, ("image", "text")):
         kind = obj.get("kind", "category")
         if kind not in ("category", "caption"):
-            raise DataError(f"{path}:{lineno}: kind must be 'category' or 'caption'")
+            raise DataError(f"{where}: kind must be 'category' or 'caption'")
         text = str(obj["text"])
         if not text.strip():
-            raise DataError(f"{path}:{lineno}: text is blank")
-        image = finite_array(obj["image"], 1, f"{path}:{lineno}", "image", width)
+            raise DataError(f"{where}: text is blank")
+        label, augmented = obj.get("label"), obj.get("augmented", False)
+        if label is not None and type(label) is not int:
+            raise DataError(f"{where}: label must be an integer or null")
+        if type(augmented) is not bool:
+            raise DataError(f"{where}: augmented must be true or false")
+        for key in ("origin_text", "query"):
+            if not isinstance(obj.get(key), (str, type(None))):
+                raise DataError(f"{where}: {key} must be a string or null")
+        image = finite_array(obj["image"], 1, where, "image", width)
         width = image.size
-        yield Triplet(
-            image=image,
-            text=text,
-            kind=kind,
-            label=obj.get("label"),
-            augmented=bool(obj.get("augmented", False)),
-            origin_text=obj.get("origin_text"),
-            query=obj.get("query"),
-        )
-    if width is None:
-        raise DataError(f"{path}: dataset is empty")
+        yield Triplet(image, text, kind, label, augmented, obj.get("origin_text"), obj.get("query"))
 
 
 def load_dataset_jsonl(path) -> list[Triplet]:

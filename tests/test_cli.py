@@ -688,6 +688,82 @@ class TestRowWidths:
         assert not out.exists()
 
 
+class TestInputContract:
+    """Every input file is read under one contract: located errors, no empty files."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("origin_text", 5), ("label", [1, 2]), ("augmented", "false"),
+    ])
+    def test_dataset_field_types_are_located(self, capsys, tmp_path, field, value):
+        dataset = _write_images(tmp_path / "ds.jsonl", [
+            {"image": [1.0, 0.0], "text": "boxer", field: value},
+            {"image": [0.0, 1.0], "text": "tench", field: value},
+        ])
+        code, _, err = run(capsys, "train", "--dataset", str(dataset), "--out-checkpoint",
+                           str(tmp_path / "m.json"), "--mode", "scratch_2branch",
+                           "--batch-size", "2", "--epochs", "1")
+        assert code == EXIT_DATA
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and f"{dataset}:1: {field}" in lines[0]
+
+    def test_ground_train_names_the_row_without_targets(self, capsys, tmp_path):
+        rows = _region_rows(2)
+        rows[1]["targets"] = None
+        regions = _write_images(tmp_path / "regions.jsonl", rows)
+        classes = tmp_path / "classes.json"
+        classes.write_text(json.dumps(["boxer", "crowd"]))
+        out = tmp_path / "out.json"
+        code, _, err = run(capsys, *_ground_argv("ground-train", regions, classes, None, out))
+        assert code == EXIT_DATA
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and f"{regions}: image_id 'im1' has no targets" in lines[0]
+
+    # Each was accepted: coverage 0.0, every token a NOUN, a null overlap.
+    @pytest.mark.parametrize("empty_input", ["snapshot", "lexicon", "pretrain_concepts"])
+    def test_empty_input_is_a_data_error(self, capsys, tmp_path, dataset, checkpoint, empty_input):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("\n \n")
+        images = _write_images(tmp_path / "images.jsonl",
+                               [{"image": np.eye(4)[i].tolist(), "label": i} for i in range(4)])
+        classes = tmp_path / "classes.json"
+        classes.write_text(json.dumps(["boxer", "tench", "crowd", "fireplug"]))
+        argv = {
+            "snapshot": ["coverage", "--source", "wn_def", "--wordnet", str(empty),
+                         "--queries", QUERIES],
+            "lexicon": ["stats", "--dataset", str(dataset), "--lexicon", str(empty)],
+            "pretrain_concepts": ["eval-zeroshot", "--checkpoint", str(checkpoint),
+                                  "--images", str(images), "--classes", str(classes),
+                                  "--pretrain-concepts", str(empty)],
+        }[empty_input]
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_DATA
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and f"{empty}: no " in lines[0]
+
+    def test_missing_list_file_names_the_path(self, capsys, tmp_path):
+        absent = tmp_path / "absent.txt"
+        code, _, err = run(capsys, "coverage", "--wiktionary", WK, "--queries", str(absent))
+        assert code == EXIT_DATA
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and str(absent) in lines[0]
+
+    def test_continual_adapters_without_base_is_a_config_error(self, capsys, tmp_path, dataset):
+        code, _, err = run(capsys, "train", "--dataset", str(dataset), "--out-checkpoint",
+                           str(tmp_path / "m.json"), "--mode", "continual_adapters")
+        assert code == EXIT_USAGE
+        assert "base checkpoint" in err
+
+    def test_non_utf8_class_list_names_the_file(self, capsys, tmp_path, checkpoint):
+        classes = tmp_path / "classes.json"
+        classes.write_bytes(b'["caf\xe9"]')
+        regions = _write_images(tmp_path / "regions.jsonl", _region_rows(1))
+        code, _, err = run(capsys, "ground-eval", "--checkpoint", str(checkpoint),
+                           "--regions", str(regions), "--classes", str(classes))
+        assert code == EXIT_DATA
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and f"{classes}: not UTF-8 text" in lines[0]
+
+
 class TestAtomicOutputs:
     def test_every_output_file_is_written_atomically(self, capsys, tmp_path, dataset, monkeypatch):
         opened = []

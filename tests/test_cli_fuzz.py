@@ -1,4 +1,4 @@
-"""Hypothesis fuzz of corrupt CLI inputs: each defect is one data-error line, never a traceback."""
+"""Fuzz of corrupt CLI inputs: each defect is one error line naming its file, never a traceback."""
 
 import contextlib
 import io
@@ -222,3 +222,130 @@ def test_corrupt_checkpoint_bytes_are_one_data_error_line(workdir, data, truncat
         ["eval-probe", "--checkpoint", str(corrupt), "--images", str(workdir / "images.jsonl")]
     )
     assert_one_data_error_line(code, err, str(corrupt))
+
+
+# One slice per input reader: a valid row, the command that reads the file, and,
+# per field, the JSON types the reader accepts there. Fields read through str()
+# accept every type. The mutated row is line 2 of 3.
+JSON_TYPES = {
+    "null": None, "bool": True, "int": 1, "float": 0.5, "string": "x", "list": [], "object": {},
+}
+ANY = set(JSON_TYPES)
+SLICES = {
+    "dataset": (
+        {"image": IMAGE, "text": "boxer", "kind": "category", "label": 0, "augmented": False,
+         "origin_text": None, "query": None},
+        {"image": set(), "text": ANY, "kind": set(), "label": {"null", "int"},
+         "augmented": {"bool"}, "origin_text": {"null", "string"}, "query": {"null", "string"}},
+    ),
+    "eval_images": ({"image": IMAGE, "label": 0}, {"image": set(), "label": {"int"}}),
+    "regions": (
+        {"image_id": "im0", "features": FEATURES, "targets": np.eye(2).tolist()},
+        {"image_id": ANY, "features": set(), "targets": {"null"}},
+    ),
+    "wordnet": (
+        {"id": "n1", "lemmas": ["boxer"], "definition": "a fighter", "hypernym_ids": ["n0"]},
+        {"id": ANY, "lemmas": set(), "definition": ANY, "hypernym_ids": {"list"}},
+    ),
+    "wiktionary": (
+        {"term": "boxer", "senses": ["a fighter"]}, {"term": ANY, "senses": set()},
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def slice_inputs(workdir):
+    """Valid companions of each slice's file: class list, queries and regions."""
+    (workdir / "slice_classes.json").write_text(json.dumps(["boxer", "crowd"]))
+    (workdir / "slice_queries.txt").write_text("boxer\ncrowd\n")
+    regions = "\n".join(json.dumps(r) for r in slice_rows("regions"))
+    (workdir / "slice_regions.jsonl").write_text(regions + "\n")
+    return workdir
+
+
+def slice_argv(reader, path, workdir):
+    out = str(workdir / "slice_out.json")
+    model, classes = str(workdir / "model.json"), str(workdir / "slice_classes.json")
+    queries = str(workdir / "slice_queries.txt")
+    return {
+        "dataset": ["stats", "--dataset", str(path), "--out", out],
+        "eval_images": ["eval-probe", "--checkpoint", model, "--images", str(path),
+                        "--shots", "1"],
+        "regions": ["ground-eval", "--checkpoint", model, "--regions", str(path),
+                    "--classes", classes, "--out", out],
+        "wordnet": ["coverage", "--source", "wn_hier", "--wordnet", str(path),
+                    "--queries", queries],
+        "wiktionary": ["coverage", "--source", "wiki_def", "--wiktionary", str(path),
+                       "--queries", queries],
+        "classes": ["ground-eval", "--checkpoint", model, "--regions",
+                    str(workdir / "slice_regions.jsonl"), "--classes", str(path)],
+    }[reader]
+
+
+def slice_rows(reader):
+    """Three valid rows of a slice's file; line 2 is the one a test mutates."""
+    row = dict(SLICES[reader][0])
+    if reader == "wordnet":
+        root = {"id": "n0", "lemmas": ["entity"], "definition": "that which exists",
+                "hypernym_ids": []}
+        return [root, row, dict(row, id="n2", lemmas=["crowd"])]
+    if reader == "wiktionary":
+        return [dict(row, term="crowd"), row, dict(row, term="tench")]
+    if reader == "eval_images":
+        # Two labels with three rows each leave a held-out remainder for one shot.
+        return [dict(row, label=i % 2) for i in range(6)]
+    return [row, dict(row), dict(row)]
+
+
+def assert_one_error_line_naming(code, err, path):
+    assert code in (1, 2), err
+    lines = err.splitlines()
+    assert len(lines) == 1 and str(path) in lines[0], err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("json_type", sorted(JSON_TYPES))
+@pytest.mark.parametrize(
+    "reader, field", [(reader, field) for reader, (row, _) in SLICES.items() for field in row]
+)
+def test_row_field_of_each_json_type(slice_inputs, reader, field, json_type):
+    rows = slice_rows(reader)
+    rows[1][field] = JSON_TYPES[json_type]
+    path = slice_inputs / f"slice_{reader}.jsonl"
+    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    code, err = run_quiet(slice_argv(reader, path, slice_inputs))
+    if json_type in SLICES[reader][1][field]:
+        assert code == 0, err
+    elif (reader, field, json_type) == ("eval_images", "label", "null"):
+        # Unlabeled rows are valid; eval-probe rejects the file for having one.
+        assert_one_error_line_naming(code, err, path)
+    else:
+        assert_one_error_line_naming(code, err, f"{path}:2")
+
+
+DEEP_LIST = "[" * 100_000 + "]" * 100_000
+LONG_INT = "9" * 5000
+NOT_UTF8 = b'"\xff"'
+FILE_DEFECTS = ["deep_list", "long_int", "not_utf8", "empty"]
+
+
+@pytest.mark.parametrize("defect", FILE_DEFECTS)
+@pytest.mark.parametrize("reader", [*SLICES, "classes"])
+def test_corrupt_input_file_is_one_error_line(slice_inputs, reader, defect):
+    if reader == "classes":
+        path = slice_inputs / "slice_bad_classes.json"
+        value = {"deep_list": DEEP_LIST.encode(), "long_int": f"[{LONG_INT}]".encode(),
+                 "not_utf8": b"[" + NOT_UTF8 + b"]", "empty": b""}[defect]
+        path.write_bytes(value)
+        where = path
+    else:
+        path = slice_inputs / f"slice_bad_{reader}.jsonl"
+        first = json.dumps(slice_rows(reader)[0]).encode()
+        field = next(iter(SLICES[reader][0]))
+        value = {"deep_list": DEEP_LIST.encode(), "long_int": LONG_INT.encode(),
+                 "not_utf8": NOT_UTF8}.get(defect)
+        bad = b"" if value is None else b'{"%s": %s}' % (field.encode(), value)
+        path.write_bytes(b"" if defect == "empty" else first + b"\n" + bad + b"\n")
+        where = path if defect in ("not_utf8", "empty") else f"{path}:2"
+    code, err = run_quiet(slice_argv(reader, path, slice_inputs))
+    assert_one_error_line_naming(code, err, where)

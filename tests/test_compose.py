@@ -10,6 +10,7 @@ from lexivis.compose import (
     compose_od_text,
     load_templates,
 )
+from lexivis.errors import DataError
 
 WIKI_BOXER = "a participant (fighter) in a boxing match"
 
@@ -31,6 +32,13 @@ class TestTemplate:
         path.write_text("a photo of a {}\n\nan image of a {}\n")
         templates = load_templates(path)
         assert [t.pattern for t in templates] == ["a photo of a {}", "an image of a {}"]
+
+    # The error used to name neither the file nor the line.
+    def test_bad_template_line_is_located(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("a photo of a {}\n\nno placeholder\n")
+        with pytest.raises(DataError, match=f"{path}:3: prompt template must contain"):
+            load_templates(path)
 
 
 class TestClassText:

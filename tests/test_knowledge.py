@@ -14,9 +14,11 @@ from lexivis.knowledge import (
     WordNetGraph,
     atomic_open,
     finite_array,
+    iter_jsonl,
     knowledge_coverage,
     load_wordnet_snapshot,
     load_wiktionary_snapshot,
+    read_lines,
     wiki_definition,
     wn_definition,
     wn_hierarchy,
@@ -63,6 +65,24 @@ class TestLoadWordnet:
         path = tmp_path / "wn.jsonl"
         path.write_text('{"id": "n1", "lemmas": ["a"], "definition": "", "hypernym_ids": []}\nnot json\n')
         with pytest.raises(SnapshotError, match=":2"):
+            load_wordnet_snapshot(path)
+
+    # 5 raised a TypeError; the string "n0" was read as the ids "n" and "0".
+    @pytest.mark.parametrize("hypernym_ids", [5, "n0", None, {"n0": 1}])
+    def test_hypernym_ids_must_be_a_list(self, tmp_path, hypernym_ids):
+        path = tmp_path / "wn.jsonl"
+        rows = [
+            {"id": "n0", "lemmas": ["a"], "definition": "", "hypernym_ids": []},
+            {"id": "n1", "lemmas": ["b"], "definition": "", "hypernym_ids": hypernym_ids},
+        ]
+        _write_jsonl(path, rows)
+        with pytest.raises(SnapshotError, match=f"{path}:2: hypernym_ids must be a list"):
+            load_wordnet_snapshot(path)
+
+    def test_snapshot_errors_name_the_file(self, tmp_path):
+        path = tmp_path / "wn.jsonl"
+        _write_jsonl(path, [{"id": "n1", "lemmas": ["a"], "definition": "", "hypernym_ids": ["n9"]}])
+        with pytest.raises(SnapshotError, match=f"{path}: synset 'n1' references unknown"):
             load_wordnet_snapshot(path)
 
     def test_dangling_hypernym_names_id(self, tmp_path):
@@ -191,6 +211,49 @@ def test_determinism_across_reloads(tmp_path, wordnet_graph):
     for q in ("boxer", "entity", "crowd", "tench"):
         assert wn_hierarchy(again, q).text == wn_hierarchy(wordnet_graph, q).text
     assert again.digest == wordnet_graph.digest
+
+
+class TestReaders:
+    """The line-level contract every input file shares (``iter_jsonl``, ``read_lines``)."""
+
+    def test_rows_come_with_their_location(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"a": 1}\n\n  \n{"a": 2}\n', encoding="utf-8")
+        assert list(iter_jsonl(path, DataError)) == [(f"{path}:1", {"a": 1}), (f"{path}:4", {"a": 2})]
+
+    def test_first_missing_field_is_named(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"a": 1, "b": 2}\n{"c": 3}\n', encoding="utf-8")
+        with pytest.raises(SnapshotError, match=f"{path}:2: missing field 'a'"):
+            list(iter_jsonl(path, SnapshotError, ("a", "b")))
+
+    # The nesting raised RecursionError and the integer an unlocated ValueError.
+    @pytest.mark.parametrize("value", ["[" * 100_000 + "]" * 100_000, "9" * 5000])
+    def test_json_limits_are_located(self, tmp_path, value):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"a": 1}\n{"a": ' + value + "}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"{path}:2: invalid JSON"):
+            list(iter_jsonl(path, DataError))
+
+    @pytest.mark.parametrize("reader", ["jsonl", "lines"])
+    def test_non_utf8_text_names_the_file(self, tmp_path, reader):
+        path = tmp_path / "rows.txt"
+        path.write_bytes(b'{"a": "caf\xe9"}\n')
+        with pytest.raises(DataError, match=f"{path}: not UTF-8 text"):
+            list(iter_jsonl(path, DataError) if reader == "jsonl" else read_lines(path))
+
+    @pytest.mark.parametrize("content", ["", "\n  \n\t\n"])
+    @pytest.mark.parametrize("reader", ["jsonl", "lines"])
+    def test_file_without_a_line_is_a_data_error(self, tmp_path, reader, content):
+        path = tmp_path / "rows.txt"
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(DataError, match=f"{path}: no (rows|lines) found"):
+            list(iter_jsonl(path, DataError) if reader == "jsonl" else read_lines(path))
+
+    def test_lines_are_stripped_and_located(self, tmp_path):
+        path = tmp_path / "list.txt"
+        path.write_text("  boxer \n\ncrowd\n", encoding="utf-8")
+        assert list(read_lines(path)) == [(f"{path}:1", "boxer"), (f"{path}:3", "crowd")]
 
 
 class TestAtomicOpen:

@@ -231,6 +231,32 @@ class TestDatasetIo:
         with pytest.raises(DataError, match=f"{path}:2: text is blank"):
             load_dataset_jsonl(path)
 
+    # origin_text 5 raised AttributeError in train, label [1, 2] an unlocated
+    # batch error, and augmented "false" routed the row through the adapters.
+    @pytest.mark.parametrize("field, value", [
+        ("label", [1, 2]), ("label", True), ("label", 1.0), ("label", "0"),
+        ("augmented", "false"), ("augmented", 0), ("augmented", None),
+        ("origin_text", 5), ("origin_text", ["a"]), ("query", 5), ("query", {}),
+    ])
+    def test_optional_field_types_are_checked_with_location(self, tmp_path, field, value):
+        path = tmp_path / "ds.jsonl"
+        rows = [{"image": [1.0], "text": "boxer"}, {"image": [1.0], "text": "dog", field: value}]
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        with pytest.raises(DataError, match=f"{path}:2: {field}"):
+            load_dataset_jsonl(path)
+
+    def test_optional_fields_accept_their_types(self, tmp_path):
+        path = tmp_path / "ds.jsonl"
+        rows = [
+            {"image": [1.0], "text": "a", "label": None, "origin_text": None, "query": None},
+            {"image": [1.0], "text": "b", "label": -3, "augmented": True, "origin_text": "B",
+             "query": "b"},
+        ]
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        first, second = load_dataset_jsonl(path)
+        assert (first.label, first.augmented, first.origin_text) == (None, False, None)
+        assert (second.label, second.augmented, second.query) == (-3, True, "b")
+
     def test_trace_csv(self, tmp_path):
         path = tmp_path / "trace.csv"
         save_trace_csv([(1, 0.5, 0.25, 0.75, 14.29)], path)
