@@ -282,9 +282,12 @@ def _cmd_eval_probe(args) -> dict:
     if labels is None:
         raise DataError(f"{args.images}: eval-probe needs labeled images")
     feats = evaluation.unit_image_features(params, images)
-    result = evaluation.linear_probe(
-        feats, labels, shots_per_class=args.shots, seeds=tuple(range(args.probe_seeds))
-    )
+    try:
+        result = evaluation.linear_probe(
+            feats, labels, shots_per_class=args.shots, seeds=tuple(range(args.probe_seeds))
+        )
+    except DataError as exc:  # a class too small to leave a held-out remainder
+        raise DataError(f"{args.images}: {exc}") from exc
     return {
         "command": "eval-probe",
         "shots": args.shots,

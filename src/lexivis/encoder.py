@@ -553,20 +553,28 @@ def grads(params: ModelParams, batch: TrainBatch, spec: LossSpec):
     elif spec.loss == "ground_focal":
         from . import grounding
 
-        if batch.region_features is None or batch.targets is None:
-            raise ValueError("ground_focal loss needs region_features and targets")
-        encoded = [
-            _text_forward(params, list(ids), spec.pooling, spec.use_adapters)
-            for ids in batch.token_ids
-        ]
-        bank = np.stack([vec for vec, _ in encoded], axis=1)  # (P, K)
-        scores = np.asarray(batch.region_features, dtype=np.float64) @ bank
+        if batch.region_features is None or batch.targets is None or not batch.token_ids:
+            raise ValueError("ground_focal loss needs region_features, targets and category texts")
+        feats = np.asarray(batch.region_features, dtype=np.float64)  # (M, P)
+        targets = np.asarray(batch.targets, dtype=np.float64)
+        shape = (len(feats), len(batch.token_ids))
+        if targets.shape != shape:
+            raise ValueError(f"scores shape {shape} != targets shape {targets.shape}")
         fp = grounding.FocalParams(alpha=spec.focal_alpha, gamma=spec.focal_gamma)
-        loss_val, d_scores = grounding.focal_loss_with_grad(scores, batch.targets, fp)
-        d_bank = np.asarray(batch.region_features, dtype=np.float64).T @ d_scores
-        for k, (_, cache) in enumerate(encoded):
-            _text_backward(params, cache, d_bank[:, k], g)
-        losses = {"loss": loss_val}
+        # Column k of the scores, cells and bank gradient depends on text k
+        # alone, so one text's cache is alive at a time. Every column comes from
+        # the full (M,P)@(P,K) and (P,M)@(M,K) products, as a gemv column or a
+        # strided elementwise loop need not give the same bits.
+        bank = np.zeros((params.config.embed_dim, shape[1]))
+        d_scores, cells = np.zeros(shape), np.empty(shape)
+        for k, ids in enumerate(batch.token_ids):
+            bank[:, k], cache = _text_forward(params, list(ids), spec.pooling, spec.use_adapters)
+            cells[:, k], d_scores[:, k] = grounding.focal_cells(
+                np.ascontiguousarray((feats @ bank)[:, k]), targets[:, k].copy(), fp
+            )
+            _text_backward(params, cache, (feats.T @ d_scores)[:, k], g)
+            del cache
+        losses = {"loss": grounding.focal_total(cells)}
     else:
         raise ConfigError(f"unknown loss {spec.loss!r}")
 

@@ -161,7 +161,7 @@ def linear_probe(
         available = int(np.sum(labels == c))
         if available <= shots_per_class:
             raise DataError(
-                f"class {c!r} has {available} examples; needs > {shots_per_class} "
+                f"class {c.item()!r} has {available} examples; needs > {shots_per_class} "
                 "to leave a held-out remainder"
             )
 

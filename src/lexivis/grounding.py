@@ -16,7 +16,7 @@ import numpy as np
 
 from . import compose, encoder as enc, queries
 from .errors import DataError, NumericsError
-from .knowledge import KnowledgeStore, finite_array, iter_jsonl
+from .knowledge import KnowledgeStore, finite_array, iter_jsonl, string_field
 from .queries import tokenize
 
 
@@ -54,11 +54,13 @@ def load_regions_jsonl(path, num_classes: Optional[int] = None) -> list[RegionSe
 
     Targets, where given, are a binary matrix with one row per region and,
     when ``num_classes`` is given, one column per class. A row that breaks
-    this raises ``DataError`` with its ``path:lineno``.
+    this, or whose ``image_id`` is not a string, raises ``DataError`` with
+    its ``path:lineno``.
     """
     regions = []
     width = None
     for where, obj in iter_jsonl(path, DataError, ("image_id", "features")):
+        image_id = string_field(obj, "image_id", where, DataError)
         features = finite_array(obj["features"], 2, where, "features", width)
         width = features.shape[1]
         targets = None
@@ -68,7 +70,7 @@ def load_regions_jsonl(path, num_classes: Optional[int] = None) -> list[RegionSe
                 raise DataError(f"{where}: targets row count != features row count")
             if not np.isin(targets, (0.0, 1.0)).all():
                 raise DataError(f"{where}: targets must be binary")
-        regions.append(RegionSet(str(obj["image_id"]), features, targets))
+        regions.append(RegionSet(image_id, features, targets))
     return regions
 
 
@@ -147,10 +149,10 @@ def focal_loss(scores: np.ndarray, targets: np.ndarray, fp: FocalParams = FocalP
     return loss
 
 
-def focal_loss_with_grad(
+def focal_cells(
     scores: np.ndarray, targets: np.ndarray, fp: FocalParams = FocalParams()
-) -> tuple[float, np.ndarray]:
-    """Summed sigmoid focal loss and its gradient w.r.t. the scores.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell sigmoid focal loss and its gradient w.r.t. the scores, any shape.
 
     Positive cells contribute -alpha (1-p)^gamma log p and negative cells
     -(1-alpha) p^gamma log(1-p), with p = sigmoid(score), computed via
@@ -169,16 +171,27 @@ def focal_loss_with_grad(
 
     pos = -fp.alpha * (1.0 - p) ** fp.gamma * log_p
     neg = -(1.0 - fp.alpha) * p**fp.gamma * log_1mp
-    loss = float(np.sum(t * pos + (1.0 - t) * neg))
 
     # d loss / d s, derived per cell.
     d_pos = -fp.alpha * (1.0 - p) ** fp.gamma * (fp.gamma * p * (-log_p) + (1.0 - p))
     d_neg = (1.0 - fp.alpha) * p**fp.gamma * (fp.gamma * (1.0 - p) * (-log_1mp) + p)
-    grad = t * d_pos + (1.0 - t) * d_neg
+    return t * pos + (1.0 - t) * neg, t * d_pos + (1.0 - t) * d_neg
 
+
+def focal_total(cells: np.ndarray) -> float:
+    """The summed focal loss over a cell matrix from ``focal_cells``."""
+    loss = float(np.sum(cells))
     if not np.isfinite(loss):
         raise NumericsError("focal loss is non-finite")
-    return loss, grad
+    return loss
+
+
+def focal_loss_with_grad(
+    scores: np.ndarray, targets: np.ndarray, fp: FocalParams = FocalParams()
+) -> tuple[float, np.ndarray]:
+    """Summed sigmoid focal loss (``focal_cells``) and its gradient w.r.t. the scores."""
+    cells, grad = focal_cells(scores, targets, fp)
+    return focal_total(cells), grad
 
 
 def classify_regions(regions: RegionSet, bank: PhraseBank) -> list[tuple[int, float]]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -200,10 +201,7 @@ class WordNetGraph:
         current = record
         while current.hypernym_ids:
             if len(path) >= MAX_HYPERNYM_HOPS:
-                raise SnapshotError(
-                    f"hypernym chain from {record.id!r} exceeds "
-                    f"{MAX_HYPERNYM_HOPS} hops (cycle?)"
-                )
+                raise _chain_too_long(record.id)
             current = self.synsets[current.hypernym_ids[0]]
             path.append(current)
         return path
@@ -241,41 +239,88 @@ class Dictionary:
         return None
 
 
+def string_field(obj: dict, key: str, where: str, error: type[LexivisError]) -> str:
+    """``obj[key]`` when it is a JSON string; otherwise ``error`` at ``where``."""
+    value = obj[key]
+    if not isinstance(value, str):
+        raise error(f"{where}: {key} must be a string")
+    return value
+
+
+def _string_list(obj: dict, key: str, where: str, nonempty: bool) -> tuple[str, ...]:
+    value = obj[key]
+    if (not isinstance(value, list) or (nonempty and not value)
+            or not all(isinstance(v, str) for v in value)):
+        what = "a non-empty list" if nonempty else "a list"
+        raise SnapshotError(f"{where}: {key} must be {what} of strings")
+    return tuple(value)
+
+
+def _chain_too_long(sid: str) -> SnapshotError:
+    return SnapshotError(
+        f"hypernym chain from {sid!r} exceeds {MAX_HYPERNYM_HOPS} hops (cycle?)"
+    )
+
+
+def _check_hypernym_chains(graph: WordNetGraph) -> None:
+    """Raise for the first synset, in file order, that ``hypernym_path`` would reject.
+
+    Each synset's chain length (synsets up to the root along first-hypernym
+    links; endless on a cycle) is computed once, so the pass is linear.
+    """
+    length: dict[str, float] = {}
+    for start in graph.synsets:
+        chain: dict[str, None] = {}  # insertion-ordered, with O(1) membership
+        sid = start
+        while sid not in length and sid not in chain:
+            hypernyms = graph.synsets[sid].hypernym_ids
+            if not hypernyms:
+                length[sid] = 1
+                break
+            chain[sid] = None
+            sid = hypernyms[0]
+        n = length.get(sid, math.inf)  # not yet known only when sid closes a cycle
+        for node in reversed(chain):
+            n += 1
+            length[node] = n
+        if length[start] > MAX_HYPERNYM_HOPS:
+            raise _chain_too_long(start)
+
+
 def load_wordnet_snapshot(path) -> WordNetGraph:
-    """Load a WordNet JSONL snapshot, validating every row and all references."""
+    """Load a WordNet JSONL snapshot, validating every row and all references.
+
+    Besides malformed rows, duplicate ids and dangling hypernyms, a synset
+    whose first-hypernym chain is longer than ``MAX_HYPERNYM_HOPS`` (or a
+    cycle) raises ``SnapshotError`` naming the file.
+    """
     records = []
     fields = ("id", "lemmas", "definition", "hypernym_ids")
     for where, obj in iter_jsonl(path, SnapshotError, fields):
-        lemmas, hypernym_ids = obj["lemmas"], obj["hypernym_ids"]
-        if not isinstance(lemmas, list) or not lemmas:
-            raise SnapshotError(f"{where}: lemmas must be a non-empty list")
-        if not isinstance(hypernym_ids, list):
-            raise SnapshotError(f"{where}: hypernym_ids must be a list")
         records.append(
             SynsetRecord(
-                id=str(obj["id"]),
-                lemmas=tuple(str(l).lower() for l in lemmas),
-                definition=str(obj["definition"]),
-                hypernym_ids=tuple(str(h) for h in hypernym_ids),
+                id=string_field(obj, "id", where, SnapshotError),
+                lemmas=tuple(l.lower() for l in _string_list(obj, "lemmas", where, True)),
+                definition=string_field(obj, "definition", where, SnapshotError),
+                hypernym_ids=_string_list(obj, "hypernym_ids", where, False),
             )
         )
     try:
-        return WordNetGraph(records, digest=_file_digest(path))
-    except SnapshotError as exc:  # a duplicate or a dangling reference
+        graph = WordNetGraph(records, digest=_file_digest(path))
+        _check_hypernym_chains(graph)
+    except SnapshotError as exc:  # a duplicate, a dangling reference or a long chain
         raise SnapshotError(f"{path}: {exc}") from exc
+    return graph
 
 
 def load_wiktionary_snapshot(path) -> Dictionary:
     """Load a Wiktionary JSONL snapshot of {term, senses} rows."""
     entries = []
     for where, obj in iter_jsonl(path, SnapshotError, ("term", "senses")):
-        senses = obj["senses"]
-        if not isinstance(senses, list) or not senses:
-            raise SnapshotError(f"{where}: senses must be a non-empty list")
         entries.append(
             DictionaryEntry(
-                term=str(obj["term"]).lower(),
-                senses=tuple(str(s) for s in senses),
+                term=string_field(obj, "term", where, SnapshotError).lower(),
+                senses=_string_list(obj, "senses", where, True),
             )
         )
     try:

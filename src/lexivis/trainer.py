@@ -18,7 +18,7 @@ import numpy as np
 
 from . import compose, encoder as enc, queries
 from .errors import ConfigError, DataError, NumericsError
-from .knowledge import KnowledgeStore, atomic_open, finite_array, iter_jsonl
+from .knowledge import KnowledgeStore, atomic_open, finite_array, iter_jsonl, string_field
 
 TRAIN_MODES = ("scratch_1branch", "scratch_2branch", "continual_adapters")
 
@@ -51,17 +51,17 @@ def iter_dataset_jsonl(path) -> Iterator[Triplet]:
     """Yield the validated triplets of a dataset file one row at a time.
 
     A malformed row raises ``DataError`` with its ``path:lineno``: among
-    others one whose text is blank, whose image is not a non-empty list of
-    finite numbers of the first row's length, whose ``label`` is not an
-    integer or null, whose ``augmented`` is not a bool, or whose
-    ``origin_text`` or ``query`` is not a string or null.
+    others one whose text is not a string or is blank, whose image is not a
+    non-empty list of finite numbers of the first row's length, whose
+    ``label`` is not an integer or null, whose ``augmented`` is not a bool,
+    or whose ``origin_text`` or ``query`` is not a string or null.
     """
     width = None
     for where, obj in iter_jsonl(path, DataError, ("image", "text")):
         kind = obj.get("kind", "category")
         if kind not in ("category", "caption"):
             raise DataError(f"{where}: kind must be 'category' or 'caption'")
-        text = str(obj["text"])
+        text = string_field(obj, "text", where, DataError)
         if not text.strip():
             raise DataError(f"{where}: text is blank")
         label, augmented = obj.get("label"), obj.get("augmented", False)

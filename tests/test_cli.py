@@ -59,6 +59,21 @@ class TestCoverage:
         assert code == EXIT_USAGE
 
 
+class TestHypernymCycle:
+    @pytest.mark.parametrize("source", ["wn_def", "wn_hier"])
+    def test_cycle_is_a_data_error_naming_the_snapshot(self, capsys, tmp_path, source):
+        wordnet = tmp_path / "wn.jsonl"
+        rows = [{"id": "n0", "lemmas": ["boxer"], "definition": "a fighter", "hypernym_ids": ["n1"]},
+                {"id": "n1", "lemmas": ["crowd"], "definition": "many", "hypernym_ids": ["n0"]}]
+        wordnet.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        code, _, err = run(capsys, "coverage", "--source", source, "--wordnet", str(wordnet),
+                           "--queries", QUERIES)
+        assert code == EXIT_DATA
+        assert err.strip().splitlines() == [
+            f"data error: {wordnet}: hypernym chain from 'n0' exceeds 32 hops (cycle?)"
+        ]
+
+
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
@@ -570,6 +585,18 @@ class TestEvalDefects:
         assert code == EXIT_DATA
         lines = err.strip().splitlines()
         assert len(lines) == 1 and f"{images}:2" in lines[0]
+
+    def test_probe_class_too_small_names_the_file_and_label(self, capsys, tmp_path, checkpoint):
+        rows = [{"image": np.eye(4)[i % 2].tolist(), "label": i % 2} for i in range(6)]
+        rows.append({"image": np.eye(4)[3].tolist(), "label": 7})
+        images = _write_images(tmp_path / "images.jsonl", rows)
+        code, _, err = run(capsys, "eval-probe", "--checkpoint", str(checkpoint),
+                           "--images", str(images), "--shots", "1")
+        assert code == EXIT_DATA
+        assert err.strip().splitlines() == [
+            f"data error: {images}: class 7 has 1 examples; needs > 1 "
+            "to leave a held-out remainder"
+        ]
 
     @pytest.mark.parametrize("command", ["eval-zeroshot", "eval-probe"])
     def test_zero_norm_feature_is_numerics_error(self, capsys, tmp_path, checkpoint, command):

@@ -225,30 +225,28 @@ def test_corrupt_checkpoint_bytes_are_one_data_error_line(workdir, data, truncat
 
 
 # One slice per input reader: a valid row, the command that reads the file, and,
-# per field, the JSON types the reader accepts there. Fields read through str()
-# accept every type. The mutated row is line 2 of 3.
+# per field, the JSON types the reader accepts there. The mutated row is line 2 of 3.
 JSON_TYPES = {
     "null": None, "bool": True, "int": 1, "float": 0.5, "string": "x", "list": [], "object": {},
 }
-ANY = set(JSON_TYPES)
 SLICES = {
     "dataset": (
         {"image": IMAGE, "text": "boxer", "kind": "category", "label": 0, "augmented": False,
          "origin_text": None, "query": None},
-        {"image": set(), "text": ANY, "kind": set(), "label": {"null", "int"},
+        {"image": set(), "text": {"string"}, "kind": set(), "label": {"null", "int"},
          "augmented": {"bool"}, "origin_text": {"null", "string"}, "query": {"null", "string"}},
     ),
     "eval_images": ({"image": IMAGE, "label": 0}, {"image": set(), "label": {"int"}}),
     "regions": (
         {"image_id": "im0", "features": FEATURES, "targets": np.eye(2).tolist()},
-        {"image_id": ANY, "features": set(), "targets": {"null"}},
+        {"image_id": {"string"}, "features": set(), "targets": {"null"}},
     ),
     "wordnet": (
         {"id": "n1", "lemmas": ["boxer"], "definition": "a fighter", "hypernym_ids": ["n0"]},
-        {"id": ANY, "lemmas": set(), "definition": ANY, "hypernym_ids": {"list"}},
+        {"id": {"string"}, "lemmas": set(), "definition": {"string"}, "hypernym_ids": {"list"}},
     ),
     "wiktionary": (
-        {"term": "boxer", "senses": ["a fighter"]}, {"term": ANY, "senses": set()},
+        {"term": "boxer", "senses": ["a fighter"]}, {"term": {"string"}, "senses": set()},
     ),
 }
 
@@ -321,6 +319,25 @@ def test_row_field_of_each_json_type(slice_inputs, reader, field, json_type):
         assert_one_error_line_naming(code, err, path)
     else:
         assert_one_error_line_naming(code, err, f"{path}:2")
+
+
+@pytest.mark.parametrize("json_type", sorted(JSON_TYPES))
+@pytest.mark.parametrize(
+    "reader, field", [("wordnet", "lemmas"), ("wordnet", "hypernym_ids"), ("wiktionary", "senses")]
+)
+def test_list_entry_of_each_json_type(slice_inputs, reader, field, json_type):
+    # Entries are strings only; the slice row's own entry stands for a string.
+    rows = slice_rows(reader)
+    if json_type != "string":
+        rows[1][field] = [JSON_TYPES[json_type]]
+    path = slice_inputs / f"slice_{reader}.jsonl"
+    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    code, err = run_quiet(slice_argv(reader, path, slice_inputs))
+    if json_type == "string":
+        assert code == 0, err
+    else:
+        assert_one_error_line_naming(code, err, f"{path}:2")
+        assert f"{field} must be" in err
 
 
 DEEP_LIST = "[" * 100_000 + "]" * 100_000

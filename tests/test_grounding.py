@@ -1,12 +1,13 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from lexivis import encoder as enc, trainer
-from lexivis.errors import DataError
+from lexivis.errors import DataError, NumericsError
 from lexivis.grounding import (
     FocalParams,
     RegionSet,
@@ -163,6 +164,94 @@ class TestFocalLoss:
             FocalParams(alpha=0.0)
         with pytest.raises(ValueError):
             FocalParams(gamma=-1.0)
+
+
+def _all_caches_grads(params, batch, spec):
+    """Reference ground_focal gradient: every text's cache alive until the loss is known."""
+    g = params.zeros_like()
+    encoded = [
+        enc._text_forward(params, list(ids), spec.pooling, spec.use_adapters)
+        for ids in batch.token_ids
+    ]
+    bank = np.stack([vec for vec, _ in encoded], axis=1)
+    feats = np.asarray(batch.region_features, dtype=np.float64)
+    fp = FocalParams(alpha=spec.focal_alpha, gamma=spec.focal_gamma)
+    loss, d_scores = focal_loss_with_grad(feats @ bank, batch.targets, fp)
+    d_bank = feats.T @ d_scores
+    for k, (_, cache) in enumerate(encoded):
+        enc._text_backward(params, cache, d_bank[:, k], g)
+    return loss, g
+
+
+def _focal_case(num_texts, num_regions, use_adapters, seed=0):
+    """Default-sized encoder, random texts of 3..20 words, random regions and targets."""
+    cfg = enc.EncoderConfig(vocab_size=512)
+    rng = np.random.default_rng(seed)
+    params = enc.init_params(cfg, seed=seed, with_adapters=use_adapters)
+    for key, tensor in params.tensors.items():
+        if enc.is_adapter_key(key):
+            # Zero-initialized adapters are the identity; give them weight.
+            tensor += 0.1 * rng.normal(size=tensor.shape)
+    texts = [
+        " ".join(f"w{i}" for i in rng.integers(0, 400, size=rng.integers(3, 21)))
+        for _ in range(num_texts)
+    ]
+    batch = enc.TrainBatch(
+        token_ids=[enc.text_to_ids(t, cfg, pooling="cls") for t in texts],
+        region_features=rng.normal(size=(num_regions, cfg.embed_dim)),
+        targets=(rng.random((num_regions, num_texts)) < 0.3).astype(float),
+    )
+    spec = enc.LossSpec(loss="ground_focal", pooling="cls", use_adapters=use_adapters)
+    return params, batch, spec
+
+
+class TestStreamedFocalGrads:
+    @pytest.mark.parametrize("use_adapters", [False, True])
+    @pytest.mark.parametrize("num_regions", [1, 6])
+    @pytest.mark.parametrize("num_texts", [1, 3, 40])
+    def test_bitwise_equal_to_all_caches_reference(self, num_texts, num_regions, use_adapters):
+        params, batch, spec = _focal_case(num_texts, num_regions, use_adapters)
+        losses, g = enc.grads(params, batch, spec)
+        ref_loss, ref_g = _all_caches_grads(params, batch, spec)
+        assert losses["loss"] == ref_loss
+        assert list(g) == list(ref_g)
+        for key in g:
+            assert np.array_equal(g[key], ref_g[key]), key
+
+    def test_peak_memory_does_not_grow_with_categories(self):
+        def peak(num_texts):
+            params, batch, spec = _focal_case(num_texts, 6, use_adapters=False)
+            tracemalloc.start()
+            try:
+                enc.grads(params, batch, spec)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(40) < 1.5 * peak(4)
+
+    def test_bad_targets_shape_fails_before_encoding(self, monkeypatch):
+        params, batch, spec = _focal_case(3, 6, use_adapters=False)
+        batch.targets = batch.targets[:, :2]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a text was encoded before the targets were checked")
+
+        monkeypatch.setattr(enc, "_text_forward", forbidden)
+        with pytest.raises(ValueError, match=r"scores shape \(6, 3\) != targets shape \(6, 2\)"):
+            enc.grads(params, batch, spec)
+
+    def test_no_category_text_is_an_error(self):
+        params, batch, spec = _focal_case(3, 6, use_adapters=False)
+        batch.token_ids, batch.targets = [], batch.targets[:, :0]
+        with pytest.raises(ValueError, match="category texts"):
+            enc.grads(params, batch, spec)
+
+    def test_non_finite_region_features_are_numerics_error(self):
+        params, batch, spec = _focal_case(3, 6, use_adapters=False)
+        batch.region_features[4, 7] = np.nan
+        with pytest.raises(NumericsError, match="grounding scores contain non-finite entries"):
+            enc.grads(params, batch, spec)
 
 
 class TestRegionClassify:

@@ -98,6 +98,42 @@ class TestLoadWordnet:
         with pytest.raises(SnapshotError, match="duplicate"):
             load_wordnet_snapshot(path)
 
+    def test_cycle_is_found_at_load_naming_the_file(self, tmp_path):
+        path = tmp_path / "wn.jsonl"
+        rows = [
+            {"id": "n0", "lemmas": ["root"], "definition": "", "hypernym_ids": []},
+            {"id": "n3", "lemmas": ["c"], "definition": "", "hypernym_ids": ["n1"]},
+            {"id": "n2", "lemmas": ["b"], "definition": "", "hypernym_ids": ["n1"]},
+            {"id": "n1", "lemmas": ["a"], "definition": "", "hypernym_ids": ["n2", "n0"]},
+        ]
+        _write_jsonl(path, rows)
+        # n3 only leads into the cycle, and is the first such synset in the file.
+        with pytest.raises(
+            SnapshotError, match=rf"^{path}: hypernym chain from 'n3' exceeds 32 hops \(cycle\?\)$"
+        ):
+            load_wordnet_snapshot(path)
+
+    @pytest.mark.parametrize("n", [32, 33])
+    def test_chain_cap_at_load_matches_hypernym_path(self, tmp_path, n):
+        rows = [
+            {"id": f"s{i}", "lemmas": [f"w{i}"], "definition": "",
+             "hypernym_ids": [f"s{i + 1}"] if i + 1 < n else []}
+            for i in reversed(range(n))
+        ]
+        path = tmp_path / "wn.jsonl"
+        _write_jsonl(path, rows)
+        graph = WordNetGraph([
+            SynsetRecord(r["id"], tuple(r["lemmas"]), "", tuple(r["hypernym_ids"])) for r in rows
+        ])
+        if n == 32:
+            assert len(graph.hypernym_path(graph.synsets["s0"])) == 32
+            assert len(load_wordnet_snapshot(path)) == 32
+        else:
+            with pytest.raises(SnapshotError, match="'s0' exceeds 32 hops"):
+                graph.hypernym_path(graph.synsets["s0"])
+            with pytest.raises(SnapshotError, match=f"^{path}: hypernym chain from 's0'"):
+                load_wordnet_snapshot(path)
+
     def test_first_listed_synset_wins_lemma_ties(self):
         records = [
             SynsetRecord("n1", ("bank",), "river bank", ()),
