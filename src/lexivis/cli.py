@@ -100,11 +100,10 @@ def _load_class_names(path) -> list[str]:
     return [str(name) for name in names]
 
 
-def _load_labeled_images(path):
-    """JSONL rows {image: [finite floats], label: int} used by the eval commands."""
+def _load_labeled_images(path, width: int):
+    """JSONL rows {image: [``width`` finite floats], label: int} used by the eval commands."""
     images, labels = [], []
     for where, obj in iter_jsonl(path, DataError, ("image",)):
-        width = images[0].size if images else None
         image = finite_array(obj["image"], 1, where, "image", width)
         label = obj.get("label")
         if label is not None and type(label) is not int:
@@ -168,15 +167,14 @@ def _cmd_coverage(args) -> dict:
 
 
 def _cmd_train(args) -> dict:
-    triplets = trainer.load_dataset_jsonl(args.dataset)
-    image_dim = int(np.asarray(triplets[0].image).shape[0])
     # Without --base-checkpoint, TrainConfig rejects continual_adapters (exit 1).
     if args.mode == "continual_adapters" and args.base_checkpoint is not None:
         base, _ = enc.load_checkpoint(args.base_checkpoint)
         encoder_cfg = base.config
     else:
         base = None
-        encoder_cfg = _encoder_config(args, image_dim)
+        first = next(trainer.iter_dataset_jsonl(args.dataset))  # it fixes the image width
+        encoder_cfg = _encoder_config(args, first.image.size)
     config = trainer.TrainConfig(
         batch_size=args.batch_size,
         epochs=args.epochs,
@@ -188,7 +186,8 @@ def _cmd_train(args) -> dict:
         base_checkpoint=args.base_checkpoint,
         encoder=encoder_cfg,
     )
-    result = trainer.train(config, triplets, base_params=base)
+    rows = trainer.iter_dataset_jsonl(args.dataset, encoder_cfg.image_input_dim)
+    result = trainer.train(config, rows, base_params=base)
     enc.save_checkpoint(
         result.params,
         args.out_checkpoint,
@@ -210,7 +209,7 @@ def _cmd_eval_zeroshot(args) -> dict:
     params, _ = enc.load_checkpoint(args.checkpoint)
     store = _load_store(args) if args.with_knowledge else KnowledgeStore()
     class_names = _load_class_names(args.classes)
-    images, labels = _load_labeled_images(args.images)
+    images, labels = _load_labeled_images(args.images, params.config.image_input_dim)
     if labels is not None and not ((labels >= 0) & (labels < len(class_names))).all():
         raise DataError(f"{args.images}: labels must index the {len(class_names)} classes")
     templates = compose.load_templates(args.templates) if args.templates else [_template(args)]
@@ -278,7 +277,7 @@ def _cmd_eval_zeroshot(args) -> dict:
 
 def _cmd_eval_probe(args) -> dict:
     params, _ = enc.load_checkpoint(args.checkpoint)
-    images, labels = _load_labeled_images(args.images)
+    images, labels = _load_labeled_images(args.images, params.config.image_input_dim)
     if labels is None:
         raise DataError(f"{args.images}: eval-probe needs labeled images")
     feats = evaluation.unit_image_features(params, images)
@@ -297,19 +296,14 @@ def _cmd_eval_probe(args) -> dict:
 
 
 def _cmd_ground_train(args) -> dict:
+    cfg = _encoder_config(args, image_dim=args.embed_dim)
     class_names = _load_class_names(args.classes)
-    regions = grounding.load_regions_jsonl(args.regions, num_classes=len(class_names))
+    regions = grounding.load_regions_jsonl(args.regions, len(class_names), cfg.embed_dim)
     unlabeled = next((r.image_id for r in regions if r.targets is None), None)
     if unlabeled is not None:
         raise DataError(f"{args.regions}: image_id {unlabeled!r} has no targets; "
                         "ground-train needs targets on every region row")
     store = _load_store(args) if args.with_knowledge else None
-    p_dim = regions[0].features.shape[1]
-    cfg = _encoder_config(args, image_dim=p_dim)
-    if cfg.embed_dim != p_dim:
-        raise DataError(
-            f"region feature dim {p_dim} must equal --embed-dim {cfg.embed_dim}"
-        )
     texts = grounding.category_texts(class_names, store, args.source, cfg.max_tokens)
     params = enc.init_params(cfg, seed=args.seed)
     token_ids = [enc.text_to_ids(t, cfg, pooling="cls") for t in texts]
@@ -348,7 +342,7 @@ def _cmd_ground_train(args) -> dict:
 def _cmd_ground_eval(args) -> dict:
     params, _ = enc.load_checkpoint(args.checkpoint)
     class_names = _load_class_names(args.classes)
-    regions = grounding.load_regions_jsonl(args.regions, num_classes=len(class_names))
+    regions = grounding.load_regions_jsonl(args.regions, len(class_names), params.config.embed_dim)
     store = _load_store(args) if args.with_knowledge else None
     texts = grounding.category_texts(class_names, store, args.source, params.config.max_tokens)
     bank = grounding.encode_phrases_parallel(params, texts)

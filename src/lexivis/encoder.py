@@ -104,6 +104,23 @@ def is_adapter_key(key: str) -> bool:
     return ".ad1." in key or ".ad2." in key
 
 
+class FlatTensors(dict):
+    """A copy of ``tensors``, or zeros of their shapes, as views into one float64 vector ``flat``.
+
+    Write through the views: assigning a new array to a key detaches it from ``flat``.
+    """
+
+    def __init__(self, tensors: dict[str, np.ndarray], copy: bool = True):
+        super().__init__()
+        self.flat = np.zeros(sum(value.size for value in tensors.values()))
+        offset = 0
+        for name, value in tensors.items():
+            self[name] = self.flat[offset : offset + value.size].reshape(value.shape)
+            if copy:
+                self[name][...] = value
+            offset += value.size
+
+
 class ModelParams:
     """Named tensor container for every trainable quantity (incl. log-tau)."""
 
@@ -119,8 +136,8 @@ class ModelParams:
     def tau(self) -> float:
         return float(np.exp(self.tensors["log_tau"]))
 
-    def zeros_like(self) -> dict[str, np.ndarray]:
-        return {k: np.zeros_like(v) for k, v in self.tensors.items()}
+    def zeros_like(self) -> FlatTensors:
+        return FlatTensors(self.tensors, copy=False)
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
@@ -200,22 +217,25 @@ def add_adapters(params: ModelParams, seed: int) -> ModelParams:
 # Primitive forward/backward pairs
 
 
-def _gelu(x):
-    t = np.tanh(_GELU_C * (x + 0.044715 * x**3))
-    return 0.5 * x * (1.0 + t)
+def _gelu_tanh(x):
+    """The tanh of GELU's approximation: GELU(x) is ``0.5 * x * (1.0 + t)``."""
+    return np.tanh(_GELU_C * (x + 0.044715 * x**3))
 
 
-def _gelu_grad(x):
-    t = np.tanh(_GELU_C * (x + 0.044715 * x**3))
+def _gelu_grad(x, t):
     d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * d_inner
 
 
+def _mean_last(x):
+    # What ndarray.mean(axis=-1, keepdims=True) computes, without its Python wrapper.
+    return np.add.reduce(x, -1, keepdims=True) / x.shape[-1]
+
+
 def _layer_norm(x, g, b):
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = (x - mean) * inv
+    centered = x - _mean_last(x)
+    inv = 1.0 / np.sqrt(_mean_last(centered * centered) + _LN_EPS)  # ndarray.var's steps
+    xhat = centered * inv
     return g * xhat + b, (xhat, inv)
 
 
@@ -225,11 +245,7 @@ def _layer_norm_backward(dy, cache, t, pre, grads):
     grads[pre + "g"] += (dy * xhat).sum(axis=lead)
     grads[pre + "b"] += dy.sum(axis=lead)
     dxhat = dy * t[pre + "g"]
-    return inv * (
-        dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-    )
+    return inv * (dxhat - _mean_last(dxhat) - xhat * _mean_last(dxhat * xhat))
 
 
 def _softmax_last(z):
@@ -295,18 +311,18 @@ def _ffn_forward(x, t, pre, keys):
     """Two-layer GELU feed-forward block: the MLP, adapter and image encoder."""
     w1, b1, w2, b2 = (pre + k for k in keys)
     z = x @ t[w1] + t[b1]
-    h = _gelu(z)
-    return h @ t[w2] + t[b2], (x, z, h)
+    tanh = _gelu_tanh(z)
+    return (0.5 * z * (1.0 + tanh)) @ t[w2] + t[b2], (x, z, tanh)
 
 
 def _ffn_backward(dout, cache, t, pre, keys, grads, input_grad=True):
     """Accumulate the block's weight gradients; return d input unless ``input_grad`` is off."""
-    x, z, h = cache
+    x, z, tanh = cache
     w1, b1, w2, b2 = (pre + k for k in keys)
-    grads[w2] += h.T @ dout
+    grads[w2] += (0.5 * z * (1.0 + tanh)).T @ dout  # the forward's GELU output, bit for bit
     grads[b2] += dout.sum(axis=0)
     dh = dout @ t[w2].T
-    dz = dh * _gelu_grad(z)
+    dz = dh * _gelu_grad(z, tanh)
     grads[w1] += x.T @ dz
     grads[b1] += dz.sum(axis=0)
     return dz @ t[w1].T if input_grad else None
@@ -473,36 +489,13 @@ class LossSpec:
 
 
 def _encode_texts_dedup(params, token_ids, flags, pooling):
-    """Encode every distinct (sequence, branch) pair once."""
-    order: list[tuple] = []
+    """Encode every distinct (sequence, branch) pair once, in first-seen order."""
     index: dict[tuple, int] = {}
-    rows = []
-    for ids, flag in zip(token_ids, flags):
-        key = (tuple(ids), bool(flag))
-        if key not in index:
-            index[key] = len(order)
-            order.append(key)
-        rows.append(index[key])
-    encoded = []
-    for ids, flag in order:
-        encoded.append(_text_forward(params, list(ids), pooling, flag))
+    rows = [index.setdefault((tuple(ids), bool(flag)), len(index))
+            for ids, flag in zip(token_ids, flags)]
+    encoded = [_text_forward(params, list(ids), pooling, flag) for ids, flag in index]
     feats = np.stack([vec for vec, _ in encoded])
     return feats[rows], encoded, rows
-
-
-def _apply_trainable_mask(params: ModelParams, grads: dict, trainable: str) -> None:
-    if trainable == "all":
-        return
-    if trainable == "none":
-        for k in grads:
-            grads[k][...] = 0.0
-        return
-    if trainable == "adapters":
-        for k in grads:
-            if not is_adapter_key(k):
-                grads[k][...] = 0.0
-        return
-    raise ConfigError(f"unknown trainable selection {trainable!r}")
 
 
 def grads(params: ModelParams, batch: TrainBatch, spec: LossSpec):
@@ -580,7 +573,11 @@ def grads(params: ModelParams, batch: TrainBatch, spec: LossSpec):
 
     if not np.isfinite(losses["loss"]):
         raise NumericsError("loss is non-finite", {"losses": losses})
-    _apply_trainable_mask(params, g, spec.trainable)
+    if spec.trainable not in ("all", "adapters", "none"):
+        raise ConfigError(f"unknown trainable selection {spec.trainable!r}")
+    for k in g:
+        if spec.trainable == "none" or (spec.trainable == "adapters" and not is_adapter_key(k)):
+            g[k][...] = 0.0
     return losses, g
 
 

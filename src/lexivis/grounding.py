@@ -49,8 +49,10 @@ class FocalParams:
             raise ValueError("gamma must be >= 0")
 
 
-def load_regions_jsonl(path, num_classes: Optional[int] = None) -> list[RegionSet]:
-    """Region rows; every row's features have the first row's width.
+def load_regions_jsonl(
+    path, num_classes: Optional[int] = None, width: Optional[int] = None
+) -> list[RegionSet]:
+    """Region rows; every row's features have ``width`` columns, or the first row's.
 
     Targets, where given, are a binary matrix with one row per region and,
     when ``num_classes`` is given, one column per class. A row that breaks
@@ -58,7 +60,6 @@ def load_regions_jsonl(path, num_classes: Optional[int] = None) -> list[RegionSe
     its ``path:lineno``.
     """
     regions = []
-    width = None
     for where, obj in iter_jsonl(path, DataError, ("image_id", "features")):
         image_id = string_field(obj, "image_id", where, DataError)
         features = finite_array(obj["features"], 2, where, "features", width)

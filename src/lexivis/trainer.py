@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -47,16 +47,15 @@ class Triplet:
         )
 
 
-def iter_dataset_jsonl(path) -> Iterator[Triplet]:
+def iter_dataset_jsonl(path, width: Optional[int] = None) -> Iterator[Triplet]:
     """Yield the validated triplets of a dataset file one row at a time.
 
     A malformed row raises ``DataError`` with its ``path:lineno``: among
-    others one whose text is not a string or is blank, whose image is not a
-    non-empty list of finite numbers of the first row's length, whose
-    ``label`` is not an integer or null, whose ``augmented`` is not a bool,
-    or whose ``origin_text`` or ``query`` is not a string or null.
+    others one whose text is not a string or is blank, whose image is not
+    ``width`` (default: the first row's length) finite numbers, whose
+    ``label`` is not a 64-bit integer or null, whose ``augmented`` is not a
+    bool, or whose ``origin_text`` or ``query`` is not a string or null.
     """
-    width = None
     for where, obj in iter_jsonl(path, DataError, ("image", "text")):
         kind = obj.get("kind", "category")
         if kind not in ("category", "caption"):
@@ -65,8 +64,8 @@ def iter_dataset_jsonl(path) -> Iterator[Triplet]:
         if not text.strip():
             raise DataError(f"{where}: text is blank")
         label, augmented = obj.get("label"), obj.get("augmented", False)
-        if label is not None and type(label) is not int:
-            raise DataError(f"{where}: label must be an integer or null")
+        if label is not None and (type(label) is not int or not -(2**63) <= label < 2**63):
+            raise DataError(f"{where}: label must be a 64-bit integer or null")
         if type(augmented) is not bool:
             raise DataError(f"{where}: augmented must be true or false")
         for key in ("origin_text", "query"):
@@ -116,13 +115,7 @@ def save_dataset_jsonl(triplets: Iterable[Triplet], path) -> None:
 def assign_labels(triplets: list[Triplet]) -> list[Triplet]:
     """Group labels: identical (normalized) descriptions share a dense label."""
     groups: dict[str, int] = {}
-    out = []
-    for t in triplets:
-        key = t.group_key()
-        if key not in groups:
-            groups[key] = len(groups)
-        out.append(replace(t, label=groups[key]))
-    return out
+    return [replace(t, label=groups.setdefault(t.group_key(), len(groups))) for t in triplets]
 
 
 @dataclass
@@ -229,36 +222,41 @@ class TrainResult:
 
 
 class _Optimizer:
-    """Plain SGD, classical momentum, or adaptive-moment updates."""
+    """Plain SGD, classical momentum, or adaptive-moment updates of one flat vector.
 
-    def __init__(self, kind: str, lr: float, tensors: dict[str, np.ndarray]):
+    The updates are elementwise: the same bits as one update per tensor.
+    """
+
+    def __init__(self, kind: str, lr: float, size: int):
         self.kind = kind
         self.lr = lr
         self.t = 0
-        if kind == "momentum":
-            self.m = {k: np.zeros_like(v) for k, v in tensors.items()}
-        elif kind == "adam":
-            self.m = {k: np.zeros_like(v) for k, v in tensors.items()}
-            self.v = {k: np.zeros_like(v) for k, v in tensors.items()}
+        self.m = None if kind == "sgd" else np.zeros(size)
+        if kind == "adam":
+            self.v = np.zeros(size)
+            self.scratch = np.empty(size)
 
-    def step(self, tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def step(self, w: np.ndarray, g: np.ndarray) -> None:
+        """Update ``w`` in place; ``g`` is used as scratch space and left undefined."""
         self.t += 1
-        if self.kind == "sgd":
-            for k in tensors:
-                tensors[k] -= self.lr * grads[k]
-            return
         if self.kind == "momentum":
-            for k in tensors:
-                self.m[k] = 0.9 * self.m[k] + grads[k]
-                tensors[k] -= self.lr * self.m[k]
+            self.m *= 0.9
+            self.m += g
+        if self.kind != "adam":
+            w -= np.multiply(self.lr, self.m if self.kind == "momentum" else g, out=g)
             return
         b1, b2, eps = 0.9, 0.999, 1e-8
-        for k in tensors:
-            self.m[k] = b1 * self.m[k] + (1 - b1) * grads[k]
-            self.v[k] = b2 * self.v[k] + (1 - b2) * grads[k] ** 2
-            mhat = self.m[k] / (1 - b1**self.t)
-            vhat = self.v[k] / (1 - b2**self.t)
-            tensors[k] -= self.lr * mhat / (np.sqrt(vhat) + eps)
+        m, v, s = self.m, self.v, self.scratch
+        m *= b1
+        m += np.multiply(1 - b1, g, out=s)
+        v *= b2
+        v += np.multiply(1 - b2, np.square(g, out=g), out=g)
+        # lr * mhat / (sqrt(vhat) + eps), with mhat = m / (1 - b1**t), vhat likewise.
+        np.sqrt(np.divide(v, 1 - b2**self.t, out=s), out=s)
+        s += eps
+        np.divide(m, 1 - b1**self.t, out=g)
+        g *= self.lr
+        w -= np.divide(g, s, out=g)
 
 
 def _init_for_mode(config: TrainConfig, base_params: Optional[enc.ModelParams]):
@@ -273,19 +271,10 @@ def _init_for_mode(config: TrainConfig, base_params: Optional[enc.ModelParams]):
     return enc.init_params(config.encoder, seed=config.seed, with_adapters=with_adapters)
 
 
-def _batch_flags(config: TrainConfig, batch: list[Triplet]) -> list[bool]:
-    if config.mode == "scratch_1branch":
-        return [False] * len(batch)
-    if config.mode == "continual_adapters":
-        return [True] * len(batch)
-    # Two-branch routing: knowledge hits through the adapter branch.
-    return [t.augmented for t in batch]
-
-
 def fit(
     params: enc.ModelParams,
     spec: enc.LossSpec,
-    items: list,
+    items: Sequence,
     make_batch: Callable[[list], enc.TrainBatch],
     epochs: int,
     batch_size: int,
@@ -296,12 +285,14 @@ def fit(
     """The training loop shared by contrastive training and grounding.
 
     Each epoch visits ``items`` in a seeded permutation, ``batch_size`` at a
-    time; ``make_batch`` turns the sampled items into encoder inputs. After
-    every optimizer step log-tau is clamped to ``TAU_MAX``. Returns the loss
-    trace, with rows (step, l_i2t, l_t2i, l_ic, tau) for the contrastive loss
-    and (step, focal_loss) for grounding, plus the per-branch text counts.
+    time; ``make_batch`` turns the sampled items into encoder inputs. Each
+    step updates one packed vector (``encoder.FlatTensors``) and clamps
+    log-tau to ``TAU_MAX``. Returns the loss trace, with rows (step, l_i2t,
+    l_t2i, l_ic, tau) for the contrastive loss and (step, focal_loss) for
+    grounding, plus the per-branch text counts.
     """
-    opt = _Optimizer(optimizer, learning_rate, params.tensors)
+    params.tensors = enc.FlatTensors(params.tensors)
+    opt = _Optimizer(optimizer, learning_rate, params.tensors.flat.size)
     rng = np.random.default_rng(seed)
     trace = []
     branch_counts = {"base": 0, "adapter": 0}
@@ -320,7 +311,8 @@ def fit(
                 exc.diagnostics["step"] = len(trace)
                 exc.diagnostics["batch"] = batch
                 raise
-            opt.step(params.tensors, g)
+            opt.step(params.tensors.flat, g.flat)
+            del g  # released before the next step's gradients are built
             if params.tensors["log_tau"] > log_tau_max:
                 params.tensors["log_tau"][...] = log_tau_max
             flags = train_batch.adapter_flags or []
@@ -336,34 +328,49 @@ def fit(
 
 def train(
     config: TrainConfig,
-    triplets: list[Triplet],
+    triplets: Iterable[Triplet],
     base_params: Optional[enc.ModelParams] = None,
 ) -> TrainResult:
-    """Run seeded contrastive training and return params plus the loss trace."""
-    if any(t.label is None for t in triplets):
-        triplets = assign_labels(triplets)
+    """Run seeded contrastive training and return params plus the loss trace.
+
+    ``triplets`` is read once into per-row arrays and per-text token ids; if
+    any row has no label, every row is labelled as ``assign_labels`` would.
+    """
     params = _init_for_mode(config, base_params)
     cfg = params.config
-    for t in triplets:
-        if np.asarray(t.image).shape != (cfg.image_input_dim,):
-            raise DataError(
-                f"triplet image shape {np.asarray(t.image).shape} != ({cfg.image_input_dim},)"
-            )
+    continual = config.mode == "continual_adapters"
+    text_index: dict[str, int] = {}
+    groups: dict[str, int] = {}
 
-    token_cache = {t.text: enc.text_to_ids(t.text, cfg, pooling="eos") for t in triplets}
-    trainable = "adapters" if config.mode == "continual_adapters" else "all"
-    spec = enc.LossSpec(loss="contrastive", trainable=trainable, pooling="eos")
+    def records():
+        for t in triplets:
+            image = np.asarray(t.image)
+            if image.shape != (cfg.image_input_dim,):
+                raise DataError(f"triplet image shape {image.shape} != ({cfg.image_input_dim},)")
+            group = groups.setdefault(t.group_key(), len(groups))
+            # Two-branch routing: knowledge hits through the adapter branch.
+            adapter = t.augmented if config.mode == "scratch_2branch" else continual
+            yield (image, text_index.setdefault(t.text, len(text_index)),
+                   group if t.label is None else t.label, t.label is not None, group, adapter)
 
-    def make_batch(batch: list[Triplet]) -> enc.TrainBatch:
+    fields = [("image", np.float64, (cfg.image_input_dim,)), ("text", np.intp),
+              ("label", np.int64), ("labeled", bool), ("group", np.int64), ("adapter", bool)]
+    rows = np.fromiter(records(), dtype=np.dtype(fields, align=True))
+    token_ids = [np.array(enc.text_to_ids(text, cfg), dtype=np.int32) for text in text_index]
+    del text_index, groups  # training needs neither
+    labels = rows["label"] if rows["labeled"].all() else rows["group"]
+    spec = enc.LossSpec(loss="contrastive", trainable="adapters" if continual else "all")
+
+    def make_batch(batch: list[int]) -> enc.TrainBatch:
         return enc.TrainBatch(
-            images=np.stack([np.asarray(t.image, dtype=np.float64) for t in batch]),
-            token_ids=[token_cache[t.text] for t in batch],
-            labels=np.array([t.label for t in batch]),
-            adapter_flags=_batch_flags(config, batch),
+            images=rows["image"][batch],
+            token_ids=[token_ids[i].tolist() for i in rows["text"][batch]],
+            labels=labels[batch],
+            adapter_flags=rows["adapter"][batch].tolist(),
         )
 
     trace, branch_counts = fit(
-        params, spec, triplets, make_batch, config.epochs, config.batch_size,
+        params, spec, range(len(rows)), make_batch, config.epochs, config.batch_size,
         config.optimizer, config.learning_rate, config.seed,
     )
     return TrainResult(

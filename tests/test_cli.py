@@ -378,6 +378,39 @@ class TestTrainEval:
             "adapters.json", "base.json", "ds.jsonl",
         ]
 
+    @pytest.mark.parametrize("defect", ["bad_json", "short_image"])
+    def test_bad_last_row_writes_no_checkpoint(self, capsys, tmp_path, defect):
+        dataset = _write_dataset(tmp_path / "ds.jsonl", 2 * len(MIXED_ROWS))
+        last = {"bad_json": '{"image": [0.0, 0.0, 0.0], "text": ',
+                "short_image": '{"image": [0.0, 0.0], "text": "boxer"}'}[defect]
+        with open(dataset, "a") as handle:
+            handle.write(last + "\n")
+        ckpt, trace = tmp_path / "model.json", tmp_path / "trace.csv"
+        code, _, err = run(capsys, "train", "--dataset", str(dataset), "--out-checkpoint",
+                           str(ckpt), "--trace", str(trace), "--epochs", "1")
+        assert code == EXIT_DATA
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and f"{dataset}:{2 * len(MIXED_ROWS) + 1}: " in lines[0]
+        assert not ckpt.exists() and not trace.exists()
+
+    def test_memory_is_bounded_by_distinct_texts(self, capsys, tmp_path):
+        def peak(n_rows):
+            dataset = _write_dataset(tmp_path / f"ds{n_rows}.jsonl", n_rows)
+            tracemalloc.start()
+            try:
+                code = main(["train", "--dataset", str(dataset), "--out-checkpoint",
+                             str(tmp_path / "model.json"), "--epochs", "1", "--batch-size", "64"])
+                traced_peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            capsys.readouterr()
+            assert code == EXIT_OK
+            return traced_peak
+
+        n = 150 * len(MIXED_ROWS)
+        peak(len(MIXED_ROWS))  # warm-up: lazily built module state is not per row
+        assert peak(4 * n) < 1.5 * peak(n)
+
     def test_train_determinism_fieldwise(self, capsys, tmp_path, dataset):
         checkpoints = []
         for name in ("m1.json", "m2.json"):
@@ -712,6 +745,38 @@ class TestRowWidths:
         assert code == EXIT_DATA
         lines = err.strip().splitlines()
         assert len(lines) == 1 and f"{dataset}:6: image width is 3, expected 4" in lines[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command", ["train", "eval-zeroshot", "eval-probe", "ground-train", "ground-eval"]
+    )
+    def test_first_row_width_must_match_the_model(self, capsys, tmp_path, checkpoint, command):
+        # The checkpoint (and ground-train's --embed-dim) expects width 4.
+        classes = tmp_path / "classes.json"
+        classes.write_text(json.dumps(["boxer", "crowd"]))
+        out = tmp_path / "out.json"
+        if command.startswith("ground"):
+            path = _write_images(tmp_path / "regions.jsonl", _region_rows(2, width=5))
+            argv, what = _ground_argv(command, path, classes, checkpoint, out), "features"
+        else:
+            rows = [{"image": [0.5, 0.25, 1.0], "text": "boxer", "label": i % 2}
+                    for i in range(4)]
+            path = _write_images(tmp_path / "images.jsonl", rows)
+            argv, what = {
+                "train": ["train", "--mode", "continual_adapters", "--base-checkpoint",
+                          str(checkpoint), "--dataset", str(path), "--out-checkpoint", str(out),
+                          "--epochs", "1"],
+                "eval-zeroshot": ["eval-zeroshot", "--checkpoint", str(checkpoint),
+                                  "--images", str(path), "--classes", str(classes),
+                                  "--out", str(out)],
+                "eval-probe": ["eval-probe", "--checkpoint", str(checkpoint),
+                               "--images", str(path)],
+            }[command], "image"
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_DATA
+        lines = err.strip().splitlines()
+        width = 5 if what == "features" else 3
+        assert len(lines) == 1 and f"{path}:1: {what} width is {width}, expected 4" in lines[0]
         assert not out.exists()
 
 

@@ -34,8 +34,16 @@ GOLDEN = {
         "ground.csv": "bcae089d8f3c6f7b6196b744c6ebfe3081449399ab6bb0db0539a5672db915fd",
         "caption.json": "c2b5894e39416288013bb1f909851f4a31b1d2b1d53a3db0bccc9eeef02980f5",
         "predictions.json": "4beb9ad085d2e9152540e22b14ec609a5b3117732b78e59742f0ba21c4d29915",
+        "adapters.json": "05f3fa946102cc133c1cdf4b7315e2631e9e926c15a44a9a9211f82c4811f0fc",
+        "adapters.csv": "f6bc174ba0b37a9692b51ea3fd70fb4589f8095602b112eca5ad86d61f270777",
+        "sgd.json": "e581d5bf42d9249f2fda09079bf8396abdd800a69748f8d536520f4773e87ea9",
+        "momentum.json": "103679f6ec1712e21e7d9f2ff31385b21233cdcb7a615d00c6157bea16cebf9b",
     },
 }
+
+
+OUTPUTS = ("ground.json", "ground.csv", "caption.json", "predictions.json",
+           "adapters.json", "adapters.csv", "sgd.json", "momentum.json")
 
 
 def _write_inputs(tmp_path):
@@ -57,13 +65,15 @@ def _write_inputs(tmp_path):
                 "label": label, "augmented": augmented,
             })
     (tmp_path / "dataset.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+    # One row without a label: train relabels every row by its grouped text.
+    del rows[-1]["label"]
+    (tmp_path / "partial.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
 
 
 def _outputs(tmp_path) -> dict:
     _write_inputs(tmp_path)
-    p = {name: str(tmp_path / name) for name in (
-        "classes.json", "regions.jsonl", "dataset.jsonl",
-        "ground.json", "ground.csv", "caption.json", "predictions.json")}
+    inputs = ("classes.json", "regions.jsonl", "dataset.jsonl", "partial.jsonl")
+    p = {name: str(tmp_path / name) for name in inputs + OUTPUTS}
     knowledge = ["--with-knowledge", "--wiktionary", WK]
     commands = [
         ["ground-train", "--regions", p["regions.jsonl"], "--classes", p["classes.json"],
@@ -73,12 +83,20 @@ def _outputs(tmp_path) -> dict:
          "--classes", p["classes.json"], "--out", p["predictions.json"], *knowledge],
         ["train", "--mode", "scratch_2branch", "--dataset", p["dataset.jsonl"],
          "--out-checkpoint", p["caption.json"], "--epochs", "3", "--batch-size", "4", *TINY],
+        ["train", "--mode", "continual_adapters", "--base-checkpoint", p["caption.json"],
+         "--dataset", p["dataset.jsonl"], "--out-checkpoint", p["adapters.json"],
+         "--trace", p["adapters.csv"], "--epochs", "2", "--batch-size", "4"],
+        *(
+            ["train", "--optimizer", opt, "--dataset", p["partial.jsonl"],
+             "--out-checkpoint", p[f"{opt}.json"], "--epochs", "2", "--batch-size", "3", *TINY]
+            for opt in ("sgd", "momentum")
+        ),
     ]
     for argv in commands:
         assert main(argv) == EXIT_OK, argv[0]
     return {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in ("ground.json", "ground.csv", "caption.json", "predictions.json")
+        for name in OUTPUTS
     }
 
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -195,6 +196,58 @@ class TestTrain:
         lr = {"sgd": 0.05, "momentum": 0.01, "adam": 1e-3}[optimizer]
         result = train(_train_config(optimizer=optimizer, learning_rate=lr, epochs=6), data)
         assert result.trace[-1][3] < result.trace[0][3]
+
+    def test_reads_a_one_shot_iterator_and_relabels_like_assign_labels(self):
+        # Labels that disagree with the texts' groups, and one row without a label.
+        data = [replace(t, label=i % 2) for i, t in enumerate(_synthetic_dataset(3, 3))]
+        data[4] = replace(data[4], text=data[4].text.upper(), label=None)
+        expected = train(_train_config(epochs=2), assign_labels(data))
+        streamed = train(_train_config(epochs=2), iter(data))
+        assert streamed.trace == expected.trace
+        for key, value in expected.params.tensors.items():
+            assert streamed.params.tensors[key].tobytes() == value.tobytes(), key
+
+
+def _reference_steps(kind, lr, tensors, grad_steps):
+    """The per-tensor updates the flat optimizer must match bit for bit."""
+    m = {k: np.zeros_like(v) for k, v in tensors.items()}
+    v2 = {k: np.zeros_like(v) for k, v in tensors.items()}
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    for t, grads in enumerate(grad_steps, start=1):
+        for k in tensors:
+            if kind == "sgd":
+                tensors[k] -= lr * grads[k]
+            elif kind == "momentum":
+                m[k] = 0.9 * m[k] + grads[k]
+                tensors[k] -= lr * m[k]
+            else:
+                m[k] = b1 * m[k] + (1 - b1) * grads[k]
+                v2[k] = b2 * v2[k] + (1 - b2) * grads[k] ** 2
+                mhat = m[k] / (1 - b1**t)
+                vhat = v2[k] / (1 - b2**t)
+                tensors[k] -= lr * mhat / (np.sqrt(vhat) + eps)
+
+
+class TestFlatOptimizer:
+    @pytest.mark.parametrize("kind", trainer.OPTIMIZERS)
+    def test_step_matches_per_tensor_reference(self, kind):
+        params = enc.init_params(_train_config().encoder, seed=3, with_adapters=True)
+        tensors = enc.FlatTensors(params.tensors)
+        assert tensors["log_tau"].ndim == 0
+        assert all(np.shares_memory(value, tensors.flat) for value in tensors.values())
+        reference = {k: v.copy() for k, v in tensors.items()}
+        rng = np.random.default_rng(0)
+        grad_steps = []
+        for _ in range(5):
+            grads = params.zeros_like()
+            grads.flat[:] = rng.normal(scale=rng.choice([1e-6, 1.0, 1e3]), size=grads.flat.size)
+            grad_steps.append({k: v.copy() for k, v in grads.items()})
+        _reference_steps(kind, 1e-2, reference, grad_steps)
+        opt = trainer._Optimizer(kind, 1e-2, tensors.flat.size)
+        for grads in grad_steps:
+            opt.step(tensors.flat, enc.FlatTensors(grads).flat)
+        for key, value in reference.items():
+            assert tensors[key].tobytes() == np.asarray(value).tobytes(), key
 
 
 class TestDatasetIo:
