@@ -52,28 +52,23 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_store(args) -> KnowledgeStore:
-    wordnet = None
-    wiktionary = None
-    if getattr(args, "wordnet", None):
-        wordnet = load_wordnet_snapshot(args.wordnet)
-    if getattr(args, "wiktionary", None):
-        wiktionary = load_wiktionary_snapshot(args.wiktionary)
-    source = getattr(args, "source", None)
-    if source in ("wn_hier", "wn_def") and wordnet is None:
-        raise ConfigError(f"source {source} needs --wordnet")
-    if source == "wiki_def" and wiktionary is None:
+    """The given snapshots; a ``--source`` without its snapshot is a config error."""
+    if args.source in ("wn_hier", "wn_def") and not args.wordnet:
+        raise ConfigError(f"source {args.source} needs --wordnet")
+    if args.source == "wiki_def" and not args.wiktionary:
         raise ConfigError("source wiki_def needs --wiktionary")
-    return KnowledgeStore(wordnet=wordnet, wiktionary=wiktionary)
+    return KnowledgeStore(
+        wordnet=load_wordnet_snapshot(args.wordnet) if args.wordnet else None,
+        wiktionary=load_wiktionary_snapshot(args.wiktionary) if args.wiktionary else None,
+    )
 
 
 def _load_lexicon(args) -> dict:
-    if getattr(args, "lexicon", None):
-        return queries.load_lexicon(args.lexicon)
-    return {}
+    return queries.load_lexicon(args.lexicon) if args.lexicon else {}
 
 
 def _template(args) -> compose.PromptTemplate:
-    return compose.PromptTemplate(getattr(args, "template", None) or compose.DEFAULT_TEMPLATE)
+    return compose.PromptTemplate(args.template or compose.DEFAULT_TEMPLATE)
 
 
 def _emit(summary: dict) -> None:
@@ -95,9 +90,9 @@ def _load_class_names(path) -> list[str]:
         raise DataError(f"{path}: not UTF-8 text") from exc
     except (ValueError, RecursionError) as exc:
         raise DataError(f"{path}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
-    if not isinstance(names, list) or not names:
-        raise DataError(f"{path}: expected a non-empty JSON list of names")
-    return [str(name) for name in names]
+    if not isinstance(names, list) or not names or not all(isinstance(n, str) for n in names):
+        raise DataError(f"{path}: classes must be a non-empty JSON list of strings")
+    return names
 
 
 def _load_labeled_images(path, width: int):
@@ -167,8 +162,11 @@ def _cmd_coverage(args) -> dict:
 
 
 def _cmd_train(args) -> dict:
-    # Without --base-checkpoint, TrainConfig rejects continual_adapters (exit 1).
-    if args.mode == "continual_adapters" and args.base_checkpoint is not None:
+    continual = args.mode == "continual_adapters"
+    if continual != (args.base_checkpoint is not None):  # checked before any input is read
+        raise ConfigError("continual_adapters mode requires a base checkpoint" if continual else
+                          f"--base-checkpoint needs --mode continual_adapters, not {args.mode}")
+    if continual:
         base, _ = enc.load_checkpoint(args.base_checkpoint)
         encoder_cfg = base.config
     else:
@@ -182,16 +180,14 @@ def _cmd_train(args) -> dict:
         optimizer=args.optimizer,
         seed=args.seed,
         mode=args.mode,
-        source=args.source,
-        base_checkpoint=args.base_checkpoint,
         encoder=encoder_cfg,
     )
     rows = trainer.iter_dataset_jsonl(args.dataset, encoder_cfg.image_input_dim)
-    result = trainer.train(config, rows, base_params=base)
+    result = trainer.train(config, rows, base)
     enc.save_checkpoint(
         result.params,
         args.out_checkpoint,
-        meta={"mode": config.mode, "seed": config.seed, "source": config.source},
+        meta={"mode": args.mode, "seed": args.seed, "source": args.source},
     )
     if args.trace:
         trainer.save_trace_csv(result.trace, args.trace)
@@ -207,7 +203,7 @@ def _cmd_train(args) -> dict:
 
 def _cmd_eval_zeroshot(args) -> dict:
     params, _ = enc.load_checkpoint(args.checkpoint)
-    store = _load_store(args) if args.with_knowledge else KnowledgeStore()
+    store = _load_store(args) if args.with_knowledge else None
     class_names = _load_class_names(args.classes)
     images, labels = _load_labeled_images(args.images, params.config.image_input_dim)
     if labels is not None and not ((labels >= 0) & (labels < len(class_names))).all():
@@ -218,7 +214,6 @@ def _cmd_eval_zeroshot(args) -> dict:
         class_names,
         store=store,
         source=args.source,
-        with_knowledge=args.with_knowledge,
         branch_mode=args.branch_mode,
         templates=templates,
     )
@@ -248,8 +243,7 @@ def _cmd_eval_zeroshot(args) -> dict:
                 "source": args.source,
             },
             pretrain_concepts=pretrain,
-            store=store if args.with_knowledge else None,
-            source=args.source,
+            with_knowledge=args.with_knowledge,
         )
         report["concept_overlap_pct"] = full_report.concept_overlap_pct
         report["knowledge_coverage_pct"] = full_report.knowledge_coverage_pct
@@ -276,6 +270,8 @@ def _cmd_eval_zeroshot(args) -> dict:
 
 
 def _cmd_eval_probe(args) -> dict:
+    if args.shots < 1 or args.probe_seeds < 1:
+        raise ConfigError("--shots and --probe-seeds must be >= 1")
     params, _ = enc.load_checkpoint(args.checkpoint)
     images, labels = _load_labeled_images(args.images, params.config.image_input_dim)
     if labels is None:
@@ -297,6 +293,7 @@ def _cmd_eval_probe(args) -> dict:
 
 def _cmd_ground_train(args) -> dict:
     cfg = _encoder_config(args, image_dim=args.embed_dim)
+    focal = grounding.FocalParams(args.focal_alpha, args.focal_gamma)
     class_names = _load_class_names(args.classes)
     regions = grounding.load_regions_jsonl(args.regions, len(class_names), cfg.embed_dim)
     unlabeled = next((r.image_id for r in regions if r.targets is None), None)
@@ -307,12 +304,7 @@ def _cmd_ground_train(args) -> dict:
     texts = grounding.category_texts(class_names, store, args.source, cfg.max_tokens)
     params = enc.init_params(cfg, seed=args.seed)
     token_ids = [enc.text_to_ids(t, cfg, pooling="cls") for t in texts]
-    spec = enc.LossSpec(
-        loss="ground_focal",
-        pooling="cls",
-        focal_alpha=args.focal_alpha,
-        focal_gamma=args.focal_gamma,
-    )
+    spec = enc.LossSpec(loss="ground_focal", pooling="cls", focal=focal)
 
     def make_batch(batch: list[grounding.RegionSet]) -> enc.TrainBatch:
         (region,) = batch

@@ -481,11 +481,10 @@ class LossSpec:
     """Which loss to differentiate and which tensors may receive gradient."""
 
     loss: str = "contrastive"  # "contrastive" | "ground_focal"
-    trainable: str = "all"  # "all" | "adapters" | "none"
+    trainable: str = "all"  # "all" | "adapters"
     use_adapters: bool = False
     pooling: str = "eos"
-    focal_alpha: float = 0.25
-    focal_gamma: float = 2.0
+    focal: Optional["grounding.FocalParams"] = None  # ground_focal; None: FocalParams()
 
 
 def _encode_texts_dedup(params, token_ids, flags, pooling):
@@ -553,7 +552,7 @@ def grads(params: ModelParams, batch: TrainBatch, spec: LossSpec):
         shape = (len(feats), len(batch.token_ids))
         if targets.shape != shape:
             raise ValueError(f"scores shape {shape} != targets shape {targets.shape}")
-        fp = grounding.FocalParams(alpha=spec.focal_alpha, gamma=spec.focal_gamma)
+        fp = spec.focal or grounding.FocalParams()
         # Column k of the scores, cells and bank gradient depends on text k
         # alone, so one text's cache is alive at a time. Every column comes from
         # the full (M,P)@(P,K) and (P,M)@(M,K) products, as a gemv column or a
@@ -573,10 +572,10 @@ def grads(params: ModelParams, batch: TrainBatch, spec: LossSpec):
 
     if not np.isfinite(losses["loss"]):
         raise NumericsError("loss is non-finite", {"losses": losses})
-    if spec.trainable not in ("all", "adapters", "none"):
+    if spec.trainable not in ("all", "adapters"):
         raise ConfigError(f"unknown trainable selection {spec.trainable!r}")
     for k in g:
-        if spec.trainable == "none" or (spec.trainable == "adapters" and not is_adapter_key(k)):
+        if spec.trainable == "adapters" and not is_adapter_key(k):
             g[k][...] = 0.0
     return losses, g
 

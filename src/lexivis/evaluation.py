@@ -12,9 +12,11 @@ import numpy as np
 
 from . import compose, encoder as enc, queries
 from .errors import ConfigError, DataError, NumericsError
-from .knowledge import KnowledgeStore, atomic_open, knowledge_coverage
+from .knowledge import KnowledgeStore, atomic_open
 
 BRANCH_MODES = ("one_branch", "two_branch_selective")
+
+PROBE_L2, PROBE_STEPS, PROBE_LR = 1e-4, 500, 0.5
 
 
 @dataclass
@@ -26,53 +28,48 @@ class ClassEmbeddings:
     provenance: list[dict] = field(default_factory=list)
 
 
-def _encode_class_text(params, text, use_adapters):
-    ids = enc.text_to_ids(text, params.config, pooling="eos")
-    return enc.encode_text(params, ids, pooling="eos", use_adapters=use_adapters)
-
-
 def build_class_embeddings(
     params: enc.ModelParams,
     class_names: list[str],
     store: Optional[KnowledgeStore] = None,
     source: str = "wiki_def",
-    with_knowledge: bool = False,
     branch_mode: str = "one_branch",
     templates: Optional[list[compose.PromptTemplate]] = None,
-    max_tokens: Optional[int] = None,
 ) -> ClassEmbeddings:
     """Class name -> query -> optional knowledge -> composed text -> embedding.
 
-    Branch selection for adapter-equipped models: ``one_branch`` sends every
-    class through the knowledge (adapter) branch when evaluating with
-    knowledge and through the base branch otherwise; ``two_branch_selective``
-    routes each class by whether its own retrieval hit. Models without
-    adapters always use the base branch. Template ensembles average the
-    normalized embeddings and renormalize.
+    Knowledge is retrieved iff a ``store`` is given, and trimmed to the
+    model's ``max_tokens``. Branch selection for adapter-equipped models:
+    ``one_branch`` sends every class through the knowledge (adapter) branch
+    when evaluating with knowledge and through the base branch otherwise;
+    ``two_branch_selective`` routes each class by whether its own retrieval
+    hit. Models without adapters always use the base branch. Template
+    ensembles average the normalized embeddings and renormalize.
     """
     if not class_names:
         raise ValueError("class name list must be non-empty")
     if branch_mode not in BRANCH_MODES:
         raise ConfigError(f"unknown branch mode {branch_mode!r}")
     templates = templates or [compose.PromptTemplate()]
-    max_tokens = max_tokens if max_tokens is not None else params.config.max_tokens
 
     cols = []
     provenance = []
     for name in class_names:
         query = queries.construct_query(name, "category")
-        item = store.retrieve(query, source) if (with_knowledge and store) else None
+        item = store.retrieve(query, source) if store is not None else None
         knowledge = item.text if item is not None else None
         if not params.has_adapters:
             use_adapters = False
         elif branch_mode == "one_branch":
-            use_adapters = with_knowledge
+            use_adapters = store is not None
         else:
             use_adapters = knowledge is not None
         embeds = []
         for template in templates:
-            aug = compose.compose_class_text(template, query, knowledge, max_tokens)
-            embeds.append(_unit_text(_encode_class_text(params, aug.text, use_adapters), name))
+            aug = compose.compose_class_text(template, query, knowledge, params.config.max_tokens)
+            ids = enc.text_to_ids(aug.text, params.config, pooling="eos")
+            embed = enc.encode_text(params, ids, pooling="eos", use_adapters=use_adapters)
+            embeds.append(_unit_text(embed, name))
         cols.append(_unit_text(np.mean(embeds, axis=0), name))
         provenance.append(
             {"class": name, "query": query, "hit": knowledge is not None,
@@ -140,20 +137,18 @@ def linear_probe(
     labels: np.ndarray,
     shots_per_class: int,
     seeds: tuple = (0, 1, 2),
-    l2: float = 1e-4,
-    steps: int = 500,
-    lr: float = 0.5,
 ) -> ProbeResult:
     """Few-shot multinomial logistic probe on frozen features.
 
     For each seed, exactly ``shots_per_class`` examples per class train a
-    softmax regression by full-batch gradient descent; accuracy is measured
+    softmax regression (L2 weight ``PROBE_L2``) by ``PROBE_STEPS`` steps of
+    full-batch gradient descent at rate ``PROBE_LR``; accuracy is measured
     on the held-out remainder and averaged across seeds.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
-    if shots_per_class < 1:
-        raise ValueError("shots_per_class must be >= 1")
+    if shots_per_class < 1 or not seeds:
+        raise ConfigError("a linear probe needs shots_per_class >= 1 and at least one seed")
     classes = np.unique(labels)
     class_index = {c: i for i, c in enumerate(classes)}
     y = np.array([class_index[c] for c in labels])
@@ -183,11 +178,11 @@ def linear_probe(
         w = np.zeros((features.shape[1], n_classes))
         b = np.zeros(n_classes)
         n = len(y_train)
-        for _ in range(steps):
+        for _ in range(PROBE_STEPS):
             probs = _softmax_rows(x_train @ w + b)
             delta = (probs - onehot) / n
-            w -= lr * (x_train.T @ delta + l2 * w)
-            b -= lr * delta.sum(axis=0)
+            w -= PROBE_LR * (x_train.T @ delta + PROBE_L2 * w)
+            b -= PROBE_LR * delta.sum(axis=0)
         preds = np.argmax(x_test @ w + b, axis=1)
         accuracies.append(float(np.mean(preds == y_test)))
     return ProbeResult(float(np.mean(accuracies)), accuracies, shots_per_class)
@@ -220,10 +215,12 @@ def make_eval_report(
     bank: ClassEmbeddings,
     eval_options: Optional[dict] = None,
     pretrain_concepts=None,
-    store: Optional[KnowledgeStore] = None,
-    source: str = "wiki_def",
+    with_knowledge: bool = False,
 ) -> EvalReport:
-    """Assemble the report for zero-shot predictions with overlap/coverage diagnostics."""
+    """Assemble the report for zero-shot predictions with overlap/coverage diagnostics.
+
+    Knowledge coverage, set only ``with_knowledge``, is the share of ``bank``'s hits.
+    """
     labels = np.asarray(labels)
     accuracy = float(np.mean(preds == labels))
     per_class = {}
@@ -235,9 +232,9 @@ def make_eval_report(
     if pretrain_concepts:
         overlap = concept_overlap(pretrain_concepts, bank.class_names)
     coverage = None
-    if store is not None:
-        queries_ = [p["query"] for p in bank.provenance] or list(bank.class_names)
-        coverage = 100.0 * knowledge_coverage(queries_, store, source)
+    if with_knowledge:
+        hits = sum(1 for p in bank.provenance if p["hit"])
+        coverage = 100.0 * (hits / len(bank.provenance))
     digest_payload = {"encoder": params.config.to_dict(), "options": eval_options or {}}
     digest = hashlib.sha256(
         json.dumps(digest_payload, sort_keys=True).encode("utf-8")

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import compose, encoder as enc, queries
-from .errors import DataError, NumericsError
+from .errors import ConfigError, DataError, NumericsError
 from .knowledge import KnowledgeStore, finite_array, iter_jsonl, string_field
 from .queries import tokenize
 
@@ -44,9 +44,9 @@ class FocalParams:
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        if self.gamma < 0.0:
-            raise ValueError("gamma must be >= 0")
+            raise ConfigError(f"focal alpha must lie in (0, 1), got {self.alpha}")
+        if not self.gamma >= 0.0:
+            raise ConfigError(f"focal gamma must be >= 0, got {self.gamma}")
 
 
 def load_regions_jsonl(
@@ -88,7 +88,7 @@ def category_texts(
     budget = max_tokens - 1
     texts = []
     for name in class_names:
-        query = queries.construct_query(str(name), "category")
+        query = queries.construct_query(name, "category")
         item = store.retrieve(query, source) if store is not None else None
         text = compose.compose_od_text(query, item.text if item else None, max_tokens).text
         n_tokens = len(tokenize(text))
@@ -98,15 +98,12 @@ def category_texts(
     return texts
 
 
-def encode_phrases_parallel(
-    params: enc.ModelParams,
-    texts: list[str],
-    use_adapters: bool = False,
-) -> PhraseBank:
-    """Encode each category text independently; column k depends only on text k.
+def encode_phrases_parallel(params: enc.ModelParams, texts: list[str]) -> PhraseBank:
+    """Encode each category text independently through the base branch.
 
-    A single text that still exceeds the sequence budget (the composer only
-    truncates knowledge, never the query) is an error, not a silent cut.
+    Column k depends only on text k. A single text that still exceeds the
+    sequence budget (the composer only truncates knowledge, never the
+    query) is an error, not a silent cut.
     """
     if not texts:
         raise ValueError("category text list must be non-empty")
@@ -120,7 +117,7 @@ def encode_phrases_parallel(
                 "even after knowledge truncation"
             )
         ids = enc.text_to_ids(text, params.config, pooling="cls")
-        cols.append(enc.encode_text(params, ids, pooling="cls", use_adapters=use_adapters))
+        cols.append(enc.encode_text(params, ids, pooling="cls"))
     return PhraseBank(matrix=np.stack(cols, axis=1), texts=list(texts))
 
 
@@ -206,13 +203,10 @@ def classify_regions(regions: RegionSet, bank: PhraseBank) -> list[tuple[int, fl
 
 
 def zero_shot_region_classify(
-    params: enc.ModelParams,
-    regions: RegionSet,
-    texts: list[str],
-    use_adapters: bool = False,
+    params: enc.ModelParams, regions: RegionSet, texts: list[str]
 ) -> list[tuple[int, float]]:
     """``classify_regions`` against a phrase bank encoded from ``texts``."""
-    return classify_regions(regions, encode_phrases_parallel(params, texts, use_adapters))
+    return classify_regions(regions, encode_phrases_parallel(params, texts))
 
 
 def region_accuracy(

@@ -21,6 +21,7 @@ import numpy as np
 from . import evaluation, trainer
 from .compose import PromptTemplate
 from .encoder import EncoderConfig
+from .errors import ConfigError
 from .knowledge import Dictionary, DictionaryEntry, KnowledgeStore, knowledge_coverage
 
 COMMON_NAMES = ("amber", "basil", "cedar", "delta", "ember", "fjord", "grove", "heath")
@@ -39,14 +40,12 @@ DEF_TOKENS = (
 class SynthConfig:
     n_common: int = 8
     n_rare: int = 8
-    image_dim: int = 16
     train_per_class: int = 16
     eval_per_class: int = 16
     noise: float = 0.1
     epochs: int = 30
     batch_size: int = 16
     learning_rate: float = 1e-3
-    optimizer: str = "adam"
     seeds: tuple = (0, 1, 2, 3, 4)
     source: str = "wiki_def"
     empty_knowledge: bool = False
@@ -64,12 +63,13 @@ class SynthConfig:
 
     def __post_init__(self):
         if not 1 <= self.n_common <= len(COMMON_NAMES):
-            raise ValueError(f"n_common must lie in [1, {len(COMMON_NAMES)}]")
+            raise ConfigError(f"n_common must lie in [1, {len(COMMON_NAMES)}]")
         if not 1 <= self.n_rare <= len(RARE_NAMES):
-            raise ValueError(f"n_rare must lie in [1, {len(RARE_NAMES)}]")
-        if self.image_dim < self.n_common:
-            raise ValueError("image_dim must be >= n_common for orthogonal prototypes")
-        self.encoder.image_input_dim = self.image_dim
+            raise ConfigError(f"n_rare must lie in [1, {len(RARE_NAMES)}]")
+        if self.encoder.image_input_dim < self.n_common:
+            raise ConfigError("image_input_dim must be >= n_common for orthogonal prototypes")
+        if not self.seeds:
+            raise ConfigError("the benchmark needs at least one seed")
 
 
 @dataclass
@@ -103,11 +103,12 @@ def _rare_definition(jargon_a: str, jargon_b: str, a: str, b: str) -> str:
 def build_world(seed: int, cfg: SynthConfig) -> SynthWorld:
     """Deterministic world: prototypes, triplets, eval sets, and the snapshot."""
     rng = np.random.default_rng(seed)
+    dim = cfg.encoder.image_input_dim
     common = list(COMMON_NAMES[: cfg.n_common])
     rare = list(RARE_NAMES[: cfg.n_rare])
 
     # Orthonormal prototypes for common classes; rare prototypes mix two.
-    basis, _ = np.linalg.qr(rng.normal(size=(cfg.image_dim, cfg.n_common)))
+    basis, _ = np.linalg.qr(rng.normal(size=(dim, cfg.n_common)))
     protos = [basis[:, i] for i in range(cfg.n_common)]
     pairs = []
     for j in range(cfg.n_rare):
@@ -121,7 +122,7 @@ def build_world(seed: int, cfg: SynthConfig) -> SynthWorld:
     train = []
     for i, name in enumerate(common):
         for _ in range(cfg.train_per_class):
-            x = protos[i] + cfg.noise * rng.normal(size=cfg.image_dim)
+            x = protos[i] + cfg.noise * rng.normal(size=dim)
             train.append(trainer.Triplet(image=x, text=name, kind="category"))
     train = trainer.assign_labels(train)
 
@@ -129,7 +130,7 @@ def build_world(seed: int, cfg: SynthConfig) -> SynthWorld:
     eval_labels = []
     for i, proto in enumerate(protos + rare_protos):
         for _ in range(cfg.eval_per_class):
-            eval_images.append(proto + cfg.noise * rng.normal(size=cfg.image_dim))
+            eval_images.append(proto + cfg.noise * rng.normal(size=dim))
             eval_labels.append(i)
 
     entries = []
@@ -168,10 +169,8 @@ def _train_condition(world: SynthWorld, cfg: SynthConfig, seed: int, with_knowle
         batch_size=cfg.batch_size,
         epochs=cfg.epochs,
         learning_rate=cfg.learning_rate,
-        optimizer=cfg.optimizer,
         seed=seed,
         mode="scratch_1branch",
-        source=cfg.source,
         encoder=cfg.encoder,
     )
     return trainer.train(tc, triplets)
@@ -181,11 +180,9 @@ def _accuracy(params, world, cfg, class_names, images, labels, with_knowledge):
     bank = evaluation.build_class_embeddings(
         params,
         class_names,
-        store=world.store,
+        store=world.store if with_knowledge else None,
         source=cfg.source,
-        with_knowledge=with_knowledge,
         templates=[PromptTemplate("{}")],
-        max_tokens=cfg.encoder.max_tokens,
     )
     _, acc = evaluation.zero_shot_classify(params, images, bank, labels)
     return acc

@@ -197,8 +197,6 @@ class TrainConfig:
     optimizer: str = "adam"
     seed: int = 0
     mode: str = "scratch_1branch"
-    source: str = "wiki_def"
-    base_checkpoint: Optional[str] = None
     encoder: enc.EncoderConfig = field(default_factory=enc.EncoderConfig)
 
     def __post_init__(self):
@@ -208,8 +206,6 @@ class TrainConfig:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {TRAIN_MODES}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if self.mode == "continual_adapters" and self.base_checkpoint is None:
-            raise ConfigError("continual_adapters mode requires a base checkpoint")
 
 
 @dataclass
@@ -217,8 +213,6 @@ class TrainResult:
     params: enc.ModelParams
     trace: list[tuple]  # (step, l_i2t, l_t2i, l_ic, tau)
     branch_counts: dict
-    mode: str
-    seed: int
 
 
 class _Optimizer:
@@ -257,18 +251,6 @@ class _Optimizer:
         np.divide(m, 1 - b1**self.t, out=g)
         g *= self.lr
         w -= np.divide(g, s, out=g)
-
-
-def _init_for_mode(config: TrainConfig, base_params: Optional[enc.ModelParams]):
-    if config.mode == "continual_adapters":
-        if base_params is None:
-            base_params, _ = enc.load_checkpoint(config.base_checkpoint)
-        params = base_params if base_params.has_adapters else enc.add_adapters(
-            base_params, seed=config.seed
-        )
-        return params.copy()
-    with_adapters = config.mode == "scratch_2branch"
-    return enc.init_params(config.encoder, seed=config.seed, with_adapters=with_adapters)
 
 
 def fit(
@@ -327,18 +309,29 @@ def fit(
 
 
 def train(
-    config: TrainConfig,
-    triplets: Iterable[Triplet],
-    base_params: Optional[enc.ModelParams] = None,
+    config: TrainConfig, triplets: Iterable[Triplet], base: Optional[enc.ModelParams] = None
 ) -> TrainResult:
     """Run seeded contrastive training and return params plus the loss trace.
 
-    ``triplets`` is read once into per-row arrays and per-text token ids; if
-    any row has no label, every row is labelled as ``assign_labels`` would.
+    ``continual_adapters``, the one mode that takes ``base``, trains
+    adapters on it and consumes it: the returned params may be ``base``
+    itself with its tensors replaced by the trained ones, so no copy of the
+    base stays alive beside them. The scratch modes initialise from
+    ``config.encoder``. ``triplets`` is read once into per-row arrays and
+    per-text token ids; if any row has no label, every row is labelled as
+    ``assign_labels`` would.
     """
-    params = _init_for_mode(config, base_params)
-    cfg = params.config
     continual = config.mode == "continual_adapters"
+    if continual and base is None:
+        raise ConfigError("continual_adapters mode requires a base checkpoint")
+    if base is not None and not continual:
+        raise ConfigError(f"mode {config.mode} takes no base model")
+    if continual:
+        params = base if base.has_adapters else enc.add_adapters(base, seed=config.seed)
+    else:
+        with_adapters = config.mode == "scratch_2branch"
+        params = enc.init_params(config.encoder, seed=config.seed, with_adapters=with_adapters)
+    cfg = params.config
     text_index: dict[str, int] = {}
     groups: dict[str, int] = {}
 
@@ -373,9 +366,7 @@ def train(
         params, spec, range(len(rows)), make_batch, config.epochs, config.batch_size,
         config.optimizer, config.learning_rate, config.seed,
     )
-    return TrainResult(
-        params=params, trace=trace, branch_counts=branch_counts, mode=config.mode, seed=config.seed
-    )
+    return TrainResult(params=params, trace=trace, branch_counts=branch_counts)
 
 
 def save_trace_csv(trace: list[tuple], path, header: str = "step,l_i2t,l_t2i,l_ic,tau") -> None:

@@ -176,11 +176,10 @@ def test_criterion_4_adapter_identity_and_freeze(toy_config):
     before = {k: v.copy() for k, v in base.tensors.items()}
     result = trainer.train(
         trainer.TrainConfig(
-            batch_size=8, epochs=25, seed=0, mode="continual_adapters",
-            base_checkpoint="in-memory", encoder=encoder_cfg,
+            batch_size=8, epochs=25, seed=0, mode="continual_adapters", encoder=encoder_cfg,
         ),
         data,
-        base_params=base,
+        base,
     )
     frozen = all(
         np.array_equal(result.params.tensors[k], before[k])

@@ -363,6 +363,31 @@ class TestTrainEval:
             "boxer", "tench", "crowd", "fireplug",
         }
 
+    def test_zeroshot_with_knowledge_retrieves_once_per_class(
+        self, capsys, tmp_path, checkpoint, monkeypatch
+    ):
+        queries = []
+        retrieve = knowledge.KnowledgeStore.retrieve
+
+        def counting_retrieve(self, query, source):
+            queries.append(query)
+            return retrieve(self, query, source)
+
+        monkeypatch.setattr(knowledge.KnowledgeStore, "retrieve", counting_retrieve)
+        names = ["boxer", "tench", "zzgib"]
+        classes = tmp_path / "classes.json"
+        classes.write_text(json.dumps(names))
+        images = _write_images(tmp_path / "images.jsonl",
+                               [{"image": np.eye(4)[i].tolist(), "label": i} for i in range(3)])
+        code, summary, err = run(
+            capsys, "eval-zeroshot", "--checkpoint", str(checkpoint), "--images", str(images),
+            "--classes", str(classes), "--with-knowledge", "--wiktionary", WK,
+        )
+        assert code == EXIT_OK, err
+        assert sorted(queries) == sorted(names)
+        assert summary["knowledge_hits"] == 2
+        assert summary["knowledge_coverage_pct"] == 100.0 * (2 / 3)
+
     def test_out_checkpoint_may_be_the_base_checkpoint(self, capsys, tmp_path, dataset):
         small = ["--dataset", str(dataset), "--epochs", "1", "--batch-size", "8",
                  "--embed-dim", "8", "--hidden-dim", "16", "--vocab-size", "64",
@@ -377,6 +402,34 @@ class TestTrainEval:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "adapters.json", "base.json", "ds.jsonl",
         ]
+
+    def test_continual_peak_matches_scratch_two_branch(self, capsys, tmp_path):
+        # Every row is a knowledge hit, so both modes run every text through
+        # the adapter branch; the base checkpoint is all that could differ.
+        rng = np.random.default_rng(0)
+        rows = [{"image": rng.normal(size=8).tolist(), "text": f"{text} x{i % 50}",
+                 "kind": kind, "augmented": True}
+                for i, (text, kind) in enumerate(MIXED_ROWS * 8)]
+        dataset = _write_images(tmp_path / "ds.jsonl", rows)
+        base = str(tmp_path / "base.json")
+        common = ["train", "--dataset", str(dataset), "--epochs", "1", "--batch-size", "16"]
+        scratch = [*common, "--mode", "scratch_2branch", "--out-checkpoint", base]
+        continual = [*common, "--mode", "continual_adapters", "--base-checkpoint", base,
+                     "--out-checkpoint", str(tmp_path / "adapters.json")]
+
+        def peak(argv):
+            tracemalloc.start()
+            try:
+                code = main(argv)
+                traced_peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            capsys.readouterr()
+            assert code == EXIT_OK
+            return traced_peak
+
+        peak(scratch), peak(continual)  # warm-up: lazily built module state
+        assert peak(continual) < 1.01 * peak(scratch)
 
     @pytest.mark.parametrize("defect", ["bad_json", "short_image"])
     def test_bad_last_row_writes_no_checkpoint(self, capsys, tmp_path, defect):
@@ -537,7 +590,7 @@ class TestMalformedJsonl:
 
 
 class TestClassList:
-    @pytest.mark.parametrize("content", ["5", "{}", "[]", "not json"])
+    @pytest.mark.parametrize("content", ["5", "{}", "[]", "not json", "[1, null]", '["boxer", 2]'])
     @pytest.mark.parametrize("command", ["eval-zeroshot", "ground-train", "ground-eval"])
     def test_bad_class_list_is_data_error(self, capsys, tmp_path, checkpoint, command, content):
         classes = tmp_path / "classes.json"
@@ -854,6 +907,43 @@ class TestInputContract:
         assert code == EXIT_DATA
         lines = err.strip().splitlines()
         assert len(lines) == 1 and f"{classes}: not UTF-8 text" in lines[0]
+
+
+class TestFlagRanges:
+    """A flag out of range is one config error line (exit 1), raised before any input is read.
+
+    Every input path is absent: reading one first would be a data error (exit 2).
+    """
+
+    @pytest.mark.parametrize("flags", [
+        ["eval-probe", "--shots", "0"],
+        ["eval-probe", "--probe-seeds", "0"],
+        ["eval-probe", "--probe-seeds", "-1"],
+        ["bench-synth", "--n-seeds", "0"],
+        ["bench-synth", "--n-seeds", "-2"],
+        ["bench-synth", "--common-classes", "99"],
+        ["bench-synth", "--rare-classes", "0"],
+        ["ground-train", "--focal-alpha", "2"],
+        ["ground-train", "--focal-alpha", "2", "--epochs", "0"],
+        ["ground-train", "--focal-gamma", "-1"],
+        ["train", "--base-checkpoint", "ABSENT"],
+        ["train", "--mode", "scratch_2branch", "--base-checkpoint", "ABSENT"],
+        ["train", "--mode", "continual_adapters"],
+    ], ids=" ".join)
+    def test_config_error_before_any_input_is_read(self, capsys, tmp_path, flags):
+        absent, out = str(tmp_path / "absent"), str(tmp_path / "out.json")
+        inputs = {
+            "eval-probe": ["--checkpoint", absent, "--images", absent],
+            "bench-synth": ["--out", out],
+            "ground-train": ["--regions", absent, "--classes", absent, "--out-checkpoint", out],
+            "train": ["--dataset", absent, "--out-checkpoint", out],
+        }[flags[0]]
+        argv = [absent if flag == "ABSENT" else flag for flag in flags]
+        code, _, err = run(capsys, *argv, *inputs)
+        assert code == EXIT_USAGE
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: "), err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestAtomicOutputs:

@@ -257,7 +257,7 @@ def slice_inputs(workdir):
     (workdir / "slice_classes.json").write_text(json.dumps(["boxer", "crowd"]))
     (workdir / "slice_queries.txt").write_text("boxer\ncrowd\n")
     regions = "\n".join(json.dumps(r) for r in slice_rows("regions"))
-    (workdir / "slice_regions.jsonl").write_text(regions + "\n")
+    (workdir / "slice_class_regions.jsonl").write_text(regions + "\n")
     return workdir
 
 
@@ -276,7 +276,7 @@ def slice_argv(reader, path, workdir):
         "wiktionary": ["coverage", "--source", "wiki_def", "--wiktionary", str(path),
                        "--queries", queries],
         "classes": ["ground-eval", "--checkpoint", model, "--regions",
-                    str(workdir / "slice_regions.jsonl"), "--classes", str(path)],
+                    str(workdir / "slice_class_regions.jsonl"), "--classes", str(path)],
     }[reader]
 
 
@@ -323,20 +323,27 @@ def test_row_field_of_each_json_type(slice_inputs, reader, field, json_type):
 
 @pytest.mark.parametrize("json_type", sorted(JSON_TYPES))
 @pytest.mark.parametrize(
-    "reader, field", [("wordnet", "lemmas"), ("wordnet", "hypernym_ids"), ("wiktionary", "senses")]
+    "reader, field", [("wordnet", "lemmas"), ("wordnet", "hypernym_ids"), ("wiktionary", "senses"),
+                      ("classes", "classes")]
 )
 def test_list_entry_of_each_json_type(slice_inputs, reader, field, json_type):
     # Entries are strings only; the slice row's own entry stands for a string.
-    rows = slice_rows(reader)
-    if json_type != "string":
-        rows[1][field] = [JSON_TYPES[json_type]]
-    path = slice_inputs / f"slice_{reader}.jsonl"
-    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    if reader == "classes":  # one JSON list, not rows: its second entry is mutated
+        path = slice_inputs / "slice_entry_classes.json"
+        where = path
+        path.write_text(json.dumps(["boxer", JSON_TYPES[json_type]]))
+    else:
+        rows = slice_rows(reader)
+        if json_type != "string":
+            rows[1][field] = [JSON_TYPES[json_type]]
+        path = slice_inputs / f"slice_{reader}.jsonl"
+        where = f"{path}:2"
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
     code, err = run_quiet(slice_argv(reader, path, slice_inputs))
     if json_type == "string":
         assert code == 0, err
     else:
-        assert_one_error_line_naming(code, err, f"{path}:2")
+        assert_one_error_line_naming(code, err, where)
         assert f"{field} must be" in err
 
 

@@ -273,11 +273,12 @@ def fd_check(params, loss_fn, grads_dict, rng, coords_per_tensor=3, h=1e-4):
 
 
 class TestGrads:
-    def test_all_frozen_gives_zero_everywhere(self, toy_config):
+    @pytest.mark.parametrize("trainable", ["none", "base"])
+    def test_unknown_trainable_selection_rejected(self, toy_config, trainable):
         params = enc.init_params(toy_config, seed=6)
         batch = _contrastive_batch(toy_config, np.random.default_rng(0))
-        _, g = enc.grads(params, batch, enc.LossSpec(trainable="none"))
-        assert all(np.all(v == 0.0) for v in g.values())
+        with pytest.raises(ConfigError, match="unknown trainable selection"):
+            enc.grads(params, batch, enc.LossSpec(trainable=trainable))
 
     def test_adapter_only_masks_base(self, toy_config):
         params = enc.init_params(toy_config, seed=6, with_adapters=True)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from lexivis import encoder as enc
 from lexivis.compose import PromptTemplate, compose_class_text
-from lexivis.errors import DataError, NumericsError
+from lexivis.errors import ConfigError, DataError, NumericsError
 from lexivis.evaluation import (
     ClassEmbeddings,
     build_class_embeddings,
@@ -36,14 +36,14 @@ def toy_store():
 
 class TestClassEmbeddings:
     def test_without_knowledge_equals_vanilla_prompt_embedding(self, params, toy_store, toy_config):
-        bank = build_class_embeddings(params, ["boxer"], store=toy_store, with_knowledge=False)
+        bank = build_class_embeddings(params, ["boxer"])
         ids = enc.text_to_ids("a photo of a boxer", toy_config)
         raw = enc.encode_text(params, ids)
         assert np.allclose(bank.matrix[:, 0], raw / np.linalg.norm(raw))
         assert bank.provenance[0]["hit"] is False
 
     def test_with_knowledge_uses_composed_text(self, params, toy_store, toy_config):
-        bank = build_class_embeddings(params, ["boxer"], store=toy_store, with_knowledge=True)
+        bank = build_class_embeddings(params, ["boxer"], store=toy_store)
         composed = compose_class_text(
             PromptTemplate(), "boxer", "a participant (fighter) in a boxing match",
             toy_config.max_tokens,
@@ -56,19 +56,17 @@ class TestClassEmbeddings:
     def test_two_branch_selective_with_zero_adapters_matches_one_branch(self, toy_config, toy_store):
         params = enc.init_params(toy_config, seed=32, with_adapters=True)
         selective = build_class_embeddings(
-            params, ["boxer", "zzmiss"], store=toy_store, with_knowledge=True,
-            branch_mode="two_branch_selective",
+            params, ["boxer", "zzmiss"], store=toy_store, branch_mode="two_branch_selective",
         )
         one = build_class_embeddings(
-            params, ["boxer", "zzmiss"], store=toy_store, with_knowledge=True,
-            branch_mode="one_branch",
+            params, ["boxer", "zzmiss"], store=toy_store, branch_mode="one_branch",
         )
         assert np.array_equal(selective.matrix, one.matrix)
         assert [p["branch"] for p in selective.provenance] == ["adapter", "base"]
         assert [p["branch"] for p in one.provenance] == ["adapter", "adapter"]
 
     def test_columns_unit_norm(self, params, toy_store):
-        bank = build_class_embeddings(params, ["boxer", "other"], store=toy_store, with_knowledge=True)
+        bank = build_class_embeddings(params, ["boxer", "other"], store=toy_store)
         assert np.allclose(np.linalg.norm(bank.matrix, axis=0), 1.0)
 
     def test_template_ensemble_averages(self, params, toy_config):
@@ -168,6 +166,13 @@ class TestLinearProbe:
         with pytest.raises(DataError):
             linear_probe(feats, labels, shots_per_class=2)
 
+    @pytest.mark.parametrize("shots, seeds", [(0, (0,)), (1, ())])
+    def test_no_shots_or_no_seeds_is_a_config_error(self, shots, seeds):
+        feats = np.zeros((6, 2))
+        labels = np.array([0, 0, 0, 1, 1, 1])
+        with pytest.raises(ConfigError):
+            linear_probe(feats, labels, shots_per_class=shots, seeds=seeds)
+
     def test_deterministic(self):
         rng = np.random.default_rng(2)
         feats = rng.normal(size=(60, 4))
@@ -213,14 +218,12 @@ class TestEvalReport:
         rng = np.random.default_rng(4)
         images = rng.normal(size=(10, toy_config.image_input_dim))
         labels = np.array([0, 1] * 5)
-        bank = build_class_embeddings(
-            params, ["boxer", "zzmiss"], store=toy_store, with_knowledge=True
-        )
+        bank = build_class_embeddings(params, ["boxer", "zzmiss"], store=toy_store)
         preds, _ = zero_shot_classify(params, images, bank, labels)
         report = make_eval_report(
             params, preds, labels, bank,
             pretrain_concepts=["boxer", "tench"],
-            store=toy_store,
+            with_knowledge=True,
         )
         assert 0.0 <= report.top1_accuracy <= 1.0
         assert set(report.per_class_accuracy) == {"boxer", "zzmiss"}

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lexivis import encoder as enc, trainer
-from lexivis.errors import DataError, NumericsError
+from lexivis.errors import ConfigError, DataError, NumericsError
 from lexivis.grounding import (
     FocalParams,
     RegionSet,
@@ -160,9 +160,9 @@ class TestFocalLoss:
             focal_loss(np.zeros((2, 2)), np.zeros((2, 3)))
 
     def test_invalid_params_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             FocalParams(alpha=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             FocalParams(gamma=-1.0)
 
 
@@ -175,7 +175,7 @@ def _all_caches_grads(params, batch, spec):
     ]
     bank = np.stack([vec for vec, _ in encoded], axis=1)
     feats = np.asarray(batch.region_features, dtype=np.float64)
-    fp = FocalParams(alpha=spec.focal_alpha, gamma=spec.focal_gamma)
+    fp = spec.focal or FocalParams()
     loss, d_scores = focal_loss_with_grad(feats @ bank, batch.targets, fp)
     d_bank = feats.T @ d_scores
     for k, (_, cache) in enumerate(encoded):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from lexivis import synth
+from lexivis.encoder import EncoderConfig
+from lexivis.errors import ConfigError
 from lexivis.knowledge import knowledge_coverage
 
 
@@ -51,10 +53,18 @@ class TestWorld:
         assert len(set(labels.values())) == 4
 
     def test_bad_sizes_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             synth.SynthConfig(n_common=99)
-        with pytest.raises(ValueError):
-            synth.SynthConfig(image_dim=4, n_common=8)
+        with pytest.raises(ConfigError):
+            synth.SynthConfig(encoder=EncoderConfig(image_input_dim=4), n_common=8)
+        with pytest.raises(ConfigError):
+            synth.SynthConfig(seeds=())
+
+    def test_world_reads_the_encoder_image_width(self):
+        cfg = _tiny_config(encoder=EncoderConfig(vocab_size=64, max_tokens=32, image_input_dim=6))
+        world = synth.build_world(0, cfg)
+        assert world.eval_images.shape[1] == 6
+        assert {t.image.shape for t in world.train_triplets} == {(6,)}
 
 
 class TestBench:

@@ -141,8 +141,8 @@ class TestTrain:
         base = train(_train_config(epochs=2), data)
         with_adapters = enc.add_adapters(base.params, seed=5)
         before = {k: v.copy() for k, v in with_adapters.tensors.items()}
-        cfg = _train_config(mode="continual_adapters", base_checkpoint="unused", epochs=6)
-        result = train(cfg, data, base_params=with_adapters)
+        cfg = _train_config(mode="continual_adapters", epochs=6)
+        result = train(cfg, data, with_adapters)
         for key, val in result.params.tensors.items():
             if enc.is_adapter_key(key):
                 continue
@@ -181,8 +181,20 @@ class TestTrain:
             _train_config(batch_size=1)
 
     def test_continual_requires_base(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(mode="continual_adapters")
+        with pytest.raises(ConfigError, match="mode requires a base checkpoint"):
+            train(_train_config(mode="continual_adapters"), _synthetic_dataset())
+
+    @pytest.mark.parametrize("mode", ["scratch_1branch", "scratch_2branch"])
+    def test_scratch_mode_takes_no_base(self, mode):
+        base = enc.init_params(_train_config().encoder, seed=0, with_adapters=True)
+        with pytest.raises(ConfigError, match="takes no base model"):
+            train(_train_config(mode=mode), _synthetic_dataset(), base)
+
+    def test_continual_consumes_an_adapter_base(self):
+        data = _synthetic_dataset()
+        base = enc.init_params(_train_config().encoder, seed=0, with_adapters=True)
+        result = train(_train_config(mode="continual_adapters", epochs=1), data, base)
+        assert result.params is base
 
     def test_wrong_image_dim_rejected(self):
         data = [Triplet(image=np.zeros(3), text="a", label=0),
