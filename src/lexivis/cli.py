@@ -13,9 +13,11 @@ over the environment, which wins over the file.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -65,10 +67,6 @@ def _load_store(args) -> KnowledgeStore:
 
 def _load_lexicon(args) -> dict:
     return queries.load_lexicon(args.lexicon) if args.lexicon else {}
-
-
-def _template(args) -> compose.PromptTemplate:
-    return compose.PromptTemplate(args.template or compose.DEFAULT_TEMPLATE)
 
 
 def _emit(summary: dict) -> None:
@@ -137,7 +135,7 @@ def _cmd_augment(args) -> dict:
         store,
         source=args.source,
         scheme=args.scheme,
-        template=_template(args),
+        template=args.template,
         max_tokens=args.max_tokens,
         lexicon=lexicon,
     )
@@ -166,13 +164,6 @@ def _cmd_train(args) -> dict:
     if continual != (args.base_checkpoint is not None):  # checked before any input is read
         raise ConfigError("continual_adapters mode requires a base checkpoint" if continual else
                           f"--base-checkpoint needs --mode continual_adapters, not {args.mode}")
-    if continual:
-        base, _ = enc.load_checkpoint(args.base_checkpoint)
-        encoder_cfg = base.config
-    else:
-        base = None
-        first = next(trainer.iter_dataset_jsonl(args.dataset))  # it fixes the image width
-        encoder_cfg = _encoder_config(args, first.image.size)
     config = trainer.TrainConfig(
         batch_size=args.batch_size,
         epochs=args.epochs,
@@ -180,10 +171,13 @@ def _cmd_train(args) -> dict:
         optimizer=args.optimizer,
         seed=args.seed,
         mode=args.mode,
-        encoder=encoder_cfg,
+        encoder=_encoder_config(args, image_dim=1),  # the dataset's first row sets the width
     )
-    rows = trainer.iter_dataset_jsonl(args.dataset, encoder_cfg.image_input_dim)
-    result = trainer.train(config, rows, base)
+    base = enc.load_checkpoint(args.base_checkpoint)[0] if continual else None
+    rows = trainer.iter_dataset_jsonl(args.dataset, base.config.image_input_dim if base else None)
+    first = next(rows)
+    config.encoder = replace(config.encoder, image_input_dim=first.image.size)
+    result = trainer.train(config, itertools.chain([first], rows), base)
     enc.save_checkpoint(
         result.params,
         args.out_checkpoint,
@@ -202,13 +196,13 @@ def _cmd_train(args) -> dict:
 
 
 def _cmd_eval_zeroshot(args) -> dict:
-    params, _ = enc.load_checkpoint(args.checkpoint)
     store = _load_store(args) if args.with_knowledge else None
+    params, _ = enc.load_checkpoint(args.checkpoint)
     class_names = _load_class_names(args.classes)
     images, labels = _load_labeled_images(args.images, params.config.image_input_dim)
     if labels is not None and not ((labels >= 0) & (labels < len(class_names))).all():
         raise DataError(f"{args.images}: labels must index the {len(class_names)} classes")
-    templates = compose.load_templates(args.templates) if args.templates else [_template(args)]
+    templates = compose.load_templates(args.templates) if args.templates else [args.template]
     bank = evaluation.build_class_embeddings(
         params,
         class_names,
@@ -294,13 +288,14 @@ def _cmd_eval_probe(args) -> dict:
 def _cmd_ground_train(args) -> dict:
     cfg = _encoder_config(args, image_dim=args.embed_dim)
     focal = grounding.FocalParams(args.focal_alpha, args.focal_gamma)
+    trainer.check_schedule(args.epochs, args.learning_rate)
+    store = _load_store(args) if args.with_knowledge else None
     class_names = _load_class_names(args.classes)
     regions = grounding.load_regions_jsonl(args.regions, len(class_names), cfg.embed_dim)
     unlabeled = next((r.image_id for r in regions if r.targets is None), None)
     if unlabeled is not None:
         raise DataError(f"{args.regions}: image_id {unlabeled!r} has no targets; "
                         "ground-train needs targets on every region row")
-    store = _load_store(args) if args.with_knowledge else None
     texts = grounding.category_texts(class_names, store, args.source, cfg.max_tokens)
     params = enc.init_params(cfg, seed=args.seed)
     token_ids = [enc.text_to_ids(t, cfg, pooling="cls") for t in texts]
@@ -332,10 +327,10 @@ def _cmd_ground_train(args) -> dict:
 
 
 def _cmd_ground_eval(args) -> dict:
+    store = _load_store(args) if args.with_knowledge else None
     params, _ = enc.load_checkpoint(args.checkpoint)
     class_names = _load_class_names(args.classes)
     regions = grounding.load_regions_jsonl(args.regions, len(class_names), params.config.embed_dim)
-    store = _load_store(args) if args.with_knowledge else None
     texts = grounding.category_texts(class_names, store, args.source, params.config.max_tokens)
     bank = grounding.encode_phrases_parallel(params, texts)
     rows = []
@@ -421,7 +416,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--scheme", default="concat", choices=("concat", "combine"))
     p.add_argument("--lexicon")
-    p.add_argument("--template", default=compose.DEFAULT_TEMPLATE)
+    p.add_argument("--template", type=compose.PromptTemplate, default=compose.DEFAULT_TEMPLATE)
     p.add_argument("--max-tokens", type=int, default=compose.DEFAULT_MAX_TOKENS)
     p.set_defaults(fn=_cmd_augment)
 
@@ -459,7 +454,7 @@ def build_parser() -> _Parser:
     p.add_argument("--classes", required=True)
     p.add_argument("--with-knowledge", action="store_true")
     p.add_argument("--branch-mode", default="one_branch", choices=evaluation.BRANCH_MODES)
-    p.add_argument("--template", default=compose.DEFAULT_TEMPLATE)
+    p.add_argument("--template", type=compose.PromptTemplate, default=compose.DEFAULT_TEMPLATE)
     p.add_argument("--templates", help="file with one template per line (ensemble)")
     p.add_argument("--pretrain-concepts", help="file of pretraining concepts for overlap")
     p.add_argument("--breakdown-csv", help="write a one-row per-dataset breakdown CSV")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterator, Optional
 
 import numpy as np
@@ -66,20 +66,7 @@ class EncoderConfig:
             raise ConfigError(f"vocab_size must exceed {NUM_RESERVED}")
 
     def to_dict(self) -> dict:
-        return {
-            "embed_dim": self.embed_dim,
-            "text_layers": self.text_layers,
-            "num_heads": self.num_heads,
-            "hidden_dim": self.hidden_dim,
-            "vocab_size": self.vocab_size,
-            "max_tokens": self.max_tokens,
-            "adapter_bottleneck": self.adapter_bottleneck,
-            "image_input_dim": self.image_input_dim,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EncoderConfig":
-        return cls(**d)
+        return asdict(self)
 
 
 def hash_token_id(word: str, vocab_size: int) -> int:
@@ -638,7 +625,7 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     if not isinstance(payload.get("encoder_config"), dict) or not isinstance(stored, dict):
         raise DataError(f"{path}: checkpoint needs encoder_config and tensors objects")
     try:
-        config = EncoderConfig.from_dict(payload["encoder_config"])
+        config = EncoderConfig(**payload["encoder_config"])
     except (TypeError, ConfigError) as exc:
         raise DataError(f"{path}: bad encoder_config ({exc})") from exc
     with_adapters = any(is_adapter_key(k) for k in stored)

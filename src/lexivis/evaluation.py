@@ -123,13 +123,6 @@ def zero_shot_classify(
 class ProbeResult:
     accuracy: float
     per_seed: list[float]
-    shots_per_class: int
-
-
-def _softmax_rows(z):
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def linear_probe(
@@ -179,13 +172,13 @@ def linear_probe(
         b = np.zeros(n_classes)
         n = len(y_train)
         for _ in range(PROBE_STEPS):
-            probs = _softmax_rows(x_train @ w + b)
+            probs = enc._softmax_last(x_train @ w + b)
             delta = (probs - onehot) / n
             w -= PROBE_LR * (x_train.T @ delta + PROBE_L2 * w)
             b -= PROBE_LR * delta.sum(axis=0)
         preds = np.argmax(x_test @ w + b, axis=1)
         accuracies.append(float(np.mean(preds == y_test)))
-    return ProbeResult(float(np.mean(accuracies)), accuracies, shots_per_class)
+    return ProbeResult(float(np.mean(accuracies)), accuracies)
 
 
 @dataclass

@@ -8,7 +8,6 @@ every retrieval is a pure function of (snapshot, query).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -56,10 +55,6 @@ class KnowledgeItem:
     query: str
     source: str
     text: str
-
-
-def _file_digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def iter_jsonl(path, error: type[LexivisError], fields=()) -> Iterator[tuple[str, dict]]:
@@ -163,8 +158,7 @@ def atomic_open(path) -> Iterator[TextIO]:
 class WordNetGraph:
     """In-memory WordNet snapshot with a lemma index and hypernym links."""
 
-    def __init__(self, records: list[SynsetRecord], digest: str = ""):
-        self.digest = digest
+    def __init__(self, records: list[SynsetRecord]):
         self.synsets: dict[str, SynsetRecord] = {}
         self.lemma_index: dict[str, str] = {}
         for rec in records:
@@ -210,8 +204,7 @@ class WordNetGraph:
 class Dictionary:
     """In-memory Wiktionary snapshot keyed by lowercase term."""
 
-    def __init__(self, entries: list[DictionaryEntry], digest: str = ""):
-        self.digest = digest
+    def __init__(self, entries: list[DictionaryEntry]):
         self.entries: dict[str, DictionaryEntry] = {}
         for entry in entries:
             if entry.term in self.entries:
@@ -306,7 +299,7 @@ def load_wordnet_snapshot(path) -> WordNetGraph:
             )
         )
     try:
-        graph = WordNetGraph(records, digest=_file_digest(path))
+        graph = WordNetGraph(records)
         _check_hypernym_chains(graph)
     except SnapshotError as exc:  # a duplicate, a dangling reference or a long chain
         raise SnapshotError(f"{path}: {exc}") from exc
@@ -324,7 +317,7 @@ def load_wiktionary_snapshot(path) -> Dictionary:
             )
         )
     try:
-        return Dictionary(entries, digest=_file_digest(path))
+        return Dictionary(entries)
     except SnapshotError as exc:  # a duplicate term
         raise SnapshotError(f"{path}: {exc}") from exc
 
@@ -372,14 +365,6 @@ class KnowledgeStore:
         if self.wiktionary is None:
             return None
         return wiki_definition(self.wiktionary, query)
-
-    def provenance(self) -> dict[str, str]:
-        digests = {}
-        if self.wordnet is not None:
-            digests["wordnet"] = self.wordnet.digest
-        if self.wiktionary is not None:
-            digests["wiktionary"] = self.wiktionary.digest
-        return digests
 
 
 def knowledge_coverage(queries: list[str], store: KnowledgeStore, source: str) -> float:

