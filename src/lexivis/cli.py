@@ -299,7 +299,7 @@ def _cmd_ground_train(args) -> dict:
     texts = grounding.category_texts(class_names, store, args.source, cfg.max_tokens)
     params = enc.init_params(cfg, seed=args.seed)
     token_ids = [enc.text_to_ids(t, cfg, pooling="cls") for t in texts]
-    spec = enc.LossSpec(loss="ground_focal", pooling="cls", focal=focal)
+    spec = enc.LossSpec(loss="ground_focal", focal=focal)
 
     def make_batch(batch: list[grounding.RegionSet]) -> enc.TrainBatch:
         (region,) = batch
@@ -608,7 +608,9 @@ def main(argv=None) -> int:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except LexivisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        step = getattr(exc, "diagnostics", {}).get("step")  # set by trainer.fit
+        print(f"error: {exc}" + (f" (training step {step})" if step is not None else ""),
+              file=sys.stderr)
         return EXIT_DATA
     except (OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)

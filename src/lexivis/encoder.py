@@ -14,6 +14,7 @@ crc32 buckets, with ids 0 and 1 reserved for CLS and EOS.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import zlib
@@ -226,11 +227,22 @@ def _layer_norm(x, g, b):
     return g * xhat + b, (xhat, inv)
 
 
+def _accumulate(total, value):
+    """``total += value``, a stacked ``value`` one leading slice (one sequence) at a time.
+
+    Slice by slice, in order, keeps the bits of one sequence per pass; adding their sum would not.
+    """
+    if value.ndim == total.ndim:
+        total += value
+    else:
+        for i in range(len(value)):  # indexing is cheaper than an ndarray iterator
+            total += value[i]
+
+
 def _layer_norm_backward(dy, cache, t, pre, grads):
     xhat, inv = cache
-    lead = tuple(range(dy.ndim - 1))
-    grads[pre + "g"] += (dy * xhat).sum(axis=lead)
-    grads[pre + "b"] += dy.sum(axis=lead)
+    _accumulate(grads[pre + "g"], (dy * xhat).sum(axis=-2))
+    _accumulate(grads[pre + "b"], dy.sum(axis=-2))
     dxhat = dy * t[pre + "g"]
     return inv * (dxhat - _mean_last(dxhat) - xhat * _mean_last(dxhat * xhat))
 
@@ -242,49 +254,40 @@ def _softmax_last(z):
 
 
 def _attention_forward(x, t, pre, n_heads):
-    """Bidirectional multi-head self-attention over one sequence (L, P)."""
-    length, p = x.shape
+    """Bidirectional multi-head self-attention over (B, L, P) sequences of one length."""
+    batch, length, p = x.shape
     hd = p // n_heads
     scale = 1.0 / math.sqrt(hd)
     q = x @ t[pre + "Wq"] + t[pre + "bq"]
     k = x @ t[pre + "Wk"] + t[pre + "bk"]
     v = x @ t[pre + "Wv"] + t[pre + "bv"]
-    qh = q.reshape(length, n_heads, hd).transpose(1, 0, 2)
-    kh = k.reshape(length, n_heads, hd).transpose(1, 0, 2)
-    vh = v.reshape(length, n_heads, hd).transpose(1, 0, 2)
-    attn = _softmax_last(qh @ kh.transpose(0, 2, 1) * scale)
+    # (B, H, L, hd) views: each head of each sequence is one (L, hd) matrix.
+    qh, kh, vh = (m.reshape(batch, length, n_heads, hd).swapaxes(1, 2) for m in (q, k, v))
+    attn = _softmax_last(qh @ kh.mT * scale)
     ctx = attn @ vh
-    ctx_flat = ctx.transpose(1, 0, 2).reshape(length, p)
+    ctx_flat = ctx.swapaxes(1, 2).reshape(batch, length, p)
     out = ctx_flat @ t[pre + "Wo"] + t[pre + "bo"]
     return out, (x, qh, kh, vh, attn, ctx_flat, scale)
 
 
 def _attention_backward(dout, cache, t, pre, grads):
     x, qh, kh, vh, attn, ctx_flat, scale = cache
-    length, p = x.shape
-    n_heads = qh.shape[0]
-    hd = p // n_heads
+    batch, n_heads, length, hd = qh.shape
+    _accumulate(grads[pre + "Wo"], ctx_flat.mT @ dout)
+    _accumulate(grads[pre + "bo"], dout.sum(axis=-2))
+    dctx = (dout @ t[pre + "Wo"].T).reshape(batch, length, n_heads, hd).swapaxes(1, 2)
 
-    grads[pre + "Wo"] += ctx_flat.T @ dout
-    grads[pre + "bo"] += dout.sum(axis=0)
-    dctx = (dout @ t[pre + "Wo"].T).reshape(length, n_heads, hd).transpose(1, 0, 2)
-
-    dattn = dctx @ vh.transpose(0, 2, 1)
-    dvh = attn.transpose(0, 2, 1) @ dctx
+    dattn = dctx @ vh.mT
+    dvh = attn.mT @ dctx
     # Softmax backward per attention row.
     dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
     dqh = dscores @ kh * scale
-    dkh = dscores.transpose(0, 2, 1) @ qh * scale
+    dkh = dscores.mT @ qh * scale
 
-    dq = dqh.transpose(1, 0, 2).reshape(length, p)
-    dk = dkh.transpose(1, 0, 2).reshape(length, p)
-    dv = dvh.transpose(1, 0, 2).reshape(length, p)
-    grads[pre + "Wq"] += x.T @ dq
-    grads[pre + "bq"] += dq.sum(axis=0)
-    grads[pre + "Wk"] += x.T @ dk
-    grads[pre + "bk"] += dk.sum(axis=0)
-    grads[pre + "Wv"] += x.T @ dv
-    grads[pre + "bv"] += dv.sum(axis=0)
+    dq, dk, dv = (dh.swapaxes(1, 2).reshape(x.shape) for dh in (dqh, dkh, dvh))
+    for name, d in (("q", dq), ("k", dk), ("v", dv)):
+        _accumulate(grads[pre + "W" + name], x.mT @ d)
+        _accumulate(grads[pre + "b" + name], d.sum(axis=-2))
     return dq @ t[pre + "Wq"].T + dk @ t[pre + "Wk"].T + dv @ t[pre + "Wv"].T
 
 
@@ -306,12 +309,13 @@ def _ffn_backward(dout, cache, t, pre, keys, grads, input_grad=True):
     """Accumulate the block's weight gradients; return d input unless ``input_grad`` is off."""
     x, z, tanh = cache
     w1, b1, w2, b2 = (pre + k for k in keys)
-    grads[w2] += (0.5 * z * (1.0 + tanh)).T @ dout  # the forward's GELU output, bit for bit
-    grads[b2] += dout.sum(axis=0)
+    # The forward's GELU output, bit for bit.
+    _accumulate(grads[w2], (0.5 * z * (1.0 + tanh)).mT @ dout)
+    _accumulate(grads[b2], dout.sum(axis=-2))
     dh = dout @ t[w2].T
     dz = dh * _gelu_grad(z, tanh)
-    grads[w1] += x.T @ dz
-    grads[b1] += dz.sum(axis=0)
+    _accumulate(grads[w1], x.mT @ dz)
+    _accumulate(grads[b1], dz.sum(axis=-2))
     return dz @ t[w1].T if input_grad else None
 
 
@@ -319,35 +323,34 @@ def _ffn_backward(dout, cache, t, pre, keys, grads, input_grad=True):
 # Text encoder
 
 
-def _pooling_index(token_ids: list[int], pooling: str) -> int:
-    if pooling == "eos":
-        if EOS_ID not in token_ids:
-            raise ValueError("EOS pooling requires an EOS token in the sequence")
-        return token_ids.index(EOS_ID)
-    if pooling == "cls":
-        if not token_ids or token_ids[0] != CLS_ID:
-            raise ValueError("CLS pooling requires CLS as the first token")
-        return 0
-    raise ValueError(f"unknown pooling {pooling!r}")
-
-
-def _text_forward(params: ModelParams, token_ids: list[int], pooling: str, use_adapters: bool):
+def _checked_ids(params: ModelParams, token_ids, pooling: str, use_adapters: bool) -> list[int]:
+    """The ids one text pass encodes: ``token_ids`` checked, without the padding after EOS."""
     cfg = params.config
-    t = params.tensors
     if len(token_ids) > cfg.max_tokens:
         raise ValueError(f"sequence length {len(token_ids)} exceeds max_tokens {cfg.max_tokens}")
     if any(not 0 <= i < cfg.vocab_size for i in token_ids):
         raise ValueError("token id out of vocabulary range")
     if use_adapters and not params.has_adapters:
         raise ConfigError("adapter branch requested but no adapter tensors exist")
-
-    pool = _pooling_index(token_ids, pooling)
+    if pooling == "cls":
+        if not token_ids or token_ids[0] != CLS_ID:
+            raise ValueError("CLS pooling requires CLS as the first token")
+        return list(token_ids)
+    if pooling != "eos":
+        raise ValueError(f"unknown pooling {pooling!r}")
+    if EOS_ID not in token_ids:
+        raise ValueError("EOS pooling requires an EOS token in the sequence")
     # Anything after the EOS token is padding: masked out of attention by
     # simply never entering the computation.
-    ids = token_ids[: pool + 1] if pooling == "eos" else list(token_ids)
-    length = len(ids)
+    return list(token_ids[: token_ids.index(EOS_ID) + 1])
 
-    x = t["tok_emb"][ids] + t["pos_emb"][:length]
+
+def _text_forward(params: ModelParams, ids, pooling: str, use_adapters: bool):
+    """Pooled features (B, P) of B checked id sequences of one length, all on one branch."""
+    cfg = params.config
+    t = params.tensors
+    ids = np.asarray(ids)
+    x = t["tok_emb"][ids] + t["pos_emb"][: ids.shape[1]]
     caches = []
     for i in range(cfg.text_layers):
         pre = f"layers.{i}."
@@ -370,31 +373,23 @@ def _text_forward(params: ModelParams, token_ids: list[int], pooling: str, use_a
         caches.append((ln1_cache, attn_cache, ad1_cache, ln2_cache, mlp_cache, ad2_cache))
         x = x2
     y, lnf_cache = _layer_norm(x, t["lnf.g"], t["lnf.b"])
-    vec = y[pool if pooling == "cls" else length - 1].copy()
-    cache = {
-        "ids": ids,
-        "length": length,
-        "pool": pool if pooling == "cls" else length - 1,
-        "use_adapters": use_adapters,
-        "layer_caches": caches,
-        "lnf_cache": lnf_cache,
-    }
-    return vec, cache
+    pool = 0 if pooling == "cls" else -1  # EOS is the last id kept
+    return y[:, pool].copy(), (ids, pool, use_adapters, caches, lnf_cache)
 
 
-def _text_backward(params: ModelParams, cache: dict, dvec: np.ndarray, grads: dict) -> None:
+def _text_backward(params: ModelParams, cache: tuple, dvecs: np.ndarray, grads: dict) -> None:
+    """Accumulate the gradients of a ``_text_forward`` pass, given d features (B, P)."""
     cfg = params.config
     t = params.tensors
-    length = cache["length"]
-    use_adapters = cache["use_adapters"]
+    ids, pool, use_adapters, layer_caches, lnf_cache = cache
 
-    dy = np.zeros((length, cfg.embed_dim))
-    dy[cache["pool"]] = dvec
-    dx = _layer_norm_backward(dy, cache["lnf_cache"], t, "lnf.", grads)
+    dy = np.zeros(ids.shape + (cfg.embed_dim,))
+    dy[:, pool] = dvecs
+    dx = _layer_norm_backward(dy, lnf_cache, t, "lnf.", grads)
 
     for i in reversed(range(cfg.text_layers)):
         pre = f"layers.{i}."
-        ln1_cache, attn_cache, ad1_cache, ln2_cache, mlp_cache, ad2_cache = cache["layer_caches"][i]
+        ln1_cache, attn_cache, ad1_cache, ln2_cache, mlp_cache, ad2_cache = layer_caches[i]
         if use_adapters:
             d_ad2_in = _ffn_backward(dx, ad2_cache, t, pre + "ad2.", _ADAPTER_KEYS, grads)
             dx = dx + d_ad2_in
@@ -408,8 +403,8 @@ def _text_backward(params: ModelParams, cache: dict, dvec: np.ndarray, grads: di
         d_a = _layer_norm_backward(d_attn_in, ln1_cache, t, pre + "ln1.", grads)
         dx = dx + d_a
 
-    np.add.at(grads["tok_emb"], cache["ids"], dx)
-    grads["pos_emb"][:length] += dx
+    np.add.at(grads["tok_emb"], ids, dx)  # row by row in (sequence, position) order
+    _accumulate(grads["pos_emb"][: ids.shape[1]], dx)
 
 
 def encode_text(
@@ -419,8 +414,8 @@ def encode_text(
     use_adapters: bool = False,
 ) -> np.ndarray:
     """Unnormalized text feature at the pooling position (shape (P,))."""
-    vec, _ = _text_forward(params, token_ids, pooling, use_adapters)
-    return vec
+    ids = _checked_ids(params, token_ids, pooling, use_adapters)
+    return _text_forward(params, [ids], pooling, use_adapters)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -467,21 +462,10 @@ class TrainBatch:
 class LossSpec:
     """Which loss to differentiate and which tensors may receive gradient."""
 
-    loss: str = "contrastive"  # "contrastive" | "ground_focal"
+    loss: str = "contrastive"  # "contrastive" (EOS pooling) | "ground_focal" (CLS pooling)
     trainable: str = "all"  # "all" | "adapters"
     use_adapters: bool = False
-    pooling: str = "eos"
     focal: Optional["grounding.FocalParams"] = None  # ground_focal; None: FocalParams()
-
-
-def _encode_texts_dedup(params, token_ids, flags, pooling):
-    """Encode every distinct (sequence, branch) pair once, in first-seen order."""
-    index: dict[tuple, int] = {}
-    rows = [index.setdefault((tuple(ids), bool(flag)), len(index))
-            for ids, flag in zip(token_ids, flags)]
-    encoded = [_text_forward(params, list(ids), pooling, flag) for ids, flag in index]
-    feats = np.stack([vec for vec, _ in encoded])
-    return feats[rows], encoded, rows
 
 
 def grads(params: ModelParams, batch: TrainBatch, spec: LossSpec):
@@ -501,9 +485,17 @@ def grads(params: ModelParams, batch: TrainBatch, spec: LossSpec):
         if flags is None:
             flags = [spec.use_adapters] * len(batch.token_ids)
         img_raw, img_cache = _images_forward(params, batch.images)
-        txt_raw, encoded, rows = _encode_texts_dedup(
-            params, batch.token_ids, flags, spec.pooling
-        )
+        index: dict[tuple, int] = {}
+        rows = [index.setdefault((tuple(ids), bool(flag)), len(index))
+                for ids, flag in zip(batch.token_ids, flags)]
+        texts = [(_checked_ids(params, ids, "eos", flag), flag) for ids, flag in index]
+        # One stacked pass per run of consecutive distinct texts with one length and branch.
+        # The runs are backpropagated in first-seen order: the bits of one text per pass.
+        passes = [
+            _text_forward(params, [ids for ids, _ in run], "eos", flag)
+            for (_, flag), run in itertools.groupby(texts, lambda text: (len(text[0]), text[1]))
+        ]
+        txt_raw = np.concatenate([vecs for vecs, _ in passes])[rows]
         u = objective.normalize_rows(img_raw)
         v = objective.normalize_rows(txt_raw)
         sim = u @ v.T
@@ -517,10 +509,12 @@ def grads(params: ModelParams, batch: TrainBatch, spec: LossSpec):
         # Image inputs are fixed features: no gradient flows into them.
         _ffn_backward(d_img_raw, img_cache, params.tensors, "img.", _MLP_KEYS, g, input_grad=False)
         # Fold duplicate rows back onto their unique encoding.
-        d_unique = np.zeros((len(encoded), params.config.embed_dim))
+        d_unique = np.zeros((len(index), params.config.embed_dim))
         np.add.at(d_unique, rows, d_txt_raw)
-        for (_, cache), drow in zip(encoded, d_unique):
-            _text_backward(params, cache, drow, g)
+        start = 0
+        for vecs, cache in passes:
+            _text_backward(params, cache, d_unique[start : start + len(vecs)], g)
+            start += len(vecs)
         # d loss / d log_tau via tau = exp(log_tau).
         g["log_tau"] += d_tau * tau
         losses = {
@@ -547,11 +541,12 @@ def grads(params: ModelParams, batch: TrainBatch, spec: LossSpec):
         bank = np.zeros((params.config.embed_dim, shape[1]))
         d_scores, cells = np.zeros(shape), np.empty(shape)
         for k, ids in enumerate(batch.token_ids):
-            bank[:, k], cache = _text_forward(params, list(ids), spec.pooling, spec.use_adapters)
+            ids = _checked_ids(params, ids, "cls", spec.use_adapters)
+            (bank[:, k],), cache = _text_forward(params, [ids], "cls", spec.use_adapters)
             cells[:, k], d_scores[:, k] = grounding.focal_cells(
                 np.ascontiguousarray((feats @ bank)[:, k]), targets[:, k].copy(), fp
             )
-            _text_backward(params, cache, (feats.T @ d_scores)[:, k], g)
+            _text_backward(params, cache, (feats.T @ d_scores)[:, k][None], g)
             del cache
         losses = {"loss": grounding.focal_total(cells)}
     else:

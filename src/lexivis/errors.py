@@ -17,8 +17,8 @@ class ConfigError(LexivisError):
     """A configuration value or combination of values is invalid."""
 
 
-class NumericsError(LexivisError):
-    """A loss or gradient became non-finite; carries a diagnostic payload."""
+class NumericsError(LexivisError, ValueError):
+    """A loss, gradient or feature became non-finite or zero-norm; carries a diagnostic payload."""
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)

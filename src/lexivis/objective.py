@@ -18,11 +18,12 @@ from .errors import NumericsError
 
 
 def normalize_rows(m: np.ndarray) -> np.ndarray:
-    """Project each feature row onto the unit sphere."""
+    """Project each feature row onto the unit sphere; a near-zero row is a ``NumericsError``."""
     m = np.asarray(m, dtype=np.float64)
     norms = np.linalg.norm(m, axis=1, keepdims=True)
-    if np.any(norms <= 1e-12):
-        raise ValueError("cannot normalize a near-zero row")
+    rows = np.flatnonzero(norms <= 1e-12).tolist()
+    if rows:
+        raise NumericsError(f"cannot normalize a near-zero row: batch rows {rows}", {"rows": rows})
     return m / norms
 
 

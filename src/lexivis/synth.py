@@ -70,6 +70,14 @@ class SynthConfig:
             raise ConfigError("image_input_dim must be >= n_common for orthogonal prototypes")
         if not self.seeds:
             raise ConfigError("the benchmark needs at least one seed")
+        self.train_config(seed=0)  # checks the training values before any world is built
+
+    def train_config(self, seed: int) -> trainer.TrainConfig:
+        """The ``scratch_1branch`` training run of one seed."""
+        return trainer.TrainConfig(
+            batch_size=self.batch_size, epochs=self.epochs, learning_rate=self.learning_rate,
+            seed=seed, mode="scratch_1branch", encoder=self.encoder,
+        )
 
 
 @dataclass
@@ -165,15 +173,7 @@ def _train_condition(world: SynthWorld, cfg: SynthConfig, seed: int, with_knowle
             template=PromptTemplate("{}"),
             max_tokens=cfg.encoder.max_tokens,
         )
-    tc = trainer.TrainConfig(
-        batch_size=cfg.batch_size,
-        epochs=cfg.epochs,
-        learning_rate=cfg.learning_rate,
-        seed=seed,
-        mode="scratch_1branch",
-        encoder=cfg.encoder,
-    )
-    return trainer.train(tc, triplets)
+    return trainer.train(cfg.train_config(seed), triplets)
 
 
 def _accuracy(params, world, cfg, class_names, images, labels, with_knowledge):

@@ -129,7 +129,7 @@ def test_criterion_3_gradient_correctness(toy_config):
             region_features=rng.normal(size=(5, toy_config.embed_dim)),
             targets=(rng.random((5, 3)) < 0.4).astype(float),
         )
-        fspec = enc.LossSpec(loss="ground_focal", pooling="cls", use_adapters=True)
+        fspec = enc.LossSpec(loss="ground_focal", use_adapters=True)
         _, fg = enc.grads(params, fbatch, fspec)
         worst = max(
             worst,

@@ -1,10 +1,11 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from lexivis import cli, encoder as enc, evaluation, grounding, knowledge, trainer
+from lexivis import cli, encoder as enc, evaluation, grounding, knowledge, synth, trainer
 from lexivis.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from tests.conftest import FIXTURES
 
@@ -318,6 +319,21 @@ class TestTrainEval:
         assert code == EXIT_OK
         assert summary["knowledge_hits"] == 4
         assert 0.0 <= summary["accuracy"] <= 1.0
+
+    def test_zero_image_names_its_batch_row_and_step(self, capsys, tmp_path, dataset):
+        rows = dataset.read_text().splitlines()
+        rows[3] = json.dumps({"image": [0.0] * 4, "text": "boxer", "kind": "category"})
+        dataset.write_text("\n".join(rows) + "\n")
+        code, _, err = run(
+            capsys, "train", "--dataset", str(dataset), "--out-checkpoint",
+            str(tmp_path / "model.json"), "--epochs", "1", "--batch-size", "16",
+        )
+        assert code == EXIT_DATA
+        (line,) = err.splitlines()
+        assert re.fullmatch(
+            r"error: cannot normalize a near-zero row: batch rows \[\d+\] \(training step 0\)", line
+        ), line
+        assert not (tmp_path / "model.json").exists()
 
     def test_train_opens_the_dataset_once(self, capsys, tmp_path, dataset, opened_paths):
         code, _, err = run(
@@ -964,6 +980,18 @@ class TestFlagRanges:
     ], ids=" ".join)
     def test_usage_error_before_any_input_is_read(self, capsys, tmp_path, flags):
         self._check_error_before_any_input(capsys, tmp_path, flags, "usage error: ")
+
+    @pytest.mark.parametrize("flags", [
+        ["--epochs", "-1"], ["--batch-size", "1"], ["--learning-rate", "0"],
+    ], ids=" ".join)
+    def test_bench_synth_builds_no_world_before_a_training_flag_error(
+        self, capsys, monkeypatch, flags
+    ):
+        built = []
+        monkeypatch.setattr(synth, "build_world", lambda *args: built.append(args))
+        code, _, err = run(capsys, "bench-synth", "--n-seeds", "1", *flags)
+        assert code == EXIT_USAGE and err.startswith("config error: "), err
+        assert built == []
 
     @staticmethod
     def _check_error_before_any_input(capsys, tmp_path, flags, prefix):

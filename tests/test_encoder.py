@@ -608,3 +608,132 @@ class TestImageBackward:
         )
         assert none is None
         assert all(np.array_equal(full[k], skipped[k]) for k in full)
+
+
+def _one_text_per_pass_grads(params, batch, spec):
+    """Reference contrastive gradient: each distinct (sequence, branch) pair encoded and
+    backpropagated alone, in first-seen order."""
+    from lexivis import objective
+
+    g = params.zeros_like()
+    flags = batch.adapter_flags
+    if flags is None:
+        flags = [spec.use_adapters] * len(batch.token_ids)
+    index = {}
+    rows = [index.setdefault((tuple(ids), bool(flag)), len(index))
+            for ids, flag in zip(batch.token_ids, flags)]
+    img_raw, img_cache = enc._images_forward(params, batch.images)
+    encoded = [
+        enc._text_forward(params, [enc._checked_ids(params, ids, "eos", flag)], "eos", flag)
+        for ids, flag in index
+    ]
+    txt_raw = np.concatenate([vec for vec, _ in encoded])[rows]
+    u, v = objective.normalize_rows(img_raw), objective.normalize_rows(txt_raw)
+    loss, d_sim, d_tau = objective.grouped_contrastive_loss_with_grads(
+        u @ v.T, batch.labels, params.tau
+    )
+    d_img_raw = objective.normalize_rows_backward(img_raw, d_sim @ v)
+    enc._ffn_backward(d_img_raw, img_cache, params.tensors, "img.", enc._MLP_KEYS, g,
+                      input_grad=False)
+    d_unique = np.zeros((len(index), params.config.embed_dim))
+    np.add.at(d_unique, rows, objective.normalize_rows_backward(txt_raw, d_sim.T @ u))
+    for (_, cache), drow in zip(encoded, d_unique):
+        enc._text_backward(params, cache, drow[None], g)
+    g["log_tau"] += d_tau * params.tau
+    for key in g:
+        if spec.trainable == "adapters" and not enc.is_adapter_key(key):
+            g[key][...] = 0.0
+    return {"loss": loss.l_ic, "l_i2t": loss.l_i2t, "l_t2i": loss.l_t2i, "l_ic": loss.l_ic}, g
+
+
+# Raw id sequences (EOS = 1); PADDED_A cuts to A's ids after its EOS but is a distinct text.
+A, B, C, D, E = [3, 4, 1], [5, 6, 1], [7, 8, 1], [9, 1], [10, 11, 12, 1]
+PADDED_A = [3, 4, 1, 20, 21]
+T, F = True, False
+
+# (token_ids, adapter_flags, sizes of the stacked passes grads should run, or None).
+STACKING_CASES = {
+    "one_run_of_b": ([A, B, C, [13, 14, 1]], None, [4]),
+    "duplicates": ([A, B, A, C, B], None, [3]),
+    "mixed_lengths": ([D, A, B, E, C, D], None, [1, 2, 1, 1]),
+    "padding_after_eos": ([A, PADDED_A, B, PADDED_A], None, [3]),
+    "all_runs_of_one": ([D, A, E, A, D], None, [1, 1, 1]),
+    "branch_splits_a_run": ([A, B, C, A], [T, T, F, F], [2, 2]),
+    "alternating_branches": ([A, B, C, E], [T, F, T, F], [1, 1, 1, 1]),
+    "one_text_on_both_branches": ([A, A, B, B, A], [T, F, T, F, T], [1, 1, 1, 1]),
+}
+
+
+def _stacking_case(name, adapters):
+    seed = int(name[-1]) if name.startswith("random") else 0
+    cfg = enc.EncoderConfig(embed_dim=8, text_layers=2, num_heads=2, hidden_dim=12,
+                            vocab_size=64, max_tokens=8, adapter_bottleneck=3, image_input_dim=5)
+    rng = np.random.default_rng(seed)
+    params = enc.init_params(cfg, seed=seed, with_adapters=adapters)
+    for key, tensor in params.tensors.items():
+        if enc.is_adapter_key(key):
+            tensor += 0.1 * rng.normal(size=tensor.shape)  # break the identity
+    if name.startswith("random"):
+        pool = [list(rng.integers(2, 64, size=rng.integers(0, 4))) + [1] for _ in range(6)]
+        token_ids = [pool[i] for i in rng.integers(0, len(pool), size=12)]
+        flags = (rng.random(12) < 0.5).tolist() if adapters else None
+        sizes = None
+    else:
+        token_ids, flags, sizes = STACKING_CASES[name]
+    batch = enc.TrainBatch(
+        images=rng.normal(size=(len(token_ids), cfg.image_input_dim)),
+        token_ids=token_ids,
+        labels=np.arange(len(token_ids)) % 3,
+        adapter_flags=flags,
+    )
+    return params, batch, sizes
+
+
+class TestStackedTextPasses:
+    """Contrastive ``grads`` stacks same-length runs of distinct texts; the bits stay those
+    of one text per pass on any BLAS/SIMD stack."""
+
+    @pytest.mark.parametrize("trainable", ["all", "adapters"])
+    @pytest.mark.parametrize("name, adapters", [
+        (name, adapters)
+        for name in [*STACKING_CASES, "random0", "random1"] for adapters in (False, True)
+        if adapters or STACKING_CASES.get(name, (None, None))[1] is None  # flags need adapters
+    ])
+    def test_bitwise_equal_to_one_text_per_pass(self, name, adapters, trainable, monkeypatch):
+        params, batch, sizes = _stacking_case(name, adapters)
+        spec = enc.LossSpec(trainable=trainable, use_adapters=adapters)
+        passes = []
+        forward = enc._text_forward
+
+        def counting_forward(params, ids, pooling, use_adapters):
+            passes.append(len(ids))
+            return forward(params, ids, pooling, use_adapters)
+
+        monkeypatch.setattr(enc, "_text_forward", counting_forward)
+        losses, g = enc.grads(params, batch, spec)
+        monkeypatch.undo()
+        ref_losses, ref_g = _one_text_per_pass_grads(params, batch, spec)
+        if sizes is not None:
+            assert passes == sizes
+        assert losses == ref_losses
+        assert list(g) == list(ref_g)
+        for key in g:
+            assert g[key].tobytes() == ref_g[key].tobytes(), key
+
+    @pytest.mark.parametrize("ids, message", [
+        ([3, 64, 1], "token id out of vocabulary range"),
+        ([3, 4, 5], "EOS pooling requires an EOS token in the sequence"),
+        ([3] * 8 + [1], "sequence length 9 exceeds max_tokens 8"),
+        ([3, 1] + [4] * 7, "sequence length 9 exceeds max_tokens 8"),  # counted before the cut
+    ])
+    def test_bad_text_in_a_run_raises_the_one_text_error(self, ids, message):
+        params, batch, _ = _stacking_case("one_run_of_b", adapters=False)
+        batch.token_ids = [A, B, ids, C]
+        with pytest.raises(ValueError) as raised:
+            enc.grads(params, batch, enc.LossSpec())
+        assert str(raised.value) == message
+
+    def test_adapter_branch_without_tensors_is_a_config_error(self):
+        params, batch, _ = _stacking_case("one_run_of_b", adapters=False)
+        with pytest.raises(ConfigError, match="^adapter branch requested but no adapter tensors"):
+            enc.grads(params, batch, enc.LossSpec(use_adapters=True))

@@ -170,16 +170,16 @@ def _all_caches_grads(params, batch, spec):
     """Reference ground_focal gradient: every text's cache alive until the loss is known."""
     g = params.zeros_like()
     encoded = [
-        enc._text_forward(params, list(ids), spec.pooling, spec.use_adapters)
+        enc._text_forward(params, np.array([ids]), "cls", spec.use_adapters)
         for ids in batch.token_ids
     ]
-    bank = np.stack([vec for vec, _ in encoded], axis=1)
+    bank = np.stack([vec[0] for vec, _ in encoded], axis=1)
     feats = np.asarray(batch.region_features, dtype=np.float64)
     fp = spec.focal or FocalParams()
     loss, d_scores = focal_loss_with_grad(feats @ bank, batch.targets, fp)
     d_bank = feats.T @ d_scores
     for k, (_, cache) in enumerate(encoded):
-        enc._text_backward(params, cache, d_bank[:, k], g)
+        enc._text_backward(params, cache, d_bank[:, k][None], g)
     return loss, g
 
 
@@ -201,7 +201,7 @@ def _focal_case(num_texts, num_regions, use_adapters, seed=0):
         region_features=rng.normal(size=(num_regions, cfg.embed_dim)),
         targets=(rng.random((num_regions, num_texts)) < 0.3).astype(float),
     )
-    spec = enc.LossSpec(loss="ground_focal", pooling="cls", use_adapters=use_adapters)
+    spec = enc.LossSpec(loss="ground_focal", use_adapters=use_adapters)
     return params, batch, spec
 
 
@@ -284,7 +284,7 @@ class TestKnowledgeGain:
     def _train_text_encoder(self, cfg, texts, features, targets, seed, steps=150):
         params = enc.init_params(cfg, seed=seed)
         token_ids = [enc.text_to_ids(t, cfg, pooling="cls") for t in texts]
-        spec = enc.LossSpec(loss="ground_focal", pooling="cls")
+        spec = enc.LossSpec(loss="ground_focal")
 
         def make_batch(batch):
             (region,) = batch

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lexivis.errors import NumericsError
 from lexivis.objective import (
     normalize_rows,
     grouped_contrastive_loss,
@@ -62,6 +63,13 @@ class TestNormalize:
     def test_idempotent(self):
         v = normalize_rows(np.array([[1.0, 2.0, 2.0], [0.0, -3.0, 4.0]]))
         assert np.allclose(normalize_rows(v), v)
+
+    def test_zero_vector_is_a_numerics_error_naming_the_rows(self):
+        rows = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 2.0], [1e-13, 0.0]])
+        message = r"^cannot normalize a near-zero row: batch rows \[1, 3\]$"
+        with pytest.raises(NumericsError, match=message) as raised:
+            normalize_rows(rows)
+        assert raised.value.diagnostics == {"rows": [1, 3]}
 
     def test_zero_vector_errors(self):
         with pytest.raises(ValueError):

@@ -60,6 +60,15 @@ class TestWorld:
         with pytest.raises(ConfigError):
             synth.SynthConfig(seeds=())
 
+    @pytest.mark.parametrize("values, message", [
+        ({"epochs": -1}, "epochs must be >= 0"),
+        ({"batch_size": 1}, "batch_size >= 2"),
+        ({"learning_rate": 0.0}, "learning_rate must be finite and > 0"),
+    ])
+    def test_bad_training_values_rejected_when_built(self, values, message):
+        with pytest.raises(ConfigError, match=message):
+            synth.SynthConfig(**values)
+
     def test_world_reads_the_encoder_image_width(self):
         cfg = _tiny_config(encoder=EncoderConfig(vocab_size=64, max_tokens=32, image_input_dim=6))
         world = synth.build_world(0, cfg)

@@ -7,7 +7,7 @@ import pytest
 from lexivis import encoder as enc, trainer
 from lexivis.compose import PromptTemplate
 from lexivis.encoder import EncoderConfig
-from lexivis.errors import ConfigError, DataError
+from lexivis.errors import ConfigError, DataError, NumericsError
 from lexivis.knowledge import Dictionary, DictionaryEntry, KnowledgeStore
 from lexivis.trainer import (
     TrainConfig,
@@ -195,6 +195,17 @@ class TestTrain:
         base = enc.init_params(_train_config().encoder, seed=0, with_adapters=True)
         result = train(_train_config(mode="continual_adapters", epochs=1), data, base)
         assert result.params is base
+
+    def test_zero_image_is_a_numerics_error_naming_its_batch_row_and_step(self):
+        data = _synthetic_dataset(n_classes=4, per_class=2)
+        data[5] = replace(data[5], image=np.zeros(8))
+        message = r"^cannot normalize a near-zero row: batch rows \[\d\]$"
+        with pytest.raises(NumericsError, match=message) as raised:
+            train(_train_config(epochs=1), data)
+        diagnostics = raised.value.diagnostics
+        assert diagnostics["step"] == 0
+        (row,) = diagnostics["rows"]
+        assert diagnostics["batch"][row] == 5
 
     def test_wrong_image_dim_rejected(self):
         data = [Triplet(image=np.zeros(3), text="a", label=0),
