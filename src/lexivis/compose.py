@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import DataError
+from .queries import tokenize
 
 SEPARATOR = ", "
 
@@ -110,6 +111,19 @@ def compose_class_text(
         text=prompt if knowledge is None else _join([prompt, query, knowledge]),
         parts={"prompt": prompt, "query": query, "knowledge": knowledge},
     )
+
+
+def check_class_budget(name: str, text: str, max_tokens: int) -> str:
+    """``text`` composed for class ``name``, or ``DataError`` if the encoder would cut it.
+
+    Only knowledge is trimmed to the budget, so a long prompt or query can
+    still exceed it; the class is named rather than encoded cut short.
+    """
+    budget = max_tokens - 1
+    n_tokens = len(tokenize(text))
+    if n_tokens > budget:
+        raise DataError(f"class {name!r} has {n_tokens} tokens; max is {budget}")
+    return text
 
 
 def compose_caption_texts(

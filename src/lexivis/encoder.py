@@ -127,9 +127,6 @@ class ModelParams:
     def zeros_like(self) -> FlatTensors:
         return FlatTensors(self.tensors, copy=False)
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
-
 
 def _param_specs(config: EncoderConfig, with_adapters: bool) -> Iterator[tuple]:
     """Every tensor as (name, shape, init), in creation and random-draw order.
@@ -190,15 +187,14 @@ def init_params(config: EncoderConfig, seed: int, with_adapters: bool = False) -
 
 
 def add_adapters(params: ModelParams, seed: int) -> ModelParams:
-    """Attach zero-initialized adapters to an adapter-free parameter set."""
+    """Attach zero-initialized adapters to an adapter-free parameter set in place; return it."""
     if params.has_adapters:
         raise ConfigError("parameters already carry adapter tensors")
     rng = np.random.default_rng(seed)
-    out = params.copy()
     for name, shape, init in _param_specs(params.config, with_adapters=True):
         if is_adapter_key(name):
-            out.tensors[name] = _init_tensor(rng, shape, init)
-    return out
+            params.tensors[name] = _init_tensor(rng, shape, init)
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -345,64 +341,51 @@ def _checked_ids(params: ModelParams, token_ids, pooling: str, use_adapters: boo
     return list(token_ids[: token_ids.index(EOS_ID) + 1])
 
 
+def _sublayers(i: int, use_adapters: bool) -> list[tuple]:
+    """Layer ``i``'s residual sublayers in order: (layer-norm prefix or None, block prefix,
+    FFN keys or None for attention). The adapters are the two entries without a norm."""
+    pre = f"layers.{i}."
+    subs = [(pre + "ln1.", pre + "attn.", None), (None, pre + "ad1.", _ADAPTER_KEYS),
+            (pre + "ln2.", pre + "mlp.", _MLP_KEYS), (None, pre + "ad2.", _ADAPTER_KEYS)]
+    return [sub for sub in subs if use_adapters or sub[2] is not _ADAPTER_KEYS]
+
+
 def _text_forward(params: ModelParams, ids, pooling: str, use_adapters: bool):
     """Pooled features (B, P) of B checked id sequences of one length, all on one branch."""
     cfg = params.config
     t = params.tensors
     ids = np.asarray(ids)
     x = t["tok_emb"][ids] + t["pos_emb"][: ids.shape[1]]
-    caches = []
+    caches = []  # one per sublayer: x = x + block(norm(x))
     for i in range(cfg.text_layers):
-        pre = f"layers.{i}."
-        a_in, ln1_cache = _layer_norm(x, t[pre + "ln1.g"], t[pre + "ln1.b"])
-        attn_out, attn_cache = _attention_forward(a_in, t, pre + "attn.", cfg.num_heads)
-        x1 = x + attn_out
-        if use_adapters:
-            ad1_out, ad1_cache = _ffn_forward(x1, t, pre + "ad1.", _ADAPTER_KEYS)
-            x1 = x1 + ad1_out
-        else:
-            ad1_cache = None
-        m_in, ln2_cache = _layer_norm(x1, t[pre + "ln2.g"], t[pre + "ln2.b"])
-        mlp_out, mlp_cache = _ffn_forward(m_in, t, pre + "mlp.", _MLP_KEYS)
-        x2 = x1 + mlp_out
-        if use_adapters:
-            ad2_out, ad2_cache = _ffn_forward(x2, t, pre + "ad2.", _ADAPTER_KEYS)
-            x2 = x2 + ad2_out
-        else:
-            ad2_cache = None
-        caches.append((ln1_cache, attn_cache, ad1_cache, ln2_cache, mlp_cache, ad2_cache))
-        x = x2
+        for norm, block, keys in _sublayers(i, use_adapters):
+            h, norm_cache = _layer_norm(x, t[norm + "g"], t[norm + "b"]) if norm else (x, None)
+            if keys is None:
+                out, block_cache = _attention_forward(h, t, block, cfg.num_heads)
+            else:
+                out, block_cache = _ffn_forward(h, t, block, keys)
+            x = x + out
+            caches.append((norm, block, keys, norm_cache, block_cache))
     y, lnf_cache = _layer_norm(x, t["lnf.g"], t["lnf.b"])
     pool = 0 if pooling == "cls" else -1  # EOS is the last id kept
-    return y[:, pool].copy(), (ids, pool, use_adapters, caches, lnf_cache)
+    return y[:, pool].copy(), (ids, pool, caches, lnf_cache)
 
 
 def _text_backward(params: ModelParams, cache: tuple, dvecs: np.ndarray, grads: dict) -> None:
     """Accumulate the gradients of a ``_text_forward`` pass, given d features (B, P)."""
-    cfg = params.config
     t = params.tensors
-    ids, pool, use_adapters, layer_caches, lnf_cache = cache
-
-    dy = np.zeros(ids.shape + (cfg.embed_dim,))
+    ids, pool, caches, lnf_cache = cache
+    dy = np.zeros(ids.shape + (params.config.embed_dim,))
     dy[:, pool] = dvecs
     dx = _layer_norm_backward(dy, lnf_cache, t, "lnf.", grads)
-
-    for i in reversed(range(cfg.text_layers)):
-        pre = f"layers.{i}."
-        ln1_cache, attn_cache, ad1_cache, ln2_cache, mlp_cache, ad2_cache = layer_caches[i]
-        if use_adapters:
-            d_ad2_in = _ffn_backward(dx, ad2_cache, t, pre + "ad2.", _ADAPTER_KEYS, grads)
-            dx = dx + d_ad2_in
-        d_mlp_in = _ffn_backward(dx, mlp_cache, t, pre + "mlp.", _MLP_KEYS, grads)
-        d_x1a = _layer_norm_backward(d_mlp_in, ln2_cache, t, pre + "ln2.", grads)
-        dx = dx + d_x1a
-        if use_adapters:
-            d_ad1_in = _ffn_backward(dx, ad1_cache, t, pre + "ad1.", _ADAPTER_KEYS, grads)
-            dx = dx + d_ad1_in
-        d_attn_in = _attention_backward(dx, attn_cache, t, pre + "attn.", grads)
-        d_a = _layer_norm_backward(d_attn_in, ln1_cache, t, pre + "ln1.", grads)
-        dx = dx + d_a
-
+    for norm, block, keys, norm_cache, block_cache in reversed(caches):
+        if keys is None:
+            d = _attention_backward(dx, block_cache, t, block, grads)
+        else:
+            d = _ffn_backward(dx, block_cache, t, block, keys, grads)
+        if norm:
+            d = _layer_norm_backward(d, norm_cache, t, norm, grads)
+        dx = dx + d
     np.add.at(grads["tok_emb"], ids, dx)  # row by row in (sequence, position) order
     _accumulate(grads["pos_emb"][: ids.shape[1]], dx)
 

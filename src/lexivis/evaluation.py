@@ -44,13 +44,15 @@ def build_class_embeddings(
     when evaluating with knowledge and through the base branch otherwise;
     ``two_branch_selective`` routes each class by whether its own retrieval
     hit. Models without adapters always use the base branch. Template
-    ensembles average the normalized embeddings and renormalize.
+    ensembles average the normalized embeddings and renormalize. A composed
+    text over the model's token budget raises ``DataError`` naming the class.
     """
     if not class_names:
         raise ValueError("class name list must be non-empty")
     if branch_mode not in BRANCH_MODES:
         raise ConfigError(f"unknown branch mode {branch_mode!r}")
     templates = templates or [compose.PromptTemplate()]
+    max_tokens = params.config.max_tokens
 
     cols = []
     provenance = []
@@ -66,8 +68,9 @@ def build_class_embeddings(
             use_adapters = knowledge is not None
         embeds = []
         for template in templates:
-            aug = compose.compose_class_text(template, query, knowledge, params.config.max_tokens)
-            ids = enc.text_to_ids(aug.text, params.config, pooling="eos")
+            text = compose.compose_class_text(template, query, knowledge, max_tokens).text
+            text = compose.check_class_budget(name, text, max_tokens)
+            ids = enc.text_to_ids(text, params.config, pooling="eos")
             embed = enc.encode_text(params, ids, pooling="eos", use_adapters=use_adapters)
             embeds.append(_unit_text(embed, name))
         cols.append(_unit_text(np.mean(embeds, axis=0), name))

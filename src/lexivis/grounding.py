@@ -85,16 +85,12 @@ def category_texts(
     A class whose text still exceeds that budget (the query is never
     trimmed) raises ``DataError`` naming the class, for both of them.
     """
-    budget = max_tokens - 1
     texts = []
     for name in class_names:
         query = queries.construct_query(name, "category")
         item = store.retrieve(query, source) if store is not None else None
         text = compose.compose_od_text(query, item.text if item else None, max_tokens).text
-        n_tokens = len(tokenize(text))
-        if n_tokens > budget:
-            raise DataError(f"class {name!r} has {n_tokens} tokens; max is {budget}")
-        texts.append(text)
+        texts.append(compose.check_class_budget(name, text, max_tokens))
     return texts
 
 

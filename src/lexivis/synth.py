@@ -176,46 +176,36 @@ def _train_condition(world: SynthWorld, cfg: SynthConfig, seed: int, with_knowle
     return trainer.train(cfg.train_config(seed), triplets)
 
 
-def _accuracy(params, world, cfg, class_names, images, labels, with_knowledge):
-    bank = evaluation.build_class_embeddings(
-        params,
-        class_names,
-        store=world.store if with_knowledge else None,
-        source=cfg.source,
-        templates=[PromptTemplate("{}")],
-    )
-    _, acc = evaluation.zero_shot_classify(params, images, bank, labels)
-    return acc
-
-
 def run_seed(seed: int, cfg: SynthConfig) -> dict:
     """Train both conditions for one seed and fill the consistency cells."""
     world = build_world(seed, cfg)
     model_nok = _train_condition(world, cfg, seed, with_knowledge=False).params
     model_k = _train_condition(world, cfg, seed, with_knowledge=True).params
 
-    all_names = world.common_names + world.rare_names
     n_common_eval = cfg.n_common * cfg.eval_per_class
     rare_images = world.eval_images[n_common_eval:]
     rare_labels = world.eval_labels[n_common_eval:] - cfg.n_common
 
-    cells = {}
+    cells, rare_acc = {}, {}
     for model_tag, params in (("train_nok", model_nok), ("train_k", model_k)):
         for eval_tag, with_k in (("eval_nok", False), ("eval_k", True)):
-            acc = _accuracy(
-                params, world, cfg, all_names,
-                world.eval_images, world.eval_labels, with_k,
+            key = f"{model_tag}_{eval_tag}"
+            bank = evaluation.build_class_embeddings(
+                params, world.common_names + world.rare_names,
+                store=world.store if with_k else None, source=cfg.source,
+                templates=[PromptTemplate("{}")],
             )
-            cells[f"{model_tag}_{eval_tag}"] = acc
-
-    rare_acc = {
-        "train_nok_eval_nok": _accuracy(
-            model_nok, world, cfg, world.rare_names, rare_images, rare_labels, False
-        ),
-        "train_k_eval_k": _accuracy(
-            model_k, world, cfg, world.rare_names, rare_images, rare_labels, True
-        ),
-    }
+            _, cells[key] = evaluation.zero_shot_classify(
+                params, world.eval_images, bank, world.eval_labels
+            )
+            if key in ("train_nok_eval_nok", "train_k_eval_k"):
+                # Column k of a bank depends on class k alone, so its rare columns are the
+                # rare-only bank. The rare images are still encoded on their own: a row
+                # subset through gemm need not give the same bits.
+                rare = evaluation.ClassEmbeddings(bank.matrix[:, cfg.n_common:], world.rare_names)
+                _, rare_acc[key] = evaluation.zero_shot_classify(
+                    params, rare_images, rare, rare_labels
+                )
     coverage = (
         knowledge_coverage(world.rare_names, world.store, cfg.source)
         if not cfg.empty_knowledge

@@ -323,9 +323,10 @@ def train(
     """Run seeded contrastive training and return params plus the loss trace.
 
     ``continual_adapters``, the one mode that takes ``base``, trains
-    adapters on it and consumes it: the returned params may be ``base``
-    itself with its tensors replaced by the trained ones, so no copy of the
-    base stays alive beside them. The scratch modes initialise from
+    adapters on it and consumes it: adapters missing from ``base`` are
+    attached in place, and the returned params are ``base`` itself with its
+    tensors replaced by the trained ones, so no copy of the base stays alive
+    beside them. The scratch modes initialise from
     ``config.encoder``. ``triplets`` is read once into per-row arrays and
     per-text token ids; if any row has no label, every row is labelled as
     ``assign_labels`` would.

@@ -146,6 +146,19 @@ def _write_dataset(path, n_rows, dim=3):
     return path
 
 
+def _traced_peak(capsys, argv) -> int:
+    """The tracemalloc peak of one successful ``main(argv)`` run."""
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        traced_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == EXIT_OK
+    return traced_peak
+
+
 def _augment_argv(dataset, out, source="wiki_def", scheme="concat"):
     return ["augment", "--dataset", str(dataset), "--out", str(out), "--wordnet", WN,
             "--wiktionary", WK, "--source", source, "--scheme", scheme, "--lexicon", LEX]
@@ -444,18 +457,31 @@ class TestTrainEval:
                      "--out-checkpoint", str(tmp_path / "adapters.json")]
 
         def peak(argv):
-            tracemalloc.start()
-            try:
-                code = main(argv)
-                traced_peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            capsys.readouterr()
-            assert code == EXIT_OK
-            return traced_peak
+            return _traced_peak(capsys, argv)
 
         peak(scratch), peak(continual)  # warm-up: lazily built module state
         assert peak(continual) < 1.01 * peak(scratch)
+
+    def test_continual_peak_does_not_depend_on_base_branches(self, capsys, tmp_path):
+        # Adapters are attached to a one-branch base in place, so no second copy of
+        # the base stays alive beside the one trained.
+        rng = np.random.default_rng(0)
+        rows = [{"image": rng.normal(size=8).tolist(), "text": f"{text} x{i % 50}",
+                 "kind": kind, "augmented": True}
+                for i, (text, kind) in enumerate(MIXED_ROWS * 8)]
+        dataset = _write_images(tmp_path / "ds.jsonl", rows)
+        common = ["train", "--dataset", str(dataset), "--epochs", "1", "--batch-size", "16"]
+        continual = {}
+        for mode in ("scratch_1branch", "scratch_2branch"):
+            base = str(tmp_path / f"{mode}.json")
+            assert run(capsys, *common, "--mode", mode, "--vocab-size", "4096",
+                       "--out-checkpoint", base)[0] == EXIT_OK
+            continual[mode] = [*common, "--mode", "continual_adapters", "--base-checkpoint",
+                               base, "--out-checkpoint", str(tmp_path / "adapters.json")]
+
+        assert run(capsys, *continual["scratch_1branch"])[0] == EXIT_OK  # warm-up, untraced
+        one_branch = _traced_peak(capsys, continual["scratch_1branch"])
+        assert one_branch < 1.01 * _traced_peak(capsys, continual["scratch_2branch"])
 
     @pytest.mark.parametrize("defect", ["bad_json", "short_image"])
     def test_bad_last_row_writes_no_checkpoint(self, capsys, tmp_path, defect):
@@ -697,6 +723,23 @@ class TestEvalDefects:
         assert code == EXIT_DATA
         lines = err.strip().splitlines()
         assert len(lines) == 1 and f"{images}:2" in lines[0]
+
+    @pytest.mark.parametrize("template, n_tokens", [("{}", 20), ("a photo of a {}", 24)])
+    def test_zeroshot_over_budget_class_is_data_error(
+        self, capsys, tmp_path, checkpoint, template, n_tokens
+    ):
+        # The composed prompt was once cut to the checkpoint's 7 tokens and the run exited 0.
+        long_name = " ".join(f"w{i}" for i in range(20))
+        rows = [{"image": np.eye(4)[i].tolist(), "label": i} for i in range(2)]
+        images = _write_images(tmp_path / "images.jsonl", rows)
+        classes = tmp_path / "classes.json"
+        classes.write_text(json.dumps(["boxer", long_name]))
+        code, _, err = run(capsys, "eval-zeroshot", "--checkpoint", str(checkpoint), "--images",
+                           str(images), "--classes", str(classes), "--template", template)
+        assert code == EXIT_DATA
+        assert err.strip().splitlines() == [
+            f"data error: class {long_name!r} has {n_tokens} tokens; max is 7"
+        ]
 
     def test_probe_class_too_small_names_the_file_and_label(self, capsys, tmp_path, checkpoint):
         rows = [{"image": np.eye(4)[i % 2].tolist(), "label": i % 2} for i in range(6)]

@@ -210,10 +210,18 @@ class TestAdapters:
 
     def test_add_adapters_preserves_base(self, toy_config):
         params = enc.init_params(toy_config, seed=4)
+        before = {key: val.copy() for key, val in params.tensors.items()}
         extended = enc.add_adapters(params, seed=9)
-        for key, val in params.tensors.items():
+        for key, val in before.items():
             assert np.array_equal(extended.tensors[key], val)
         assert extended.has_adapters
+
+    def test_add_adapters_attaches_in_place(self, toy_config):
+        params = enc.init_params(toy_config, seed=4)
+        base = dict(params.tensors)
+        assert enc.add_adapters(params, seed=9) is params
+        assert all(params.tensors[key] is tensor for key, tensor in base.items())
+        assert sum(map(enc.is_adapter_key, params.tensors)) == 8 * toy_config.text_layers
 
 
 class TestEncodeImage:
@@ -737,3 +745,126 @@ class TestStackedTextPasses:
         params, batch, _ = _stacking_case("one_run_of_b", adapters=False)
         with pytest.raises(ConfigError, match="^adapter branch requested but no adapter tensors"):
             enc.grads(params, batch, enc.LossSpec(use_adapters=True))
+
+
+def _unrolled_text_forward(params, ids, pooling, use_adapters):
+    """Reference text pass: each layer written out as attention, adapter 1, MLP, adapter 2."""
+    cfg = params.config
+    t = params.tensors
+    ids = np.asarray(ids)
+    x = t["tok_emb"][ids] + t["pos_emb"][: ids.shape[1]]
+    caches = []
+    for i in range(cfg.text_layers):
+        pre = f"layers.{i}."
+        a_in, ln1_cache = enc._layer_norm(x, t[pre + "ln1.g"], t[pre + "ln1.b"])
+        attn_out, attn_cache = enc._attention_forward(a_in, t, pre + "attn.", cfg.num_heads)
+        x1 = x + attn_out
+        ad1_cache = ad2_cache = None
+        if use_adapters:
+            ad1_out, ad1_cache = enc._ffn_forward(x1, t, pre + "ad1.", enc._ADAPTER_KEYS)
+            x1 = x1 + ad1_out
+        m_in, ln2_cache = enc._layer_norm(x1, t[pre + "ln2.g"], t[pre + "ln2.b"])
+        mlp_out, mlp_cache = enc._ffn_forward(m_in, t, pre + "mlp.", enc._MLP_KEYS)
+        x2 = x1 + mlp_out
+        if use_adapters:
+            ad2_out, ad2_cache = enc._ffn_forward(x2, t, pre + "ad2.", enc._ADAPTER_KEYS)
+            x2 = x2 + ad2_out
+        caches.append((ln1_cache, attn_cache, ad1_cache, ln2_cache, mlp_cache, ad2_cache))
+        x = x2
+    y, lnf_cache = enc._layer_norm(x, t["lnf.g"], t["lnf.b"])
+    pool = 0 if pooling == "cls" else -1
+    return y[:, pool].copy(), (ids, pool, use_adapters, caches, lnf_cache)
+
+
+def _unrolled_text_backward(params, cache, dvecs, grads):
+    """Reverse of ``_unrolled_text_forward``, one branch per adapter."""
+    t = params.tensors
+    ids, pool, use_adapters, layer_caches, lnf_cache = cache
+    dy = np.zeros(ids.shape + (params.config.embed_dim,))
+    dy[:, pool] = dvecs
+    dx = enc._layer_norm_backward(dy, lnf_cache, t, "lnf.", grads)
+    for i in reversed(range(params.config.text_layers)):
+        pre = f"layers.{i}."
+        ln1_cache, attn_cache, ad1_cache, ln2_cache, mlp_cache, ad2_cache = layer_caches[i]
+        if use_adapters:
+            dx = dx + enc._ffn_backward(dx, ad2_cache, t, pre + "ad2.", enc._ADAPTER_KEYS, grads)
+        d_mlp_in = enc._ffn_backward(dx, mlp_cache, t, pre + "mlp.", enc._MLP_KEYS, grads)
+        dx = dx + enc._layer_norm_backward(d_mlp_in, ln2_cache, t, pre + "ln2.", grads)
+        if use_adapters:
+            dx = dx + enc._ffn_backward(dx, ad1_cache, t, pre + "ad1.", enc._ADAPTER_KEYS, grads)
+        d_attn_in = enc._attention_backward(dx, attn_cache, t, pre + "attn.", grads)
+        dx = dx + enc._layer_norm_backward(d_attn_in, ln1_cache, t, pre + "ln1.", grads)
+    np.add.at(grads["tok_emb"], ids, dx)
+    enc._accumulate(grads["pos_emb"][: ids.shape[1]], dx)
+
+
+def _perturbed_params(text_layers, adapters, seed=0):
+    """Small params whose adapters are no identity, so their place in a layer shows."""
+    cfg = enc.EncoderConfig(embed_dim=8, text_layers=text_layers, num_heads=2, hidden_dim=12,
+                            vocab_size=64, max_tokens=8, adapter_bottleneck=3, image_input_dim=5)
+    rng = np.random.default_rng(seed)
+    params = enc.init_params(cfg, seed=seed, with_adapters=adapters)
+    for key, tensor in params.tensors.items():
+        if enc.is_adapter_key(key) or ".ln" in key:
+            tensor += 0.1 * rng.normal(size=tensor.shape)
+    return params, rng
+
+
+class TestSublayerLoop:
+    """The sublayer list gives the bits of the hand-unrolled layer, forward and backward."""
+
+    @pytest.mark.parametrize("pooling", ["eos", "cls"])
+    @pytest.mark.parametrize("adapters", [False, True])
+    @pytest.mark.parametrize("text_layers", [0, 1, 2, 3])
+    def test_bitwise_equal_to_unrolled_layers(self, text_layers, adapters, pooling):
+        params, rng = _perturbed_params(text_layers, adapters)
+        for batch in range(1, 5):
+            ids = rng.integers(2, 64, size=(batch, 5))
+            ids[:, 0 if pooling == "cls" else -1] = enc.CLS_ID if pooling == "cls" else enc.EOS_ID
+            dvecs = rng.normal(size=(batch, params.config.embed_dim))
+            vecs, cache = enc._text_forward(params, ids, pooling, adapters)
+            ref_vecs, ref_cache = _unrolled_text_forward(params, ids, pooling, adapters)
+            assert vecs.tobytes() == ref_vecs.tobytes()
+            g, ref_g = params.zeros_like(), params.zeros_like()
+            enc._text_backward(params, cache, dvecs, g)
+            _unrolled_text_backward(params, ref_cache, dvecs, ref_g)
+            for key in g:
+                assert g[key].tobytes() == ref_g[key].tobytes(), (batch, key)
+
+
+PRIMITIVES = ("_layer_norm", "_layer_norm_backward", "_attention_forward",
+              "_attention_backward", "_ffn_forward", "_ffn_backward")
+
+
+class TestPrimitivesPatchable:
+    """The text pass looks each primitive up by module name at call time, so a wrapper
+    set on the module sees every call."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = dict.fromkeys(PRIMITIVES, 0)
+        for name in PRIMITIVES:
+            def counting(*args, _name=name, _fn=getattr(enc, name), **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(enc, name, counting)
+        return counts
+
+    @pytest.mark.parametrize("adapters", [False, True])
+    def test_encode_text_calls(self, adapters, calls):
+        params, _ = _perturbed_params(text_layers=2, adapters=adapters)
+        enc.encode_text(params, [3, 4, 5, 1], use_adapters=adapters)
+        ffn = 2 * (3 if adapters else 1)
+        assert calls == {"_layer_norm": 5, "_layer_norm_backward": 0, "_attention_forward": 2,
+                         "_attention_backward": 0, "_ffn_forward": ffn, "_ffn_backward": 0}
+
+    @pytest.mark.parametrize("adapters", [False, True])
+    def test_contrastive_grads_calls(self, adapters, calls):
+        params, rng = _perturbed_params(text_layers=2, adapters=adapters)
+        batch = enc.TrainBatch(images=rng.normal(size=(4, 5)), token_ids=[A, B, D, A],
+                               labels=np.arange(4) % 3)
+        enc.grads(params, batch, enc.LossSpec(use_adapters=adapters))
+        # Two text passes ([A, B] and [D]) of two layers, plus the image MLP.
+        ffn = 2 * 2 * (3 if adapters else 1) + 1
+        assert calls == {"_layer_norm": 10, "_layer_norm_backward": 10, "_attention_forward": 4,
+                         "_attention_backward": 4, "_ffn_forward": ffn, "_ffn_backward": ffn}

@@ -38,12 +38,13 @@ GOLDEN = {
         "adapters.csv": "f6bc174ba0b37a9692b51ea3fd70fb4589f8095602b112eca5ad86d61f270777",
         "sgd.json": "e581d5bf42d9249f2fda09079bf8396abdd800a69748f8d536520f4773e87ea9",
         "momentum.json": "103679f6ec1712e21e7d9f2ff31385b21233cdcb7a615d00c6157bea16cebf9b",
+        "sgd_adapters.json": "813c00783c5d15ca0c178ec9a2d8ce6bfed5f0579d0715f0da89aac29cd961c1",
     },
 }
 
 
 OUTPUTS = ("ground.json", "ground.csv", "caption.json", "predictions.json",
-           "adapters.json", "adapters.csv", "sgd.json", "momentum.json")
+           "adapters.json", "adapters.csv", "sgd.json", "momentum.json", "sgd_adapters.json")
 
 
 def _write_inputs(tmp_path):
@@ -91,6 +92,10 @@ def _outputs(tmp_path) -> dict:
              "--out-checkpoint", p[f"{opt}.json"], "--epochs", "2", "--batch-size", "3", *TINY]
             for opt in ("sgd", "momentum")
         ),
+        # Adapters attached to a one-branch base.
+        ["train", "--mode", "continual_adapters", "--base-checkpoint", p["sgd.json"],
+         "--dataset", p["dataset.jsonl"], "--out-checkpoint", p["sgd_adapters.json"],
+         "--epochs", "2", "--batch-size", "4"],
     ]
     for argv in commands:
         assert main(argv) == EXIT_OK, argv[0]
