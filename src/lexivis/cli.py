@@ -200,6 +200,9 @@ def _cmd_eval_zeroshot(args) -> dict:
     params, _ = enc.load_checkpoint(args.checkpoint)
     class_names = _load_class_names(args.classes)
     images, labels = _load_labeled_images(args.images, params.config.image_input_dim)
+    if labels is None and (args.breakdown_csv or args.pretrain_concepts):
+        flag = "--breakdown-csv" if args.breakdown_csv else "--pretrain-concepts"
+        raise DataError(f"{args.images}: {flag} needs labeled images")
     if labels is not None and not ((labels >= 0) & (labels < len(class_names))).all():
         raise DataError(f"{args.images}: labels must index the {len(class_names)} classes")
     templates = compose.load_templates(args.templates) if args.templates else [args.template]
@@ -211,56 +214,35 @@ def _cmd_eval_zeroshot(args) -> dict:
         branch_mode=args.branch_mode,
         templates=templates,
     )
-    preds, accuracy = evaluation.zero_shot_classify(params, images, bank, labels)
-    report = {
+    preds, _ = evaluation.zero_shot_classify(params, images, bank)
+    summary = {
         "command": "eval-zeroshot",
         "n_images": int(len(images)),
         "n_classes": len(class_names),
         "with_knowledge": bool(args.with_knowledge),
         "branch_mode": args.branch_mode,
-        "accuracy": accuracy,
+        "accuracy": None,
         "knowledge_hits": sum(1 for p in bank.provenance if p["hit"]),
     }
-    full_report = None
+    payload = {"predictions": [int(p) for p in preds], "provenance": bank.provenance}
     if labels is not None:
         pretrain = None
         if args.pretrain_concepts:
             pretrain = [concept for _, concept in read_lines(args.pretrain_concepts)]
-        full_report = evaluation.make_eval_report(
-            params,
-            preds,
-            labels,
-            bank,
-            eval_options={
-                "with_knowledge": bool(args.with_knowledge),
-                "branch_mode": args.branch_mode,
-                "source": args.source,
-            },
-            pretrain_concepts=pretrain,
-            with_knowledge=args.with_knowledge,
+        options = {"with_knowledge": summary["with_knowledge"], "branch_mode": args.branch_mode,
+                   "source": args.source}
+        report = evaluation.make_eval_report(
+            params, preds, labels, bank, eval_options=options, pretrain_concepts=pretrain
         )
-        report["concept_overlap_pct"] = full_report.concept_overlap_pct
-        report["knowledge_coverage_pct"] = full_report.knowledge_coverage_pct
+        summary["accuracy"] = report["top1_accuracy"]
+        summary["concept_overlap_pct"] = report["concept_overlap_pct"]
+        summary["knowledge_coverage_pct"] = report["knowledge_coverage_pct"]
+        payload["report"] = report
     if args.out:
-        payload = dict(report)
-        payload["predictions"] = [int(p) for p in preds]
-        payload["provenance"] = bank.provenance
-        if full_report is not None:
-            payload["report"] = full_report.to_dict()
-        _write_json(args.out, payload)
-    if args.breakdown_csv and full_report is not None:
-        evaluation.write_breakdown_csv(
-            [
-                {
-                    "dataset": args.dataset_name,
-                    "score": full_report.top1_accuracy,
-                    "concept_overlap": full_report.concept_overlap_pct,
-                    "knowledge_coverage": full_report.knowledge_coverage_pct,
-                }
-            ],
-            args.breakdown_csv,
-        )
-    return report
+        _write_json(args.out, {**summary, **payload})
+    if args.breakdown_csv:  # the images are labeled, as checked above
+        evaluation.write_breakdown_csv([(args.dataset_name, payload["report"])], args.breakdown_csv)
+    return summary
 
 
 def _cmd_eval_probe(args) -> dict:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 from collections import Counter
@@ -184,26 +185,6 @@ def linear_probe(
     return ProbeResult(float(np.mean(accuracies)), accuracies)
 
 
-@dataclass
-class EvalReport:
-    """One evaluation run: accuracy plus the diagnostic breakdown numbers."""
-
-    top1_accuracy: float
-    per_class_accuracy: dict
-    concept_overlap_pct: Optional[float]
-    knowledge_coverage_pct: Optional[float]
-    config_digest: str
-
-    def to_dict(self) -> dict:
-        return {
-            "top1_accuracy": self.top1_accuracy,
-            "per_class_accuracy": self.per_class_accuracy,
-            "concept_overlap_pct": self.concept_overlap_pct,
-            "knowledge_coverage_pct": self.knowledge_coverage_pct,
-            "config_digest": self.config_digest,
-        }
-
-
 def make_eval_report(
     params: enc.ModelParams,
     preds: np.ndarray,
@@ -211,14 +192,15 @@ def make_eval_report(
     bank: ClassEmbeddings,
     eval_options: Optional[dict] = None,
     pretrain_concepts=None,
-    with_knowledge: bool = False,
-) -> EvalReport:
-    """Assemble the report for zero-shot predictions with overlap/coverage diagnostics.
+) -> dict:
+    """The report of zero-shot predictions: accuracy plus overlap/coverage diagnostics.
 
-    Knowledge coverage, set only ``with_knowledge``, is the share of ``bank``'s hits.
+    Concept overlap is set only given ``pretrain_concepts``; knowledge coverage,
+    the share of ``bank``'s hits, only if ``eval_options["with_knowledge"]``.
+    ``config_digest`` hashes the encoder config and ``eval_options``.
     """
+    options = eval_options or {}
     labels = np.asarray(labels)
-    accuracy = float(np.mean(preds == labels))
     per_class = {}
     for idx, name in enumerate(bank.class_names):
         mask = labels == idx
@@ -228,36 +210,30 @@ def make_eval_report(
     if pretrain_concepts:
         overlap = concept_overlap(pretrain_concepts, bank.class_names)
     coverage = None
-    if with_knowledge:
+    if options.get("with_knowledge"):
         hits = sum(1 for p in bank.provenance if p["hit"])
         coverage = 100.0 * (hits / len(bank.provenance))
-    digest_payload = {"encoder": params.config.to_dict(), "options": eval_options or {}}
+    digest_payload = {"encoder": params.config.to_dict(), "options": options}
     digest = hashlib.sha256(
         json.dumps(digest_payload, sort_keys=True).encode("utf-8")
     ).hexdigest()[:16]
-    return EvalReport(
-        top1_accuracy=accuracy,
-        per_class_accuracy=per_class,
-        concept_overlap_pct=overlap,
-        knowledge_coverage_pct=coverage,
-        config_digest=digest,
-    )
+    return {
+        "top1_accuracy": float(np.mean(preds == labels)),
+        "per_class_accuracy": per_class,
+        "concept_overlap_pct": overlap,
+        "knowledge_coverage_pct": coverage,
+        "config_digest": digest,
+    }
 
 
-def write_breakdown_csv(rows: list[dict], path) -> None:
-    """Per-dataset breakdown: one row of score / overlap / coverage columns."""
-    lines = ["dataset,score,concept_overlap,knowledge_coverage"]
-    for row in rows:
-        lines.append(
-            "{dataset},{score!r},{concept_overlap},{knowledge_coverage}".format(
-                dataset=row["dataset"],
-                score=row["score"],
-                concept_overlap="" if row.get("concept_overlap") is None else repr(row["concept_overlap"]),
-                knowledge_coverage="" if row.get("knowledge_coverage") is None else repr(row["knowledge_coverage"]),
-            )
-        )
+def write_breakdown_csv(reports, path) -> None:
+    """Per-dataset breakdown: a score / overlap / coverage row per ``(name, report)`` pair."""
     with atomic_open(path) as handle:
-        handle.write("\n".join(lines) + "\n")
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["dataset", "score", "concept_overlap", "knowledge_coverage"])
+        for name, report in reports:
+            writer.writerow([name, report["top1_accuracy"], report["concept_overlap_pct"],
+                             report["knowledge_coverage_pct"]])
 
 
 def concept_overlap(pretrain_concepts, downstream_concepts) -> float:

@@ -17,7 +17,6 @@ import numpy as np
 from . import compose, encoder as enc, queries
 from .errors import ConfigError, DataError, NumericsError
 from .knowledge import KnowledgeStore, finite_array, iter_jsonl, string_field
-from .queries import tokenize
 
 
 @dataclass
@@ -99,19 +98,13 @@ def encode_phrases_parallel(params: enc.ModelParams, texts: list[str]) -> Phrase
 
     Column k depends only on text k. A single text that still exceeds the
     sequence budget (the composer only truncates knowledge, never the
-    query) is an error, not a silent cut.
+    query) raises ``DataError`` naming it, not a silent cut.
     """
     if not texts:
         raise ValueError("category text list must be non-empty")
-    budget = params.config.max_tokens - 1
     cols = []
-    for k, text in enumerate(texts):
-        words = tokenize(text)
-        if len(words) > budget:
-            raise ValueError(
-                f"category text {k} has {len(words)} tokens; max is {budget} "
-                "even after knowledge truncation"
-            )
+    for text in texts:
+        compose.check_class_budget(text, text, params.config.max_tokens)
         ids = enc.text_to_ids(text, params.config, pooling="cls")
         cols.append(enc.encode_text(params, ids, pooling="cls"))
     return PhraseBank(matrix=np.stack(cols, axis=1), texts=list(texts))

@@ -9,7 +9,6 @@ every retrieval is a pure function of (snapshot, query).
 from __future__ import annotations
 
 import json
-import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -195,7 +194,9 @@ class WordNetGraph:
         current = record
         while current.hypernym_ids:
             if len(path) >= MAX_HYPERNYM_HOPS:
-                raise _chain_too_long(record.id)
+                raise SnapshotError(
+                    f"hypernym chain from {record.id!r} exceeds {MAX_HYPERNYM_HOPS} hops (cycle?)"
+                )
             current = self.synsets[current.hypernym_ids[0]]
             path.append(current)
         return path
@@ -249,37 +250,6 @@ def _string_list(obj: dict, key: str, where: str, nonempty: bool) -> tuple[str, 
     return tuple(value)
 
 
-def _chain_too_long(sid: str) -> SnapshotError:
-    return SnapshotError(
-        f"hypernym chain from {sid!r} exceeds {MAX_HYPERNYM_HOPS} hops (cycle?)"
-    )
-
-
-def _check_hypernym_chains(graph: WordNetGraph) -> None:
-    """Raise for the first synset, in file order, that ``hypernym_path`` would reject.
-
-    Each synset's chain length (synsets up to the root along first-hypernym
-    links; endless on a cycle) is computed once, so the pass is linear.
-    """
-    length: dict[str, float] = {}
-    for start in graph.synsets:
-        chain: dict[str, None] = {}  # insertion-ordered, with O(1) membership
-        sid = start
-        while sid not in length and sid not in chain:
-            hypernyms = graph.synsets[sid].hypernym_ids
-            if not hypernyms:
-                length[sid] = 1
-                break
-            chain[sid] = None
-            sid = hypernyms[0]
-        n = length.get(sid, math.inf)  # not yet known only when sid closes a cycle
-        for node in reversed(chain):
-            n += 1
-            length[node] = n
-        if length[start] > MAX_HYPERNYM_HOPS:
-            raise _chain_too_long(start)
-
-
 def load_wordnet_snapshot(path) -> WordNetGraph:
     """Load a WordNet JSONL snapshot, validating every row and all references.
 
@@ -300,7 +270,8 @@ def load_wordnet_snapshot(path) -> WordNetGraph:
         )
     try:
         graph = WordNetGraph(records)
-        _check_hypernym_chains(graph)
+        for rec in graph.synsets.values():  # in file order, so the first long chain is named
+            graph.hypernym_path(rec)
     except SnapshotError as exc:  # a duplicate, a dangling reference or a long chain
         raise SnapshotError(f"{path}: {exc}") from exc
     return graph

@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 import tracemalloc
@@ -740,6 +741,46 @@ class TestEvalDefects:
         assert err.strip().splitlines() == [
             f"data error: class {long_name!r} has {n_tokens} tokens; max is 7"
         ]
+
+    @pytest.mark.parametrize("flag", ["--breakdown-csv", "--pretrain-concepts"])
+    def test_zeroshot_label_flag_on_unlabeled_images(
+        self, capsys, tmp_path, checkpoint, monkeypatch, flag
+    ):
+        # Both flags were once ignored without labels: exit 0 and no CSV written.
+        images = _write_images(tmp_path / "images.jsonl",
+                               [{"image": np.eye(4)[i].tolist()} for i in range(2)])
+        classes = tmp_path / "classes.json"
+        classes.write_text(json.dumps(["boxer", "tench"]))
+        concepts = tmp_path / "pretrain.txt"
+        concepts.write_text("boxer\n")
+        breakdown = tmp_path / "breakdown.csv"
+        value = {"--breakdown-csv": breakdown, "--pretrain-concepts": concepts}[flag]
+        encoded = []
+        encode_text = enc.encode_text
+        monkeypatch.setattr(enc, "encode_text",
+                            lambda *a, **k: encoded.append(1) or encode_text(*a, **k))
+        code, _, err = run(capsys, "eval-zeroshot", "--checkpoint", str(checkpoint), "--images",
+                           str(images), "--classes", str(classes), flag, str(value))
+        assert code == EXIT_DATA
+        assert err.strip().splitlines() == [f"data error: {images}: {flag} needs labeled images"]
+        assert not encoded and not breakdown.exists()
+
+    # 'a,b "x"' was once written bare and read back as five fields.
+    @pytest.mark.parametrize("name", ['a,b "x"', "two\nlines", '"', "cr\rlf\r\n", "plain"])
+    def test_breakdown_csv_round_trips_the_dataset_name(self, capsys, tmp_path, checkpoint, name):
+        images = _write_images(tmp_path / "images.jsonl",
+                               [{"image": np.eye(4)[i].tolist(), "label": i} for i in range(2)])
+        classes = tmp_path / "classes.json"
+        classes.write_text(json.dumps(["boxer", "tench"]))
+        breakdown = tmp_path / "breakdown.csv"
+        code, summary, err = run(capsys, "eval-zeroshot", "--checkpoint", str(checkpoint),
+                                 "--images", str(images), "--classes", str(classes),
+                                 "--breakdown-csv", str(breakdown), "--dataset-name", name)
+        assert code == EXIT_OK, err
+        with open(breakdown, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        assert rows == [["dataset", "score", "concept_overlap", "knowledge_coverage"],
+                        [name, repr(summary["accuracy"]), "", ""]]
 
     def test_probe_class_too_small_names_the_file_and_label(self, capsys, tmp_path, checkpoint):
         rows = [{"image": np.eye(4)[i % 2].tolist(), "label": i % 2} for i in range(6)]

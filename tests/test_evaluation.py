@@ -223,13 +223,13 @@ class TestEvalReport:
         report = make_eval_report(
             params, preds, labels, bank,
             pretrain_concepts=["boxer", "tench"],
-            with_knowledge=True,
+            eval_options={"with_knowledge": True},
         )
-        assert 0.0 <= report.top1_accuracy <= 1.0
-        assert set(report.per_class_accuracy) == {"boxer", "zzmiss"}
-        assert report.concept_overlap_pct == 50.0
-        assert report.knowledge_coverage_pct == 50.0
-        assert len(report.config_digest) == 16
+        assert 0.0 <= report["top1_accuracy"] <= 1.0
+        assert set(report["per_class_accuracy"]) == {"boxer", "zzmiss"}
+        assert report["concept_overlap_pct"] == 50.0
+        assert report["knowledge_coverage_pct"] == 50.0
+        assert len(report["config_digest"]) == 16
 
     def test_digest_tracks_options(self, params, toy_store, toy_config):
         from lexivis.evaluation import make_eval_report
@@ -241,7 +241,7 @@ class TestEvalReport:
         preds, _ = zero_shot_classify(params, images, bank, labels)
         a = make_eval_report(params, preds, labels, bank, eval_options={"k": 1})
         b = make_eval_report(params, preds, labels, bank, eval_options={"k": 2})
-        assert a.config_digest != b.config_digest
+        assert a["config_digest"] != b["config_digest"]
 
     def test_breakdown_csv(self, tmp_path):
         from lexivis.evaluation import write_breakdown_csv
@@ -249,8 +249,10 @@ class TestEvalReport:
         path = tmp_path / "breakdown.csv"
         write_breakdown_csv(
             [
-                {"dataset": "toy", "score": 0.5, "concept_overlap": 25.0, "knowledge_coverage": 100.0},
-                {"dataset": "other", "score": 0.25, "concept_overlap": None, "knowledge_coverage": None},
+                ("toy", dict(top1_accuracy=0.5, concept_overlap_pct=25.0,
+                             knowledge_coverage_pct=100.0)),
+                ("other", dict(top1_accuracy=0.25, concept_overlap_pct=None,
+                               knowledge_coverage_pct=None)),
             ],
             path,
         )

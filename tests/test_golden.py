@@ -1,7 +1,7 @@
 """Golden bytes: the sha256 of deterministic CLI outputs on a tiny seeded fixture.
 
-A change that alters one bit of a checkpoint, a loss trace or the grounding
-predictions fails here. Float results depend on the numpy build, its BLAS and
+A change that alters one bit of a checkpoint, a loss trace, the grounding
+predictions or the zero-shot report and breakdown fails here. Float results depend on the numpy build, its BLAS and
 the SIMD paths numpy dispatches to on this CPU, so the digests are keyed to
 that stack; on any other stack the test skips and names it.
 """
@@ -16,6 +16,7 @@ from lexivis.cli import EXIT_OK, main
 from tests.conftest import FIXTURES
 
 WK = str(FIXTURES / "wiktionary.jsonl")
+TEMPLATES = str(FIXTURES / "templates.txt")
 CLASSES = ["boxer", "crowd", "fireplug"]
 TINY = ["--embed-dim", "8", "--hidden-dim", "16", "--vocab-size", "64",
         "--adapter-bottleneck", "2", "--max-tokens", "16"]
@@ -39,17 +40,21 @@ GOLDEN = {
         "sgd.json": "e581d5bf42d9249f2fda09079bf8396abdd800a69748f8d536520f4773e87ea9",
         "momentum.json": "103679f6ec1712e21e7d9f2ff31385b21233cdcb7a615d00c6157bea16cebf9b",
         "sgd_adapters.json": "813c00783c5d15ca0c178ec9a2d8ce6bfed5f0579d0715f0da89aac29cd961c1",
+        "zeroshot.json": "dfe28a8a4257912b8986b3b2459929da4630722fe5051877e653fe474ace32c4",
+        "breakdown.csv": "69cef17b11140dc53546ef18f10dc469bbb744e635fb0941b2203b7b1e41e911",
     },
 }
 
 
 OUTPUTS = ("ground.json", "ground.csv", "caption.json", "predictions.json",
-           "adapters.json", "adapters.csv", "sgd.json", "momentum.json", "sgd_adapters.json")
+           "adapters.json", "adapters.csv", "sgd.json", "momentum.json", "sgd_adapters.json",
+           "zeroshot.json", "breakdown.csv")
 
 
 def _write_inputs(tmp_path):
     rng = np.random.default_rng(0)
     (tmp_path / "classes.json").write_text(json.dumps(CLASSES))
+    (tmp_path / "pretrain.txt").write_text("boxer\ntench\n")
     rows = [
         {"image_id": f"im{i}", "features": np.round(rng.normal(size=(3, 8)), 3).tolist(),
          "targets": np.eye(3)[rng.permutation(3)].tolist()}
@@ -73,7 +78,7 @@ def _write_inputs(tmp_path):
 
 def _outputs(tmp_path) -> dict:
     _write_inputs(tmp_path)
-    inputs = ("classes.json", "regions.jsonl", "dataset.jsonl", "partial.jsonl")
+    inputs = ("classes.json", "pretrain.txt", "regions.jsonl", "dataset.jsonl", "partial.jsonl")
     p = {name: str(tmp_path / name) for name in inputs + OUTPUTS}
     knowledge = ["--with-knowledge", "--wiktionary", WK]
     commands = [
@@ -96,6 +101,11 @@ def _outputs(tmp_path) -> dict:
         ["train", "--mode", "continual_adapters", "--base-checkpoint", p["sgd.json"],
          "--dataset", p["dataset.jsonl"], "--out-checkpoint", p["sgd_adapters.json"],
          "--epochs", "2", "--batch-size", "4"],
+        # The dataset rows double as labeled eval images.
+        ["eval-zeroshot", "--checkpoint", p["adapters.json"], "--images", p["dataset.jsonl"],
+         "--classes", p["classes.json"], "--templates", TEMPLATES,
+         "--pretrain-concepts", p["pretrain.txt"], "--out", p["zeroshot.json"],
+         "--breakdown-csv", p["breakdown.csv"], *knowledge],
     ]
     for argv in commands:
         assert main(argv) == EXIT_OK, argv[0]

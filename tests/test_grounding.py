@@ -75,7 +75,7 @@ class TestParallelEncoding:
 
     def test_overlength_category_text_rejected(self, params, toy_config):
         long_text = " ".join(f"w{i}" for i in range(toy_config.max_tokens + 4))
-        with pytest.raises(ValueError, match="max"):
+        with pytest.raises(DataError, match="max"):
             encode_phrases_parallel(params, ["short", long_text])
 
 
