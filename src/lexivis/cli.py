@@ -5,9 +5,12 @@ ground-train, ground-eval, bench-synth. Every stage reads declared inputs,
 writes declared outputs, and prints a one-line JSON summary to stdout.
 Exit codes: 0 success, 1 usage/config error, 2 data error.
 
-Flag values may come from a flat ``key=value`` config file (``--config``) and
-from environment variables with the ``LEXIVIS_`` prefix; explicit flags win
-over the environment, which wins over the file.
+Flags may also come from a flat ``key=value`` file given as ``--config FILE``
+before the subcommand, keyed by the flag's dest (``min_freq``), and from
+variables named ``LEXIVIS_`` plus the upper-cased dest. Each value is checked
+like the flag (an error names ``path:lineno`` or the variable) and may supply
+a required flag; ``1``, ``true`` or ``yes`` (any case) sets a ``store_true``
+flag, any other value clears it. Precedence: explicit flag, environment, file.
 """
 
 from __future__ import annotations
@@ -48,6 +51,17 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # Keeps each flag's action by dest, for the config file and the environment.
+    def __init__(self, **kwargs):
+        self.flags: dict[str, argparse.Action] = {}
+        super().__init__(**kwargs)
+        self.flags.pop("help", None)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.flags[action.dest] = action
+        return action
+
     # argparse exits with code 2 on usage errors; the pipeline contract is 1.
     def error(self, message):
         raise _UsageError(message)
@@ -94,17 +108,21 @@ def _load_class_names(path) -> list[str]:
 
 
 def _load_labeled_images(path, width: int):
-    """JSONL rows {image: [``width`` finite floats], label: int} used by the eval commands."""
+    """JSONL rows {image: [``width`` finite floats], label: int} used by the eval commands.
+
+    Either every row has a label or none does (the labels are then None).
+    """
     images, labels = [], []
     for where, obj in iter_jsonl(path, DataError, ("image",)):
         image = finite_array(obj["image"], 1, where, "image", width)
         label = obj.get("label")
         if label is not None and type(label) is not int:
             raise DataError(f"{where}: label must be an integer")
+        if labels and (label is None) != (labels[0] is None):
+            raise DataError(f"{where}: either every row has a label or none does")
         images.append(image)
         labels.append(label)
-    has_labels = all(l is not None for l in labels)
-    return np.stack(images), (np.asarray(labels) if has_labels else None)
+    return np.stack(images), (None if labels[0] is None else np.asarray(labels))
 
 
 def _encoder_config(args, image_dim: int) -> enc.EncoderConfig:
@@ -391,6 +409,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="lexivis", description=__doc__)
     parser.add_argument("--config", help="flat key=value config file")
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
+    parser.subcommands = sub.choices  # the subparser of each name
 
     p = sub.add_parser("augment", help="knowledge-augment a triplet dataset")
     _add_store_flags(p)
@@ -493,88 +512,50 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _flag_key(flag: str) -> str:
-    return flag.lstrip("-").replace("-", "_")
+def _set_default(action: argparse.Action, where: str, value: str) -> None:
+    """Make a config or environment string the flag's default, checked like the flag."""
+    action.required = False
+    if action.nargs == 0:  # store_true
+        action.default = value.lower() in ("1", "true", "yes")
+        return
+    try:  # argparse checks neither type nor choices on a default
+        action.default = action.type(value) if action.type else value
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    if action.choices is not None and action.default not in action.choices:
+        raise ConfigError(f"{where} must be one of {', '.join(action.choices)}")
 
 
-def _apply_overrides(parser: _Parser, argv: list[str]) -> list[str]:
-    """Fold config-file and environment values in as lowest-priority flags."""
-    if not argv:
-        return argv
-    sub_index = None
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg == "--config":
-            i += 2
+def _set_flag_defaults(parser: _Parser, argv: list[str]) -> None:
+    """Fold the ``--config`` file, then ``LEXIVIS_*`` variables, into the subcommand's defaults."""
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    pre.add_argument("subcommand", nargs="?")
+    pre.add_argument("rest", nargs=argparse.REMAINDER)  # the subcommand's own flags
+    known = pre.parse_known_args(argv)[0]
+    sub = parser.subcommands.get(known.subcommand)
+    if sub is None:
+        return
+    for where, line in read_lines(known.config) if known.config else ():
+        if line.startswith("#"):
             continue
-        if arg.startswith("-"):
-            i += 1
-            continue
-        sub_index = i
-        break
-    if sub_index is None:
-        return argv
-    subcommand = argv[sub_index]
-    sub_parser = None
-    for action in parser._subparsers._group_actions:
-        sub_parser = action.choices.get(subcommand)
-        if sub_parser is not None:
-            break
-    if sub_parser is None:
-        return argv
-
-    known = {}
-    store_true = set()
-    for action in sub_parser._actions:
-        for opt in action.option_strings:
-            if opt.startswith("--"):
-                known[_flag_key(opt)] = opt
-                if isinstance(action, argparse._StoreTrueAction):
-                    store_true.add(_flag_key(opt))
-
-    overrides: dict[str, str] = {}
-    config_path = None
-    for i, a in enumerate(argv):
-        if a == "--config" and i + 1 < len(argv):
-            config_path = argv[i + 1]
-        elif a.startswith("--config="):
-            config_path = a.split("=", 1)[1]
-    if config_path:
-        path = Path(config_path)
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in known:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            overrides[key] = value
-    for key in known:
-        env = os.environ.get(ENV_PREFIX + key.upper())
-        if env is not None:
-            overrides[key] = env
-
-    given = {_flag_key(a.split("=", 1)[0]) for a in argv if a.startswith("--")}
-    extra: list[str] = []
-    for key, value in overrides.items():
-        if key in given:
-            continue
-        if key in store_true:
-            if value.lower() in ("1", "true", "yes"):
-                extra.append(known[key])
-        else:
-            extra.extend([known[key], value])
-    return argv[: sub_index + 1] + extra + argv[sub_index + 1 :]
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq:
+            raise ConfigError(f"{where}: expected key=value")
+        if key not in sub.flags:
+            raise ConfigError(f"{where}: unknown config key {key!r}")
+        _set_default(sub.flags[key], f"{where}: {key}", value)
+    for key, action in sub.flags.items():
+        name = ENV_PREFIX + key.upper()
+        if name in os.environ:
+            _set_default(action, name, os.environ[name])
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_overrides(parser, argv)
+        _set_flag_defaults(parser, argv)
         args = parser.parse_args(argv)
         if not getattr(args, "fn", None):
             parser.print_usage(sys.stderr)

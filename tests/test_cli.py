@@ -2,6 +2,7 @@ import csv
 import json
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,6 +304,144 @@ class TestConfigAndEnv:
             "--queries", QUERIES,
         )
         assert code == EXIT_OK
+
+
+COVERAGE = ("coverage", "--wiktionary", WK, "--queries", QUERIES)
+
+
+def _one_line(err):
+    lines = err.strip().splitlines()
+    assert len(lines) == 1, err
+    return lines[0]
+
+
+class TestConfigValues:
+    """``--config`` and ``LEXIVIS_*`` values become subcommand defaults, checked like flags."""
+
+    def test_config_not_utf8_names_the_file(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"min_freq = \xff\n")
+        code, _, err = run(capsys, "--config", str(cfg), "stats", "--dataset", "absent.jsonl")
+        assert code == EXIT_DATA and _one_line(err) == f"data error: {cfg}: not UTF-8 text"
+
+    @pytest.mark.parametrize("content", ["", " \n\n"])
+    def test_empty_config_is_data_error(self, capsys, tmp_path, content):
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text(content)
+        code, _, err = run(capsys, "--config", str(cfg), *COVERAGE)
+        assert code == EXIT_DATA and _one_line(err) == f"data error: {cfg}: no lines found"
+
+    def test_bad_config_value_names_the_line(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("min_freq = abc\n")
+        code, _, err = run(capsys, "--config", str(cfg), "stats", "--dataset", "absent.jsonl")
+        assert code == EXIT_USAGE
+        assert _one_line(err).startswith(f"config error: {cfg}:1: min_freq: ")
+
+    def test_bad_env_value_names_the_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("LEXIVIS_MIN_FREQ", "zz")
+        code, _, err = run(capsys, "stats", "--dataset", "absent.jsonl")
+        assert code == EXIT_USAGE
+        assert _one_line(err).startswith("config error: LEXIVIS_MIN_FREQ: ")
+
+    def test_config_value_outside_choices_names_the_line(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("source = nope\n")
+        code, _, err = run(capsys, "--config", str(cfg), *COVERAGE)
+        assert code == EXIT_USAGE
+        assert _one_line(err) == (
+            f"config error: {cfg}:1: source must be one of {', '.join(knowledge.SOURCES)}"
+        )
+
+    def test_config_after_the_subcommand_is_never_opened(self, capsys, tmp_path, opened_paths):
+        cfg = tmp_path / "stats.cfg"
+        cfg.write_text("min_freq = 2\n")
+        opened_paths.clear()
+        code, _, err = run(capsys, "stats", "--config", str(cfg), "--dataset", "absent.jsonl")
+        assert code == EXIT_USAGE
+        assert _one_line(err) == f"usage error: unrecognized arguments: --config {cfg}"
+        assert str(cfg) not in opened_paths
+
+    def test_abbreviated_config_flag_is_applied(self, capsys, tmp_path):
+        cfg = tmp_path / "cov.cfg"
+        cfg.write_text(f"source = wn_def\nwordnet = {WN}\n")
+        code, summary, err = run(capsys, "--conf", str(cfg), *COVERAGE)
+        assert code == EXIT_OK, err
+        assert summary["source"] == "wn_def"
+
+    def test_flag_without_its_value_before_config(self, capsys, tmp_path):
+        code, _, err = run(capsys, "coverage", "--queries", "--config", str(tmp_path / "x"),
+                           "--wiktionary", WK)
+        assert code == EXIT_USAGE
+        assert _one_line(err) == "usage error: argument --queries: expected one argument"
+
+    def test_help_is_not_a_config_key(self, capsys, tmp_path):
+        cfg = tmp_path / "help.cfg"
+        cfg.write_text("help = 1\n")
+        code, _, err = run(capsys, "--config", str(cfg), *COVERAGE)
+        assert code == EXIT_USAGE
+        assert _one_line(err) == f"config error: {cfg}:1: unknown config key 'help'"
+
+    def test_help_variable_is_ignored(self, capsys, monkeypatch):
+        monkeypatch.setenv("LEXIVIS_HELP", "1")
+        code, summary, err = run(capsys, *COVERAGE)
+        assert code == EXIT_OK and err == ""
+        assert summary["coverage"] == 1.0
+
+    def test_env_values_starting_with_a_dash(self, capsys, tmp_path, monkeypatch, checkpoint):
+        images = _write_images(tmp_path / "images.jsonl",
+                               [{"image": np.eye(4)[i].tolist(), "label": i} for i in range(2)])
+        classes = tmp_path / "classes.json"
+        classes.write_text(json.dumps(["boxer", "tench"]))
+        breakdown = tmp_path / "breakdown.csv"
+        monkeypatch.setenv("LEXIVIS_TEMPLATE", "-{}")
+        monkeypatch.setenv("LEXIVIS_DATASET_NAME", "-x")
+        code, _, err = run(capsys, "eval-zeroshot", "--checkpoint", str(checkpoint),
+                           "--images", str(images), "--classes", str(classes),
+                           "--breakdown-csv", str(breakdown))
+        assert code == EXIT_OK, err
+        with open(breakdown, newline="") as handle:
+            assert [row[0] for row in csv.reader(handle)][1:] == ["-x"]
+
+    def test_config_supplies_a_required_flag(self, capsys, tmp_path):
+        cfg = tmp_path / "cov.cfg"
+        cfg.write_text(f"# the query list\nqueries = {QUERIES}\n")
+        code, summary, err = run(capsys, "--config", str(cfg), "coverage", "--wiktionary", WK)
+        assert code == EXIT_OK, err
+        assert summary["queries"] == 4
+
+    @pytest.mark.parametrize("value, expected", [("yes", True), ("TRUE", True), ("0", False)])
+    def test_store_true_from_env(self, capsys, tmp_path, monkeypatch, checkpoint, value, expected):
+        classes = tmp_path / "classes.json"
+        classes.write_text(json.dumps(["boxer"]))
+        regions = tmp_path / "regions.jsonl"
+        regions.write_text(json.dumps(
+            {"image_id": "a", "features": np.eye(1, 4).tolist(), "targets": [[1]]}) + "\n")
+        monkeypatch.setenv("LEXIVIS_WITH_KNOWLEDGE", value)
+        code, summary, err = run(capsys, "ground-eval", "--checkpoint", str(checkpoint),
+                                 "--regions", str(regions), "--classes", str(classes),
+                                 "--wiktionary", WK)
+        assert code == EXIT_OK, err
+        assert summary["with_knowledge"] is expected
+
+    def test_env_default_does_not_leak_into_the_next_call(self, capsys, monkeypatch):
+        monkeypatch.setenv("LEXIVIS_SOURCE", "wn_def")
+        code, summary, err = run(capsys, *COVERAGE, "--wordnet", WN)
+        assert code == EXIT_OK and summary["source"] == "wn_def", err
+        monkeypatch.delenv("LEXIVIS_SOURCE")
+        code, summary, err = run(capsys, *COVERAGE, "--wordnet", WN)
+        assert code == EXIT_OK and summary["source"] == "wiki_def", err
+
+    def test_no_private_argparse_names_in_the_package(self):
+        src = Path(cli.__file__).parent
+        private = re.compile(r"argparse\._|\._actions|\._subparsers|\._group_actions")
+        offenders = [
+            f"{path.name}:{lineno}"
+            for path in sorted(src.glob("**/*.py"))
+            for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if private.search(line)
+        ]
+        assert offenders == []
 
 
 class TestTrainEval:
@@ -694,6 +833,23 @@ def _write_images(path, rows):
 
 
 class TestEvalDefects:
+    @pytest.mark.parametrize("first_label", [0, None])
+    @pytest.mark.parametrize("command", ["eval-zeroshot", "eval-probe"])
+    def test_partly_labeled_images_name_the_first_odd_row(
+        self, capsys, tmp_path, checkpoint, command, first_label
+    ):
+        rows = [{"image": np.eye(4)[i].tolist(), "label": first_label} for i in range(4)]
+        rows[2]["label"] = 1 if first_label is None else None
+        images = _write_images(tmp_path / "images.jsonl", rows)
+        classes = tmp_path / "classes.json"
+        classes.write_text(json.dumps(["boxer", "tench"]))
+        argv = [command, "--checkpoint", str(checkpoint), "--images", str(images)]
+        if command == "eval-zeroshot":
+            argv += ["--classes", str(classes)]
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_DATA
+        assert _one_line(err) == f"data error: {images}:3: either every row has a label or none does"
+
     @pytest.mark.parametrize("bad_label", [4, -1])
     def test_zeroshot_label_outside_class_list(self, capsys, tmp_path, checkpoint, bad_label):
         rows = [{"image": np.eye(4)[i].tolist(), "label": i} for i in range(4)]
