@@ -214,6 +214,8 @@ def _cmd_train(args) -> dict:
 
 
 def _cmd_eval_zeroshot(args) -> dict:
+    if args.templates and args.template:
+        raise ConfigError("give --templates or --template, not both")
     store = _load_store(args) if args.with_knowledge else None
     params, _ = enc.load_checkpoint(args.checkpoint)
     class_names = _load_class_names(args.classes)
@@ -223,7 +225,8 @@ def _cmd_eval_zeroshot(args) -> dict:
         raise DataError(f"{args.images}: {flag} needs labeled images")
     if labels is not None and not ((labels >= 0) & (labels < len(class_names))).all():
         raise DataError(f"{args.images}: labels must index the {len(class_names)} classes")
-    templates = compose.load_templates(args.templates) if args.templates else [args.template]
+    templates = (compose.load_templates(args.templates) if args.templates
+                 else [args.template or compose.PromptTemplate()])
     bank = evaluation.build_class_embeddings(
         params,
         class_names,
@@ -455,7 +458,7 @@ def build_parser() -> _Parser:
     p.add_argument("--classes", required=True)
     p.add_argument("--with-knowledge", action="store_true")
     p.add_argument("--branch-mode", default="one_branch", choices=evaluation.BRANCH_MODES)
-    p.add_argument("--template", type=compose.PromptTemplate, default=compose.DEFAULT_TEMPLATE)
+    p.add_argument("--template", type=compose.PromptTemplate, help="not with --templates")
     p.add_argument("--templates", help="file with one template per line (ensemble)")
     p.add_argument("--pretrain-concepts", help="file of pretraining concepts for overlap")
     p.add_argument("--breakdown-csv", help="write a one-row per-dataset breakdown CSV")

@@ -459,6 +459,8 @@ def grads(params: ModelParams, batch: TrainBatch, spec: LossSpec):
     """
     from . import objective
 
+    if spec.trainable not in ("all", "adapters"):
+        raise ConfigError(f"unknown trainable selection {spec.trainable!r}")
     g = params.zeros_like()
 
     if spec.loss == "contrastive":
@@ -537,8 +539,6 @@ def grads(params: ModelParams, batch: TrainBatch, spec: LossSpec):
 
     if not np.isfinite(losses["loss"]):
         raise NumericsError("loss is non-finite", {"losses": losses})
-    if spec.trainable not in ("all", "adapters"):
-        raise ConfigError(f"unknown trainable selection {spec.trainable!r}")
     for k in g:
         if spec.trainable == "adapters" and not is_adapter_key(k):
             g[k][...] = 0.0

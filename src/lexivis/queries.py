@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import string
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .errors import DataError
@@ -18,20 +17,6 @@ from .errors import DataError
 TAGS = ("NOUN", "ADJ", "NUM", "DET", "OTHER")
 
 _STRIP_CHARS = string.punctuation + "‘’“”"
-
-
-@dataclass(frozen=True)
-class TaggedToken:
-    surface: str
-    tag: str
-
-
-@dataclass(frozen=True)
-class NounPhrase:
-    """A chunk whose head is a noun; ``normalized`` is the space-joined form."""
-
-    tokens: tuple[TaggedToken, ...]
-    normalized: str
 
 
 def normalize_text(text: str) -> str:
@@ -65,55 +50,48 @@ def load_lexicon(path) -> dict[str, str]:
     return lexicon
 
 
-def pos_tag(tokens: Iterable[str], lexicon: dict[str, str]) -> list[TaggedToken]:
-    """Tag each token from the lexicon; unknown tokens default to NOUN."""
-    return [TaggedToken(tok, lexicon.get(tok, "NOUN")) for tok in tokens]
+def pos_tag(tokens: Iterable[str], lexicon: dict[str, str]) -> list[str]:
+    """The tag of each token from the lexicon; unknown tokens default to NOUN."""
+    return [lexicon.get(tok, "NOUN") for tok in tokens]
 
 
-def chunk_noun_phrases(tagged: list[TaggedToken]) -> list[NounPhrase]:
-    """Maximal ``DET? (ADJ|NUM)* NOUN+`` matches, left to right.
+def chunk_noun_phrases(words: list[str], tags: list[str]) -> list[str]:
+    """Maximal ``DET? (ADJ|NUM)* NOUN+`` matches over tagged words, left to right.
 
-    For every maximal match the bare NOUN+ head sub-phrase is also emitted
-    when it differs, so "professional boxer" yields "boxer" as well.
-    Duplicates are removed preserving first-seen order.
+    Each phrase is its words joined by spaces. For every maximal match the
+    bare NOUN+ head sub-phrase is also emitted when it differs, so
+    "professional boxer" yields "boxer" as well. Duplicates are removed
+    preserving first-seen order.
     """
-    phrases: list[NounPhrase] = []
-    seen: set[str] = set()
-
-    def emit(tokens: list[TaggedToken]) -> None:
-        normalized = " ".join(t.surface for t in tokens)
-        if normalized not in seen:
-            seen.add(normalized)
-            phrases.append(NounPhrase(tuple(tokens), normalized))
-
+    phrases: dict[str, None] = {}  # insertion-ordered set
     i = 0
-    n = len(tagged)
+    n = len(tags)
     while i < n:
         j = i
-        if j < n and tagged[j].tag == "DET":
+        if j < n and tags[j] == "DET":
             j += 1
-        while j < n and tagged[j].tag in ("ADJ", "NUM"):
+        while j < n and tags[j] in ("ADJ", "NUM"):
             j += 1
         head_start = j
-        while j < n and tagged[j].tag == "NOUN":
+        while j < n and tags[j] == "NOUN":
             j += 1
         if j == head_start:
             # No noun head here; the pattern cannot match starting at i.
             i += 1
             continue
-        emit(list(tagged[i:j]))
+        phrases[" ".join(words[i:j])] = None
         if head_start != i:
-            emit(list(tagged[head_start:j]))
+            phrases[" ".join(words[head_start:j])] = None
         i = j
-    return phrases
+    return list(phrases)
 
 
 def build_frequency_table(corpus: Iterable[str], lexicon: dict[str, str]) -> Counter:
     """Count every chunked noun phrase across a caption corpus."""
     table = Counter()
     for caption in corpus:
-        phrases = chunk_noun_phrases(pos_tag(tokenize(caption), lexicon))
-        table.update(phrase.normalized for phrase in phrases)
+        words = tokenize(caption)
+        table.update(chunk_noun_phrases(words, pos_tag(words, lexicon)))
     return table
 
 
@@ -140,11 +118,12 @@ def construct_query(
     def rarity(phrase: str):
         return (freq[phrase], -len(phrase), phrase)
 
-    tagged = pos_tag(tokenize(text), lexicon or {})
-    phrases = chunk_noun_phrases(tagged)
+    words = tokenize(text)
+    tags = pos_tag(words, lexicon or {})
+    phrases = chunk_noun_phrases(words, tags)
     if phrases:
-        return min((p.normalized for p in phrases), key=rarity)
-    nouns = [t.surface for t in tagged if t.tag == "NOUN"]
+        return min(phrases, key=rarity)
+    nouns = [word for word, tag in zip(words, tags) if tag == "NOUN"]
     if nouns:
         return min(nouns, key=rarity)
     return normalize_text(text)

@@ -70,6 +70,10 @@ class SynthConfig:
             raise ConfigError("image_input_dim must be >= n_common for orthogonal prototypes")
         if not self.seeds:
             raise ConfigError("the benchmark needs at least one seed")
+        if self.train_per_class < 1 or self.eval_per_class < 1:
+            raise ConfigError("train_per_class and eval_per_class must be >= 1")
+        if not 0 <= self.noise < float("inf"):  # false for NaN too
+            raise ConfigError(f"noise must be finite and >= 0, got {self.noise}")
         self.train_config(seed=0)  # checks the training values before any world is built
 
     def train_config(self, seed: int) -> trainer.TrainConfig:

@@ -282,6 +282,8 @@ def fit(
     l_t2i, l_ic, tau) for the contrastive loss and (step, focal_loss) for
     grounding, plus the per-branch text counts.
     """
+    if optimizer not in OPTIMIZERS:
+        raise ConfigError(f"unknown optimizer {optimizer!r}")
     params.tensors = enc.FlatTensors(params.tensors)
     opt = _Optimizer(optimizer, learning_rate, params.tensors.flat.size)
     rng = np.random.default_rng(seed)

@@ -1,5 +1,8 @@
 import sys
-from pathlib import Path
+
+sys.dont_write_bytecode = True  # no src/lexivis/__pycache__ left for a later benchmark run to read
+
+from pathlib import Path  # noqa: E402
 
 import pytest
 

@@ -1209,6 +1209,7 @@ class TestFlagRanges:
         ["ground-eval", "--with-knowledge", "--source", "wn_def"],
         ["eval-zeroshot", "--with-knowledge", "--source", "wn_def"],
         ["eval-zeroshot", "--with-knowledge", "--source", "wiki_def"],
+        ["eval-zeroshot", "--templates", "ABSENT", "--template", "{} x"],
     ], ids=" ".join)
     def test_config_error_before_any_input_is_read(self, capsys, tmp_path, flags):
         self._check_error_before_any_input(capsys, tmp_path, flags, "config error: ")
@@ -1223,6 +1224,8 @@ class TestFlagRanges:
 
     @pytest.mark.parametrize("flags", [
         ["--epochs", "-1"], ["--batch-size", "1"], ["--learning-rate", "0"],
+        ["--train-per-class", "0"], ["--eval-per-class", "0"],
+        ["--noise", "nan"], ["--noise", "inf"], ["--noise", "-1"],
     ], ids=" ".join)
     def test_bench_synth_builds_no_world_before_a_training_flag_error(
         self, capsys, monkeypatch, flags
@@ -1232,6 +1235,23 @@ class TestFlagRanges:
         code, _, err = run(capsys, "bench-synth", "--n-seeds", "1", *flags)
         assert code == EXIT_USAGE and err.startswith("config error: "), err
         assert built == []
+
+    @pytest.mark.parametrize("given", ["config", "environment"])
+    def test_template_from_config_or_environment_with_templates_opens_no_input(
+        self, capsys, tmp_path, monkeypatch, given
+    ):
+        absent = str(tmp_path / "absent")  # opening it first would exit 2
+        argv = ["eval-zeroshot", "--checkpoint", absent, "--images", absent,
+                "--classes", absent, "--templates", absent]
+        if given == "config":
+            config = tmp_path / "eval.cfg"
+            config.write_text("template = {} x\n")
+            argv = ["--config", str(config), *argv]
+        else:
+            monkeypatch.setenv("LEXIVIS_TEMPLATE", "{} x")
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert err.strip() == "config error: give --templates or --template, not both"
 
     @staticmethod
     def _check_error_before_any_input(capsys, tmp_path, flags, prefix):

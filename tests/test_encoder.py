@@ -288,6 +288,21 @@ class TestGrads:
         with pytest.raises(ConfigError, match="unknown trainable selection"):
             enc.grads(params, batch, enc.LossSpec(trainable=trainable))
 
+    @pytest.mark.parametrize("loss", ["contrastive", "ground_focal"])
+    def test_unknown_trainable_rejected_before_any_text_is_encoded(
+        self, toy_config, monkeypatch, loss
+    ):
+        params = enc.init_params(toy_config, seed=6)
+        batch = _contrastive_batch(toy_config, np.random.default_rng(0))
+        if loss == "ground_focal":
+            batch = enc.TrainBatch(token_ids=batch.token_ids[:2], region_features=np.ones((3, 8)),
+                                   targets=np.zeros((3, 2)))
+        forwards = []
+        monkeypatch.setattr(enc, "_text_forward", lambda *args: forwards.append(args))
+        with pytest.raises(ConfigError, match="unknown trainable selection"):
+            enc.grads(params, batch, enc.LossSpec(loss=loss, trainable="base"))
+        assert forwards == []
+
     def test_adapter_only_masks_base(self, toy_config):
         params = enc.init_params(toy_config, seed=6, with_adapters=True)
         params.tensors["layers.0.ad1.up"] += 0.05  # break identity so adapters get signal

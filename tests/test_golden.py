@@ -1,7 +1,8 @@
 """Golden bytes: the sha256 of deterministic CLI outputs on a tiny seeded fixture.
 
 A change that alters one bit of a checkpoint, a loss trace, the grounding
-predictions or the zero-shot report and breakdown fails here. Float results depend on the numpy build, its BLAS and
+predictions, the zero-shot report and breakdown, or the augmented dataset and
+its statistics fails here. Float results depend on the numpy build, its BLAS and
 the SIMD paths numpy dispatches to on this CPU, so the digests are keyed to
 that stack; on any other stack the test skips and names it.
 """
@@ -16,6 +17,8 @@ from lexivis.cli import EXIT_OK, main
 from tests.conftest import FIXTURES
 
 WK = str(FIXTURES / "wiktionary.jsonl")
+WN = str(FIXTURES / "wordnet.jsonl")
+LEX = str(FIXTURES / "lexicon.tsv")
 TEMPLATES = str(FIXTURES / "templates.txt")
 CLASSES = ["boxer", "crowd", "fireplug"]
 TINY = ["--embed-dim", "8", "--hidden-dim", "16", "--vocab-size", "64",
@@ -42,13 +45,16 @@ GOLDEN = {
         "sgd_adapters.json": "813c00783c5d15ca0c178ec9a2d8ce6bfed5f0579d0715f0da89aac29cd961c1",
         "zeroshot.json": "dfe28a8a4257912b8986b3b2459929da4630722fe5051877e653fe474ace32c4",
         "breakdown.csv": "69cef17b11140dc53546ef18f10dc469bbb744e635fb0941b2203b7b1e41e911",
+        "combine.jsonl": "478926f3b73affa10f83b821e5acff1f64d1f120dc6b9afb9093642f4cf1ce11",
+        "concat.jsonl": "97dbd668258ae9e3181c19d51fbbe13d351d38e989c506ad0ebd43d3e71b84b7",
+        "stats.json": "1dfaa447ad9cbfb17b0468c6b98c7e34b50fe626b8dcd1ed45d72abc4d2e3174",
     },
 }
 
 
 OUTPUTS = ("ground.json", "ground.csv", "caption.json", "predictions.json",
            "adapters.json", "adapters.csv", "sgd.json", "momentum.json", "sgd_adapters.json",
-           "zeroshot.json", "breakdown.csv")
+           "zeroshot.json", "breakdown.csv", "combine.jsonl", "concat.jsonl", "stats.json")
 
 
 def _write_inputs(tmp_path):
@@ -74,11 +80,27 @@ def _write_inputs(tmp_path):
     # One row without a label: train relabels every row by its grouped text.
     del rows[-1]["label"]
     (tmp_path / "partial.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+    rows = [
+        {"image": [float(i), 1.0], "text": text, "kind": kind}
+        for i, (text, kind) in enumerate([
+            ("a professional boxer is introduced to the crowd", "caption"),
+            ("the crowd in the street", "caption"),
+            ("a small tench swimming in the freshwater", "caption"),
+            ("two red fireplug on the old street", "caption"),
+            ("is to of", "caption"),
+            ("a person with a dog and a cat", "caption"),
+            ("Tench", "category"),
+            ("boxer", "category"),
+            ("a professional boxer is introduced to the crowd", "caption"),
+        ])
+    ]
+    (tmp_path / "lexical.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
 
 
 def _outputs(tmp_path) -> dict:
     _write_inputs(tmp_path)
-    inputs = ("classes.json", "pretrain.txt", "regions.jsonl", "dataset.jsonl", "partial.jsonl")
+    inputs = ("classes.json", "pretrain.txt", "regions.jsonl", "dataset.jsonl", "partial.jsonl",
+              "lexical.jsonl")
     p = {name: str(tmp_path / name) for name in inputs + OUTPUTS}
     knowledge = ["--with-knowledge", "--wiktionary", WK]
     commands = [
@@ -106,6 +128,13 @@ def _outputs(tmp_path) -> dict:
          "--classes", p["classes.json"], "--templates", TEMPLATES,
          "--pretrain-concepts", p["pretrain.txt"], "--out", p["zeroshot.json"],
          "--breakdown-csv", p["breakdown.csv"], *knowledge],
+        # Captions and category names through the lexicon's noun-phrase queries.
+        ["augment", "--dataset", p["lexical.jsonl"], "--out", p["combine.jsonl"],
+         "--wiktionary", WK, "--source", "wiki_def", "--scheme", "combine", "--lexicon", LEX],
+        ["augment", "--dataset", p["lexical.jsonl"], "--out", p["concat.jsonl"],
+         "--wordnet", WN, "--source", "wn_hier", "--scheme", "concat", "--lexicon", LEX],
+        ["stats", "--dataset", p["lexical.jsonl"], "--lexicon", LEX, "--min-freq", "1",
+         "--out", p["stats.json"]],
     ]
     for argv in commands:
         assert main(argv) == EXIT_OK, argv[0]

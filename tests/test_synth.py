@@ -64,6 +64,11 @@ class TestWorld:
         ({"epochs": -1}, "epochs must be >= 0"),
         ({"batch_size": 1}, "batch_size >= 2"),
         ({"learning_rate": 0.0}, "learning_rate must be finite and > 0"),
+        ({"train_per_class": 0}, "train_per_class and eval_per_class must be >= 1"),
+        ({"eval_per_class": 0}, "train_per_class and eval_per_class must be >= 1"),
+        ({"noise": float("nan")}, "noise must be finite and >= 0"),
+        ({"noise": float("inf")}, "noise must be finite and >= 0"),
+        ({"noise": -1.0}, "noise must be finite and >= 0"),
     ])
     def test_bad_training_values_rejected_when_built(self, values, message):
         with pytest.raises(ConfigError, match=message):

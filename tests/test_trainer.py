@@ -272,6 +272,16 @@ class TestFlatOptimizer:
         for key, value in reference.items():
             assert tensors[key].tobytes() == np.asarray(value).tobytes(), key
 
+    def test_fit_rejects_an_unknown_optimizer_before_the_first_step(self, monkeypatch):
+        params = enc.init_params(_train_config().encoder, seed=3)
+        before = {k: v.copy() for k, v in params.tensors.items()}
+        steps = []
+        monkeypatch.setattr(enc, "grads", lambda *args: steps.append(args))
+        with pytest.raises(ConfigError, match="unknown optimizer 'adamw'"):
+            trainer.fit(params, enc.LossSpec(), range(4), steps.append, 1, 2, "adamw", 0.1, 0)
+        assert steps == []
+        assert all(params.tensors[k].tobytes() == v.tobytes() for k, v in before.items())
+
 
 class TestDatasetIo:
     def test_roundtrip(self, tmp_path):
