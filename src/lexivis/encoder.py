@@ -364,21 +364,28 @@ def _text_forward(params: ModelParams, ids, pooling: str, use_adapters: bool):
                 out, block_cache = _attention_forward(h, t, block, cfg.num_heads)
             else:
                 out, block_cache = _ffn_forward(h, t, block, keys)
+            if norm:  # the backward rebuilds the block's input from the norm's xhat
+                block_cache = (None, *block_cache[1:])
             x = x + out
             caches.append((norm, block, keys, norm_cache, block_cache))
     y, lnf_cache = _layer_norm(x, t["lnf.g"], t["lnf.b"])
     pool = 0 if pooling == "cls" else -1  # EOS is the last id kept
-    return y[:, pool].copy(), (ids, pool, caches, lnf_cache)
+    return y[:, pool].copy(), (ids, pool, caches + [lnf_cache])
 
 
 def _text_backward(params: ModelParams, cache: tuple, dvecs: np.ndarray, grads: dict) -> None:
-    """Accumulate the gradients of a ``_text_forward`` pass, given d features (B, P)."""
+    """Accumulate the gradients of a ``_text_forward`` pass, given d features (B, P).
+
+    Consumes ``cache``: each sublayer's activations are freed once its backward has run."""
     t = params.tensors
-    ids, pool, caches, lnf_cache = cache
+    ids, pool, caches = cache
     dy = np.zeros(ids.shape + (params.config.embed_dim,))
     dy[:, pool] = dvecs
-    dx = _layer_norm_backward(dy, lnf_cache, t, "lnf.", grads)
-    for norm, block, keys, norm_cache, block_cache in reversed(caches):
+    dx = _layer_norm_backward(dy, caches.pop(), t, "lnf.", grads)
+    while caches:
+        norm, block, keys, norm_cache, block_cache = caches.pop()
+        if norm:  # the norm's output, as _layer_norm computed it, bit for bit
+            block_cache = (t[norm + "g"] * norm_cache[0] + t[norm + "b"], *block_cache[1:])
         if keys is None:
             d = _attention_backward(dx, block_cache, t, block, grads)
         else:
@@ -487,27 +494,21 @@ def grads(params: ModelParams, batch: TrainBatch, spec: LossSpec):
         tau = params.tau
         loss, d_sim, d_tau = objective.grouped_contrastive_loss_with_grads(sim, batch.labels, tau)
 
-        du = d_sim @ v
-        dv = d_sim.T @ u
-        d_img_raw = objective.normalize_rows_backward(img_raw, du)
-        d_txt_raw = objective.normalize_rows_backward(txt_raw, dv)
+        d_img_raw = objective.normalize_rows_backward(img_raw, d_sim @ v)
+        d_txt_raw = objective.normalize_rows_backward(txt_raw, d_sim.T @ u)
         # Image inputs are fixed features: no gradient flows into them.
         _ffn_backward(d_img_raw, img_cache, params.tensors, "img.", _MLP_KEYS, g, input_grad=False)
         # Fold duplicate rows back onto their unique encoding.
         d_unique = np.zeros((len(index), params.config.embed_dim))
         np.add.at(d_unique, rows, d_txt_raw)
         start = 0
-        for vecs, cache in passes:
+        while passes:  # each run's cache is released before the next run's backward
+            vecs, cache = passes.pop(0)
             _text_backward(params, cache, d_unique[start : start + len(vecs)], g)
             start += len(vecs)
         # d loss / d log_tau via tau = exp(log_tau).
         g["log_tau"] += d_tau * tau
-        losses = {
-            "loss": loss.l_ic,
-            "l_i2t": loss.l_i2t,
-            "l_t2i": loss.l_t2i,
-            "l_ic": loss.l_ic,
-        }
+        losses = {"loss": loss.l_ic, "l_i2t": loss.l_i2t, "l_t2i": loss.l_t2i, "l_ic": loss.l_ic}
     elif spec.loss == "ground_focal":
         from . import grounding
 
@@ -532,7 +533,6 @@ def grads(params: ModelParams, batch: TrainBatch, spec: LossSpec):
                 np.ascontiguousarray((feats @ bank)[:, k]), targets[:, k].copy(), fp
             )
             _text_backward(params, cache, (feats.T @ d_scores)[:, k][None], g)
-            del cache
         losses = {"loss": grounding.focal_total(cells)}
     else:
         raise ConfigError(f"unknown loss {spec.loss!r}")

@@ -146,11 +146,11 @@ def linear_probe(
     labels = np.asarray(labels)
     if shots_per_class < 1 or not seeds:
         raise ConfigError("a linear probe needs shots_per_class >= 1 and at least one seed")
-    classes = np.unique(labels)
+    # With return_counts, np.unique does not import numpy.ma, as numpy 2.x otherwise does.
+    classes, counts = np.unique(labels, return_counts=True)
     class_index = {c: i for i, c in enumerate(classes)}
     y = np.array([class_index[c] for c in labels])
-    for c in classes:
-        available = int(np.sum(labels == c))
+    for c, available in zip(classes, counts.tolist()):
         if available <= shots_per_class:
             raise DataError(
                 f"class {c.item()!r} has {available} examples; needs > {shots_per_class} "

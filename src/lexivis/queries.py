@@ -104,9 +104,10 @@ def construct_query(
     """Reduce a language description to its knowledge query.
 
     Category names are used verbatim (lowercased). Captions map to the
-    rarest chunked noun phrase in ``freq``; a caption with no noun phrase
-    falls back to its least-frequent NOUN token, and finally to the whole
-    caption. Ties go to the longer phrase, then the lexicographically first.
+    rarest chunked noun phrase in ``freq``; ties go to the longer phrase,
+    then the lexicographically first. Every NOUN starts or continues a
+    phrase, so only a caption without nouns has none: its query is the
+    whole normalized caption.
     """
     if not text.strip():
         raise ValueError("cannot construct a query from empty text")
@@ -119,14 +120,8 @@ def construct_query(
         return (freq[phrase], -len(phrase), phrase)
 
     words = tokenize(text)
-    tags = pos_tag(words, lexicon or {})
-    phrases = chunk_noun_phrases(words, tags)
-    if phrases:
-        return min(phrases, key=rarity)
-    nouns = [word for word, tag in zip(words, tags) if tag == "NOUN"]
-    if nouns:
-        return min(nouns, key=rarity)
-    return normalize_text(text)
+    phrases = chunk_noun_phrases(words, pos_tag(words, lexicon or {}))
+    return min(phrases, key=rarity) if phrases else normalize_text(text)
 
 
 def iter_queries(rows: Iterable, lexicon: dict[str, str]) -> Iterator[tuple]:

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -845,6 +846,57 @@ class TestSublayerLoop:
             _unrolled_text_backward(params, ref_cache, dvecs, ref_g)
             for key in g:
                 assert g[key].tobytes() == ref_g[key].tobytes(), (batch, key)
+
+
+def _cache_arrays(cache):
+    """Every array a text pass's cache holds, at any depth."""
+    if isinstance(cache, np.ndarray):
+        return [cache]
+    if isinstance(cache, (tuple, list)):
+        return [a for item in cache for a in _cache_arrays(item)]
+    return []
+
+
+class TestCacheLifetime:
+    """A text pass keeps one copy of each norm's output, and contrastive ``grads`` keeps
+    each run's activations only until that run is backpropagated."""
+
+    @pytest.mark.parametrize("adapters", [False, True])
+    def test_block_after_a_norm_caches_no_input(self, adapters):
+        params, rng = _perturbed_params(text_layers=2, adapters=adapters)
+        _, cache = enc._text_forward(params, [[3, 4, 5, 1], [6, 7, 8, 1]], "eos", adapters)
+        _, _, caches = cache
+        *sublayers, _ = caches  # the final norm's cache comes last
+        assert len(sublayers) == 2 * (4 if adapters else 2)
+        for norm, block, keys, norm_cache, block_cache in sublayers:
+            assert (block_cache[0] is None) == (norm is not None), block
+        enc._text_backward(params, cache, rng.normal(size=(2, 8)), params.zeros_like())
+        assert caches == []  # consumed
+
+    @pytest.mark.parametrize("adapters", [False, True])
+    def test_each_run_is_released_before_the_next_backward(self, adapters, monkeypatch):
+        params, batch, sizes = _stacking_case("mixed_lengths", adapters)
+        forward, backward = enc._text_forward, enc._text_backward
+        runs = []  # weak references to the arrays of each run's cache, in forward order
+        backpropagated = 0
+
+        def tracking_forward(params, ids, pooling, use_adapters):
+            vecs, cache = forward(params, ids, pooling, use_adapters)
+            runs.append([weakref.ref(a) for a in _cache_arrays(cache)])
+            return vecs, cache
+
+        def checking_backward(params, cache, dvecs, grads):
+            nonlocal backpropagated
+            assert all(ref() is None for refs in runs[:backpropagated] for ref in refs)
+            assert all(ref() is not None for ref in runs[backpropagated])
+            backpropagated += 1
+            return backward(params, cache, dvecs, grads)
+
+        monkeypatch.setattr(enc, "_text_forward", tracking_forward)
+        monkeypatch.setattr(enc, "_text_backward", checking_backward)
+        enc.grads(params, batch, enc.LossSpec(use_adapters=adapters))
+        assert backpropagated == len(runs) == len(sizes) >= 3
+        assert all(ref() is None for refs in runs for ref in refs)
 
 
 PRIMITIVES = ("_layer_norm", "_layer_norm_backward", "_attention_forward",

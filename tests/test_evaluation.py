@@ -1,4 +1,8 @@
 import collections
+import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from lexivis.evaluation import (
 )
 from lexivis.knowledge import Dictionary, DictionaryEntry, KnowledgeStore
 from lexivis.trainer import Triplet
+from tests.conftest import ROOT
 
 
 @pytest.fixture
@@ -160,11 +165,33 @@ class TestLinearProbe:
         result = linear_probe(feats, labels, shots_per_class=5)
         assert abs(result.accuracy - 1 / 3) < 0.2
 
-    def test_insufficient_examples_error(self):
-        feats = np.zeros((4, 2))
-        labels = np.array([0, 0, 1, 1])
-        with pytest.raises(DataError):
-            linear_probe(feats, labels, shots_per_class=2)
+    @pytest.mark.parametrize("labels, message", [
+        ([0, 0, 1, 1], "class 0 has 2 examples"),
+        ([3, 3, 3, -1, -1, 9, 9, 9], "class -1 has 2 examples"),  # the smallest label first
+    ])
+    def test_insufficient_examples_error(self, labels, message):
+        feats = np.zeros((len(labels), 2))
+        with pytest.raises(DataError) as raised:
+            linear_probe(feats, np.array(labels), shots_per_class=2)
+        assert str(raised.value) == message + "; needs > 2 to leave a held-out remainder"
+
+    def test_eval_probe_leaves_numpy_ma_unimported(self, tmp_path):
+        """A probe's np.unique must not pull numpy.ma (about 2 MB) into the process."""
+        cfg = enc.EncoderConfig(embed_dim=4, text_layers=1, hidden_dim=8, vocab_size=16,
+                                max_tokens=8, adapter_bottleneck=2, image_input_dim=4)
+        checkpoint, images = tmp_path / "model.json", tmp_path / "images.jsonl"
+        enc.save_checkpoint(enc.init_params(cfg, seed=0), checkpoint)
+        rows = [{"image": np.eye(4)[i % 4].tolist(), "label": i % 2} for i in range(12)]
+        images.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        argv = ["eval-probe", "--checkpoint", str(checkpoint), "--images", str(images)]
+        code = ("import sys, lexivis.cli; code = lexivis.cli.main(sys.argv[1:]); "
+                "print(code, 'numpy.ma' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        result = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path, env=env,
+                                capture_output=True, text=True, check=True)
+        summary, verdict = result.stdout.strip().splitlines()
+        assert json.loads(summary)["command"] == "eval-probe"
+        assert verdict == "0 False"
 
     @pytest.mark.parametrize("shots, seeds", [(0, (0,)), (1, ())])
     def test_no_shots_or_no_seeds_is_a_config_error(self, shots, seeds):
@@ -180,6 +207,8 @@ class TestLinearProbe:
         a = linear_probe(feats, labels, 5)
         b = linear_probe(feats, labels, 5)
         assert a.accuracy == b.accuracy and a.per_seed == b.per_seed
+        assert a.per_seed == [0.58, 0.4, 0.48]  # 50 held-out rows per seed
+        assert a.accuracy == np.mean([0.58, 0.4, 0.48])
 
 
 class TestConceptOverlap:

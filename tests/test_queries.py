@@ -76,6 +76,8 @@ class TestChunker:
             assert indices == list(range(indices[0], indices[-1] + 1))
             assert tags[indices[-1]] == "NOUN"
             assert all(tags[i] != "OTHER" for i in indices)
+        # Every NOUN lies in a match: a caption has a phrase exactly when it has a noun.
+        assert bool(chunk_noun_phrases(words, tags)) == ("NOUN" in tags)
 
 
 class TestFrequencyTable:
