@@ -104,6 +104,9 @@ def _load_class_names(path) -> list[str]:
         raise DataError(f"{path}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
     if not isinstance(names, list) or not names or not all(isinstance(n, str) for n in names):
         raise DataError(f"{path}: classes must be a non-empty JSON list of strings")
+    blank = next((i for i, name in enumerate(names) if not name.strip()), None)
+    if blank is not None:
+        raise DataError(f"{path}: class {blank} is blank")
     return names
 
 
@@ -116,8 +119,8 @@ def _load_labeled_images(path, width: int):
     for where, obj in iter_jsonl(path, DataError, ("image",)):
         image = finite_array(obj["image"], 1, where, "image", width)
         label = obj.get("label")
-        if label is not None and type(label) is not int:
-            raise DataError(f"{where}: label must be an integer")
+        if label is not None and (type(label) is not int or not -(2**63) <= label < 2**63):
+            raise DataError(f"{where}: label must be a 64-bit integer")
         if labels and (label is None) != (labels[0] is None):
             raise DataError(f"{where}: either every row has a label or none does")
         images.append(image)
@@ -143,10 +146,12 @@ def _encoder_config(args, image_dim: int) -> enc.EncoderConfig:
 
 
 def _cmd_augment(args) -> dict:
+    if args.max_tokens < 1:
+        raise ConfigError(f"--max-tokens must be >= 1, got {args.max_tokens}")
     store = _load_store(args)
     lexicon = _load_lexicon(args)
     dataset = trainer.DatasetFile(Path(args.dataset))
-    audit = trainer.AugmentAudit()
+    audit: dict[str, int] = {}
     rows = trainer.iter_augmented(
         dataset,
         audit,
@@ -158,7 +163,7 @@ def _cmd_augment(args) -> dict:
         lexicon=lexicon,
     )
     trainer.save_dataset_jsonl(rows, args.out)
-    return {"command": "augment", "out": str(args.out), **audit.to_dict()}
+    return {"command": "augment", "out": str(args.out), **audit}
 
 
 def _cmd_stats(args) -> dict:
@@ -280,12 +285,7 @@ def _cmd_eval_probe(args) -> dict:
         )
     except DataError as exc:  # a class too small to leave a held-out remainder
         raise DataError(f"{args.images}: {exc}") from exc
-    return {
-        "command": "eval-probe",
-        "shots": args.shots,
-        "accuracy": result.accuracy,
-        "per_seed": result.per_seed,
-    }
+    return {"command": "eval-probe", "shots": args.shots, **result}
 
 
 def _cmd_ground_train(args) -> dict:

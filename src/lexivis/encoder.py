@@ -24,7 +24,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import checkpoint_json
-from .errors import ConfigError, DataError, NumericsError
+from .errors import ConfigError, DataError
 from .knowledge import atomic_open
 from .queries import tokenize
 
@@ -537,8 +537,6 @@ def grads(params: ModelParams, batch: TrainBatch, spec: LossSpec):
     else:
         raise ConfigError(f"unknown loss {spec.loss!r}")
 
-    if not np.isfinite(losses["loss"]):
-        raise NumericsError("loss is non-finite", {"losses": losses})
     for k in g:
         if spec.trainable == "adapters" and not is_adapter_key(k):
             g[k][...] = 0.0

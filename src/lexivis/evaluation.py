@@ -123,19 +123,13 @@ def zero_shot_classify(
     return preds, accuracy
 
 
-@dataclass
-class ProbeResult:
-    accuracy: float
-    per_seed: list[float]
-
-
 def linear_probe(
     features: np.ndarray,
     labels: np.ndarray,
     shots_per_class: int,
     seeds: tuple = (0, 1, 2),
-) -> ProbeResult:
-    """Few-shot multinomial logistic probe on frozen features.
+) -> dict:
+    """Few-shot multinomial logistic probe on frozen features: ``{accuracy, per_seed}``.
 
     For each seed, exactly ``shots_per_class`` examples per class train a
     softmax regression (L2 weight ``PROBE_L2``) by ``PROBE_STEPS`` steps of
@@ -182,7 +176,7 @@ def linear_probe(
             b -= PROBE_LR * delta.sum(axis=0)
         preds = np.argmax(x_test @ w + b, axis=1)
         accuracies.append(float(np.mean(preds == y_test)))
-    return ProbeResult(float(np.mean(accuracies)), accuracies)
+    return {"accuracy": float(np.mean(accuracies)), "per_seed": accuracies}
 
 
 def make_eval_report(

@@ -293,49 +293,34 @@ def load_wiktionary_snapshot(path) -> Dictionary:
         raise SnapshotError(f"{path}: {exc}") from exc
 
 
-def wn_hierarchy(graph: WordNetGraph, query: str) -> Optional[KnowledgeItem]:
-    """Hypernym-path knowledge: first lemma of each synset from query to root."""
-    record = graph.lookup(query)
-    if record is None:
-        return None
-    names = [rec.lemmas[0] for rec in graph.hypernym_path(record)]
-    return KnowledgeItem(query=query, source="wn_hier", text=", ".join(names))
-
-
-def wn_definition(graph: WordNetGraph, query: str) -> Optional[KnowledgeItem]:
-    """Gloss of the first synset located for the query."""
-    record = graph.lookup(query)
-    if record is None:
-        return None
-    return KnowledgeItem(query=query, source="wn_def", text=record.definition)
-
-
-def wiki_definition(dictionary: Dictionary, query: str) -> Optional[KnowledgeItem]:
-    """First sense of the dictionary entry found by the lookup chain."""
-    entry = dictionary.lookup(query)
-    if entry is None:
-        return None
-    return KnowledgeItem(query=query, source="wiki_def", text=entry.senses[0])
-
-
 @dataclass
 class KnowledgeStore:
-    """Bundles the loaded snapshots and dispatches retrieval by source name."""
+    """Bundles the loaded snapshots; ``retrieve`` is the one lookup by source name."""
 
     wordnet: Optional[WordNetGraph] = None
     wiktionary: Optional[Dictionary] = None
 
     def retrieve(self, query: str, source: str) -> Optional[KnowledgeItem]:
+        """The query's knowledge from ``source``, or None on a miss.
+
+        ``wn_hier`` gives the first lemma of each synset on the hypernym path
+        from the query to its root, ``wn_def`` the gloss of the query's synset,
+        and ``wiki_def`` the first sense of its dictionary entry. A store
+        without that source's snapshot gives None; an unknown source raises.
+        """
         if source not in SOURCES:
             raise ValueError(f"unknown knowledge source {source!r}; expected one of {SOURCES}")
-        if source in ("wn_hier", "wn_def"):
-            if self.wordnet is None:
-                return None
-            fn = wn_hierarchy if source == "wn_hier" else wn_definition
-            return fn(self.wordnet, query)
-        if self.wiktionary is None:
+        snapshot = self.wiktionary if source == "wiki_def" else self.wordnet
+        found = snapshot.lookup(query) if snapshot is not None else None
+        if found is None:
             return None
-        return wiki_definition(self.wiktionary, query)
+        if source == "wiki_def":
+            text = found.senses[0]
+        elif source == "wn_def":
+            text = found.definition
+        else:
+            text = ", ".join(rec.lemmas[0] for rec in snapshot.hypernym_path(found))
+        return KnowledgeItem(query=query, source=source, text=text)
 
 
 def knowledge_coverage(queries: list[str], store: KnowledgeStore, source: str) -> float:

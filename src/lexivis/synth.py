@@ -15,6 +15,7 @@ train/eval-consistency cells plus rare-class accuracies and coverage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -47,7 +48,7 @@ class SynthConfig:
     batch_size: int = 16
     learning_rate: float = 1e-3
     seeds: tuple = (0, 1, 2, 3, 4)
-    source: str = "wiki_def"
+    source: ClassVar[str] = "wiki_def"  # build_world's store holds Wiktionary senses only
     empty_knowledge: bool = False
     encoder: EncoderConfig = field(
         default_factory=lambda: EncoderConfig(

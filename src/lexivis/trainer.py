@@ -118,19 +118,9 @@ def assign_labels(triplets: list[Triplet]) -> list[Triplet]:
     return [replace(t, label=groups.setdefault(t.group_key(), len(groups))) for t in triplets]
 
 
-@dataclass
-class AugmentAudit:
-    hits: int = 0
-    misses: int = 0
-    emitted: int = 0
-
-    def to_dict(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses, "emitted": self.emitted}
-
-
 def iter_augmented(
     rows: Iterable[Triplet],
-    audit: AugmentAudit,
+    audit: dict[str, int],
     store: KnowledgeStore,
     source: str,
     scheme: str = "concat",
@@ -142,7 +132,8 @@ def iter_augmented(
 
     ``rows`` is a re-iterable row source (``queries.iter_queries``). Each
     input row is retrieved, composed and labelled, and its output rows are
-    yielded, and counted in ``audit``, before the next one is read. Memory
+    yielded, and counted in ``audit``, before the next one is read: its
+    ``hits``, ``misses`` and ``emitted`` each start at 0. Memory
     is bounded by the number of distinct phrases and texts, not of rows.
 
     Category names are replaced by the prompt composition; captions follow the
@@ -151,21 +142,20 @@ def iter_augmented(
     order of the original text, so Combine pairs share a label.
     """
     groups: dict[str, int] = {}
+    audit.update(hits=0, misses=0, emitted=0)
     for t, query in queries.iter_queries(rows, lexicon or {}):
         item = store.retrieve(query, source)
+        audit["misses" if item is None else "hits"] += 1
         if item is None:
-            audit.misses += 1
             texts = [t.text]
         elif t.kind == "category":
-            audit.hits += 1
             texts = [compose.compose_class_text(template, query, item.text, max_tokens).text]
         else:
-            audit.hits += 1
             augs = compose.compose_caption_texts(t.text, query, item.text, scheme, max_tokens)
             texts = [aug.text for aug in augs]
         label = groups.setdefault(queries.normalize_text(t.text), len(groups))
         for text in texts:
-            audit.emitted += 1
+            audit["emitted"] += 1
             yield Triplet(
                 image=t.image, text=text, kind=t.kind, label=label,
                 augmented=item is not None, origin_text=t.text, query=query,
@@ -180,9 +170,9 @@ def augment_dataset(
     template: compose.PromptTemplate = compose.PromptTemplate(),
     max_tokens: int = compose.DEFAULT_MAX_TOKENS,
     lexicon: Optional[dict[str, str]] = None,
-) -> tuple[list[Triplet], AugmentAudit]:
-    """``iter_augmented`` over an in-memory list: the augmented list and its audit."""
-    audit = AugmentAudit()
+) -> tuple[list[Triplet], dict[str, int]]:
+    """``iter_augmented`` over an in-memory list: the augmented list and its counts."""
+    audit: dict[str, int] = {}
     out = list(
         iter_augmented(triplets, audit, store, source, scheme, template, max_tokens, lexicon)
     )

@@ -21,7 +21,7 @@ from lexivis.grounding import (
     region_accuracy,
     zero_shot_region_classify,
 )
-from lexivis.knowledge import wiki_definition, wn_definition, wn_hierarchy
+from lexivis.knowledge import KnowledgeStore
 from lexivis.objective import normalize_rows, grouped_contrastive_loss
 from lexivis.evaluation import concept_overlap, dataset_stats
 from tests.conftest import FIXTURES
@@ -38,12 +38,13 @@ def _report(name: str, ok: bool, elapsed: float, budget: float) -> None:
 
 def test_criterion_1_boxer_end_to_end(wordnet_graph, wiktionary):
     start = time.monotonic()
+    store = KnowledgeStore(wordnet=wordnet_graph, wiktionary=wiktionary)
     ok = (
-        wn_hierarchy(wordnet_graph, "boxer").text
+        store.retrieve("boxer", "wn_hier").text
         == "boxer, combatant, person, causal_agent, physical_entity, entity"
-        and wn_definition(wordnet_graph, "boxer").text
+        and store.retrieve("boxer", "wn_def").text
         == "someone who fights with his fists for sport"
-        and wiki_definition(wiktionary, "boxer").text
+        and store.retrieve("boxer", "wiki_def").text
         == "a participant (fighter) in a boxing match"
     )
     _report("criterion 1: boxer retrieval end-to-end", ok, time.monotonic() - start, 1.0)

@@ -181,8 +181,8 @@ class TestStreamingAugment:
         reference = tmp_path / "reference.jsonl"
         trainer.save_dataset_jsonl(expected, reference)
         assert out.read_bytes() == reference.read_bytes()
-        assert {k: summary[k] for k in ("hits", "misses", "emitted")} == audit.to_dict()
-        assert audit.hits and audit.misses
+        assert {k: summary[k] for k in ("hits", "misses", "emitted")} == audit
+        assert audit["hits"] and audit["misses"]
 
     @pytest.mark.parametrize("existing", [False, True])
     @pytest.mark.parametrize("defect", ["bad_json_last_row", "blank_caption_mid_file"])
@@ -1179,9 +1179,12 @@ class TestFlagRanges:
     """A flag out of range is one config error line (exit 1), raised before any input is read.
 
     Every input path is absent: reading one first would be a data error (exit 2).
+    No path is opened at all, the output included.
     """
 
     @pytest.mark.parametrize("flags", [
+        ["augment", "--max-tokens", "0"],
+        ["augment", "--max-tokens", "-3"],
         ["eval-probe", "--shots", "0"],
         ["eval-probe", "--probe-seeds", "0"],
         ["eval-probe", "--probe-seeds", "-1"],
@@ -1211,16 +1214,16 @@ class TestFlagRanges:
         ["eval-zeroshot", "--with-knowledge", "--source", "wiki_def"],
         ["eval-zeroshot", "--templates", "ABSENT", "--template", "{} x"],
     ], ids=" ".join)
-    def test_config_error_before_any_input_is_read(self, capsys, tmp_path, flags):
-        self._check_error_before_any_input(capsys, tmp_path, flags, "config error: ")
+    def test_config_error_before_any_input_is_read(self, capsys, tmp_path, opened_paths, flags):
+        self._check_error_before_any_input(capsys, tmp_path, opened_paths, flags, "config error: ")
 
     @pytest.mark.parametrize("flags", [
         ["augment", "--template", "nope"],
         ["augment", "--template", ""],
         ["eval-zeroshot", "--template", "{} and {}"],
     ], ids=" ".join)
-    def test_usage_error_before_any_input_is_read(self, capsys, tmp_path, flags):
-        self._check_error_before_any_input(capsys, tmp_path, flags, "usage error: ")
+    def test_usage_error_before_any_input_is_read(self, capsys, tmp_path, opened_paths, flags):
+        self._check_error_before_any_input(capsys, tmp_path, opened_paths, flags, "usage error: ")
 
     @pytest.mark.parametrize("flags", [
         ["--epochs", "-1"], ["--batch-size", "1"], ["--learning-rate", "0"],
@@ -1254,7 +1257,7 @@ class TestFlagRanges:
         assert err.strip() == "config error: give --templates or --template, not both"
 
     @staticmethod
-    def _check_error_before_any_input(capsys, tmp_path, flags, prefix):
+    def _check_error_before_any_input(capsys, tmp_path, opened_paths, flags, prefix):
         absent, out = str(tmp_path / "absent"), str(tmp_path / "out.json")
         inputs = {
             "augment": ["--dataset", absent, "--wiktionary", absent, "--out", out],
@@ -1268,11 +1271,13 @@ class TestFlagRanges:
             "train": ["--dataset", absent, "--out-checkpoint", out],
         }[flags[0]]
         argv = [absent if flag == "ABSENT" else flag for flag in flags]
+        opened_paths.clear()
         code, _, err = run(capsys, *argv, *inputs)
         assert code == EXIT_USAGE
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith(prefix), err
         assert list(tmp_path.iterdir()) == []
+        assert opened_paths == []
 
 
 class TestAtomicOutputs:

@@ -113,6 +113,39 @@ def test_blank_dataset_text_is_one_data_error_line(workdir, command, text, kind,
     assert not out.exists()
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    command=st.sampled_from(["eval-zeroshot", "ground-train", "ground-eval"]),
+    name=BLANK_TEXT,
+    position=st.integers(min_value=0, max_value=2),
+)
+def test_blank_class_name_is_one_data_error_line(workdir, command, name, position):
+    names = ["boxer", "crowd"]
+    names.insert(position, name)
+    classes = workdir / "blank_classes.json"
+    classes.write_text(json.dumps(names))
+    images = workdir / "blank_class_images.jsonl"
+    rows = [{"image": np.eye(4)[i % 4].tolist(), "label": i % 3} for i in range(6)]
+    images.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    regions = workdir / "blank_class_regions.jsonl"
+    region = {"image_id": "im0", "features": np.eye(2, 4).tolist(), "targets": np.eye(2, 3).tolist()}
+    regions.write_text(json.dumps(region) + "\n")
+    out = workdir / "blank_class_out"
+    model = str(workdir / "model.json")
+    argv = {
+        "eval-zeroshot": ["eval-zeroshot", "--checkpoint", model, "--images", str(images),
+                          "--classes", str(classes), "--out", str(out)],
+        "ground-train": ["ground-train", "--regions", str(regions), "--classes", str(classes),
+                         "--out-checkpoint", str(out), "--embed-dim", "4", "--hidden-dim", "8",
+                         "--vocab-size", "16", "--adapter-bottleneck", "2", "--epochs", "1"],
+        "ground-eval": ["ground-eval", "--checkpoint", model, "--regions", str(regions),
+                        "--classes", str(classes), "--out", str(out)],
+    }[command]
+    code, err = run_quiet(argv)
+    assert_one_data_error_line(code, err, f"{classes}: class {position} is blank")
+    assert not out.exists()
+
+
 NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
 
 
@@ -226,8 +259,10 @@ def test_corrupt_checkpoint_bytes_are_one_data_error_line(workdir, data, truncat
 
 # One slice per input reader: a valid row, the command that reads the file, and,
 # per field, the JSON types the reader accepts there. The mutated row is line 2 of 3.
+# No field accepts an integer beyond 64 bits ("bigint").
 JSON_TYPES = {
-    "null": None, "bool": True, "int": 1, "float": 0.5, "string": "x", "list": [], "object": {},
+    "null": None, "bool": True, "int": 1, "bigint": 2**64, "float": 0.5, "string": "x",
+    "list": [], "object": {},
 }
 SLICES = {
     "dataset": (

@@ -156,14 +156,14 @@ class TestLinearProbe:
                 feats.append(protos[c] + 0.1 * rng.normal(size=2))
                 labels.append(c)
         result = linear_probe(np.array(feats), np.array(labels), shots_per_class=5)
-        assert result.accuracy == 1.0
+        assert result["accuracy"] == 1.0
 
     def test_shuffled_labels_near_chance(self):
         rng = np.random.default_rng(1)
         feats = rng.normal(size=(120, 6))
         labels = rng.integers(0, 3, size=120)
         result = linear_probe(feats, labels, shots_per_class=5)
-        assert abs(result.accuracy - 1 / 3) < 0.2
+        assert abs(result["accuracy"] - 1 / 3) < 0.2
 
     @pytest.mark.parametrize("labels, message", [
         ([0, 0, 1, 1], "class 0 has 2 examples"),
@@ -206,9 +206,9 @@ class TestLinearProbe:
         labels = rng.integers(0, 2, size=60)
         a = linear_probe(feats, labels, 5)
         b = linear_probe(feats, labels, 5)
-        assert a.accuracy == b.accuracy and a.per_seed == b.per_seed
-        assert a.per_seed == [0.58, 0.4, 0.48]  # 50 held-out rows per seed
-        assert a.accuracy == np.mean([0.58, 0.4, 0.48])
+        assert a["accuracy"] == b["accuracy"] and a["per_seed"] == b["per_seed"]
+        assert a["per_seed"] == [0.58, 0.4, 0.48]  # 50 held-out rows per seed
+        assert a["accuracy"] == np.mean([0.58, 0.4, 0.48])
 
 
 class TestConceptOverlap:

@@ -19,9 +19,6 @@ from lexivis.knowledge import (
     load_wordnet_snapshot,
     load_wiktionary_snapshot,
     read_lines,
-    wiki_definition,
-    wn_definition,
-    wn_hierarchy,
 )
 
 BOXER_CHAIN = [
@@ -144,30 +141,31 @@ class TestLoadWordnet:
 
 
 class TestWordnetRetrieval:
-    def test_boxer_hierarchy_matches_published_example(self, wordnet_graph):
-        item = wn_hierarchy(wordnet_graph, "boxer")
+    def test_boxer_hierarchy_matches_published_example(self, store):
+        item = store.retrieve("boxer", "wn_hier")
         assert item.text == "boxer, combatant, person, causal_agent, physical_entity, entity"
         assert item.source == "wn_hier"
 
-    def test_root_hierarchy_is_itself(self, wordnet_graph):
-        assert wn_hierarchy(wordnet_graph, "entity").text == "entity"
+    def test_root_hierarchy_is_itself(self, store):
+        assert store.retrieve("entity", "wn_hier").text == "entity"
 
-    def test_unknown_query_returns_none(self, wordnet_graph):
-        assert wn_hierarchy(wordnet_graph, "zzzunknown") is None
-        assert wn_definition(wordnet_graph, "zzzunknown") is None
+    def test_unknown_query_returns_none(self, store):
+        assert store.retrieve("zzzunknown", "wn_hier") is None
+        assert store.retrieve("zzzunknown", "wn_def") is None
 
-    def test_boxer_definition(self, wordnet_graph):
-        assert wn_definition(wordnet_graph, "boxer").text == "someone who fights with his fists for sport"
+    def test_boxer_definition(self, store):
+        assert store.retrieve("boxer", "wn_def").text == "someone who fights with his fists for sport"
 
-    def test_entity_definition_reads_back_fixture(self, wordnet_graph):
-        assert wn_definition(wordnet_graph, "entity").text == "that which exists"
+    def test_entity_definition_reads_back_fixture(self, store):
+        assert store.retrieve("entity", "wn_def").text == "that which exists"
 
-    def test_multiword_lemma_lookup_uses_underscores(self, wordnet_graph):
-        item = wn_definition(wordnet_graph, "causal agent")
+    def test_multiword_lemma_lookup_uses_underscores(self, store):
+        item = store.retrieve("causal agent", "wn_def")
         assert item.text == "any entity that produces an effect or is responsible for events or results"
 
-    def test_head_noun_fallback(self, wordnet_graph):
-        assert wn_definition(wordnet_graph, "the angry crowd").text == wn_definition(wordnet_graph, "crowd").text
+    def test_head_noun_fallback(self, store):
+        expected = store.retrieve("crowd", "wn_def").text
+        assert store.retrieve("the angry crowd", "wn_def").text == expected
 
     def test_cycle_guard_raises(self):
         records = [
@@ -176,7 +174,7 @@ class TestWordnetRetrieval:
         ]
         graph = WordNetGraph(records)
         with pytest.raises(SnapshotError, match="32"):
-            wn_hierarchy(graph, "alpha")
+            KnowledgeStore(wordnet=graph).retrieve("alpha", "wn_hier")
 
     def test_long_acyclic_chain_within_cap_is_fine(self):
         n = 32
@@ -185,29 +183,43 @@ class TestWordnetRetrieval:
             for i in range(n)
         ]
         graph = WordNetGraph(records)
-        assert wn_hierarchy(graph, "w0").text.count(",") == n - 1
+        assert KnowledgeStore(wordnet=graph).retrieve("w0", "wn_hier").text.count(",") == n - 1
 
 
 class TestWiktionary:
-    def test_boxer_first_sense(self, wiktionary):
-        assert wiki_definition(wiktionary, "boxer").text == "a participant (fighter) in a boxing match"
+    def test_boxer_first_sense(self, store):
+        assert store.retrieve("boxer", "wiki_def").text == "a participant (fighter) in a boxing match"
 
-    def test_determiner_strip_fallback(self, wiktionary):
-        expected = wiki_definition(wiktionary, "crowd").text
-        assert wiki_definition(wiktionary, "the crowd").text == expected
+    def test_determiner_strip_fallback(self, store):
+        expected = store.retrieve("crowd", "wiki_def").text
+        assert store.retrieve("the crowd", "wiki_def").text == expected
 
-    def test_head_noun_fallback(self, wiktionary):
-        expected = wiki_definition(wiktionary, "boxer").text
-        assert wiki_definition(wiktionary, "professional boxer").text == expected
+    def test_head_noun_fallback(self, store):
+        expected = store.retrieve("boxer", "wiki_def").text
+        assert store.retrieve("professional boxer", "wiki_def").text == expected
 
-    def test_miss_returns_none(self, wiktionary):
-        assert wiki_definition(wiktionary, "zzzunknown") is None
+    def test_miss_returns_none(self, store):
+        assert store.retrieve("zzzunknown", "wiki_def") is None
 
     def test_load_errors(self, tmp_path):
         path = tmp_path / "wk.jsonl"
         _write_jsonl(path, [{"term": "x", "senses": []}])
         with pytest.raises(SnapshotError, match="senses"):
             load_wiktionary_snapshot(path)
+
+
+class TestRetrieveChecks:
+    def test_unknown_source_raises_before_the_snapshot_check(self):
+        with pytest.raises(ValueError, match="unknown knowledge source 'wn_gloss'"):
+            KnowledgeStore().retrieve("boxer", "wn_gloss")
+
+    @pytest.mark.parametrize("source", ["wn_hier", "wn_def", "wiki_def"])
+    def test_a_store_without_the_source_snapshot_misses(self, wordnet_graph, wiktionary, source):
+        if source == "wiki_def":
+            other = KnowledgeStore(wordnet=wordnet_graph)
+        else:
+            other = KnowledgeStore(wiktionary=wiktionary)
+        assert other.retrieve("boxer", source) is None
 
 
 class TestCoverage:
@@ -256,7 +268,8 @@ def test_determinism_across_reloads(tmp_path, wordnet_graph):
 
     again = load_wordnet_snapshot(FIXTURES / "wordnet.jsonl")
     for q in ("boxer", "entity", "crowd", "tench"):
-        assert wn_hierarchy(again, q).text == wn_hierarchy(wordnet_graph, q).text
+        expected = KnowledgeStore(wordnet=wordnet_graph).retrieve(q, "wn_hier").text
+        assert KnowledgeStore(wordnet=again).retrieve(q, "wn_hier").text == expected
 
 
 class TestReaders:

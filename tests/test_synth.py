@@ -60,6 +60,12 @@ class TestWorld:
         with pytest.raises(ConfigError):
             synth.SynthConfig(seeds=())
 
+    def test_source_is_fixed_to_the_wiktionary_world(self):
+        # build_world's store holds Wiktionary senses only; another source would miss every query.
+        assert synth.SynthConfig().source == "wiki_def"
+        with pytest.raises(TypeError):
+            synth.SynthConfig(source="wn_def")
+
     @pytest.mark.parametrize("values, message", [
         ({"epochs": -1}, "epochs must be >= 0"),
         ({"batch_size": 1}, "batch_size >= 2"),

@@ -57,12 +57,12 @@ class TestAugment:
         )
         assert out[0].text == f"a photo of a boxer, boxer, {WIKI_BOXER}"
         assert out[0].augmented and out[0].origin_text == "boxer"
-        assert (audit.hits, audit.misses, audit.emitted) == (1, 0, 1)
+        assert (audit["hits"], audit["misses"], audit["emitted"]) == (1, 0, 1)
 
     def test_miss_leaves_text_unchanged(self):
         out, audit = augment_dataset([_triplet("zzgib")], _toy_store(), source="wiki_def")
         assert out[0].text == "zzgib" and not out[0].augmented
-        assert audit.misses == 1
+        assert audit["misses"] == 1
 
     def test_combine_emits_pair_with_shared_label(self):
         lexicon = {"a": "DET", "the": "DET", "walks": "OTHER", "boxer": "NOUN", "dog": "NOUN"}
@@ -74,7 +74,7 @@ class TestAugment:
         members = [t for t in out if t.kind == "caption"]
         assert len(members) == 2
         assert members[0].label == members[1].label
-        assert audit.emitted == 3
+        assert audit["emitted"] == 3
 
     def test_labels_reassigned_dense(self):
         lexicon = {"a": "DET", "walks": "OTHER", "boxer": "NOUN"}
