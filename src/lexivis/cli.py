@@ -110,10 +110,11 @@ def _load_class_names(path) -> list[str]:
     return names
 
 
-def _load_labeled_images(path, width: int):
+def _load_labeled_images(path, width: int, n_classes: int | None = None):
     """JSONL rows {image: [``width`` finite floats], label: int} used by the eval commands.
 
     Either every row has a label or none does (the labels are then None).
+    With ``n_classes``, a label must index one of that many classes.
     """
     images, labels = [], []
     for where, obj in iter_jsonl(path, DataError, ("image",)):
@@ -121,6 +122,8 @@ def _load_labeled_images(path, width: int):
         label = obj.get("label")
         if label is not None and (type(label) is not int or not -(2**63) <= label < 2**63):
             raise DataError(f"{where}: label must be a 64-bit integer")
+        if label is not None and n_classes is not None and not 0 <= label < n_classes:
+            raise DataError(f"{where}: label {label} must index the {n_classes} classes")
         if labels and (label is None) != (labels[0] is None):
             raise DataError(f"{where}: either every row has a label or none does")
         images.append(image)
@@ -224,12 +227,12 @@ def _cmd_eval_zeroshot(args) -> dict:
     store = _load_store(args) if args.with_knowledge else None
     params, _ = enc.load_checkpoint(args.checkpoint)
     class_names = _load_class_names(args.classes)
-    images, labels = _load_labeled_images(args.images, params.config.image_input_dim)
+    images, labels = _load_labeled_images(
+        args.images, params.config.image_input_dim, len(class_names)
+    )
     if labels is None and (args.breakdown_csv or args.pretrain_concepts):
         flag = "--breakdown-csv" if args.breakdown_csv else "--pretrain-concepts"
         raise DataError(f"{args.images}: {flag} needs labeled images")
-    if labels is not None and not ((labels >= 0) & (labels < len(class_names))).all():
-        raise DataError(f"{args.images}: labels must index the {len(class_names)} classes")
     templates = (compose.load_templates(args.templates) if args.templates
                  else [args.template or compose.PromptTemplate()])
     bank = evaluation.build_class_embeddings(

@@ -177,13 +177,8 @@ def _init_tensor(rng: np.random.Generator, shape: tuple, init) -> np.ndarray:
 def init_params(config: EncoderConfig, seed: int, with_adapters: bool = False) -> ModelParams:
     """Seeded parameter initialization (uniform, fan-in scaled)."""
     rng = np.random.default_rng(seed)
-    return ModelParams(
-        config,
-        {
-            name: _init_tensor(rng, shape, init)
-            for name, shape, init in _param_specs(config, with_adapters)
-        },
-    )
+    specs = _param_specs(config, with_adapters)
+    return ModelParams(config, {name: _init_tensor(rng, shape, init) for name, shape, init in specs})
 
 
 def add_adapters(params: ModelParams, seed: int) -> ModelParams:
@@ -207,8 +202,17 @@ def _gelu_tanh(x):
 
 
 def _gelu_grad(x, t):
-    d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * d_inner
+    """``0.5 * (1 + t) + 0.5 * x * (1 - t**2) * d_inner`` by the same ufuncs, in two buffers."""
+    tail, out = 0.5 * x, np.square(t)
+    tail *= np.subtract(1.0, out, out=out)
+    out = np.square(x, out=out)  # d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
+    out *= 3 * 0.044715
+    out += 1.0
+    out *= _GELU_C
+    tail *= out
+    out = np.multiply(0.5, np.add(1.0, t, out=out), out=out)
+    out += tail
+    return out
 
 
 def _mean_last(x):
@@ -308,8 +312,8 @@ def _ffn_backward(dout, cache, t, pre, keys, grads, input_grad=True):
     # The forward's GELU output, bit for bit.
     _accumulate(grads[w2], (0.5 * z * (1.0 + tanh)).mT @ dout)
     _accumulate(grads[b2], dout.sum(axis=-2))
-    dh = dout @ t[w2].T
-    dz = dh * _gelu_grad(z, tanh)
+    dz = _gelu_grad(z, tanh)
+    dz *= dout @ t[w2].T
     _accumulate(grads[w1], x.mT @ dz)
     _accumulate(grads[b1], dz.sum(axis=-2))
     return dz @ t[w1].T if input_grad else None
@@ -397,12 +401,8 @@ def _text_backward(params: ModelParams, cache: tuple, dvecs: np.ndarray, grads: 
     _accumulate(grads["pos_emb"][: ids.shape[1]], dx)
 
 
-def encode_text(
-    params: ModelParams,
-    token_ids: list[int],
-    pooling: str = "eos",
-    use_adapters: bool = False,
-) -> np.ndarray:
+def encode_text(params: ModelParams, token_ids: list[int], pooling: str = "eos",
+                use_adapters: bool = False) -> np.ndarray:
     """Unnormalized text feature at the pooling position (shape (P,))."""
     ids = _checked_ids(params, token_ids, pooling, use_adapters)
     return _text_forward(params, [ids], pooling, use_adapters)[0][0]

@@ -182,17 +182,19 @@ def _train_condition(world: SynthWorld, cfg: SynthConfig, seed: int, with_knowle
 
 
 def run_seed(seed: int, cfg: SynthConfig) -> dict:
-    """Train both conditions for one seed and fill the consistency cells."""
-    world = build_world(seed, cfg)
-    model_nok = _train_condition(world, cfg, seed, with_knowledge=False).params
-    model_k = _train_condition(world, cfg, seed, with_knowledge=True).params
+    """Train both conditions for one seed and fill the consistency cells.
 
+    One trained model is alive at a time: a condition's model is evaluated
+    and dropped before the next condition trains.
+    """
+    world = build_world(seed, cfg)
     n_common_eval = cfg.n_common * cfg.eval_per_class
     rare_images = world.eval_images[n_common_eval:]
     rare_labels = world.eval_labels[n_common_eval:] - cfg.n_common
 
     cells, rare_acc = {}, {}
-    for model_tag, params in (("train_nok", model_nok), ("train_k", model_k)):
+    for model_tag, with_knowledge in (("train_nok", False), ("train_k", True)):
+        params = _train_condition(world, cfg, seed, with_knowledge).params
         for eval_tag, with_k in (("eval_nok", False), ("eval_k", True)):
             key = f"{model_tag}_{eval_tag}"
             bank = evaluation.build_class_embeddings(
@@ -211,6 +213,7 @@ def run_seed(seed: int, cfg: SynthConfig) -> dict:
                 _, rare_acc[key] = evaluation.zero_shot_classify(
                     params, rare_images, rare, rare_labels
                 )
+        del params  # not alive beside the next condition's model
     coverage = (
         knowledge_coverage(world.rare_names, world.store, cfg.source)
         if not cfg.empty_knowledge

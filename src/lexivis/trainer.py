@@ -24,6 +24,9 @@ TRAIN_MODES = ("scratch_1branch", "scratch_2branch", "continual_adapters")
 
 OPTIMIZERS = ("sgd", "momentum", "adam")
 
+# Values per pass of the two Adam steps that need a second operand beside the gradient.
+_ADAM_BLOCK = 8192
+
 
 @dataclass
 class Triplet:
@@ -138,27 +141,28 @@ def iter_augmented(
 
     Category names are replaced by the prompt composition; captions follow the
     Concat/Combine scheme (Combine emits two triplets per knowledge hit).
-    Retrieval misses leave the text unchanged. Labels are dense in first-seen
+    A row is a hit when the composition keeps some of its knowledge; a
+    retrieval miss, or a class name whose budget leaves no room for knowledge,
+    is a miss and keeps its text unchanged. Labels are dense in first-seen
     order of the original text, so Combine pairs share a label.
     """
     groups: dict[str, int] = {}
     audit.update(hits=0, misses=0, emitted=0)
     for t, query in queries.iter_queries(rows, lexicon or {}):
         item = store.retrieve(query, source)
-        audit["misses" if item is None else "hits"] += 1
-        if item is None:
-            texts = [t.text]
-        elif t.kind == "category":
-            texts = [compose.compose_class_text(template, query, item.text, max_tokens).text]
-        else:
+        augs = []
+        if item is not None and t.kind == "category":
+            augs = [compose.compose_class_text(template, query, item.text, max_tokens)]
+        elif item is not None:
             augs = compose.compose_caption_texts(t.text, query, item.text, scheme, max_tokens)
-            texts = [aug.text for aug in augs]
+        hit = bool(augs) and augs[-1].parts["knowledge"] is not None
+        audit["hits" if hit else "misses"] += 1
         label = groups.setdefault(queries.normalize_text(t.text), len(groups))
-        for text in texts:
+        for text in [aug.text for aug in augs] if hit else [t.text]:
             audit["emitted"] += 1
             yield Triplet(
                 image=t.image, text=text, kind=t.kind, label=label,
-                augmented=item is not None, origin_text=t.text, query=query,
+                augmented=hit, origin_text=t.text, query=query,
             )
 
 
@@ -227,13 +231,14 @@ class _Optimizer:
         self.m = None if kind == "sgd" else np.zeros(size)
         if kind == "adam":
             self.v = np.zeros(size)
-            self.scratch = np.empty(size)
+            self.scratch = np.empty(min(size, _ADAM_BLOCK))
 
     def step(self, w: np.ndarray, g: np.ndarray) -> None:
         """Update ``w`` in place; ``g`` is used as scratch space and left undefined.
 
-        Adam's second scratch vector lives as long as the optimizer: allocated
-        anew in each step, beside ``g``, it made ``synth.run_seed`` measurably slower.
+        Adam holds ``m``, ``v`` and one block-sized scratch: the two steps that
+        need an operand beside ``g`` run block by block through it, the rest
+        over whole vectors.
         """
         self.t += 1
         if self.kind == "momentum":
@@ -243,17 +248,22 @@ class _Optimizer:
             w -= np.multiply(self.lr, self.m if self.kind == "momentum" else g, out=g)
             return
         b1, b2, eps = 0.9, 0.999, 1e-8
-        m, v, s = self.m, self.v, self.scratch
+        m, v, s, n = self.m, self.v, self.scratch, _ADAM_BLOCK
+        blocks = [(g[i : i + n], m[i : i + n]) for i in range(0, g.size, n)]
         m *= b1
-        m += np.multiply(1 - b1, g, out=s)
+        for gb, mb in blocks:  # g is still needed for v
+            mb += np.multiply(1 - b1, gb, out=s[: gb.size])
         v *= b2
         v += np.multiply(1 - b2, np.square(g, out=g), out=g)
-        # lr * mhat / (sqrt(vhat) + eps), with mhat = m / (1 - b1**t), vhat likewise.
-        np.sqrt(np.divide(v, 1 - b2**self.t, out=s), out=s)
-        s += eps
-        np.divide(m, 1 - b1**self.t, out=g)
-        g *= self.lr
-        w -= np.divide(g, s, out=g)
+        # lr * mhat / (sqrt(vhat) + eps), with mhat = m / (1 - b1**t), vhat likewise;
+        # the denominator is built in g, and then the update.
+        np.sqrt(np.divide(v, 1 - b2**self.t, out=g), out=g)
+        g += eps
+        for gb, mb in blocks:
+            step = np.divide(mb, 1 - b1**self.t, out=s[: gb.size])
+            step *= self.lr
+            np.divide(step, gb, out=gb)
+        w -= g
 
 
 def fit(

@@ -125,6 +125,26 @@ class TestAugment:
         assert code == EXIT_OK
         assert summary["hits"] == 16 and summary["misses"] == 0
 
+    def test_class_row_whose_budget_keeps_no_knowledge_is_a_miss(self, capsys, tmp_path):
+        # "a photo of a boxer, boxer" fills the 6 words a 7-token budget leaves.
+        dataset = tmp_path / "ds.jsonl"
+        dataset.write_text(json.dumps({"image": [1.0, 0.0], "text": "boxer"}) + "\n")
+        rows = {}
+        for max_tokens in ("7", "8"):
+            out = tmp_path / f"aug{max_tokens}.jsonl"
+            code, summary, err = run(capsys, "augment", "--dataset", str(dataset), "--out",
+                                     str(out), "--wiktionary", WK, "--source", "wiki_def",
+                                     "--max-tokens", max_tokens)
+            assert code == EXIT_OK, err
+            rows[max_tokens] = (json.loads(out.read_text()), summary)
+        row, summary = rows["7"]
+        assert (row["text"], row["augmented"]) == ("boxer", False)
+        assert {k: summary[k] for k in ("hits", "misses", "emitted")} == {
+            "hits": 0, "misses": 1, "emitted": 1}
+        row, summary = rows["8"]
+        assert row["augmented"] and row["text"].startswith("a photo of a boxer, boxer, ")
+        assert (summary["hits"], summary["misses"]) == (1, 0)
+
 
 # Categories and captions over the fixture vocabulary: hits and misses in
 # every source, a case variant sharing a label, and a repeated caption.
@@ -850,18 +870,20 @@ class TestEvalDefects:
         assert code == EXIT_DATA
         assert _one_line(err) == f"data error: {images}:3: either every row has a label or none does"
 
-    @pytest.mark.parametrize("bad_label", [4, -1])
+    @pytest.mark.parametrize("bad_label", [4, -1, 7])
     def test_zeroshot_label_outside_class_list(self, capsys, tmp_path, checkpoint, bad_label):
         rows = [{"image": np.eye(4)[i].tolist(), "label": i} for i in range(4)]
         rows[2]["label"] = bad_label
+        rows[3]["image"] = [0.0]  # a later defect: the bad label is reported first
         images = _write_images(tmp_path / "images.jsonl", rows)
         classes = tmp_path / "classes.json"
         classes.write_text(json.dumps(["boxer", "tench", "crowd", "fireplug"]))
         code, _, err = run(capsys, "eval-zeroshot", "--checkpoint", str(checkpoint),
                            "--images", str(images), "--classes", str(classes))
         assert code == EXIT_DATA
-        lines = err.strip().splitlines()
-        assert len(lines) == 1 and str(images) in lines[0] and "4 classes" in lines[0]
+        assert _one_line(err) == (
+            f"data error: {images}:3: label {bad_label} must index the 4 classes"
+        )
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
     @pytest.mark.parametrize("command", ["eval-zeroshot", "eval-probe"])

@@ -1,10 +1,11 @@
 """Golden bytes: the sha256 of deterministic CLI outputs on a tiny seeded fixture.
 
 A change that alters one bit of a checkpoint, a loss trace, the grounding
-predictions, the zero-shot report and breakdown, or the augmented dataset and
-its statistics fails here. Float results depend on the numpy build, its BLAS and
-the SIMD paths numpy dispatches to on this CPU, so the digests are keyed to
-that stack; on any other stack the test skips and names it.
+predictions, the zero-shot report and breakdown, the augmented dataset and
+its statistics, or one seed of the synthetic benchmark fails here. Float
+results depend on the numpy build, its BLAS and the SIMD paths numpy
+dispatches to on this CPU, so the digests are keyed to that stack; on any
+other stack the test skips and names it.
 """
 
 import hashlib
@@ -13,6 +14,7 @@ import json
 import numpy as np
 import pytest
 
+from lexivis import synth
 from lexivis.cli import EXIT_OK, main
 from tests.conftest import FIXTURES
 
@@ -48,6 +50,7 @@ GOLDEN = {
         "combine.jsonl": "478926f3b73affa10f83b821e5acff1f64d1f120dc6b9afb9093642f4cf1ce11",
         "concat.jsonl": "97dbd668258ae9e3181c19d51fbbe13d351d38e989c506ad0ebd43d3e71b84b7",
         "stats.json": "1dfaa447ad9cbfb17b0468c6b98c7e34b50fe626b8dcd1ed45d72abc4d2e3174",
+        "run_seed0.json": "4ec388ffd55840d2d1e7d2a47432946109a9e9d1d5fc4757188589339c7dfa91",
     },
 }
 
@@ -144,8 +147,20 @@ def _outputs(tmp_path) -> dict:
     }
 
 
-def test_output_bytes_match_golden_digests(tmp_path):
+def _golden() -> dict:
     stack = _stack()
     if stack not in GOLDEN:
         pytest.skip(f"no golden digests for this stack: {stack}")
-    assert _outputs(tmp_path) == GOLDEN[stack]
+    return GOLDEN[stack]
+
+
+def test_output_bytes_match_golden_digests(tmp_path):
+    golden = _golden()
+    assert _outputs(tmp_path) == {name: golden[name] for name in OUTPUTS}
+
+
+def test_synth_seed_matches_golden_digest():
+    # The default synth model has more values than one Adam block: multi-block updates end to end.
+    golden = _golden()
+    result = json.dumps(synth.run_seed(0, synth.SynthConfig()), sort_keys=True)
+    assert hashlib.sha256(result.encode()).hexdigest() == golden["run_seed0.json"]

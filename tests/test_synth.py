@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from lexivis import synth
+from lexivis import encoder as enc, synth
 from lexivis.encoder import EncoderConfig
 from lexivis.errors import ConfigError
 from lexivis.knowledge import knowledge_coverage
@@ -106,3 +108,22 @@ class TestBench:
     def test_seed_run_is_deterministic(self):
         cfg = _tiny_config()
         assert synth.run_seed(0, cfg) == synth.run_seed(0, cfg)
+
+    def test_one_trained_model_is_alive_at_a_time(self):
+        # The first condition's model once stayed alive while the second trained.
+        cfg = _tiny_config()
+        world = synth.build_world(0, cfg)
+
+        def peak(run):
+            run()  # warm-up: lazily built module state
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        train_peak = peak(lambda: synth._train_condition(world, cfg, 0, True))
+        seed_peak = peak(lambda: synth.run_seed(0, cfg))
+        vector = 8 * enc.init_params(cfg.encoder, seed=0).zeros_like().flat.size
+        assert seed_peak - train_peak < vector / 2

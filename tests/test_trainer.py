@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -251,26 +252,57 @@ def _reference_steps(kind, lr, tensors, grad_steps):
                 tensors[k] -= lr * mhat / (np.sqrt(vhat) + eps)
 
 
+def _check_against_reference(kind, tensors):
+    """Five flat optimizer steps over ``tensors`` give the bits of ``_reference_steps``."""
+    tensors = enc.FlatTensors(tensors)
+    assert all(np.shares_memory(value, tensors.flat) for value in tensors.values())
+    reference = {k: v.copy() for k, v in tensors.items()}
+    rng = np.random.default_rng(0)
+    grad_steps = []
+    for _ in range(5):
+        grads = enc.FlatTensors(tensors, copy=False)
+        grads.flat[:] = rng.normal(scale=rng.choice([1e-6, 1.0, 1e3]), size=grads.flat.size)
+        grad_steps.append({k: v.copy() for k, v in grads.items()})
+    _reference_steps(kind, 1e-2, reference, grad_steps)
+    opt = trainer._Optimizer(kind, 1e-2, tensors.flat.size)
+    for grads in grad_steps:
+        opt.step(tensors.flat, enc.FlatTensors(grads).flat)
+    for key, value in reference.items():
+        assert tensors[key].tobytes() == np.asarray(value).tobytes(), key
+
+
 class TestFlatOptimizer:
     @pytest.mark.parametrize("kind", trainer.OPTIMIZERS)
     def test_step_matches_per_tensor_reference(self, kind):
         params = enc.init_params(_train_config().encoder, seed=3, with_adapters=True)
-        tensors = enc.FlatTensors(params.tensors)
-        assert tensors["log_tau"].ndim == 0
-        assert all(np.shares_memory(value, tensors.flat) for value in tensors.values())
-        reference = {k: v.copy() for k, v in tensors.items()}
-        rng = np.random.default_rng(0)
-        grad_steps = []
-        for _ in range(5):
-            grads = params.zeros_like()
-            grads.flat[:] = rng.normal(scale=rng.choice([1e-6, 1.0, 1e3]), size=grads.flat.size)
-            grad_steps.append({k: v.copy() for k, v in grads.items()})
-        _reference_steps(kind, 1e-2, reference, grad_steps)
-        opt = trainer._Optimizer(kind, 1e-2, tensors.flat.size)
-        for grads in grad_steps:
-            opt.step(tensors.flat, enc.FlatTensors(grads).flat)
-        for key, value in reference.items():
-            assert tensors[key].tobytes() == np.asarray(value).tobytes(), key
+        assert params.tensors["log_tau"].ndim == 0
+        _check_against_reference(kind, params.tensors)
+
+    @pytest.mark.parametrize("kind", trainer.OPTIMIZERS)
+    def test_steps_across_blocks_match_per_tensor_reference(self, kind):
+        # Two whole blocks and a partial one, split across tensors off the block boundaries.
+        block = trainer._ADAM_BLOCK
+        rng = np.random.default_rng(4)
+        tensors = {"w": rng.normal(size=(2, block - 3)), "b": rng.normal(size=22),
+                   "log_tau": np.array(0.5)}
+        assert sum(v.size for v in tensors.values()) == 2 * block + 17
+        _check_against_reference(kind, tensors)
+
+    def test_adam_holds_no_full_size_vector_but_its_moments(self):
+        size = 2 * trainer._ADAM_BLOCK + 17
+        opt = trainer._Optimizer("adam", 1e-2, size)
+        w, g = np.zeros(size), np.ones(size)
+        opt.step(w, g.copy())  # warm-up: lazily built module state
+        tracemalloc.start()
+        try:
+            opt.step(w, g)
+            step_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = [k for k, v in vars(opt).items() if isinstance(v, np.ndarray) and v.size >= size]
+        assert sorted(held) == ["m", "v"]
+        assert opt.scratch.size == trainer._ADAM_BLOCK
+        assert step_peak < 8 * size / 2
 
     def test_fit_rejects_an_unknown_optimizer_before_the_first_step(self, monkeypatch):
         params = enc.init_params(_train_config().encoder, seed=3)
