@@ -302,7 +302,7 @@ def _cmd_ground_train(args) -> dict:
     if unlabeled is not None:
         raise DataError(f"{args.regions}: image_id {unlabeled!r} has no targets; "
                         "ground-train needs targets on every region row")
-    texts = grounding.category_texts(class_names, store, args.source, cfg.max_tokens)
+    texts = [compose.class_texts(n, store, args.source, cfg.max_tokens)[1][0] for n in class_names]
     params = enc.init_params(cfg, seed=args.seed)
     token_ids = [enc.text_to_ids(t, cfg, pooling="cls") for t in texts]
     spec = enc.LossSpec(loss="ground_focal", focal=focal)
@@ -337,7 +337,8 @@ def _cmd_ground_eval(args) -> dict:
     params, _ = enc.load_checkpoint(args.checkpoint)
     class_names = _load_class_names(args.classes)
     regions = grounding.load_regions_jsonl(args.regions, len(class_names), params.config.embed_dim)
-    texts = grounding.category_texts(class_names, store, args.source, params.config.max_tokens)
+    texts = [compose.class_texts(n, store, args.source, params.config.max_tokens)[1][0]
+             for n in class_names]
     bank = grounding.encode_phrases_parallel(params, texts)
     rows = []
     accuracies = []

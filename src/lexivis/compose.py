@@ -5,7 +5,7 @@ Concat scheme (append query+knowledge to the caption) and a Combine scheme
 (emit both the query-based and the caption-based composition). Component
 separator is ", " throughout. Composed texts respect a whitespace-token
 budget: knowledge is trimmed first, then the caption; prompt and query are
-never trimmed.
+never trimmed. ``class_texts`` makes a class name's one knowledge decision.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import DataError
-from .queries import tokenize
+from .queries import construct_query, tokenize
 
 SEPARATOR = ", "
 
@@ -180,3 +180,26 @@ def compose_od_text(
         text=query if knowledge is None else _join([query, knowledge]),
         parts={"query": query, "knowledge": knowledge},
     )
+
+
+def class_texts(
+    name: str, store, source: str, max_tokens: int,
+    templates: Optional[list[PromptTemplate]] = None,
+) -> tuple[str, list[str], bool]:
+    """Class ``name``'s ``(query, texts, kept)``: one knowledge decision per class.
+
+    Knowledge is retrieved once, iff a ``store`` is given. Each template gives
+    one ``compose_class_text``; with none, the one text is the prompt-free
+    ``compose_od_text`` of grounding. ``kept`` is whether the texts carry
+    knowledge: if the budget drops it from any text, every text is composed
+    without it. A text over the budget raises ``DataError`` naming the class.
+    """
+    query = construct_query(name, "category")
+    item = store.retrieve(query, source) if store is not None else None
+    for knowledge in (item.text if item is not None else None, None):
+        augs = ([compose_class_text(t, query, knowledge, max_tokens) for t in templates]
+                if templates else [compose_od_text(query, knowledge, max_tokens)])
+        kept = all(aug.parts["knowledge"] is not None for aug in augs)
+        if kept or knowledge is None:
+            break
+    return query, [check_class_budget(name, aug.text, max_tokens) for aug in augs], kept

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -37,16 +36,17 @@ def build_class_embeddings(
     branch_mode: str = "one_branch",
     templates: Optional[list[compose.PromptTemplate]] = None,
 ) -> ClassEmbeddings:
-    """Class name -> query -> optional knowledge -> composed text -> embedding.
+    """Class name -> ``compose.class_texts`` -> embedding column.
 
-    Knowledge is retrieved iff a ``store`` is given, and trimmed to the
-    model's ``max_tokens``. Branch selection for adapter-equipped models:
+    Knowledge is retrieved iff a ``store`` is given and trimmed to the
+    model's ``max_tokens``; a class is a hit iff its texts kept knowledge,
+    all of them or none. Branch selection for adapter-equipped models:
     ``one_branch`` sends every class through the knowledge (adapter) branch
     when evaluating with knowledge and through the base branch otherwise;
-    ``two_branch_selective`` routes each class by whether its own retrieval
-    hit. Models without adapters always use the base branch. Template
-    ensembles average the normalized embeddings and renormalize. A composed
-    text over the model's token budget raises ``DataError`` naming the class.
+    ``two_branch_selective`` sends the hits through it, as training does
+    augmented rows. Models without adapters always use the base branch.
+    Template ensembles average the normalized embeddings and renormalize.
+    A text over the model's token budget raises ``DataError`` naming the class.
     """
     if not class_names:
         raise ValueError("class name list must be non-empty")
@@ -58,27 +58,17 @@ def build_class_embeddings(
     cols = []
     provenance = []
     for name in class_names:
-        query = queries.construct_query(name, "category")
-        item = store.retrieve(query, source) if store is not None else None
-        knowledge = item.text if item is not None else None
-        if not params.has_adapters:
-            use_adapters = False
-        elif branch_mode == "one_branch":
-            use_adapters = store is not None
-        else:
-            use_adapters = knowledge is not None
+        query, texts, kept = compose.class_texts(name, store, source, max_tokens, templates)
+        use_adapters = params.has_adapters and (
+            store is not None if branch_mode == "one_branch" else kept)
         embeds = []
-        for template in templates:
-            text = compose.compose_class_text(template, query, knowledge, max_tokens).text
-            text = compose.check_class_budget(name, text, max_tokens)
+        for text in texts:
             ids = enc.text_to_ids(text, params.config, pooling="eos")
             embed = enc.encode_text(params, ids, pooling="eos", use_adapters=use_adapters)
             embeds.append(_unit_text(embed, name))
         cols.append(_unit_text(np.mean(embeds, axis=0), name))
-        provenance.append(
-            {"class": name, "query": query, "hit": knowledge is not None,
-             "branch": "adapter" if use_adapters else "base"}
-        )
+        provenance.append({"class": name, "query": query, "hit": kept,
+                           "branch": "adapter" if use_adapters else "base"})
     return ClassEmbeddings(np.stack(cols, axis=1), list(class_names), provenance)
 
 
@@ -190,9 +180,12 @@ def make_eval_report(
     """The report of zero-shot predictions: accuracy plus overlap/coverage diagnostics.
 
     Concept overlap is set only given ``pretrain_concepts``; knowledge coverage,
-    the share of ``bank``'s hits, only if ``eval_options["with_knowledge"]``.
-    ``config_digest`` hashes the encoder config and ``eval_options``.
+    the share of ``bank``'s classes whose texts kept knowledge, only if
+    ``eval_options["with_knowledge"]``. ``config_digest`` hashes the encoder
+    config and ``eval_options``.
     """
+    # Imported here: at module level it costs every CLI process ~3.5 MB.
+    import hashlib
     options = eval_options or {}
     labels = np.asarray(labels)
     per_class = {}

@@ -14,9 +14,9 @@ from typing import Optional
 
 import numpy as np
 
-from . import compose, encoder as enc, queries
+from . import compose, encoder as enc
 from .errors import ConfigError, DataError, NumericsError
-from .knowledge import KnowledgeStore, finite_array, iter_jsonl, string_field
+from .knowledge import finite_array, iter_jsonl, string_field
 
 
 @dataclass
@@ -72,25 +72,6 @@ def load_regions_jsonl(
                 raise DataError(f"{where}: targets must be binary")
         regions.append(RegionSet(image_id, features, targets))
     return regions
-
-
-def category_texts(
-    class_names: list, store: Optional[KnowledgeStore], source: str, max_tokens: int
-) -> list[str]:
-    """Prompt-free "<query>, <knowledge>" text per category name.
-
-    Knowledge is retrieved only when a store is given, and trimmed to the
-    encoder's ``max_tokens`` so training and evaluation build the same texts.
-    A class whose text still exceeds that budget (the query is never
-    trimmed) raises ``DataError`` naming the class, for both of them.
-    """
-    texts = []
-    for name in class_names:
-        query = queries.construct_query(name, "category")
-        item = store.retrieve(query, source) if store is not None else None
-        text = compose.compose_od_text(query, item.text if item else None, max_tokens).text
-        texts.append(compose.check_class_budget(name, text, max_tokens))
-    return texts
 
 
 def encode_phrases_parallel(params: enc.ModelParams, texts: list[str]) -> PhraseBank:

@@ -587,6 +587,45 @@ class TestTrainEval:
         assert summary["knowledge_hits"] == 2
         assert summary["knowledge_coverage_pct"] == 100.0 * (2 / 3)
 
+    def test_class_whose_budget_keeps_no_knowledge_is_a_miss_in_train_and_eval(
+        self, capsys, tmp_path
+    ):
+        # At --max-tokens 7, "a photo of a boxer, boxer" leaves no room for knowledge.
+        names = ["boxer", "crowd"]
+        dataset, augmented = tmp_path / "ds.jsonl", tmp_path / "aug.jsonl"
+        rows = [{"image": np.eye(4)[i].tolist(), "text": n} for i, n in enumerate(names * 2)]
+        dataset.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        ckpt, out = tmp_path / "model.json", tmp_path / "eval.json"
+        images = _write_images(tmp_path / "images.jsonl",
+                               [{"image": np.eye(4)[i].tolist(), "label": i} for i in range(2)])
+        classes = tmp_path / "classes.json"
+        classes.write_text(json.dumps(names))
+        knowledge = ["--wiktionary", WK, "--source", "wiki_def"]
+        code, _, err = run(capsys, "augment", "--dataset", str(dataset), "--out", str(augmented),
+                           *knowledge, "--max-tokens", "7")
+        assert code == EXIT_OK, err
+        code, summary, err = run(
+            capsys, "train", "--dataset", str(augmented), "--out-checkpoint", str(ckpt),
+            "--mode", "scratch_2branch", "--epochs", "1", "--batch-size", "4", "--embed-dim", "8",
+            "--hidden-dim", "16", "--vocab-size", "64", "--adapter-bottleneck", "2",
+            "--max-tokens", "7",
+        )
+        assert code == EXIT_OK, err
+        assert summary["branch_counts"] == {"adapter": 0, "base": 4}
+        aug_rows = [json.loads(line) for line in augmented.read_text().splitlines()]
+        base_classes = {row["text"] for row in aug_rows if not row["augmented"]}
+        assert base_classes == set(names)
+        code, summary, err = run(
+            capsys, "eval-zeroshot", "--checkpoint", str(ckpt), "--images", str(images),
+            "--classes", str(classes), "--with-knowledge", *knowledge,
+            "--branch-mode", "two_branch_selective", "--out", str(out),
+        )
+        assert code == EXIT_OK, err
+        provenance = {p["class"]: p for p in json.loads(out.read_text())["provenance"]}
+        for name in base_classes:
+            assert (provenance[name]["branch"], provenance[name]["hit"]) == ("base", False)
+        assert (summary["knowledge_hits"], summary["knowledge_coverage_pct"]) == (0, 0.0)
+
     def test_out_checkpoint_may_be_the_base_checkpoint(self, capsys, tmp_path, dataset):
         small = ["--dataset", str(dataset), "--epochs", "1", "--batch-size", "8",
                  "--embed-dim", "8", "--hidden-dim", "16", "--vocab-size", "64",

@@ -3,14 +3,15 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexivis import encoder as enc
-from lexivis.compose import PromptTemplate, compose_class_text
+from lexivis import encoder as enc, trainer
+from lexivis.compose import PromptTemplate, compose_class_text, load_templates
 from lexivis.errors import ConfigError, DataError, NumericsError
 from lexivis.evaluation import (
     ClassEmbeddings,
@@ -22,7 +23,7 @@ from lexivis.evaluation import (
 )
 from lexivis.knowledge import Dictionary, DictionaryEntry, KnowledgeStore
 from lexivis.trainer import Triplet
-from tests.conftest import ROOT
+from tests.conftest import FIXTURES, ROOT
 
 
 @pytest.fixture
@@ -84,6 +85,26 @@ class TestClassEmbeddings:
             embeds.append(raw / np.linalg.norm(raw))
         mean = np.mean(embeds, axis=0)
         assert np.allclose(bank.matrix[:, 0], mean / np.linalg.norm(mean))
+
+    def test_template_ensemble_keeps_knowledge_in_every_text_or_in_none(self, toy_config, store):
+        # At max_tokens 8, "a photo of a boxer, boxer" leaves room for one knowledge
+        # word and "a blurry photo of a boxer, boxer" for none.
+        params = enc.init_params(replace(toy_config, max_tokens=8), seed=33, with_adapters=True)
+        rng = np.random.default_rng(0)
+        for key, tensor in params.tensors.items():
+            if enc.is_adapter_key(key):  # an adapter branch that differs from the base one
+                tensor[:] = rng.normal(size=tensor.shape)
+        templates = load_templates(FIXTURES / "templates.txt")
+        knowledge = store.retrieve("boxer", "wiki_def").text
+        kept = [compose_class_text(t, "boxer", knowledge, 8).parts["knowledge"] for t in templates]
+        assert [k and len(k.split()) for k in kept] == [1, None]
+
+        bank = build_class_embeddings(params, ["boxer"], store=store,
+                                      branch_mode="two_branch_selective", templates=templates)
+        plain = build_class_embeddings(params, ["boxer"], templates=templates)
+        assert bank.provenance == [{"class": "boxer", "query": "boxer", "hit": False,
+                                    "branch": "base"}]
+        assert np.array_equal(bank.matrix[:, 0], plain.matrix[:, 0])
 
     def test_empty_class_list_errors(self, params):
         with pytest.raises(ValueError):
@@ -272,6 +293,14 @@ class TestEvalReport:
         b = make_eval_report(params, preds, labels, bank, eval_options={"k": 2})
         assert a["config_digest"] != b["config_digest"]
 
+    def test_cli_import_leaves_hashlib_unimported(self):
+        """Only ``make_eval_report`` hashes, so no other command pays ~3.5 MB for hashlib."""
+        code = "import sys, lexivis.cli; print('hashlib' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "False"
+
     def test_breakdown_csv(self, tmp_path):
         from lexivis.evaluation import write_breakdown_csv
 
@@ -289,6 +318,38 @@ class TestEvalReport:
         assert lines[0] == "dataset,score,concept_overlap,knowledge_coverage"
         assert lines[1] == "toy,0.5,25.0,100.0"
         assert lines[2] == "other,0.25,,"
+
+
+class TestTrainEvalAgreement:
+    """``augment`` and ``eval-zeroshot`` make the same knowledge decision for a class."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(["boxer", "Crowd", "fireplug", "tench", "person", "fish", "zzgib"]),
+        source=st.sampled_from(["wiki_def", "wn_def", "wn_hier"]),
+        pattern=st.sampled_from(["a photo of a {}", "a blurry photo of a {}", "{}", "the {} here"]),
+        max_tokens=st.integers(min_value=2, max_value=24),
+    )
+    def test_augmented_row_matches_eval_class(self, store, name, source, pattern, max_tokens):
+        # A vocabulary wide enough that two different texts hash to different ids.
+        cfg = enc.EncoderConfig(embed_dim=4, text_layers=1, hidden_dim=8, vocab_size=4096,
+                                max_tokens=max_tokens, adapter_bottleneck=2, image_input_dim=2)
+        params = enc.init_params(cfg, seed=0, with_adapters=True)
+        template = PromptTemplate(pattern)
+        try:
+            bank = build_class_embeddings(params, [name], store=store, source=source,
+                                          branch_mode="two_branch_selective", templates=[template])
+        except DataError:  # the prompt alone is over budget: eval rejects the class
+            return
+        (row,) = trainer.iter_augmented([Triplet(np.zeros(2), name)], {}, store, source,
+                                        template=template, max_tokens=max_tokens)
+        (provenance,) = bank.provenance
+        assert provenance["hit"] == row.augmented
+        assert provenance["branch"] == ("adapter" if row.augmented else "base")
+        if row.augmented:  # eval encodes the very text that training does
+            ids = enc.text_to_ids(row.text, cfg, pooling="eos")
+            embed = enc.encode_text(params, ids, pooling="eos", use_adapters=True)
+            assert np.allclose(bank.matrix[:, 0], embed / np.linalg.norm(embed), rtol=0, atol=1e-12)
 
 
 def stats_oracle(concepts, min_freq):
