@@ -34,6 +34,7 @@ from .knowledge import (
     finite_array,
     iter_jsonl,
     knowledge_coverage,
+    label_field,
     load_wiktionary_snapshot,
     load_wordnet_snapshot,
     read_lines,
@@ -119,9 +120,7 @@ def _load_labeled_images(path, width: int, n_classes: int | None = None):
     images, labels = [], []
     for where, obj in iter_jsonl(path, DataError, ("image",)):
         image = finite_array(obj["image"], 1, where, "image", width)
-        label = obj.get("label")
-        if label is not None and (type(label) is not int or not -(2**63) <= label < 2**63):
-            raise DataError(f"{where}: label must be a 64-bit integer")
+        label = label_field(obj, where)
         if label is not None and n_classes is not None and not 0 <= label < n_classes:
             raise DataError(f"{where}: label {label} must index the {n_classes} classes")
         if labels and (label is None) != (labels[0] is None):

@@ -78,17 +78,20 @@ def _budgeted_knowledge(
     fixed_texts: list[str], knowledge: str, max_tokens: int
 ) -> Optional[str]:
     """Trim knowledge so the full composition fits the token budget."""
-    budget = _word_budget(max_tokens)
-    fixed = sum(len(t.split()) for t in fixed_texts)
-    room = budget - fixed
-    if room <= 0:
-        return None
-    trimmed = _trim_words(knowledge, room)
-    return trimmed if trimmed else None
+    room = _word_budget(max_tokens) - sum(len(t.split()) for t in fixed_texts)
+    return (_trim_words(knowledge, room) or None) if room > 0 else None
 
 
-def _join(parts: list[str]) -> str:
-    return SEPARATOR.join(parts)
+def _compose(fixed: list[str], query: str, knowledge: Optional[str], max_tokens: int) -> tuple:
+    """``(text, kept knowledge)``: ``fixed`` joined with the knowledge the budget keeps.
+
+    With no knowledge left the text is ``fixed[0]``: the prompt, or the bare query.
+    """
+    if not query.strip():
+        raise ValueError("query must be non-empty")
+    if knowledge is not None:
+        knowledge = _budgeted_knowledge(fixed, knowledge, max_tokens)
+    return (fixed[0] if knowledge is None else SEPARATOR.join([*fixed, knowledge])), knowledge
 
 
 def compose_class_text(
@@ -102,15 +105,9 @@ def compose_class_text(
     Without knowledge this degenerates to the vanilla prompt, which is what
     keeps knowledge-free runs string-identical to the baseline.
     """
-    if not query.strip():
-        raise ValueError("query must be non-empty")
     prompt = template.format(query)
-    if knowledge is not None:
-        knowledge = _budgeted_knowledge([prompt, query], knowledge, max_tokens)
-    return AugmentedText(
-        text=prompt if knowledge is None else _join([prompt, query, knowledge]),
-        parts={"prompt": prompt, "query": query, "knowledge": knowledge},
-    )
+    text, knowledge = _compose([prompt, query], query, knowledge, max_tokens)
+    return AugmentedText(text, {"prompt": prompt, "query": query, "knowledge": knowledge})
 
 
 def check_class_budget(name: str, text: str, max_tokens: int) -> str:
@@ -157,12 +154,12 @@ def compose_caption_texts(
         cap_room = budget - len(query.split()) - len(know.split())
         cap = _trim_words(caption, max(1, cap_room))
     concat = AugmentedText(
-        text=_join([cap, query, know]),
+        text=SEPARATOR.join([cap, query, know]),
         parts={"original_caption": cap, "query": query, "knowledge": know},
     )
     if scheme == "concat":
         return [concat]
-    query_only = AugmentedText(_join([query, know]), {"query": query, "knowledge": know})
+    query_only = AugmentedText(SEPARATOR.join([query, know]), {"query": query, "knowledge": know})
     return [query_only, concat]
 
 
@@ -172,21 +169,15 @@ def compose_od_text(
     max_tokens: int = DEFAULT_MAX_TOKENS,
 ) -> AugmentedText:
     """Prompt-free composition "<query>, <knowledge>" used by grounding."""
-    if not query.strip():
-        raise ValueError("query must be non-empty")
-    if knowledge is not None:
-        knowledge = _budgeted_knowledge([query], knowledge, max_tokens)
-    return AugmentedText(
-        text=query if knowledge is None else _join([query, knowledge]),
-        parts={"query": query, "knowledge": knowledge},
-    )
+    text, knowledge = _compose([query], query, knowledge, max_tokens)
+    return AugmentedText(text, {"query": query, "knowledge": knowledge})
 
 
 def class_texts(
     name: str, store, source: str, max_tokens: int,
     templates: Optional[list[PromptTemplate]] = None,
 ) -> tuple[str, list[str], bool]:
-    """Class ``name``'s ``(query, texts, kept)``: one knowledge decision per class.
+    """Class ``name``'s ``(query, texts, kept)``: the one decision augment and eval share.
 
     Knowledge is retrieved once, iff a ``store`` is given. Each template gives
     one ``compose_class_text``; with none, the one text is the prompt-free

@@ -241,12 +241,22 @@ def string_field(obj: dict, key: str, where: str, error: type[LexivisError]) -> 
     return value
 
 
+def label_field(obj: dict, where: str) -> Optional[int]:
+    """``obj``'s optional ``label``: a signed 64-bit integer or null, else ``DataError``."""
+    label = obj.get("label")
+    if label is not None and (type(label) is not int or not -(2**63) <= label < 2**63):
+        raise DataError(f"{where}: label must be a 64-bit integer or null")
+    return label
+
+
 def _string_list(obj: dict, key: str, where: str, nonempty: bool) -> tuple[str, ...]:
     value = obj[key]
     if (not isinstance(value, list) or (nonempty and not value)
             or not all(isinstance(v, str) for v in value)):
         what = "a non-empty list" if nonempty else "a list"
         raise SnapshotError(f"{where}: {key} must be {what} of strings")
+    if nonempty and not all(v.strip() for v in value):  # a blank lemma or sense
+        raise SnapshotError(f"{where}: {key} must not hold a blank string")
     return tuple(value)
 
 
@@ -260,14 +270,15 @@ def load_wordnet_snapshot(path) -> WordNetGraph:
     records = []
     fields = ("id", "lemmas", "definition", "hypernym_ids")
     for where, obj in iter_jsonl(path, SnapshotError, fields):
-        records.append(
-            SynsetRecord(
-                id=string_field(obj, "id", where, SnapshotError),
-                lemmas=tuple(l.lower() for l in _string_list(obj, "lemmas", where, True)),
-                definition=string_field(obj, "definition", where, SnapshotError),
-                hypernym_ids=_string_list(obj, "hypernym_ids", where, False),
-            )
+        record = SynsetRecord(
+            id=string_field(obj, "id", where, SnapshotError),
+            lemmas=tuple(l.lower() for l in _string_list(obj, "lemmas", where, True)),
+            definition=string_field(obj, "definition", where, SnapshotError),
+            hypernym_ids=_string_list(obj, "hypernym_ids", where, False),
         )
+        if not record.definition.strip():  # retrieved as knowledge, it would compose an empty hit
+            raise SnapshotError(f"{where}: definition is blank")
+        records.append(record)
     try:
         graph = WordNetGraph(records)
         for rec in graph.synsets.values():  # in file order, so the first long chain is named

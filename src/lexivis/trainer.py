@@ -18,7 +18,8 @@ import numpy as np
 
 from . import compose, encoder as enc, queries
 from .errors import ConfigError, DataError, NumericsError
-from .knowledge import KnowledgeStore, atomic_open, finite_array, iter_jsonl, string_field
+from .knowledge import (KnowledgeStore, atomic_open, finite_array, iter_jsonl, label_field,
+                        string_field)
 
 TRAIN_MODES = ("scratch_1branch", "scratch_2branch", "continual_adapters")
 
@@ -66,9 +67,7 @@ def iter_dataset_jsonl(path, width: Optional[int] = None) -> Iterator[Triplet]:
         text = string_field(obj, "text", where, DataError)
         if not text.strip():
             raise DataError(f"{where}: text is blank")
-        label, augmented = obj.get("label"), obj.get("augmented", False)
-        if label is not None and (type(label) is not int or not -(2**63) <= label < 2**63):
-            raise DataError(f"{where}: label must be a 64-bit integer or null")
+        label, augmented = label_field(obj, where), obj.get("augmented", False)
         if type(augmented) is not bool:
             raise DataError(f"{where}: augmented must be true or false")
         for key in ("origin_text", "query"):
@@ -139,26 +138,26 @@ def iter_augmented(
     ``hits``, ``misses`` and ``emitted`` each start at 0. Memory
     is bounded by the number of distinct phrases and texts, not of rows.
 
-    Category names are replaced by the prompt composition; captions follow the
-    Concat/Combine scheme (Combine emits two triplets per knowledge hit).
-    A row is a hit when the composition keeps some of its knowledge; a
-    retrieval miss, or a class name whose budget leaves no room for knowledge,
-    is a miss and keeps its text unchanged. Labels are dense in first-seen
-    order of the original text, so Combine pairs share a label.
+    A category row gets the text eval encodes for its class
+    (``compose.class_texts`` with ``template``): a hit if it kept knowledge,
+    else the vanilla prompt; a prompt over the budget raises ``DataError``.
+    Captions follow Concat/Combine (Combine emits two triplets per hit) and
+    keep their text on a miss. Labels are dense in first-seen order of the
+    original text, so Combine pairs share a label.
     """
     groups: dict[str, int] = {}
     audit.update(hits=0, misses=0, emitted=0)
     for t, query in queries.iter_queries(rows, lexicon or {}):
-        item = store.retrieve(query, source)
-        augs = []
-        if item is not None and t.kind == "category":
-            augs = [compose.compose_class_text(template, query, item.text, max_tokens)]
-        elif item is not None:
-            augs = compose.compose_caption_texts(t.text, query, item.text, scheme, max_tokens)
-        hit = bool(augs) and augs[-1].parts["knowledge"] is not None
+        if t.kind == "category":
+            _, texts, hit = compose.class_texts(t.text, store, source, max_tokens, [template])
+        else:
+            item = store.retrieve(query, source)
+            hit = item is not None
+            texts = [aug.text for aug in compose.compose_caption_texts(
+                t.text, query, item.text, scheme, max_tokens)] if hit else [t.text]
         audit["hits" if hit else "misses"] += 1
         label = groups.setdefault(queries.normalize_text(t.text), len(groups))
-        for text in [aug.text for aug in augs] if hit else [t.text]:
+        for text in texts:
             audit["emitted"] += 1
             yield Triplet(
                 image=t.image, text=text, kind=t.kind, label=label,

@@ -9,6 +9,7 @@ import pytest
 
 from lexivis import cli, encoder as enc, evaluation, grounding, knowledge, synth, trainer
 from lexivis.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from lexivis.errors import DataError
 from tests.conftest import FIXTURES
 
 WN = str(FIXTURES / "wordnet.jsonl")
@@ -77,6 +78,29 @@ class TestHypernymCycle:
         ]
 
 
+class TestBlankKnowledge:
+    """A blank sense, definition or lemma would compose an empty hit; its snapshot is refused."""
+
+    @pytest.mark.parametrize("source, row, message", [
+        ("wiki_def", {"term": "boxer", "senses": ["a fighter", "  "]},
+         "senses must not hold a blank string"),
+        ("wn_def", {"id": "n1", "lemmas": ["boxer"], "definition": " ", "hypernym_ids": []},
+         "definition is blank"),
+        ("wn_hier", {"id": "n1", "lemmas": ["boxer", ""], "definition": "a fighter",
+                     "hypernym_ids": []}, "lemmas must not hold a blank string"),
+    ], ids=["sense", "definition", "lemma"])
+    def test_blank_knowledge_is_a_snapshot_error(self, capsys, tmp_path, source, row, message):
+        snapshot = tmp_path / "snapshot.jsonl"
+        valid = ({"term": "crowd", "senses": ["many people"]} if source == "wiki_def" else
+                 {"id": "n0", "lemmas": ["crowd"], "definition": "many", "hypernym_ids": []})
+        snapshot.write_text(json.dumps(valid) + "\n" + json.dumps(row) + "\n")
+        flag = "--wiktionary" if source == "wiki_def" else "--wordnet"
+        code, _, err = run(capsys, "coverage", "--source", source, flag, str(snapshot),
+                           "--queries", QUERIES)
+        assert code == EXIT_DATA
+        assert err.strip().splitlines() == [f"data error: {snapshot}:2: {message}"]
+
+
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
@@ -138,12 +162,29 @@ class TestAugment:
             assert code == EXIT_OK, err
             rows[max_tokens] = (json.loads(out.read_text()), summary)
         row, summary = rows["7"]
-        assert (row["text"], row["augmented"]) == ("boxer", False)
+        assert (row["text"], row["augmented"]) == ("a photo of a boxer", False)
         assert {k: summary[k] for k in ("hits", "misses", "emitted")} == {
             "hits": 0, "misses": 1, "emitted": 1}
         row, summary = rows["8"]
         assert row["augmented"] and row["text"].startswith("a photo of a boxer, boxer, ")
         assert (summary["hits"], summary["misses"]) == (1, 0)
+
+    def test_class_whose_prompt_overflows_the_budget_is_evals_data_error(self, capsys, tmp_path):
+        # "a photo of a boxer" is 5 tokens; --max-tokens 3 leaves room for 2.
+        dataset, out = tmp_path / "ds.jsonl", tmp_path / "aug.jsonl"
+        dataset.write_text(json.dumps({"image": [1.0, 0.0], "text": "boxer"}) + "\n")
+        code, _, err = run(capsys, "augment", "--dataset", str(dataset), "--out", str(out),
+                           "--wiktionary", WK, "--source", "wiki_def", "--max-tokens", "3")
+        cfg = enc.EncoderConfig(embed_dim=4, text_layers=1, hidden_dim=8, vocab_size=64,
+                                max_tokens=3, adapter_bottleneck=2, image_input_dim=2)
+        store = knowledge.KnowledgeStore(wiktionary=knowledge.load_wiktionary_snapshot(WK))
+        with pytest.raises(DataError) as eval_error:
+            evaluation.build_class_embeddings(enc.init_params(cfg, seed=0), ["boxer"],
+                                              store=store, source="wiki_def")
+        assert code == EXIT_DATA
+        assert err.strip().splitlines() == [f"data error: {eval_error.value}"]
+        assert str(eval_error.value) == "class 'boxer' has 5 tokens; max is 2"
+        assert not out.exists()
 
 
 # Categories and captions over the fixture vocabulary: hits and misses in
@@ -613,8 +654,8 @@ class TestTrainEval:
         assert code == EXIT_OK, err
         assert summary["branch_counts"] == {"adapter": 0, "base": 4}
         aug_rows = [json.loads(line) for line in augmented.read_text().splitlines()]
-        base_classes = {row["text"] for row in aug_rows if not row["augmented"]}
-        assert base_classes == set(names)
+        base_texts = {row["text"] for row in aug_rows if not row["augmented"]}
+        assert base_texts == {f"a photo of a {name}" for name in names}
         code, summary, err = run(
             capsys, "eval-zeroshot", "--checkpoint", str(ckpt), "--images", str(images),
             "--classes", str(classes), "--with-knowledge", *knowledge,
@@ -622,7 +663,7 @@ class TestTrainEval:
         )
         assert code == EXIT_OK, err
         provenance = {p["class"]: p for p in json.loads(out.read_text())["provenance"]}
-        for name in base_classes:
+        for name in names:
             assert (provenance[name]["branch"], provenance[name]["hit"]) == ("base", False)
         assert (summary["knowledge_hits"], summary["knowledge_coverage_pct"]) == (0, 0.0)
 
@@ -909,7 +950,7 @@ class TestEvalDefects:
         assert code == EXIT_DATA
         assert _one_line(err) == f"data error: {images}:3: either every row has a label or none does"
 
-    @pytest.mark.parametrize("bad_label", [4, -1, 7])
+    @pytest.mark.parametrize("bad_label", [4, -1, 7, 2**63 - 1, -(2**63)])
     def test_zeroshot_label_outside_class_list(self, capsys, tmp_path, checkpoint, bad_label):
         rows = [{"image": np.eye(4)[i].tolist(), "label": i} for i in range(4)]
         rows[2]["label"] = bad_label
@@ -923,6 +964,22 @@ class TestEvalDefects:
         assert _one_line(err) == (
             f"data error: {images}:3: label {bad_label} must index the 4 classes"
         )
+
+    @pytest.mark.parametrize("bad_label", [2**63, -(2**63) - 1])
+    @pytest.mark.parametrize("command", ["eval-zeroshot", "eval-probe"])
+    def test_label_beyond_64_bits_is_located(self, capsys, tmp_path, checkpoint, command,
+                                             bad_label):
+        rows = [{"image": np.eye(4)[i].tolist(), "label": i % 2} for i in range(4)]
+        rows[2]["label"] = bad_label
+        images = _write_images(tmp_path / "images.jsonl", rows)
+        classes = tmp_path / "classes.json"
+        classes.write_text(json.dumps(["boxer", "tench"]))
+        argv = [command, "--checkpoint", str(checkpoint), "--images", str(images)]
+        if command == "eval-zeroshot":
+            argv += ["--classes", str(classes)]
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_DATA
+        assert _one_line(err) == f"data error: {images}:3: label must be a 64-bit integer or null"
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
     @pytest.mark.parametrize("command", ["eval-zeroshot", "eval-probe"])

@@ -321,7 +321,7 @@ class TestEvalReport:
 
 
 class TestTrainEvalAgreement:
-    """``augment`` and ``eval-zeroshot`` make the same knowledge decision for a class."""
+    """``augment`` and ``eval-zeroshot`` build the same text for a class, hit or miss."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -336,20 +336,28 @@ class TestTrainEvalAgreement:
                                 max_tokens=max_tokens, adapter_bottleneck=2, image_input_dim=2)
         params = enc.init_params(cfg, seed=0, with_adapters=True)
         template = PromptTemplate(pattern)
+
+        def augment():
+            (row,) = trainer.iter_augmented([Triplet(np.zeros(2), name)], {}, store, source,
+                                            template=template, max_tokens=max_tokens)
+            return row
+
         try:
             bank = build_class_embeddings(params, [name], store=store, source=source,
                                           branch_mode="two_branch_selective", templates=[template])
-        except DataError:  # the prompt alone is over budget: eval rejects the class
+        except DataError as exc:  # the prompt alone is over budget: both reject the class
+            with pytest.raises(DataError) as augment_error:
+                augment()
+            assert str(augment_error.value) == str(exc)
             return
-        (row,) = trainer.iter_augmented([Triplet(np.zeros(2), name)], {}, store, source,
-                                        template=template, max_tokens=max_tokens)
+        row = augment()
         (provenance,) = bank.provenance
         assert provenance["hit"] == row.augmented
         assert provenance["branch"] == ("adapter" if row.augmented else "base")
-        if row.augmented:  # eval encodes the very text that training does
-            ids = enc.text_to_ids(row.text, cfg, pooling="eos")
-            embed = enc.encode_text(params, ids, pooling="eos", use_adapters=True)
-            assert np.allclose(bank.matrix[:, 0], embed / np.linalg.norm(embed), rtol=0, atol=1e-12)
+        # Eval encodes the very text that training does, on the branch training routes it to.
+        ids = enc.text_to_ids(row.text, cfg, pooling="eos")
+        embed = enc.encode_text(params, ids, pooling="eos", use_adapters=row.augmented)
+        assert np.allclose(bank.matrix[:, 0], embed / np.linalg.norm(embed), rtol=0, atol=1e-12)
 
 
 def stats_oracle(concepts, min_freq):

@@ -51,8 +51,8 @@ class TestLoadWordnet:
     def test_missing_field_reports_line(self, tmp_path):
         path = tmp_path / "wn.jsonl"
         rows = [
-            {"id": "n1", "lemmas": ["a"], "definition": "", "hypernym_ids": []},
-            {"id": "n2", "definition": "", "hypernym_ids": []},
+            {"id": "n1", "lemmas": ["a"], "definition": "x", "hypernym_ids": []},
+            {"id": "n2", "definition": "x", "hypernym_ids": []},
         ]
         _write_jsonl(path, rows)
         with pytest.raises(SnapshotError, match=":2"):
@@ -60,7 +60,7 @@ class TestLoadWordnet:
 
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "wn.jsonl"
-        path.write_text('{"id": "n1", "lemmas": ["a"], "definition": "", "hypernym_ids": []}\nnot json\n')
+        path.write_text('{"id": "n1", "lemmas": ["a"], "definition": "x", "hypernym_ids": []}\nnot json\n')
         with pytest.raises(SnapshotError, match=":2"):
             load_wordnet_snapshot(path)
 
@@ -69,8 +69,8 @@ class TestLoadWordnet:
     def test_hypernym_ids_must_be_a_list(self, tmp_path, hypernym_ids):
         path = tmp_path / "wn.jsonl"
         rows = [
-            {"id": "n0", "lemmas": ["a"], "definition": "", "hypernym_ids": []},
-            {"id": "n1", "lemmas": ["b"], "definition": "", "hypernym_ids": hypernym_ids},
+            {"id": "n0", "lemmas": ["a"], "definition": "x", "hypernym_ids": []},
+            {"id": "n1", "lemmas": ["b"], "definition": "x", "hypernym_ids": hypernym_ids},
         ]
         _write_jsonl(path, rows)
         with pytest.raises(SnapshotError, match=f"{path}:2: hypernym_ids must be a list"):
@@ -78,19 +78,19 @@ class TestLoadWordnet:
 
     def test_snapshot_errors_name_the_file(self, tmp_path):
         path = tmp_path / "wn.jsonl"
-        _write_jsonl(path, [{"id": "n1", "lemmas": ["a"], "definition": "", "hypernym_ids": ["n9"]}])
+        _write_jsonl(path, [{"id": "n1", "lemmas": ["a"], "definition": "x", "hypernym_ids": ["n9"]}])
         with pytest.raises(SnapshotError, match=f"{path}: synset 'n1' references unknown"):
             load_wordnet_snapshot(path)
 
     def test_dangling_hypernym_names_id(self, tmp_path):
         path = tmp_path / "wn.jsonl"
-        _write_jsonl(path, [{"id": "n1", "lemmas": ["a"], "definition": "", "hypernym_ids": ["ghost"]}])
+        _write_jsonl(path, [{"id": "n1", "lemmas": ["a"], "definition": "x", "hypernym_ids": ["ghost"]}])
         with pytest.raises(SnapshotError, match="ghost"):
             load_wordnet_snapshot(path)
 
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "wn.jsonl"
-        row = {"id": "n1", "lemmas": ["a"], "definition": "", "hypernym_ids": []}
+        row = {"id": "n1", "lemmas": ["a"], "definition": "x", "hypernym_ids": []}
         _write_jsonl(path, [row, row])
         with pytest.raises(SnapshotError, match="duplicate"):
             load_wordnet_snapshot(path)
@@ -98,10 +98,10 @@ class TestLoadWordnet:
     def test_cycle_is_found_at_load_naming_the_file(self, tmp_path):
         path = tmp_path / "wn.jsonl"
         rows = [
-            {"id": "n0", "lemmas": ["root"], "definition": "", "hypernym_ids": []},
-            {"id": "n3", "lemmas": ["c"], "definition": "", "hypernym_ids": ["n1"]},
-            {"id": "n2", "lemmas": ["b"], "definition": "", "hypernym_ids": ["n1"]},
-            {"id": "n1", "lemmas": ["a"], "definition": "", "hypernym_ids": ["n2", "n0"]},
+            {"id": "n0", "lemmas": ["root"], "definition": "x", "hypernym_ids": []},
+            {"id": "n3", "lemmas": ["c"], "definition": "x", "hypernym_ids": ["n1"]},
+            {"id": "n2", "lemmas": ["b"], "definition": "x", "hypernym_ids": ["n1"]},
+            {"id": "n1", "lemmas": ["a"], "definition": "x", "hypernym_ids": ["n2", "n0"]},
         ]
         _write_jsonl(path, rows)
         # n3 only leads into the cycle, and is the first such synset in the file.
@@ -113,7 +113,7 @@ class TestLoadWordnet:
     @pytest.mark.parametrize("n", [32, 33])
     def test_chain_cap_at_load_matches_hypernym_path(self, tmp_path, n):
         rows = [
-            {"id": f"s{i}", "lemmas": [f"w{i}"], "definition": "",
+            {"id": f"s{i}", "lemmas": [f"w{i}"], "definition": "x",
              "hypernym_ids": [f"s{i + 1}"] if i + 1 < n else []}
             for i in reversed(range(n))
         ]

@@ -62,7 +62,8 @@ class TestAugment:
 
     def test_miss_leaves_text_unchanged(self):
         out, audit = augment_dataset([_triplet("zzgib")], _toy_store(), source="wiki_def")
-        assert out[0].text == "zzgib" and not out[0].augmented
+        # A missed class carries the vanilla prompt that eval encodes for it.
+        assert out[0].text == "a photo of a zzgib" and not out[0].augmented
         assert audit["misses"] == 1
 
     def test_combine_emits_pair_with_shared_label(self):
@@ -353,6 +354,7 @@ class TestDatasetIo:
     # batch error, and augmented "false" routed the row through the adapters.
     @pytest.mark.parametrize("field, value", [
         ("label", [1, 2]), ("label", True), ("label", 1.0), ("label", "0"),
+        ("label", 2**63), ("label", -(2**63) - 1),
         ("augmented", "false"), ("augmented", 0), ("augmented", None),
         ("origin_text", 5), ("origin_text", ["a"]), ("query", 5), ("query", {}),
     ])
@@ -369,11 +371,14 @@ class TestDatasetIo:
             {"image": [1.0], "text": "a", "label": None, "origin_text": None, "query": None},
             {"image": [1.0], "text": "b", "label": -3, "augmented": True, "origin_text": "B",
              "query": "b"},
+            {"image": [1.0], "text": "c", "label": 2**63 - 1},
+            {"image": [1.0], "text": "d", "label": -(2**63)},
         ]
         path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-        first, second = load_dataset_jsonl(path)
+        first, second, *extremes = load_dataset_jsonl(path)
         assert (first.label, first.augmented, first.origin_text) == (None, False, None)
         assert (second.label, second.augmented, second.query) == (-3, True, "b")
+        assert [t.label for t in extremes] == [2**63 - 1, -(2**63)]
 
     def test_trace_csv(self, tmp_path):
         path = tmp_path / "trace.csv"
