@@ -28,6 +28,7 @@ import numpy as np
 from . import compose, encoder as enc, evaluation, grounding, queries, synth, trainer
 from .errors import ConfigError, DataError, LexivisError, SnapshotError
 from .knowledge import (
+    SNAPSHOT_OF,
     SOURCES,
     KnowledgeStore,
     atomic_open,
@@ -69,15 +70,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_store(args) -> KnowledgeStore:
-    """The given snapshots; a ``--source`` without its snapshot is a config error."""
-    if args.source in ("wn_hier", "wn_def") and not args.wordnet:
-        raise ConfigError(f"source {args.source} needs --wordnet")
-    if args.source == "wiki_def" and not args.wiktionary:
-        raise ConfigError("source wiki_def needs --wiktionary")
-    return KnowledgeStore(
-        wordnet=load_wordnet_snapshot(args.wordnet) if args.wordnet else None,
-        wiktionary=load_wiktionary_snapshot(args.wiktionary) if args.wiktionary else None,
-    )
+    """The one snapshot ``--source`` reads; without its flag that is a config error."""
+    snapshot = SNAPSHOT_OF[args.source]
+    path = getattr(args, snapshot)
+    if not path:
+        raise ConfigError(f"source {args.source} needs --{snapshot}")
+    load = load_wordnet_snapshot if snapshot == "wordnet" else load_wiktionary_snapshot
+    return KnowledgeStore(**{snapshot: load(path)})
 
 
 def _load_lexicon(args) -> dict:

@@ -20,7 +20,9 @@ import numpy as np
 from .errors import DataError, LexivisError, SnapshotError
 from .queries import normalize_text
 
-SOURCES = ("wn_hier", "wn_def", "wiki_def")
+# The snapshot each source reads: its ``KnowledgeStore`` field and CLI flag name.
+SNAPSHOT_OF = {"wn_hier": "wordnet", "wn_def": "wordnet", "wiki_def": "wiktionary"}
+SOURCES = tuple(SNAPSHOT_OF)
 
 # Leading words dropped by the wiktionary lookup fallback chain.
 DETERMINERS = frozenset({"a", "an", "the"})
@@ -154,6 +156,11 @@ def atomic_open(path) -> Iterator[TextIO]:
         raise
 
 
+def _lemma_key(text: str) -> str:
+    """The one lemma rule of index and lookup: normalized, with ``_`` between words."""
+    return normalize_text(text).replace(" ", "_")
+
+
 class WordNetGraph:
     """In-memory WordNet snapshot with a lemma index and hypernym links."""
 
@@ -166,7 +173,7 @@ class WordNetGraph:
             self.synsets[rec.id] = rec
             for lemma in rec.lemmas:
                 # First-listed synset per lemma wins, preserving file order.
-                self.lemma_index.setdefault(lemma, rec.id)
+                self.lemma_index.setdefault(_lemma_key(lemma), rec.id)
         for rec in self.synsets.values():
             for hid in rec.hypernym_ids:
                 if hid not in self.synsets:
@@ -180,10 +187,7 @@ class WordNetGraph:
     def lookup(self, query: str) -> Optional[SynsetRecord]:
         """Locate a synset: exact multi-word lemma first, then head noun."""
         norm = normalize_text(query)
-        if not norm:
-            return None
-        lemma = norm.replace(" ", "_")
-        sid = self.lemma_index.get(lemma)
+        sid = self.lemma_index.get(_lemma_key(norm))
         if sid is None and " " in norm:
             sid = self.lemma_index.get(norm.split()[-1])
         return self.synsets[sid] if sid is not None else None
@@ -203,14 +207,15 @@ class WordNetGraph:
 
 
 class Dictionary:
-    """In-memory Wiktionary snapshot keyed by lowercase term."""
+    """In-memory Wiktionary snapshot keyed by normalized term, as its lookup reads."""
 
     def __init__(self, entries: list[DictionaryEntry]):
         self.entries: dict[str, DictionaryEntry] = {}
         for entry in entries:
-            if entry.term in self.entries:
+            key = normalize_text(entry.term)
+            if key in self.entries:
                 raise SnapshotError(f"duplicate dictionary term {entry.term!r}")
-            self.entries[entry.term] = entry
+            self.entries[key] = entry
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -218,8 +223,6 @@ class Dictionary:
     def lookup(self, query: str) -> Optional[DictionaryEntry]:
         """Lookup chain: exact phrase -> leading determiner stripped -> head noun."""
         norm = normalize_text(query)
-        if not norm:
-            return None
         candidates = [norm]
         words = norm.split()
         if len(words) > 1 and words[0] in DETERMINERS:
@@ -292,12 +295,10 @@ def load_wiktionary_snapshot(path) -> Dictionary:
     """Load a Wiktionary JSONL snapshot of {term, senses} rows."""
     entries = []
     for where, obj in iter_jsonl(path, SnapshotError, ("term", "senses")):
-        entries.append(
-            DictionaryEntry(
-                term=string_field(obj, "term", where, SnapshotError).lower(),
-                senses=_string_list(obj, "senses", where, True),
-            )
-        )
+        term = string_field(obj, "term", where, SnapshotError)
+        if not term.strip():  # it would be the key "" that no query reaches
+            raise SnapshotError(f"{where}: term is blank")
+        entries.append(DictionaryEntry(term, _string_list(obj, "senses", where, True)))
     try:
         return Dictionary(entries)
     except SnapshotError as exc:  # a duplicate term
@@ -321,7 +322,7 @@ class KnowledgeStore:
         """
         if source not in SOURCES:
             raise ValueError(f"unknown knowledge source {source!r}; expected one of {SOURCES}")
-        snapshot = self.wiktionary if source == "wiki_def" else self.wordnet
+        snapshot = getattr(self, SNAPSHOT_OF[source])
         found = snapshot.lookup(query) if snapshot is not None else None
         if found is None:
             return None

@@ -1,9 +1,9 @@
 """Query construction: noun-phrase chunking and rarest-phrase selection.
 
-Category names pass through verbatim (lowercased); captions are reduced to
-their rarest noun phrase over a corpus. Tagging is lexicon-driven (TSV file
-``token<TAB>TAG``) and chunking uses the pattern ``DET? (ADJ|NUM)* NOUN+``,
-so the whole path is deterministic and hermetic.
+Category names pass through normalized (lowercased, single-spaced); captions
+are reduced to their rarest noun phrase over a corpus. Tagging is
+lexicon-driven (TSV file ``token<TAB>TAG``) and chunking uses the pattern
+``DET? (ADJ|NUM)* NOUN+``, so the whole path is deterministic and hermetic.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ def tokenize(text: str) -> list[str]:
 
 
 def load_lexicon(path) -> dict[str, str]:
-    """Read a TSV POS lexicon mapping token -> tag."""
+    """Read a TSV POS lexicon mapping token -> tag, keyed by the token ``tokenize`` makes."""
     from .knowledge import read_lines  # knowledge imports this module
 
     lexicon = {}
@@ -43,10 +43,12 @@ def load_lexicon(path) -> dict[str, str]:
         parts = line.split("\t")
         if len(parts) != 2:
             raise DataError(f"{where}: expected 'token<TAB>TAG'")
-        token, tag = parts[0].strip().lower(), parts[1].strip().upper()
+        tokens, tag = tokenize(parts[0]), parts[1].strip().upper()
         if tag not in TAGS:
             raise DataError(f"{where}: unknown tag {tag!r}")
-        lexicon[token] = tag
+        if len(tokens) != 1:  # pos_tag looks up tokenize output, so no other key is reached
+            raise DataError(f"{where}: {parts[0].strip()!r} is not one token")
+        lexicon[tokens[0]] = tag
     return lexicon
 
 
@@ -103,7 +105,7 @@ def construct_query(
 ) -> str:
     """Reduce a language description to its knowledge query.
 
-    Category names are used verbatim (lowercased). Captions map to the
+    Category names are normalized (``normalize_text``). Captions map to the
     rarest chunked noun phrase in ``freq``; ties go to the longer phrase,
     then the lexicographically first. Every NOUN starts or continues a
     phrase, so only a caption without nouns has none: its query is the
@@ -112,7 +114,7 @@ def construct_query(
     if not text.strip():
         raise ValueError("cannot construct a query from empty text")
     if kind == "category":
-        return text.strip().lower()
+        return normalize_text(text)
     if kind != "caption":
         raise ValueError(f"unknown query kind {kind!r}")
 

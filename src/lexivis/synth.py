@@ -214,11 +214,7 @@ def run_seed(seed: int, cfg: SynthConfig) -> dict:
                     params, rare_images, rare, rare_labels
                 )
         del params  # not alive beside the next condition's model
-    coverage = (
-        knowledge_coverage(world.rare_names, world.store, cfg.source)
-        if not cfg.empty_knowledge
-        else 0.0
-    )
+    coverage = knowledge_coverage(world.rare_names, world.store, cfg.source)
     greens = (cells["train_nok_eval_nok"], cells["train_k_eval_k"])
     oranges = (cells["train_nok_eval_k"], cells["train_k_eval_nok"])
     return {

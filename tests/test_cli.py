@@ -62,6 +62,16 @@ class TestCoverage:
         code, _, err = run(capsys, "coverage", "--source", "wn_def", "--queries", QUERIES)
         assert code == EXIT_USAGE
 
+    def test_source_loads_only_its_snapshot(self, capsys, tmp_path, opened_paths):
+        # The unused --wordnet file is not UTF-8: loading it would fail the run.
+        wordnet = tmp_path / "wn.jsonl"
+        wordnet.write_bytes(b"\xff\n")
+        opened_paths.clear()
+        code, summary, _ = run(capsys, "coverage", "--source", "wiki_def", "--wiktionary", WK,
+                               "--wordnet", str(wordnet), "--queries", QUERIES)
+        assert code == EXIT_OK and summary["coverage"] == 1.0
+        assert str(wordnet) not in opened_paths
+
 
 class TestHypernymCycle:
     @pytest.mark.parametrize("source", ["wn_def", "wn_hier"])
@@ -79,16 +89,18 @@ class TestHypernymCycle:
 
 
 class TestBlankKnowledge:
-    """A blank sense, definition or lemma would compose an empty hit; its snapshot is refused."""
+    """A blank sense, definition or lemma would compose an empty hit, and a blank term
+    would be a key no query reaches; its snapshot is refused."""
 
     @pytest.mark.parametrize("source, row, message", [
+        ("wiki_def", {"term": " ", "senses": ["a fighter"]}, "term is blank"),
         ("wiki_def", {"term": "boxer", "senses": ["a fighter", "  "]},
          "senses must not hold a blank string"),
         ("wn_def", {"id": "n1", "lemmas": ["boxer"], "definition": " ", "hypernym_ids": []},
          "definition is blank"),
         ("wn_hier", {"id": "n1", "lemmas": ["boxer", ""], "definition": "a fighter",
                      "hypernym_ids": []}, "lemmas must not hold a blank string"),
-    ], ids=["sense", "definition", "lemma"])
+    ], ids=["term", "sense", "definition", "lemma"])
     def test_blank_knowledge_is_a_snapshot_error(self, capsys, tmp_path, source, row, message):
         snapshot = tmp_path / "snapshot.jsonl"
         valid = ({"term": "crowd", "senses": ["many people"]} if source == "wiki_def" else
@@ -99,6 +111,57 @@ class TestBlankKnowledge:
                            "--queries", QUERIES)
         assert code == EXIT_DATA
         assert err.strip().splitlines() == [f"data error: {snapshot}:2: {message}"]
+
+
+class TestSnapshotKeys:
+    """Snapshot keys are made with the rule their lookup reads queries with."""
+
+    @pytest.mark.parametrize("source, rows, queries", [
+        ("wiki_def", [{"term": " boxer", "senses": ["a fighter"]},
+                      {"term": "crowd", "senses": ["many people"]}], "boxer\ncrowd\n"),
+        ("wn_def", [{"id": "n0", "lemmas": ["boxer "], "definition": "a fighter",
+                     "hypernym_ids": []},
+                    {"id": "n1", "lemmas": ["causal agent"], "definition": "a cause",
+                     "hypernym_ids": []}], "boxer\ncausal agent\n"),
+    ], ids=["wiktionary", "wordnet"])
+    def test_keys_with_stray_or_inner_whitespace_are_reached(
+        self, capsys, tmp_path, source, rows, queries
+    ):
+        snapshot = tmp_path / "snapshot.jsonl"
+        snapshot.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        query_file = tmp_path / "queries.txt"
+        query_file.write_text(queries)
+        flag = "--wiktionary" if source == "wiki_def" else "--wordnet"
+        code, summary, _ = run(capsys, "coverage", "--source", source, flag, str(snapshot),
+                               "--queries", str(query_file))
+        assert code == EXIT_OK and summary["coverage"] == 1.0
+
+    @pytest.mark.parametrize("second, shown", [("boxer", "'boxer'"), ("Boxer  ", "'Boxer  '")],
+                             ids=["same", "same-when-normalized"])
+    def test_duplicate_term_is_a_snapshot_error(self, capsys, tmp_path, second, shown):
+        snapshot = tmp_path / "wk.jsonl"
+        rows = [{"term": "boxer", "senses": ["a fighter"]}, {"term": second, "senses": ["a dog"]}]
+        snapshot.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        code, _, err = run(capsys, "coverage", "--source", "wiki_def", "--wiktionary",
+                           str(snapshot), "--queries", QUERIES)
+        assert code == EXIT_DATA
+        assert _one_line(err) == f"data error: {snapshot}: duplicate dictionary term {shown}"
+
+
+class TestLexicon:
+    @pytest.mark.parametrize("line, message", [
+        ("boxer NOUN", "expected 'token<TAB>TAG'"),
+        ("boxer\tNOUN\tADJ", "expected 'token<TAB>TAG'"),
+        ("boxer\tVERB", "unknown tag 'VERB'"),
+        ("ice cream\tNOUN", "'ice cream' is not one token"),
+        (".\tOTHER", "'.' is not one token"),
+    ], ids=["no-tab", "two-tabs", "unknown-tag", "two-tokens", "no-token"])
+    def test_bad_lexicon_row_is_located(self, capsys, tmp_path, dataset, line, message):
+        lexicon = tmp_path / "lexicon.tsv"
+        lexicon.write_text(f"the\tDET\n{line}\n")
+        code, _, err = run(capsys, "stats", "--dataset", str(dataset), "--lexicon", str(lexicon))
+        assert code == EXIT_DATA
+        assert _one_line(err) == f"data error: {lexicon}:2: {message}"
 
 
 class TestUsage:
@@ -349,6 +412,13 @@ class TestConfigAndEnv:
         cfg.write_text("no_such_key = 1\n")
         code, _, err = run(capsys, "--config", str(cfg), "coverage", "--queries", QUERIES)
         assert code == EXIT_USAGE
+
+    def test_config_line_without_equals_names_the_line(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("source = wiki_def\nmin_freq 3\n")
+        code, _, err = run(capsys, "--config", str(cfg), "coverage", "--queries", QUERIES)
+        assert code == EXIT_USAGE
+        assert _one_line(err) == f"config error: {cfg}:2: expected key=value"
 
     def test_env_overrides_config(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "cov.cfg"
@@ -926,6 +996,21 @@ class TestCorruptCheckpoint:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and "lnf.g" in lines[0]
 
+    @pytest.mark.parametrize("key, value", [("encoder_config", []), ("tensors", 5)])
+    def test_non_object_config_or_tensors_is_data_error(self, capsys, tmp_path, checkpoint,
+                                                        key, value):
+        payload = json.loads(checkpoint.read_text())
+        payload[key] = value
+        checkpoint.write_text(json.dumps(payload))
+        images = _write_images(tmp_path / "images.jsonl", [{"image": [1.0, 0.0, 0.0, 0.0],
+                                                            "label": 0}])
+        code, _, err = run(capsys, "eval-probe", "--checkpoint", str(checkpoint),
+                           "--images", str(images))
+        assert code == EXIT_DATA
+        assert _one_line(err) == (
+            f"data error: {checkpoint}: checkpoint needs encoder_config and tensors objects"
+        )
+
 
 def _write_images(path, rows):
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
@@ -949,6 +1034,14 @@ class TestEvalDefects:
         code, _, err = run(capsys, *argv)
         assert code == EXIT_DATA
         assert _one_line(err) == f"data error: {images}:3: either every row has a label or none does"
+
+    def test_probe_on_unlabeled_images_is_data_error(self, capsys, tmp_path, checkpoint):
+        images = _write_images(tmp_path / "images.jsonl",
+                               [{"image": np.eye(4)[i].tolist()} for i in range(4)])
+        code, _, err = run(capsys, "eval-probe", "--checkpoint", str(checkpoint),
+                           "--images", str(images))
+        assert code == EXIT_DATA
+        assert _one_line(err) == f"data error: {images}: eval-probe needs labeled images"
 
     @pytest.mark.parametrize("bad_label", [4, -1, 7, 2**63 - 1, -(2**63)])
     def test_zeroshot_label_outside_class_list(self, capsys, tmp_path, checkpoint, bad_label):
@@ -1145,6 +1238,21 @@ class TestRowWidths:
         assert code == EXIT_DATA
         lines = err.strip().splitlines()
         assert len(lines) == 1 and f"{regions}:2: targets" in lines[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ground-train", "ground-eval"])
+    def test_targets_need_one_row_per_region(self, capsys, tmp_path, checkpoint, command):
+        rows = _region_rows(2)
+        rows[1]["targets"] = np.eye(3, 2).tolist()
+        regions = _write_images(tmp_path / "regions.jsonl", rows)
+        classes = tmp_path / "classes.json"
+        classes.write_text(json.dumps(["boxer", "crowd"]))
+        out = tmp_path / "out.json"
+        code, _, err = run(capsys, *_ground_argv(command, regions, classes, checkpoint, out))
+        assert code == EXIT_DATA
+        assert _one_line(err) == (
+            f"data error: {regions}:2: targets row count != features row count"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["ground-train", "ground-eval"])

@@ -131,6 +131,19 @@ class TestLoadWordnet:
             with pytest.raises(SnapshotError, match=f"^{path}: hypernym chain from 's0'"):
                 load_wordnet_snapshot(path)
 
+    def test_lemma_with_a_space_is_indexed_like_its_lookup(self, tmp_path):
+        path = tmp_path / "wn.jsonl"
+        _write_jsonl(path, [
+            {"id": "n0", "lemmas": ["Causal Agent"], "definition": "a cause", "hypernym_ids": []},
+        ])
+        graph = load_wordnet_snapshot(path)
+        assert graph.lookup("causal  agent").id == "n0"
+        assert graph.lookup("the causal_agent").id == "n0"
+        # Only the key gets underscores; the stored lemma is lowercased as written.
+        assert KnowledgeStore(wordnet=graph).retrieve("causal agent", "wn_hier").text == (
+            "causal agent"
+        )
+
     def test_first_listed_synset_wins_lemma_ties(self):
         records = [
             SynsetRecord("n1", ("bank",), "river bank", ()),
@@ -205,6 +218,19 @@ class TestWiktionary:
         path = tmp_path / "wk.jsonl"
         _write_jsonl(path, [{"term": "x", "senses": []}])
         with pytest.raises(SnapshotError, match="senses"):
+            load_wiktionary_snapshot(path)
+
+    def test_term_is_keyed_like_its_lookup(self):
+        dictionary = Dictionary([DictionaryEntry(" Hot  Dog", ("a sausage",))])
+        assert list(dictionary.entries) == ["hot dog"]
+        assert dictionary.lookup("a hot dog").senses == ("a sausage",)
+        assert dictionary.lookup("") is None
+
+    @pytest.mark.parametrize("term", ["", " \t"])
+    def test_blank_term_is_refused(self, tmp_path, term):
+        path = tmp_path / "wk.jsonl"
+        _write_jsonl(path, [{"term": "x", "senses": ["y"]}, {"term": term, "senses": ["z"]}])
+        with pytest.raises(SnapshotError, match=f"^{path}:2: term is blank$"):
             load_wiktionary_snapshot(path)
 
 

@@ -10,6 +10,7 @@ from lexivis.queries import (
     chunk_noun_phrases,
     construct_query,
     iter_queries,
+    load_lexicon,
     pos_tag,
     tokenize,
 )
@@ -40,6 +41,14 @@ class TestPosTag:
 
     def test_unknown_defaults_to_noun(self):
         assert pos_tag(["zzzword"], {})[0] == "NOUN"
+
+    def test_lexicon_entry_is_keyed_by_its_token(self, tmp_path):
+        # pos_tag looks up "dr", the token tokenize makes of "Dr.", never "dr.".
+        path = tmp_path / "lexicon.tsv"
+        path.write_text("Dr.\tOTHER\n")
+        lexicon = load_lexicon(path)
+        assert lexicon == {"dr": "OTHER"}
+        assert pos_tag(tokenize("Dr. Smith"), lexicon) == ["OTHER", "NOUN"]
 
 
 def _chunk(sentence, lexicon):
@@ -105,6 +114,9 @@ class TestConstructQuery:
 
     def test_category_lowercases(self):
         assert construct_query("Tench", "category") == "tench"
+
+    def test_category_is_normalized_like_snapshot_keys(self):
+        assert construct_query("Hot  Dog", "category") == "hot dog"
 
     def test_rarest_phrase_wins(self, lexicon):
         freq = Counter({"professional boxer": 1, "boxer": 9, "the crowd": 4, "crowd": 12})

@@ -178,6 +178,25 @@ class TestTrain:
         result = train(cfg, data)
         assert result.params.tau <= enc.TAU_MAX + 1e-9
 
+    def test_log_tau_above_the_cap_is_clamped_after_one_step(self):
+        cfg = _train_config().encoder
+        data = _synthetic_dataset(n_classes=2, per_class=2)
+        params = enc.init_params(cfg, seed=0)
+        params.tensors["log_tau"][...] = np.log(10 * enc.TAU_MAX)
+        batch = enc.TrainBatch(
+            images=np.stack([t.image for t in data]),
+            token_ids=[enc.text_to_ids(t.text, cfg) for t in data],
+            labels=np.array([t.label for t in data]),
+        )
+        trace, _ = trainer.fit(params, enc.LossSpec(), range(len(data)), lambda _: batch,
+                               epochs=1, batch_size=len(data), optimizer="adam",
+                               learning_rate=1e-3, seed=0)
+        assert len(trace) == 1
+        assert params.tensors["log_tau"] == np.log(enc.TAU_MAX)  # the clamp's value, bitwise
+        # exp(log(100.0)) rounds to 100.00000000000004: that is the clamped tau, one ulp off.
+        assert trace[0][4] == params.tau == float(np.exp(np.log(enc.TAU_MAX)))
+        assert params.tau == pytest.approx(enc.TAU_MAX, rel=1e-15, abs=0)
+
     def test_batch_size_one_rejected(self):
         with pytest.raises(ConfigError):
             _train_config(batch_size=1)
