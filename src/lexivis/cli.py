@@ -202,6 +202,10 @@ def _cmd_train(args) -> dict:
     first = next(rows)
     config.encoder = replace(config.encoder, image_input_dim=first.image.size)
     result = trainer.train(config, itertools.chain([first], rows), base)
+    cut, distinct, longest = result.cut
+    if cut:  # stderr only: the summary and checkpoint stay as they are without a cut
+        print(f"train: {cut} of {distinct} distinct texts cut to max_tokens "
+              f"{result.params.config.max_tokens} (longest {longest} words)", file=sys.stderr)
     enc.save_checkpoint(
         result.params,
         args.out_checkpoint,

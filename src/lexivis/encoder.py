@@ -70,17 +70,14 @@ class EncoderConfig:
         return asdict(self)
 
 
-def hash_token_id(word: str, vocab_size: int) -> int:
-    """Deterministic, platform-stable bucket id in [NUM_RESERVED, vocab_size)."""
-    return NUM_RESERVED + zlib.crc32(word.encode("utf-8")) % (vocab_size - NUM_RESERVED)
-
-
 def text_to_ids(text: str, config: EncoderConfig, pooling: str = "eos") -> list[int]:
     """Tokenize a text and append/prepend the pooling token."""
     if pooling not in ("eos", "cls"):
         raise ValueError(f"unknown pooling {pooling!r}")
     words = tokenize(text)[: config.max_tokens - 1]
-    ids = [hash_token_id(w, config.vocab_size) for w in words]
+    # Deterministic, platform-stable bucket ids in [NUM_RESERVED, vocab_size).
+    ids = [NUM_RESERVED + zlib.crc32(w.encode("utf-8")) % (config.vocab_size - NUM_RESERVED)
+           for w in words]
     return [CLS_ID] + ids if pooling == "cls" else ids + [EOS_ID]
 
 
@@ -253,26 +250,31 @@ def _softmax_last(z):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _attention_forward(x, t, pre, n_heads):
-    """Bidirectional multi-head self-attention over (B, L, P) sequences of one length."""
+def _qkv_heads(x, t, pre, n_heads):
+    """Q, K and V of (B, L, P) inputs as (B, H, L, hd) views: each head of each sequence is one
+    (L, hd) matrix. The forward and the backward's rebuild both call this: the same bits."""
     batch, length, p = x.shape
-    hd = p // n_heads
-    scale = 1.0 / math.sqrt(hd)
-    q = x @ t[pre + "Wq"] + t[pre + "bq"]
-    k = x @ t[pre + "Wk"] + t[pre + "bk"]
-    v = x @ t[pre + "Wv"] + t[pre + "bv"]
-    # (B, H, L, hd) views: each head of each sequence is one (L, hd) matrix.
-    qh, kh, vh = (m.reshape(batch, length, n_heads, hd).swapaxes(1, 2) for m in (q, k, v))
-    attn = _softmax_last(qh @ kh.mT * scale)
-    ctx = attn @ vh
-    ctx_flat = ctx.swapaxes(1, 2).reshape(batch, length, p)
-    out = ctx_flat @ t[pre + "Wo"] + t[pre + "bo"]
-    return out, (x, qh, kh, vh, attn, ctx_flat, scale)
+    return [(x @ t[pre + "W" + n] + t[pre + "b" + n]).reshape(batch, length, n_heads, p // n_heads)
+            .swapaxes(1, 2) for n in "qkv"]
+
+
+def _attention_forward(x, t, pre, n_heads):
+    """Bidirectional multi-head self-attention over (B, L, P) sequences of one length.
+
+    The cache is the input and the softmax probabilities; the backward rebuilds Q, K, V and the
+    context from the input."""
+    qh, kh, vh = _qkv_heads(x, t, pre, n_heads)
+    attn = _softmax_last(qh @ kh.mT * (1.0 / math.sqrt(qh.shape[-1])))
+    ctx_flat = (attn @ vh).swapaxes(1, 2).reshape(x.shape)
+    return ctx_flat @ t[pre + "Wo"] + t[pre + "bo"], (x, attn)
 
 
 def _attention_backward(dout, cache, t, pre, grads):
-    x, qh, kh, vh, attn, ctx_flat, scale = cache
+    x, attn = cache
+    qh, kh, vh = _qkv_heads(x, t, pre, attn.shape[1])
     batch, n_heads, length, hd = qh.shape
+    scale = 1.0 / math.sqrt(hd)
+    ctx_flat = (attn @ vh).swapaxes(1, 2).reshape(x.shape)
     _accumulate(grads[pre + "Wo"], ctx_flat.mT @ dout)
     _accumulate(grads[pre + "bo"], dout.sum(axis=-2))
     dctx = (dout @ t[pre + "Wo"].T).reshape(batch, length, n_heads, hd).swapaxes(1, 2)

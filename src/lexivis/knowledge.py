@@ -275,7 +275,7 @@ def load_wordnet_snapshot(path) -> WordNetGraph:
     for where, obj in iter_jsonl(path, SnapshotError, fields):
         record = SynsetRecord(
             id=string_field(obj, "id", where, SnapshotError),
-            lemmas=tuple(l.lower() for l in _string_list(obj, "lemmas", where, True)),
+            lemmas=tuple(normalize_text(l) for l in _string_list(obj, "lemmas", where, True)),
             definition=string_field(obj, "definition", where, SnapshotError),
             hypernym_ids=_string_list(obj, "hypernym_ids", where, False),
         )

@@ -48,6 +48,10 @@ def load_lexicon(path) -> dict[str, str]:
             raise DataError(f"{where}: unknown tag {tag!r}")
         if len(tokens) != 1:  # pos_tag looks up tokenize output, so no other key is reached
             raise DataError(f"{where}: {parts[0].strip()!r} is not one token")
+        if tokens[0] in lexicon:  # the earlier row is found again here, not kept for every row
+            first = next(at for at, row in read_lines(path)
+                         if tokenize(row.split("\t")[0]) == tokens)
+            raise DataError(f"{where}: token {tokens[0]!r} is already listed at {first}")
         lexicon[tokens[0]] = tag
     return lexicon
 

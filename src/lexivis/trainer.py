@@ -215,6 +215,7 @@ class TrainResult:
     params: enc.ModelParams
     trace: list[tuple]  # (step, l_i2t, l_t2i, l_ic, tau)
     branch_counts: dict
+    cut: tuple  # (distinct texts cut to max_tokens, distinct texts, longest in words)
 
 
 class _Optimizer:
@@ -281,9 +282,9 @@ def fit(
     Each epoch visits ``items`` in a seeded permutation, ``batch_size`` at a
     time; ``make_batch`` turns the sampled items into encoder inputs. Each
     step updates one packed vector (``encoder.FlatTensors``) and clamps
-    log-tau to ``TAU_MAX``. Returns the loss trace, with rows (step, l_i2t,
-    l_t2i, l_ic, tau) for the contrastive loss and (step, focal_loss) for
-    grounding, plus the per-branch text counts.
+    log-tau so that tau never exceeds ``TAU_MAX``. Returns the loss trace,
+    with rows (step, l_i2t, l_t2i, l_ic, tau) for the contrastive loss and
+    (step, focal_loss) for grounding, plus the per-branch text counts.
     """
     if optimizer not in OPTIMIZERS:
         raise ConfigError(f"unknown optimizer {optimizer!r}")
@@ -292,7 +293,7 @@ def fit(
     rng = np.random.default_rng(seed)
     trace = []
     branch_counts = {"base": 0, "adapter": 0}
-    log_tau_max = np.log(enc.TAU_MAX)
+    log_tau_max = np.nextafter(np.log(enc.TAU_MAX), -np.inf)  # exp(log(TAU_MAX)) rounds above it
     for _ in range(epochs):
         order = rng.permutation(len(items))
         for start in range(0, len(items), batch_size):
@@ -365,7 +366,9 @@ def train(
               ("label", np.int64), ("labeled", bool), ("group", np.int64), ("adapter", bool)]
     rows = np.fromiter(records(), dtype=np.dtype(fields, align=True))
     token_ids = [np.array(enc.text_to_ids(text, cfg), dtype=np.int32) for text in text_index]
-    del text_index, groups  # training needs neither
+    words = [len(queries.tokenize(text)) for text in text_index]  # cut past max_tokens - 1 words
+    cut = (sum(n >= cfg.max_tokens for n in words), len(words), max(words, default=0))
+    del text_index, groups, words  # training needs none of them
     labels = rows["label"] if rows["labeled"].all() else rows["group"]
     spec = enc.LossSpec(loss="contrastive", trainable="adapters" if continual else "all")
 
@@ -381,7 +384,7 @@ def train(
         params, spec, range(len(rows)), make_batch, config.epochs, config.batch_size,
         config.optimizer, config.learning_rate, config.seed,
     )
-    return TrainResult(params=params, trace=trace, branch_counts=branch_counts)
+    return TrainResult(params=params, trace=trace, branch_counts=branch_counts, cut=cut)
 
 
 def save_trace_csv(trace: list[tuple], path, header: str = "step,l_i2t,l_t2i,l_ic,tau") -> None:

@@ -163,6 +163,14 @@ class TestLexicon:
         assert code == EXIT_DATA
         assert _one_line(err) == f"data error: {lexicon}:2: {message}"
 
+    def test_duplicate_token_is_located(self, capsys, tmp_path, dataset):
+        lexicon = tmp_path / "lexicon.tsv"
+        lexicon.write_text("dr.\tOTHER\nthe\tDET\nDr\tNOUN\n")
+        code, _, err = run(capsys, "stats", "--dataset", str(dataset), "--lexicon", str(lexicon))
+        assert code == EXIT_DATA
+        assert _one_line(err) == (
+            f"data error: {lexicon}:3: token 'dr' is already listed at {lexicon}:1")
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
@@ -839,6 +847,32 @@ class TestTrainEval:
             assert code == EXIT_OK
             checkpoints.append(json.loads(ckpt.read_text()))
         assert checkpoints[0] == checkpoints[1]
+
+    def test_cut_texts_are_reported_on_stderr_only(self, capsys, tmp_path):
+        images = np.random.default_rng(0).normal(size=(8, 4)).tolist()
+        long_texts = [f"{name} " + " ".join(f"w{i}" for i in range(20))  # 21 words each
+                      for name in ("boxer", "tench")]
+
+        def train_on(texts):
+            dataset = tmp_path / "ds.jsonl"
+            dataset.write_text("".join(
+                json.dumps({"image": image, "text": texts[row // 2], "label": row // 2}) + "\n"
+                for row, image in enumerate(images)))
+            ckpt = tmp_path / "m.json"  # one path, so the summaries can be compared whole
+            code, out, err = run(capsys, "train", "--dataset", str(dataset), "--out-checkpoint",
+                                 str(ckpt), "--epochs", "2", "--batch-size", "4",
+                                 "--embed-dim", "8", "--hidden-dim", "16", "--vocab-size", "64",
+                                 "--max-tokens", "8", "--adapter-bottleneck", "2")
+            assert code == EXIT_OK
+            return out, ckpt.read_bytes(), err
+
+        cut = train_on(long_texts + ["crowd", "fireplug"])
+        assert _one_line(cut[2]) == (
+            "train: 2 of 4 distinct texts cut to max_tokens 8 (longest 21 words)")
+        # The same rows with the texts cut beforehand: no line, the same summary and checkpoint.
+        kept = train_on([" ".join(text.split()[:7]) for text in long_texts] + ["crowd", "fireplug"])
+        assert kept[2] == ""
+        assert cut[:2] == kept[:2]
 
 
 class TestGrounding:

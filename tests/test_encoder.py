@@ -899,6 +899,95 @@ class TestCacheLifetime:
         assert all(ref() is None for refs in runs for ref in refs)
 
 
+def _full_cache_attention_forward(x, t, pre, n_heads):
+    """Attention whose cache holds Q, K, V and the context beside the softmax probabilities."""
+    batch, length, p = x.shape
+    hd = p // n_heads
+    scale = 1.0 / math.sqrt(hd)
+    q = x @ t[pre + "Wq"] + t[pre + "bq"]
+    k = x @ t[pre + "Wk"] + t[pre + "bk"]
+    v = x @ t[pre + "Wv"] + t[pre + "bv"]
+    qh, kh, vh = (m.reshape(batch, length, n_heads, hd).swapaxes(1, 2) for m in (q, k, v))
+    attn = enc._softmax_last(qh @ kh.mT * scale)
+    ctx = attn @ vh
+    ctx_flat = ctx.swapaxes(1, 2).reshape(batch, length, p)
+    out = ctx_flat @ t[pre + "Wo"] + t[pre + "bo"]
+    return out, (x, qh, kh, vh, attn, ctx_flat, scale)
+
+
+def _full_cache_attention_backward(dout, cache, t, pre, grads):
+    """The backward of ``_full_cache_attention_forward``: it reads Q, K, V and the context."""
+    x, qh, kh, vh, attn, ctx_flat, scale = cache
+    batch, n_heads, length, hd = qh.shape
+    enc._accumulate(grads[pre + "Wo"], ctx_flat.mT @ dout)
+    enc._accumulate(grads[pre + "bo"], dout.sum(axis=-2))
+    dctx = (dout @ t[pre + "Wo"].T).reshape(batch, length, n_heads, hd).swapaxes(1, 2)
+    dattn = dctx @ vh.mT
+    dvh = attn.mT @ dctx
+    dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+    dqh = dscores @ kh * scale
+    dkh = dscores.mT @ qh * scale
+    dq, dk, dv = (dh.swapaxes(1, 2).reshape(x.shape) for dh in (dqh, dkh, dvh))
+    for name, d in (("q", dq), ("k", dk), ("v", dv)):
+        enc._accumulate(grads[pre + "W" + name], x.mT @ d)
+        enc._accumulate(grads[pre + "b" + name], d.sum(axis=-2))
+    return dq @ t[pre + "Wq"].T + dk @ t[pre + "Wk"].T + dv @ t[pre + "Wv"].T
+
+
+def _full_cache_attention(monkeypatch):
+    monkeypatch.setattr(enc, "_attention_forward", _full_cache_attention_forward)
+    monkeypatch.setattr(enc, "_attention_backward", _full_cache_attention_backward)
+
+
+class TestAttentionRebuild:
+    """Attention caches its input and softmax probabilities; the backward rebuilds Q, K, V
+    and the context, with the bits of a backward that cached them."""
+
+    @pytest.mark.parametrize("adapters", [False, True])
+    @pytest.mark.parametrize("name", ["one_run_of_b", "mixed_lengths", "random0", "random1"])
+    def test_contrastive_grads_equal_the_full_cache(self, name, adapters, monkeypatch):
+        params, batch, _ = _stacking_case(name, adapters)
+        spec = enc.LossSpec(use_adapters=adapters)
+        losses, g = enc.grads(params, batch, spec)
+        _full_cache_attention(monkeypatch)
+        ref_losses, ref_g = enc.grads(params, batch, spec)
+        assert losses == ref_losses
+        for key in g:
+            assert g[key].tobytes() == ref_g[key].tobytes(), key
+
+    @pytest.mark.parametrize("pooling", ["eos", "cls"])
+    @pytest.mark.parametrize("adapters", [False, True])
+    def test_text_pass_equals_the_full_cache(self, pooling, adapters, monkeypatch):
+        params, rng = _perturbed_params(text_layers=2, adapters=adapters)
+        for batch in range(1, 5):
+            ids = rng.integers(2, 64, size=(batch, rng.integers(1, 9)))
+            ids[:, 0 if pooling == "cls" else -1] = enc.CLS_ID if pooling == "cls" else enc.EOS_ID
+            dvecs = rng.normal(size=(batch, params.config.embed_dim))
+            results = []
+            for full_cache in (False, True):
+                if full_cache:
+                    _full_cache_attention(monkeypatch)
+                vecs, cache = enc._text_forward(params, ids, pooling, adapters)
+                g = params.zeros_like()
+                enc._text_backward(params, cache, dvecs, g)
+                results.append((vecs.tobytes(), g.flat.tobytes()))
+            monkeypatch.undo()
+            assert results[0] == results[1], ids.shape
+
+    @pytest.mark.parametrize("adapters", [False, True])
+    def test_attention_caches_only_its_probabilities(self, adapters):
+        params, _ = _perturbed_params(text_layers=2, adapters=adapters)
+        ids = [[3, 4, 5, 1], [6, 7, 8, 1], [9, 10, 11, 1]]
+        _, (_, _, caches) = enc._text_forward(params, ids, "eos", adapters)
+        attention = [block_cache for _, _, keys, _, block_cache in caches[:-1] if keys is None]
+        assert len(attention) == params.config.text_layers
+        for block_cache in attention:
+            # (B, H, L, L) probabilities; no (B, L, P) Q, K, V, context or input.
+            (attn,) = _cache_arrays(block_cache)
+            assert attn.shape == (3, params.config.num_heads, 4, 4)
+            assert np.allclose(attn.sum(axis=-1), 1.0)
+
+
 PRIMITIVES = ("_layer_norm", "_layer_norm_backward", "_attention_forward",
               "_attention_backward", "_ffn_forward", "_ffn_backward")
 

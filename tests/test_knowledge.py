@@ -139,9 +139,21 @@ class TestLoadWordnet:
         graph = load_wordnet_snapshot(path)
         assert graph.lookup("causal  agent").id == "n0"
         assert graph.lookup("the causal_agent").id == "n0"
-        # Only the key gets underscores; the stored lemma is lowercased as written.
+        # Only the key gets underscores; the stored lemma is normalized like the query.
         assert KnowledgeStore(wordnet=graph).retrieve("causal agent", "wn_hier").text == (
             "causal agent"
+        )
+
+    def test_stored_lemma_is_normalized_like_its_key(self, tmp_path):
+        path = tmp_path / "wn.jsonl"
+        _write_jsonl(path, [
+            {"id": "b", "lemmas": ["Boxer  "], "definition": "fights", "hypernym_ids": ["c"]},
+            {"id": "c", "lemmas": ["causal  agent"], "definition": "a cause", "hypernym_ids": []},
+        ])
+        graph = load_wordnet_snapshot(path)
+        assert [rec.lemmas for rec in graph.synsets.values()] == [("boxer",), ("causal agent",)]
+        assert KnowledgeStore(wordnet=graph).retrieve("boxer", "wn_hier").text == (
+            "boxer, causal agent"
         )
 
     def test_first_listed_synset_wins_lemma_ties(self):

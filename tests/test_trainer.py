@@ -176,7 +176,7 @@ class TestTrain:
         data = _synthetic_dataset(n_classes=2, per_class=3)
         cfg = _train_config(epochs=3, batch_size=2, learning_rate=2.0, optimizer="sgd")
         result = train(cfg, data)
-        assert result.params.tau <= enc.TAU_MAX + 1e-9
+        assert result.params.tau <= enc.TAU_MAX
 
     def test_log_tau_above_the_cap_is_clamped_after_one_step(self):
         cfg = _train_config().encoder
@@ -192,9 +192,9 @@ class TestTrain:
                                epochs=1, batch_size=len(data), optimizer="adam",
                                learning_rate=1e-3, seed=0)
         assert len(trace) == 1
-        assert params.tensors["log_tau"] == np.log(enc.TAU_MAX)  # the clamp's value, bitwise
-        # exp(log(100.0)) rounds to 100.00000000000004: that is the clamped tau, one ulp off.
-        assert trace[0][4] == params.tau == float(np.exp(np.log(enc.TAU_MAX)))
+        # exp(log(100.0)) rounds to 100.00000000000004, so the clamp is one ulp below log(100.0).
+        assert params.tensors["log_tau"] == np.nextafter(np.log(enc.TAU_MAX), -np.inf)  # bitwise
+        assert trace[0][4] == params.tau == 99.99999999999996
         assert params.tau == pytest.approx(enc.TAU_MAX, rel=1e-15, abs=0)
 
     def test_batch_size_one_rejected(self):
