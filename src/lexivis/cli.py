@@ -104,9 +104,13 @@ def _load_class_names(path) -> list[str]:
         raise DataError(f"{path}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
     if not isinstance(names, list) or not names or not all(isinstance(n, str) for n in names):
         raise DataError(f"{path}: classes must be a non-empty JSON list of strings")
-    blank = next((i for i, name in enumerate(names) if not name.strip()), None)
-    if blank is not None:
-        raise DataError(f"{path}: class {blank} is blank")
+    first: dict[str, int] = {}  # each normalized name's first index
+    for i, name in enumerate(names):
+        if not name.strip():
+            raise DataError(f"{path}: class {i} is blank")
+        earlier = first.setdefault(queries.normalize_text(name), i)
+        if earlier != i:  # the two would encode the same texts: the later one never wins
+            raise DataError(f"{path}: class {i} {name!r} repeats class {earlier}")
     return names
 
 
@@ -129,17 +133,28 @@ def _load_labeled_images(path, width: int, n_classes: int | None = None):
     return np.stack(images), (None if labels[0] is None else np.asarray(labels))
 
 
+# Each encoder flag's dest: (its EncoderConfig field, its default). The flags read None until a
+# command line, config file or variable sets them, so continual training can tell them apart.
+_ENCODER_FLAGS = {
+    "embed_dim": ("embed_dim", 32), "layers": ("text_layers", 2), "heads": ("num_heads", 2),
+    "hidden_dim": ("hidden_dim", 64), "vocab_size": ("vocab_size", 512),
+    "max_tokens": ("max_tokens", 64), "adapter_bottleneck": ("adapter_bottleneck", 8),
+}
+
+
 def _encoder_config(args, image_dim: int) -> enc.EncoderConfig:
-    return enc.EncoderConfig(
-        embed_dim=args.embed_dim,
-        text_layers=args.layers,
-        num_heads=args.heads,
-        hidden_dim=args.hidden_dim,
-        vocab_size=args.vocab_size,
-        max_tokens=args.max_tokens,
-        adapter_bottleneck=args.adapter_bottleneck,
-        image_input_dim=image_dim,
-    )
+    fields = {name: default if getattr(args, dest) is None else getattr(args, dest)
+              for dest, (name, default) in _ENCODER_FLAGS.items()}
+    return enc.EncoderConfig(image_input_dim=image_dim, **fields)
+
+
+def _check_base_flags(args, base: enc.EncoderConfig) -> None:
+    """Continual training keeps the base's encoder: an encoder flag that is set must agree."""
+    for dest, (name, _) in _ENCODER_FLAGS.items():
+        value, kept = getattr(args, dest), getattr(base, name)
+        if value is not None and value != kept:
+            raise ConfigError(f"--{dest.replace('_', '-')} {value} differs from the base "
+                              f"checkpoint's {kept}")
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +213,8 @@ def _cmd_train(args) -> dict:
         encoder=_encoder_config(args, image_dim=1),  # the dataset's first row sets the width
     )
     base = enc.load_checkpoint(args.base_checkpoint)[0] if continual else None
+    if continual:
+        _check_base_flags(args, base.config)
     rows = trainer.iter_dataset_jsonl(args.dataset, base.config.image_input_dim if base else None)
     first = next(rows)
     config.encoder = replace(config.encoder, image_input_dim=first.image.size)
@@ -213,12 +230,11 @@ def _cmd_train(args) -> dict:
     )
     if args.trace:
         trainer.save_trace_csv(result.trace, args.trace)
-    final = result.trace[-1] if result.trace else (0, 0.0, 0.0, 0.0, result.params.tau)
     return {
         "command": "train",
         "checkpoint": str(args.out_checkpoint),
         "steps": len(result.trace),
-        "final_l_ic": final[3],
+        "final_l_ic": result.trace[-1][3] if result.trace else None,
         "branch_counts": result.branch_counts,
     }
 
@@ -294,7 +310,8 @@ def _cmd_eval_probe(args) -> dict:
 
 
 def _cmd_ground_train(args) -> dict:
-    cfg = _encoder_config(args, image_dim=args.embed_dim)
+    cfg = _encoder_config(args, image_dim=1)
+    cfg = replace(cfg, image_input_dim=cfg.embed_dim)  # as wide as the region features
     focal = grounding.FocalParams(args.focal_alpha, args.focal_gamma)
     trainer.check_schedule(args.epochs, args.learning_rate)
     store = _load_store(args) if args.with_knowledge else None
@@ -405,13 +422,8 @@ def _add_store_flags(p):
 
 
 def _add_encoder_flags(p):
-    p.add_argument("--embed-dim", type=int, default=32)
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--heads", type=int, default=2)
-    p.add_argument("--hidden-dim", type=int, default=64)
-    p.add_argument("--vocab-size", type=int, default=512)
-    p.add_argument("--max-tokens", type=int, default=64)
-    p.add_argument("--adapter-bottleneck", type=int, default=8)
+    for dest in _ENCODER_FLAGS:
+        p.add_argument("--" + dest.replace("_", "-"), type=int)
 
 
 def build_parser() -> _Parser:

@@ -63,8 +63,8 @@ class AugmentedText:
 
 
 def _word_budget(max_tokens: int) -> int:
-    # One slot is reserved for the pooling token the encoder appends.
-    return max(1, max_tokens - 1)
+    # One slot is reserved for the pooling token the encoder adds.
+    return max_tokens - 1
 
 
 def _trim_words(text: str, allowed: int) -> str:
@@ -116,7 +116,7 @@ def check_class_budget(name: str, text: str, max_tokens: int) -> str:
     Only knowledge is trimmed to the budget, so a long prompt or query can
     still exceed it; the class is named rather than encoded cut short.
     """
-    budget = max_tokens - 1
+    budget = _word_budget(max_tokens)
     n_tokens = len(tokenize(text))
     if n_tokens > budget:
         raise DataError(f"class {name!r} has {n_tokens} tokens; max is {budget}")

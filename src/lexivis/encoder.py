@@ -71,7 +71,7 @@ class EncoderConfig:
 
 
 def text_to_ids(text: str, config: EncoderConfig, pooling: str = "eos") -> list[int]:
-    """Tokenize a text and append/prepend the pooling token."""
+    """Tokenize a text and add the token it pools at, EOS last or CLS first: the ids say which."""
     if pooling not in ("eos", "cls"):
         raise ValueError(f"unknown pooling {pooling!r}")
     words = tokenize(text)[: config.max_tokens - 1]
@@ -325,26 +325,19 @@ def _ffn_backward(dout, cache, t, pre, keys, grads, input_grad=True):
 # Text encoder
 
 
-def _checked_ids(params: ModelParams, token_ids, pooling: str, use_adapters: bool) -> list[int]:
-    """The ids one text pass encodes: ``token_ids`` checked, without the padding after EOS."""
+def _checked_ids(params: ModelParams, token_ids, use_adapters: bool) -> list[int]:
+    """``token_ids`` checked for a text pass: pooled at CLS if first, else at a last, sole EOS."""
     cfg = params.config
-    if len(token_ids) > cfg.max_tokens:
-        raise ValueError(f"sequence length {len(token_ids)} exceeds max_tokens {cfg.max_tokens}")
-    if any(not 0 <= i < cfg.vocab_size for i in token_ids):
+    ids = list(token_ids)
+    if len(ids) > cfg.max_tokens:
+        raise ValueError(f"sequence length {len(ids)} exceeds max_tokens {cfg.max_tokens}")
+    if any(not 0 <= i < cfg.vocab_size for i in ids):
         raise ValueError("token id out of vocabulary range")
     if use_adapters and not params.has_adapters:
         raise ConfigError("adapter branch requested but no adapter tensors exist")
-    if pooling == "cls":
-        if not token_ids or token_ids[0] != CLS_ID:
-            raise ValueError("CLS pooling requires CLS as the first token")
-        return list(token_ids)
-    if pooling != "eos":
-        raise ValueError(f"unknown pooling {pooling!r}")
-    if EOS_ID not in token_ids:
-        raise ValueError("EOS pooling requires an EOS token in the sequence")
-    # Anything after the EOS token is padding: masked out of attention by
-    # simply never entering the computation.
-    return list(token_ids[: token_ids.index(EOS_ID) + 1])
+    if ids[:1] != [CLS_ID] and (ids[-1:] != [EOS_ID] or EOS_ID in ids[:-1]):
+        raise ValueError("EOS must end a sequence that does not begin with CLS, and only end it")
+    return ids
 
 
 def _sublayers(i: int, use_adapters: bool) -> list[tuple]:
@@ -356,7 +349,7 @@ def _sublayers(i: int, use_adapters: bool) -> list[tuple]:
     return [sub for sub in subs if use_adapters or sub[2] is not _ADAPTER_KEYS]
 
 
-def _text_forward(params: ModelParams, ids, pooling: str, use_adapters: bool):
+def _text_forward(params: ModelParams, ids, use_adapters: bool):
     """Pooled features (B, P) of B checked id sequences of one length, all on one branch."""
     cfg = params.config
     t = params.tensors
@@ -375,8 +368,8 @@ def _text_forward(params: ModelParams, ids, pooling: str, use_adapters: bool):
             x = x + out
             caches.append((norm, block, keys, norm_cache, block_cache))
     y, lnf_cache = _layer_norm(x, t["lnf.g"], t["lnf.b"])
-    pool = 0 if pooling == "cls" else -1  # EOS is the last id kept
-    return y[:, pool].copy(), (ids, pool, caches + [lnf_cache])
+    pool = (np.arange(len(ids)), np.where(ids[:, 0] == CLS_ID, 0, ids.shape[1] - 1))
+    return y[pool], (ids, pool, caches + [lnf_cache])
 
 
 def _text_backward(params: ModelParams, cache: tuple, dvecs: np.ndarray, grads: dict) -> None:
@@ -386,7 +379,7 @@ def _text_backward(params: ModelParams, cache: tuple, dvecs: np.ndarray, grads: 
     t = params.tensors
     ids, pool, caches = cache
     dy = np.zeros(ids.shape + (params.config.embed_dim,))
-    dy[:, pool] = dvecs
+    dy[pool] = dvecs
     dx = _layer_norm_backward(dy, caches.pop(), t, "lnf.", grads)
     while caches:
         norm, block, keys, norm_cache, block_cache = caches.pop()
@@ -403,11 +396,11 @@ def _text_backward(params: ModelParams, cache: tuple, dvecs: np.ndarray, grads: 
     _accumulate(grads["pos_emb"][: ids.shape[1]], dx)
 
 
-def encode_text(params: ModelParams, token_ids: list[int], pooling: str = "eos",
+def encode_text(params: ModelParams, token_ids: list[int],
                 use_adapters: bool = False) -> np.ndarray:
-    """Unnormalized text feature at the pooling position (shape (P,))."""
-    ids = _checked_ids(params, token_ids, pooling, use_adapters)
-    return _text_forward(params, [ids], pooling, use_adapters)[0][0]
+    """Unnormalized text feature at the position ``token_ids`` pools at (shape (P,))."""
+    ids = _checked_ids(params, token_ids, use_adapters)
+    return _text_forward(params, [ids], use_adapters)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +447,7 @@ class TrainBatch:
 class LossSpec:
     """Which loss to differentiate and which tensors may receive gradient."""
 
-    loss: str = "contrastive"  # "contrastive" (EOS pooling) | "ground_focal" (CLS pooling)
+    loss: str = "contrastive"  # "contrastive" | "ground_focal"
     trainable: str = "all"  # "all" | "adapters"
     use_adapters: bool = False
     focal: Optional["grounding.FocalParams"] = None  # ground_focal; None: FocalParams()
@@ -482,11 +475,11 @@ def grads(params: ModelParams, batch: TrainBatch, spec: LossSpec):
         index: dict[tuple, int] = {}
         rows = [index.setdefault((tuple(ids), bool(flag)), len(index))
                 for ids, flag in zip(batch.token_ids, flags)]
-        texts = [(_checked_ids(params, ids, "eos", flag), flag) for ids, flag in index]
+        texts = [(_checked_ids(params, ids, flag), flag) for ids, flag in index]
         # One stacked pass per run of consecutive distinct texts with one length and branch.
         # The runs are backpropagated in first-seen order: the bits of one text per pass.
         passes = [
-            _text_forward(params, [ids for ids, _ in run], "eos", flag)
+            _text_forward(params, [ids for ids, _ in run], flag)
             for (_, flag), run in itertools.groupby(texts, lambda text: (len(text[0]), text[1]))
         ]
         txt_raw = np.concatenate([vecs for vecs, _ in passes])[rows]
@@ -529,8 +522,8 @@ def grads(params: ModelParams, batch: TrainBatch, spec: LossSpec):
         bank = np.zeros((params.config.embed_dim, shape[1]))
         d_scores, cells = np.zeros(shape), np.empty(shape)
         for k, ids in enumerate(batch.token_ids):
-            ids = _checked_ids(params, ids, "cls", spec.use_adapters)
-            (bank[:, k],), cache = _text_forward(params, [ids], "cls", spec.use_adapters)
+            ids = _checked_ids(params, ids, spec.use_adapters)
+            (bank[:, k],), cache = _text_forward(params, [ids], spec.use_adapters)
             cells[:, k], d_scores[:, k] = grounding.focal_cells(
                 np.ascontiguousarray((feats @ bank)[:, k]), targets[:, k].copy(), fp
             )

@@ -63,8 +63,7 @@ def build_class_embeddings(
             store is not None if branch_mode == "one_branch" else kept)
         embeds = []
         for text in texts:
-            ids = enc.text_to_ids(text, params.config, pooling="eos")
-            embed = enc.encode_text(params, ids, pooling="eos", use_adapters=use_adapters)
+            embed = enc.encode_text(params, enc.text_to_ids(text, params.config), use_adapters)
             embeds.append(_unit_text(embed, name))
         cols.append(_unit_text(np.mean(embeds, axis=0), name))
         provenance.append({"class": name, "query": query, "hit": kept,

@@ -86,8 +86,7 @@ def encode_phrases_parallel(params: enc.ModelParams, texts: list[str]) -> Phrase
     cols = []
     for text in texts:
         compose.check_class_budget(text, text, params.config.max_tokens)
-        ids = enc.text_to_ids(text, params.config, pooling="cls")
-        cols.append(enc.encode_text(params, ids, pooling="cls"))
+        cols.append(enc.encode_text(params, enc.text_to_ids(text, params.config, pooling="cls")))
     return PhraseBank(matrix=np.stack(cols, axis=1), texts=list(texts))
 
 

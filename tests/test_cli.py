@@ -848,6 +848,52 @@ class TestTrainEval:
             checkpoints.append(json.loads(ckpt.read_text()))
         assert checkpoints[0] == checkpoints[1]
 
+    def test_no_step_reports_a_null_loss(self, capsys, tmp_path):
+        dataset = _write_images(tmp_path / "ds.jsonl", [{"image": [1.0, 0.0], "text": "boxer"}])
+        code, summary, err = run(capsys, "train", "--dataset", str(dataset), "--epochs", "5",
+                                 "--out-checkpoint", str(tmp_path / "m.json"))
+        assert code == EXIT_OK, err
+        assert (summary["steps"], summary["final_l_ic"]) == (0, None)
+
+    @pytest.mark.parametrize("where", ["flag", "config", "env"])
+    def test_continual_encoder_flags_must_match_the_base(self, capsys, tmp_path, dataset,
+                                                         monkeypatch, where):
+        base = tmp_path / "base.json"
+        common = ["--dataset", str(dataset), "--epochs", "1", "--batch-size", "8",
+                  "--embed-dim", "8", "--hidden-dim", "16", "--adapter-bottleneck", "2"]
+        assert run(capsys, "train", *common, "--out-checkpoint", str(base))[0] == EXIT_OK
+        continual = ["train", *common, "--mode", "continual_adapters", "--base-checkpoint",
+                     str(base), "--out-checkpoint", str(tmp_path / "adapters.json")]
+        # Set flags that agree with the base, and unset ones, train.
+        assert run(capsys, *continual, "--max-tokens", "64")[0] == EXIT_OK
+        prefix = []
+        if where == "flag":
+            continual += ["--max-tokens", "8"]
+        elif where == "config":
+            config = tmp_path / "lexivis.cfg"
+            config.write_text("max_tokens = 8\n")
+            prefix = ["--config", str(config)]
+        else:
+            monkeypatch.setenv("LEXIVIS_MAX_TOKENS", "8")
+        code, _, err = run(capsys, *prefix, *continual)
+        assert code == EXIT_USAGE
+        assert _one_line(err) == "config error: --max-tokens 8 differs from the base checkpoint's 64"
+
+    def test_continual_flag_is_checked_before_the_dataset_opens(self, capsys, tmp_path, dataset,
+                                                                opened_paths):
+        base = tmp_path / "base.json"
+        small = ["--epochs", "1", "--batch-size", "8", "--embed-dim", "8", "--hidden-dim", "16",
+                 "--adapter-bottleneck", "2"]
+        assert run(capsys, "train", "--dataset", str(dataset), *small,
+                   "--out-checkpoint", str(base))[0] == EXIT_OK
+        opened_paths.clear()
+        code, _, err = run(capsys, "train", "--dataset", str(dataset), *small, "--layers", "3",
+                           "--mode", "continual_adapters", "--base-checkpoint", str(base),
+                           "--out-checkpoint", str(tmp_path / "adapters.json"))
+        assert code == EXIT_USAGE
+        assert _one_line(err) == "config error: --layers 3 differs from the base checkpoint's 2"
+        assert str(base) in opened_paths and str(dataset) not in opened_paths
+
     def test_cut_texts_are_reported_on_stderr_only(self, capsys, tmp_path):
         images = np.random.default_rng(0).normal(size=(8, 4)).tolist()
         long_texts = [f"{name} " + " ".join(f"w{i}" for i in range(20))  # 21 words each
@@ -986,6 +1032,37 @@ class TestMalformedJsonl:
 
 
 class TestClassList:
+    @pytest.mark.parametrize("names, message", [
+        (["boxer", "Boxer", "tench"], "class 1 'Boxer' repeats class 0"),
+        (["boxer", "tench", "boxer"], "class 2 'boxer' repeats class 0"),
+        (["tench", "boxer", " big  Boxer"], None),  # distinct: no error
+        (["tench", "big boxer", "Big   BOXER "], "class 2 'Big   BOXER ' repeats class 1"),
+    ])
+    @pytest.mark.parametrize("command", ["eval-zeroshot", "ground-train", "ground-eval"])
+    def test_repeated_class_name_is_data_error(self, capsys, tmp_path, checkpoint, command,
+                                               names, message):
+        classes = tmp_path / "classes.json"
+        classes.write_text(json.dumps(names))
+        images = tmp_path / "images.jsonl"
+        images.write_text(json.dumps({"image": [1.0, 0.0, 0.0, 0.0], "label": 0}) + "\n")
+        regions = tmp_path / "regions.jsonl"
+        row = {"image_id": "a", "features": np.eye(1, 4).tolist(), "targets": [[1, 0, 0]]}
+        regions.write_text(json.dumps(row) + "\n")
+        argv = {
+            "eval-zeroshot": ["eval-zeroshot", "--checkpoint", str(checkpoint),
+                              "--images", str(images)],
+            "ground-train": ["ground-train", "--regions", str(regions), "--embed-dim", "4",
+                             "--epochs", "1", "--out-checkpoint", str(tmp_path / "g.json")],
+            "ground-eval": ["ground-eval", "--checkpoint", str(checkpoint),
+                            "--regions", str(regions)],
+        }[command]
+        code, _, err = run(capsys, *argv, "--classes", str(classes))
+        if message is None:
+            assert code == EXIT_OK, err
+        else:
+            assert code == EXIT_DATA
+            assert _one_line(err) == f"data error: {classes}: {message}"
+
     @pytest.mark.parametrize("content", ["5", "{}", "[]", "not json", "[1, null]", '["boxer", 2]'])
     @pytest.mark.parametrize("command", ["eval-zeroshot", "ground-train", "ground-eval"])
     def test_bad_class_list_is_data_error(self, capsys, tmp_path, checkpoint, command, content):

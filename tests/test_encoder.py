@@ -10,24 +10,19 @@ from lexivis import checkpoint_json, encoder as enc
 from lexivis.errors import ConfigError, DataError
 
 
-def scalar_reference_forward(params, token_ids, pooling="eos"):
+def scalar_reference_forward(params, token_ids):
     """Independent re-derivation of the text forward pass with plain loops.
 
     Deliberately written position-by-position with python floats wherever
     possible; shares nothing with the vectorized implementation beyond the
-    parameter tensors.
+    parameter tensors. It pools at a leading CLS, else at the last id.
     """
     t = {k: v.tolist() for k, v in params.tensors.items()}
     cfg = params.config
     p = cfg.embed_dim
-    if pooling == "eos":
-        length = token_ids.index(enc.EOS_ID) + 1
-        ids = token_ids[:length]
-        pool = length - 1
-    else:
-        ids = list(token_ids)
-        length = len(ids)
-        pool = 0
+    ids = list(token_ids)
+    length = len(ids)
+    pool = 0 if ids[0] == enc.CLS_ID else length - 1
 
     def gelu(x):
         c = math.sqrt(2.0 / math.pi)
@@ -149,8 +144,8 @@ class TestEncodeText:
     def test_matches_scalar_reference_cls(self, toy_config):
         params = enc.init_params(toy_config, seed=12)
         ids = enc.text_to_ids("blue bird", toy_config, pooling="cls")
-        got = enc.encode_text(params, ids, pooling="cls")
-        expected = scalar_reference_forward(params, ids, pooling="cls")
+        got = enc.encode_text(params, ids)
+        expected = scalar_reference_forward(params, ids)
         assert np.allclose(got, expected, atol=1e-12)
 
     def test_deterministic(self, toy_config):
@@ -163,11 +158,25 @@ class TestEncodeText:
         out = enc.encode_text(params, enc.text_to_ids("a", toy_config))
         assert out.shape == (toy_config.embed_dim,)
 
-    def test_padding_after_eos_ignored(self, toy_config):
+    def test_ids_after_eos_error(self, toy_config):
         params = enc.init_params(toy_config, seed=2)
         ids = enc.text_to_ids("two words", toy_config)
-        padded = ids + [5, 9, 13]
-        assert np.array_equal(enc.encode_text(params, ids), enc.encode_text(params, padded))
+        enc.encode_text(params, ids)
+        for padding in ([5, 9, 13], [5, enc.EOS_ID]):  # padding, then padding up to a second EOS
+            with pytest.raises(ValueError, match="^EOS must end a sequence"):
+                enc.encode_text(params, ids + padding)
+
+    @pytest.mark.parametrize("ids", [[], [3, 4, 5], [enc.EOS_ID, 3], [3, enc.CLS_ID]])
+    def test_neither_leading_cls_nor_final_eos_errors(self, toy_config, ids):
+        params = enc.init_params(toy_config, seed=1)
+        with pytest.raises(ValueError, match="^EOS must end a sequence that does not begin"):
+            enc.encode_text(params, ids)
+
+    def test_leading_cls_pools_there_before_a_final_eos(self, toy_config):
+        params = enc.init_params(toy_config, seed=3)
+        ids = [enc.CLS_ID, *enc.text_to_ids("red fox", toy_config)]
+        got = enc.encode_text(params, ids)
+        assert np.allclose(got, scalar_reference_forward(params, ids), atol=1e-12)
 
     def test_out_of_vocab_id_errors(self, toy_config):
         params = enc.init_params(toy_config, seed=1)
@@ -648,7 +657,7 @@ def _one_text_per_pass_grads(params, batch, spec):
             for ids, flag in zip(batch.token_ids, flags)]
     img_raw, img_cache = enc._images_forward(params, batch.images)
     encoded = [
-        enc._text_forward(params, [enc._checked_ids(params, ids, "eos", flag)], "eos", flag)
+        enc._text_forward(params, [enc._checked_ids(params, ids, flag)], flag)
         for ids, flag in index
     ]
     txt_raw = np.concatenate([vec for vec, _ in encoded])[rows]
@@ -670,9 +679,9 @@ def _one_text_per_pass_grads(params, batch, spec):
     return {"loss": loss.l_ic, "l_i2t": loss.l_i2t, "l_t2i": loss.l_t2i, "l_ic": loss.l_ic}, g
 
 
-# Raw id sequences (EOS = 1); PADDED_A cuts to A's ids after its EOS but is a distinct text.
+# Raw id sequences (CLS = 0, EOS = 1); CLS_A and CLS_B have A's and B's length but pool first.
 A, B, C, D, E = [3, 4, 1], [5, 6, 1], [7, 8, 1], [9, 1], [10, 11, 12, 1]
-PADDED_A = [3, 4, 1, 20, 21]
+CLS_A, CLS_B = [0, 3, 4], [0, 5, 6]
 T, F = True, False
 
 # (token_ids, adapter_flags, sizes of the stacked passes grads should run, or None).
@@ -680,7 +689,7 @@ STACKING_CASES = {
     "one_run_of_b": ([A, B, C, [13, 14, 1]], None, [4]),
     "duplicates": ([A, B, A, C, B], None, [3]),
     "mixed_lengths": ([D, A, B, E, C, D], None, [1, 2, 1, 1]),
-    "padding_after_eos": ([A, PADDED_A, B, PADDED_A], None, [3]),
+    "cls_and_eos_in_one_run": ([A, CLS_A, B, CLS_B, CLS_A], None, [4]),
     "all_runs_of_one": ([D, A, E, A, D], None, [1, 1, 1]),
     "branch_splits_a_run": ([A, B, C, A], [T, T, F, F], [2, 2]),
     "alternating_branches": ([A, B, C, E], [T, F, T, F], [1, 1, 1, 1]),
@@ -729,9 +738,9 @@ class TestStackedTextPasses:
         passes = []
         forward = enc._text_forward
 
-        def counting_forward(params, ids, pooling, use_adapters):
+        def counting_forward(params, ids, use_adapters):
             passes.append(len(ids))
-            return forward(params, ids, pooling, use_adapters)
+            return forward(params, ids, use_adapters)
 
         monkeypatch.setattr(enc, "_text_forward", counting_forward)
         losses, g = enc.grads(params, batch, spec)
@@ -746,9 +755,10 @@ class TestStackedTextPasses:
 
     @pytest.mark.parametrize("ids, message", [
         ([3, 64, 1], "token id out of vocabulary range"),
-        ([3, 4, 5], "EOS pooling requires an EOS token in the sequence"),
+        ([3, 4, 5], "EOS must end a sequence that does not begin with CLS, and only end it"),
         ([3] * 8 + [1], "sequence length 9 exceeds max_tokens 8"),
-        ([3, 1] + [4] * 7, "sequence length 9 exceeds max_tokens 8"),  # counted before the cut
+        ([3, 1] + [4] * 7, "sequence length 9 exceeds max_tokens 8"),  # checked before EOS
+        ([3, 1, 4, 1], "EOS must end a sequence that does not begin with CLS, and only end it"),
     ])
     def test_bad_text_in_a_run_raises_the_one_text_error(self, ids, message):
         params, batch, _ = _stacking_case("one_run_of_b", adapters=False)
@@ -763,7 +773,7 @@ class TestStackedTextPasses:
             enc.grads(params, batch, enc.LossSpec(use_adapters=True))
 
 
-def _unrolled_text_forward(params, ids, pooling, use_adapters):
+def _unrolled_text_forward(params, ids, use_adapters):
     """Reference text pass: each layer written out as attention, adapter 1, MLP, adapter 2."""
     cfg = params.config
     t = params.tensors
@@ -788,8 +798,9 @@ def _unrolled_text_forward(params, ids, pooling, use_adapters):
         caches.append((ln1_cache, attn_cache, ad1_cache, ln2_cache, mlp_cache, ad2_cache))
         x = x2
     y, lnf_cache = enc._layer_norm(x, t["lnf.g"], t["lnf.b"])
-    pool = 0 if pooling == "cls" else -1
-    return y[:, pool].copy(), (ids, pool, use_adapters, caches, lnf_cache)
+    rows = range(len(ids))  # each sequence at its leading CLS, else at its last id
+    pool = [(row, 0 if ids[row, 0] == enc.CLS_ID else ids.shape[1] - 1) for row in rows]
+    return np.stack([y[at] for at in pool]), (ids, pool, use_adapters, caches, lnf_cache)
 
 
 def _unrolled_text_backward(params, cache, dvecs, grads):
@@ -797,7 +808,8 @@ def _unrolled_text_backward(params, cache, dvecs, grads):
     t = params.tensors
     ids, pool, use_adapters, layer_caches, lnf_cache = cache
     dy = np.zeros(ids.shape + (params.config.embed_dim,))
-    dy[:, pool] = dvecs
+    for at, dvec in zip(pool, dvecs):
+        dy[at] = dvec
     dx = enc._layer_norm_backward(dy, lnf_cache, t, "lnf.", grads)
     for i in reversed(range(params.config.text_layers)):
         pre = f"layers.{i}."
@@ -826,20 +838,27 @@ def _perturbed_params(text_layers, adapters, seed=0):
     return params, rng
 
 
+def _pool_tokens(ids, pooling, rng):
+    """``ids`` with CLS first or EOS last in every row: as ``pooling`` says, or a random mix."""
+    cls = rng.random(len(ids)) < 0.5 if pooling == "mixed" else np.full(len(ids), pooling == "cls")
+    ids[cls, 0] = enc.CLS_ID
+    ids[~cls, -1] = enc.EOS_ID
+    return ids
+
+
 class TestSublayerLoop:
     """The sublayer list gives the bits of the hand-unrolled layer, forward and backward."""
 
-    @pytest.mark.parametrize("pooling", ["eos", "cls"])
+    @pytest.mark.parametrize("pooling", ["eos", "cls", "mixed"])
     @pytest.mark.parametrize("adapters", [False, True])
     @pytest.mark.parametrize("text_layers", [0, 1, 2, 3])
     def test_bitwise_equal_to_unrolled_layers(self, text_layers, adapters, pooling):
         params, rng = _perturbed_params(text_layers, adapters)
         for batch in range(1, 5):
-            ids = rng.integers(2, 64, size=(batch, 5))
-            ids[:, 0 if pooling == "cls" else -1] = enc.CLS_ID if pooling == "cls" else enc.EOS_ID
+            ids = _pool_tokens(rng.integers(2, 64, size=(batch, 5)), pooling, rng)
             dvecs = rng.normal(size=(batch, params.config.embed_dim))
-            vecs, cache = enc._text_forward(params, ids, pooling, adapters)
-            ref_vecs, ref_cache = _unrolled_text_forward(params, ids, pooling, adapters)
+            vecs, cache = enc._text_forward(params, ids, adapters)
+            ref_vecs, ref_cache = _unrolled_text_forward(params, ids, adapters)
             assert vecs.tobytes() == ref_vecs.tobytes()
             g, ref_g = params.zeros_like(), params.zeros_like()
             enc._text_backward(params, cache, dvecs, g)
@@ -864,7 +883,7 @@ class TestCacheLifetime:
     @pytest.mark.parametrize("adapters", [False, True])
     def test_block_after_a_norm_caches_no_input(self, adapters):
         params, rng = _perturbed_params(text_layers=2, adapters=adapters)
-        _, cache = enc._text_forward(params, [[3, 4, 5, 1], [6, 7, 8, 1]], "eos", adapters)
+        _, cache = enc._text_forward(params, [[3, 4, 5, 1], [6, 7, 8, 1]], adapters)
         _, _, caches = cache
         *sublayers, _ = caches  # the final norm's cache comes last
         assert len(sublayers) == 2 * (4 if adapters else 2)
@@ -880,8 +899,8 @@ class TestCacheLifetime:
         runs = []  # weak references to the arrays of each run's cache, in forward order
         backpropagated = 0
 
-        def tracking_forward(params, ids, pooling, use_adapters):
-            vecs, cache = forward(params, ids, pooling, use_adapters)
+        def tracking_forward(params, ids, use_adapters):
+            vecs, cache = forward(params, ids, use_adapters)
             runs.append([weakref.ref(a) for a in _cache_arrays(cache)])
             return vecs, cache
 
@@ -955,19 +974,18 @@ class TestAttentionRebuild:
         for key in g:
             assert g[key].tobytes() == ref_g[key].tobytes(), key
 
-    @pytest.mark.parametrize("pooling", ["eos", "cls"])
+    @pytest.mark.parametrize("pooling", ["eos", "cls", "mixed"])
     @pytest.mark.parametrize("adapters", [False, True])
     def test_text_pass_equals_the_full_cache(self, pooling, adapters, monkeypatch):
         params, rng = _perturbed_params(text_layers=2, adapters=adapters)
         for batch in range(1, 5):
-            ids = rng.integers(2, 64, size=(batch, rng.integers(1, 9)))
-            ids[:, 0 if pooling == "cls" else -1] = enc.CLS_ID if pooling == "cls" else enc.EOS_ID
+            ids = _pool_tokens(rng.integers(2, 64, size=(batch, rng.integers(1, 9))), pooling, rng)
             dvecs = rng.normal(size=(batch, params.config.embed_dim))
             results = []
             for full_cache in (False, True):
                 if full_cache:
                     _full_cache_attention(monkeypatch)
-                vecs, cache = enc._text_forward(params, ids, pooling, adapters)
+                vecs, cache = enc._text_forward(params, ids, adapters)
                 g = params.zeros_like()
                 enc._text_backward(params, cache, dvecs, g)
                 results.append((vecs.tobytes(), g.flat.tobytes()))
@@ -978,7 +996,7 @@ class TestAttentionRebuild:
     def test_attention_caches_only_its_probabilities(self, adapters):
         params, _ = _perturbed_params(text_layers=2, adapters=adapters)
         ids = [[3, 4, 5, 1], [6, 7, 8, 1], [9, 10, 11, 1]]
-        _, (_, _, caches) = enc._text_forward(params, ids, "eos", adapters)
+        _, (_, _, caches) = enc._text_forward(params, ids, adapters)
         attention = [block_cache for _, _, keys, _, block_cache in caches[:-1] if keys is None]
         assert len(attention) == params.config.text_layers
         for block_cache in attention:

@@ -356,7 +356,7 @@ class TestTrainEvalAgreement:
         assert provenance["branch"] == ("adapter" if row.augmented else "base")
         # Eval encodes the very text that training does, on the branch training routes it to.
         ids = enc.text_to_ids(row.text, cfg, pooling="eos")
-        embed = enc.encode_text(params, ids, pooling="eos", use_adapters=row.augmented)
+        embed = enc.encode_text(params, ids, use_adapters=row.augmented)
         assert np.allclose(bank.matrix[:, 0], embed / np.linalg.norm(embed), rtol=0, atol=1e-12)
 
 

@@ -39,7 +39,7 @@ class TestParallelEncoding:
     def test_single_text_equals_encode_text(self, params, toy_config):
         bank = encode_phrases_parallel(params, ["red fox"])
         ids = enc.text_to_ids("red fox", toy_config, pooling="cls")
-        direct = enc.encode_text(params, ids, pooling="cls")
+        direct = enc.encode_text(params, ids)
         assert np.array_equal(bank.matrix[:, 0], direct)
 
     def test_permutation_permutes_columns(self, params):
@@ -71,7 +71,7 @@ class TestParallelEncoding:
     def test_overlength_text_errors(self, params, toy_config):
         ids = [3] * (toy_config.max_tokens + 1)
         with pytest.raises(ValueError):
-            enc.encode_text(params, [enc.CLS_ID] + ids, pooling="cls")
+            enc.encode_text(params, [enc.CLS_ID] + ids)
 
     def test_overlength_category_text_rejected(self, params, toy_config):
         long_text = " ".join(f"w{i}" for i in range(toy_config.max_tokens + 4))
@@ -170,7 +170,7 @@ def _all_caches_grads(params, batch, spec):
     """Reference ground_focal gradient: every text's cache alive until the loss is known."""
     g = params.zeros_like()
     encoded = [
-        enc._text_forward(params, np.array([ids]), "cls", spec.use_adapters)
+        enc._text_forward(params, np.array([ids]), spec.use_adapters)
         for ids in batch.token_ids
     ]
     bank = np.stack([vec[0] for vec, _ in encoded], axis=1)

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -172,10 +173,22 @@ class TestTrain:
         assert result.branch_counts["base"] > 0
         assert result.branch_counts["adapter"] > 0
 
-    def test_tau_clamped(self):
+    def test_tau_clamped(self, monkeypatch):
+        real_grads = enc.grads
+
+        def rising_tau(params, batch, spec):  # the real gradients, but d loss / d log_tau = -1
+            losses, g = real_grads(params, batch, spec)
+            g["log_tau"][...] = -1.0
+            return losses, g
+
+        monkeypatch.setattr(enc, "grads", rising_tau)
         data = _synthetic_dataset(n_classes=2, per_class=3)
-        cfg = _train_config(epochs=3, batch_size=2, learning_rate=2.0, optimizer="sgd")
+        cfg = _train_config(epochs=3, batch_size=6, learning_rate=1.0, optimizer="sgd")
         result = train(cfg, data)
+        # SGD at rate 1 lifts log_tau by 1 a step: exp(1) * TAU_INIT, then past the cap.
+        taus = [row[4] for row in result.trace]
+        assert taus[0] == pytest.approx(math.e * enc.TAU_INIT, rel=1e-12)
+        assert taus[1:] == [99.99999999999996] * 2
         assert result.params.tau <= enc.TAU_MAX
 
     def test_log_tau_above_the_cap_is_clamped_after_one_step(self):
