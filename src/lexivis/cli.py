@@ -83,10 +83,6 @@ def _load_lexicon(args) -> dict:
     return queries.load_lexicon(args.lexicon) if args.lexicon else {}
 
 
-def _emit(summary: dict) -> None:
-    print(json.dumps(summary, sort_keys=True))
-
-
 def _write_json(path, obj) -> None:
     """An indented JSON output file, written atomically."""
     with atomic_open(path) as handle:
@@ -146,6 +142,18 @@ def _encoder_config(args, image_dim: int) -> enc.EncoderConfig:
     fields = {name: default if getattr(args, dest) is None else getattr(args, dest)
               for dest, (name, default) in _ENCODER_FLAGS.items()}
     return enc.EncoderConfig(image_input_dim=image_dim, **fields)
+
+
+def _load_checkpoint(path, command: str) -> enc.ModelParams:
+    """A checkpoint's params, if it was made for ``command``'s task: ground-eval reads the
+    ``meta.task`` "grounding" that ground-train writes, and the other commands refuse it."""
+    params, meta = enc.load_checkpoint(path)
+    task = meta.get("task") if isinstance(meta, dict) else None
+    grounding = command == "ground-eval"
+    if (task == "grounding") != grounding:
+        kind = "a grounding" if grounding else "a contrastive"
+        raise DataError(f"{path}: meta.task is {task!r}; {command} needs {kind} checkpoint")
+    return params
 
 
 def _check_base_flags(args, base: enc.EncoderConfig) -> None:
@@ -210,11 +218,14 @@ def _cmd_train(args) -> dict:
         optimizer=args.optimizer,
         seed=args.seed,
         mode=args.mode,
-        encoder=_encoder_config(args, image_dim=1),  # the dataset's first row sets the width
     )
-    base = enc.load_checkpoint(args.base_checkpoint)[0] if continual else None
-    if continual:
+    base = None
+    if continual:  # the base's encoder: only the flags that are set are checked against it
+        base = _load_checkpoint(args.base_checkpoint, "train")
         _check_base_flags(args, base.config)
+        config.encoder = base.config
+    else:  # the dataset's first row sets the width
+        config.encoder = _encoder_config(args, image_dim=1)
     rows = trainer.iter_dataset_jsonl(args.dataset, base.config.image_input_dim if base else None)
     first = next(rows)
     config.encoder = replace(config.encoder, image_input_dim=first.image.size)
@@ -243,7 +254,7 @@ def _cmd_eval_zeroshot(args) -> dict:
     if args.templates and args.template:
         raise ConfigError("give --templates or --template, not both")
     store = _load_store(args) if args.with_knowledge else None
-    params, _ = enc.load_checkpoint(args.checkpoint)
+    params = _load_checkpoint(args.checkpoint, "eval-zeroshot")
     class_names = _load_class_names(args.classes)
     images, labels = _load_labeled_images(
         args.images, params.config.image_input_dim, len(class_names)
@@ -295,7 +306,7 @@ def _cmd_eval_zeroshot(args) -> dict:
 def _cmd_eval_probe(args) -> dict:
     if args.shots < 1 or args.probe_seeds < 1:
         raise ConfigError("--shots and --probe-seeds must be >= 1")
-    params, _ = enc.load_checkpoint(args.checkpoint)
+    params = _load_checkpoint(args.checkpoint, "eval-probe")
     images, labels = _load_labeled_images(args.images, params.config.image_input_dim)
     if labels is None:
         raise DataError(f"{args.images}: eval-probe needs labeled images")
@@ -353,7 +364,7 @@ def _cmd_ground_train(args) -> dict:
 
 def _cmd_ground_eval(args) -> dict:
     store = _load_store(args) if args.with_knowledge else None
-    params, _ = enc.load_checkpoint(args.checkpoint)
+    params = _load_checkpoint(args.checkpoint, "ground-eval")
     class_names = _load_class_names(args.classes)
     regions = grounding.load_regions_jsonl(args.regions, len(class_names), params.config.embed_dim)
     texts = [compose.class_texts(n, store, args.source, params.config.max_tokens)[1][0]
@@ -599,7 +610,7 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    _emit(summary)
+    print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
 
 

@@ -121,9 +121,6 @@ class ModelParams:
     def tau(self) -> float:
         return float(np.exp(self.tensors["log_tau"]))
 
-    def zeros_like(self) -> FlatTensors:
-        return FlatTensors(self.tensors, copy=False)
-
 
 def _param_specs(config: EncoderConfig, with_adapters: bool) -> Iterator[tuple]:
     """Every tensor as (name, shape, init), in creation and random-draw order.
@@ -191,6 +188,9 @@ def add_adapters(params: ModelParams, seed: int) -> ModelParams:
 
 # ---------------------------------------------------------------------------
 # Primitive forward/backward pairs
+#
+# A backward accumulates into ``grads`` only the tensors it holds: a block whose tensors are
+# absent is frozen, and skips its weight-gradient products while d input still flows.
 
 
 def _gelu_tanh(x):
@@ -238,8 +238,9 @@ def _accumulate(total, value):
 
 def _layer_norm_backward(dy, cache, t, pre, grads):
     xhat, inv = cache
-    _accumulate(grads[pre + "g"], (dy * xhat).sum(axis=-2))
-    _accumulate(grads[pre + "b"], dy.sum(axis=-2))
+    if pre + "g" in grads:
+        _accumulate(grads[pre + "g"], (dy * xhat).sum(axis=-2))
+        _accumulate(grads[pre + "b"], dy.sum(axis=-2))
     dxhat = dy * t[pre + "g"]
     return inv * (dxhat - _mean_last(dxhat) - xhat * _mean_last(dxhat * xhat))
 
@@ -274,9 +275,10 @@ def _attention_backward(dout, cache, t, pre, grads):
     qh, kh, vh = _qkv_heads(x, t, pre, attn.shape[1])
     batch, n_heads, length, hd = qh.shape
     scale = 1.0 / math.sqrt(hd)
-    ctx_flat = (attn @ vh).swapaxes(1, 2).reshape(x.shape)
-    _accumulate(grads[pre + "Wo"], ctx_flat.mT @ dout)
-    _accumulate(grads[pre + "bo"], dout.sum(axis=-2))
+    if pre + "Wo" in grads:
+        ctx_flat = (attn @ vh).swapaxes(1, 2).reshape(x.shape)
+        _accumulate(grads[pre + "Wo"], ctx_flat.mT @ dout)
+        _accumulate(grads[pre + "bo"], dout.sum(axis=-2))
     dctx = (dout @ t[pre + "Wo"].T).reshape(batch, length, n_heads, hd).swapaxes(1, 2)
 
     dattn = dctx @ vh.mT
@@ -287,9 +289,10 @@ def _attention_backward(dout, cache, t, pre, grads):
     dkh = dscores.mT @ qh * scale
 
     dq, dk, dv = (dh.swapaxes(1, 2).reshape(x.shape) for dh in (dqh, dkh, dvh))
-    for name, d in (("q", dq), ("k", dk), ("v", dv)):
-        _accumulate(grads[pre + "W" + name], x.mT @ d)
-        _accumulate(grads[pre + "b" + name], d.sum(axis=-2))
+    if pre + "Wq" in grads:
+        for name, d in (("q", dq), ("k", dk), ("v", dv)):
+            _accumulate(grads[pre + "W" + name], x.mT @ d)
+            _accumulate(grads[pre + "b" + name], d.sum(axis=-2))
     return dq @ t[pre + "Wq"].T + dk @ t[pre + "Wk"].T + dv @ t[pre + "Wv"].T
 
 
@@ -304,20 +307,24 @@ def _ffn_forward(x, t, pre, keys):
     w1, b1, w2, b2 = (pre + k for k in keys)
     z = x @ t[w1] + t[b1]
     tanh = _gelu_tanh(z)
-    return (0.5 * z * (1.0 + tanh)) @ t[w2] + t[b2], (x, z, tanh)
+    return (0.5 * z * (1.0 + tanh)) @ t[w2] + t[b2], (x, tanh)
 
 
 def _ffn_backward(dout, cache, t, pre, keys, grads, input_grad=True):
-    """Accumulate the block's weight gradients; return d input unless ``input_grad`` is off."""
-    x, z, tanh = cache
+    """Accumulate the weight gradients of a block in ``grads``; return d input unless
+    ``input_grad`` is off. The cache is the input and GELU's tanh: z is rebuilt."""
+    x, tanh = cache
     w1, b1, w2, b2 = (pre + k for k in keys)
-    # The forward's GELU output, bit for bit.
-    _accumulate(grads[w2], (0.5 * z * (1.0 + tanh)).mT @ dout)
-    _accumulate(grads[b2], dout.sum(axis=-2))
+    z = x @ t[w1] + t[b1]  # the forward's pre-activation, bit for bit
+    live = w1 in grads
+    if live:  # the forward's GELU output, bit for bit
+        _accumulate(grads[w2], (0.5 * z * (1.0 + tanh)).mT @ dout)
+        _accumulate(grads[b2], dout.sum(axis=-2))
     dz = _gelu_grad(z, tanh)
     dz *= dout @ t[w2].T
-    _accumulate(grads[w1], x.mT @ dz)
-    _accumulate(grads[b1], dz.sum(axis=-2))
+    if live:
+        _accumulate(grads[w1], x.mT @ dz)
+        _accumulate(grads[b1], dz.sum(axis=-2))
     return dz @ t[w1].T if input_grad else None
 
 
@@ -392,8 +399,9 @@ def _text_backward(params: ModelParams, cache: tuple, dvecs: np.ndarray, grads: 
         if norm:
             d = _layer_norm_backward(d, norm_cache, t, norm, grads)
         dx = dx + d
-    np.add.at(grads["tok_emb"], ids, dx)  # row by row in (sequence, position) order
-    _accumulate(grads["pos_emb"][: ids.shape[1]], dx)
+    if "tok_emb" in grads:
+        np.add.at(grads["tok_emb"], ids, dx)  # row by row in (sequence, position) order
+        _accumulate(grads["pos_emb"][: ids.shape[1]], dx)
 
 
 def encode_text(params: ModelParams, token_ids: list[int],
@@ -452,18 +460,23 @@ class LossSpec:
     use_adapters: bool = False
     focal: Optional["grounding.FocalParams"] = None  # ground_focal; None: FocalParams()
 
+    def trains(self, key: str) -> bool:
+        """Whether tensor ``key`` gets gradient: all of them, or the adapters alone."""
+        return self.trainable == "all" or is_adapter_key(key)
+
 
 def grads(params: ModelParams, batch: TrainBatch, spec: LossSpec):
     """Exact analytic gradients of the selected loss.
 
-    Returns (losses, grad_tensors) where grad_tensors is congruent to
-    params.tensors; frozen tensors hold exact zeros.
+    Returns (losses, grad_tensors) where grad_tensors holds the trainable
+    tensors (``spec.trains``), in ``params.tensors`` order, as views into one
+    flat vector (``FlatTensors``). Frozen tensors get no gradient computed.
     """
     from . import objective
 
     if spec.trainable not in ("all", "adapters"):
         raise ConfigError(f"unknown trainable selection {spec.trainable!r}")
-    g = params.zeros_like()
+    g = FlatTensors({k: v for k, v in params.tensors.items() if spec.trains(k)}, copy=False)
 
     if spec.loss == "contrastive":
         if batch.images is None or batch.labels is None:
@@ -489,10 +502,12 @@ def grads(params: ModelParams, batch: TrainBatch, spec: LossSpec):
         tau = params.tau
         loss, d_sim, d_tau = objective.grouped_contrastive_loss_with_grads(sim, batch.labels, tau)
 
-        d_img_raw = objective.normalize_rows_backward(img_raw, d_sim @ v)
         d_txt_raw = objective.normalize_rows_backward(txt_raw, d_sim.T @ u)
-        # Image inputs are fixed features: no gradient flows into them.
-        _ffn_backward(d_img_raw, img_cache, params.tensors, "img.", _MLP_KEYS, g, input_grad=False)
+        if "img.W1" in g:  # a frozen image MLP has no backward to run
+            d_img_raw = objective.normalize_rows_backward(img_raw, d_sim @ v)
+            # Image inputs are fixed features: no gradient flows into them.
+            _ffn_backward(d_img_raw, img_cache, params.tensors, "img.", _MLP_KEYS, g,
+                          input_grad=False)
         # Fold duplicate rows back onto their unique encoding.
         d_unique = np.zeros((len(index), params.config.embed_dim))
         np.add.at(d_unique, rows, d_txt_raw)
@@ -501,8 +516,8 @@ def grads(params: ModelParams, batch: TrainBatch, spec: LossSpec):
             vecs, cache = passes.pop(0)
             _text_backward(params, cache, d_unique[start : start + len(vecs)], g)
             start += len(vecs)
-        # d loss / d log_tau via tau = exp(log_tau).
-        g["log_tau"] += d_tau * tau
+        if "log_tau" in g:  # d loss / d log_tau via tau = exp(log_tau)
+            g["log_tau"] += d_tau * tau
         losses = {"loss": loss.l_ic, "l_i2t": loss.l_i2t, "l_t2i": loss.l_t2i, "l_ic": loss.l_ic}
     elif spec.loss == "ground_focal":
         from . import grounding
@@ -532,9 +547,6 @@ def grads(params: ModelParams, batch: TrainBatch, spec: LossSpec):
     else:
         raise ConfigError(f"unknown loss {spec.loss!r}")
 
-    for k in g:
-        if spec.trainable == "adapters" and not is_adapter_key(k):
-            g[k][...] = 0.0
     return losses, g
 
 

@@ -280,16 +280,21 @@ def fit(
     """The training loop shared by contrastive training and grounding.
 
     Each epoch visits ``items`` in a seeded permutation, ``batch_size`` at a
-    time; ``make_batch`` turns the sampled items into encoder inputs. Each
-    step updates one packed vector (``encoder.FlatTensors``) and clamps
-    log-tau so that tau never exceeds ``TAU_MAX``. Returns the loss trace,
+    time; ``make_batch`` turns the sampled items into encoder inputs. The
+    tensors are packed into one vector (``encoder.FlatTensors``), the
+    trainable ones (``spec.trains``) first; each step updates that leading
+    slice, which is all the optimizer holds state for, and clamps log-tau so
+    that tau never exceeds ``TAU_MAX``. Returns the loss trace,
     with rows (step, l_i2t, l_t2i, l_ic, tau) for the contrastive loss and
     (step, focal_loss) for grounding, plus the per-branch text counts.
     """
     if optimizer not in OPTIMIZERS:
         raise ConfigError(f"unknown optimizer {optimizer!r}")
-    params.tensors = enc.FlatTensors(params.tensors)
-    opt = _Optimizer(optimizer, learning_rate, params.tensors.flat.size)
+    # A stable sort: the trainable tensors lead in the order grads packs its gradient.
+    order = sorted(params.tensors, key=lambda k: not spec.trains(k))
+    params.tensors = enc.FlatTensors({k: params.tensors[k] for k in order})
+    trained = params.tensors.flat[: sum(params.tensors[k].size for k in order if spec.trains(k))]
+    opt = _Optimizer(optimizer, learning_rate, trained.size)
     rng = np.random.default_rng(seed)
     trace = []
     branch_counts = {"base": 0, "adapter": 0}
@@ -308,7 +313,7 @@ def fit(
                 exc.diagnostics["step"] = len(trace)
                 exc.diagnostics["batch"] = batch
                 raise
-            opt.step(params.tensors.flat, g.flat)
+            opt.step(trained, g.flat)
             del g  # released before the next step's gradients are built
             if params.tensors["log_tau"] > log_tau_max:
                 params.tensors["log_tau"][...] = log_tau_max
@@ -334,8 +339,8 @@ def train(
     tensors replaced by the trained ones, so no copy of the base stays alive
     beside them. The scratch modes initialise from
     ``config.encoder``. ``triplets`` is read once into per-row arrays and
-    per-text token ids; if any row has no label, every row is labelled as
-    ``assign_labels`` would.
+    the token ids of the distinct texts, end to end in one array; if any row
+    has no label, every row is labelled as ``assign_labels`` would.
     """
     continual = config.mode == "continual_adapters"
     if continual and base is None:
@@ -365,7 +370,16 @@ def train(
     fields = [("image", np.float64, (cfg.image_input_dim,)), ("text", np.intp),
               ("label", np.int64), ("labeled", bool), ("group", np.int64), ("adapter", bool)]
     rows = np.fromiter(records(), dtype=np.dtype(fields, align=True))
-    token_ids = [np.array(enc.text_to_ids(text, cfg), dtype=np.int32) for text in text_index]
+    starts = [0]  # text i's ids are token_ids[starts[i] : starts[i + 1]]
+
+    def all_ids():
+        for text in text_index:
+            ids = enc.text_to_ids(text, cfg)
+            starts.append(starts[-1] + len(ids))
+            yield from ids
+
+    token_ids = np.fromiter(all_ids(), dtype=np.int32)
+    starts = np.array(starts)
     words = [len(queries.tokenize(text)) for text in text_index]  # cut past max_tokens - 1 words
     cut = (sum(n >= cfg.max_tokens for n in words), len(words), max(words, default=0))
     del text_index, groups, words  # training needs none of them
@@ -375,7 +389,7 @@ def train(
     def make_batch(batch: list[int]) -> enc.TrainBatch:
         return enc.TrainBatch(
             images=rows["image"][batch],
-            token_ids=[token_ids[i].tolist() for i in rows["text"][batch]],
+            token_ids=[token_ids[starts[i] : starts[i + 1]].tolist() for i in rows["text"][batch]],
             labels=labels[batch],
             adapter_flags=rows["adapter"][batch].tolist(),
         )

@@ -550,14 +550,15 @@ class TestConfigValues:
         assert summary["queries"] == 4
 
     @pytest.mark.parametrize("value, expected", [("yes", True), ("TRUE", True), ("0", False)])
-    def test_store_true_from_env(self, capsys, tmp_path, monkeypatch, checkpoint, value, expected):
+    def test_store_true_from_env(self, capsys, tmp_path, monkeypatch, ground_checkpoint, value,
+                                 expected):
         classes = tmp_path / "classes.json"
         classes.write_text(json.dumps(["boxer"]))
         regions = tmp_path / "regions.jsonl"
         regions.write_text(json.dumps(
             {"image_id": "a", "features": np.eye(1, 4).tolist(), "targets": [[1]]}) + "\n")
         monkeypatch.setenv("LEXIVIS_WITH_KNOWLEDGE", value)
-        code, summary, err = run(capsys, "ground-eval", "--checkpoint", str(checkpoint),
+        code, summary, err = run(capsys, "ground-eval", "--checkpoint", str(ground_checkpoint),
                                  "--regions", str(regions), "--classes", str(classes),
                                  "--wiktionary", WK)
         assert code == EXIT_OK, err
@@ -894,6 +895,19 @@ class TestTrainEval:
         assert _one_line(err) == "config error: --layers 3 differs from the base checkpoint's 2"
         assert str(base) in opened_paths and str(dataset) not in opened_paths
 
+    def test_continual_config_comes_from_the_base(self, capsys, tmp_path, dataset):
+        # --embed-dim 9 agrees with the base; built with the default 2 heads it would not divide.
+        base = tmp_path / "base.json"
+        common = ["--dataset", str(dataset), "--epochs", "1", "--batch-size", "8",
+                  "--embed-dim", "9", "--hidden-dim", "16", "--adapter-bottleneck", "2"]
+        assert run(capsys, "train", *common, "--heads", "3",
+                   "--out-checkpoint", str(base))[0] == EXIT_OK
+        code, summary, err = run(capsys, "train", *common, "--mode", "continual_adapters",
+                                 "--base-checkpoint", str(base),
+                                 "--out-checkpoint", str(tmp_path / "adapters.json"))
+        assert code == EXIT_OK, err
+        assert summary["steps"] == 2
+
     def test_cut_texts_are_reported_on_stderr_only(self, capsys, tmp_path):
         images = np.random.default_rng(0).normal(size=(8, 4)).tolist()
         long_texts = [f"{name} " + " ".join(f"w{i}" for i in range(20))  # 21 words each
@@ -963,7 +977,7 @@ class TestGrounding:
         cfg = enc.EncoderConfig(embed_dim=8, text_layers=1, hidden_dim=16, vocab_size=64,
                                 max_tokens=8, adapter_bottleneck=2, image_input_dim=8)
         ckpt = tmp_path / "ground.json"
-        enc.save_checkpoint(enc.init_params(cfg, seed=0), ckpt)
+        enc.save_checkpoint(enc.init_params(cfg, seed=0), ckpt, meta={"task": "grounding"})
         out = tmp_path / "trained.json"
         train = ["ground-train", "--regions", str(regions), "--classes", str(classes),
                  "--out-checkpoint", str(out), "--epochs", "1", "--embed-dim", "8",
@@ -986,7 +1000,7 @@ class TestGrounding:
         cfg = enc.EncoderConfig(embed_dim=8, text_layers=1, hidden_dim=16, vocab_size=64,
                                 max_tokens=8, adapter_bottleneck=2, image_input_dim=8)
         ckpt = tmp_path / "ground.json"
-        enc.save_checkpoint(enc.init_params(cfg, seed=0), ckpt)
+        enc.save_checkpoint(enc.init_params(cfg, seed=0), ckpt, meta={"task": "grounding"})
         calls = []
         encode = grounding.encode_phrases_parallel
 
@@ -1002,27 +1016,37 @@ class TestGrounding:
         assert len(calls) == 1
 
 
-@pytest.fixture
-def checkpoint(tmp_path):
+def _tiny_checkpoint(path, meta=None):
     cfg = enc.EncoderConfig(embed_dim=4, text_layers=1, hidden_dim=8, vocab_size=16,
                             max_tokens=8, adapter_bottleneck=2, image_input_dim=4)
-    path = tmp_path / "model.json"
-    enc.save_checkpoint(enc.init_params(cfg, seed=0), path)
+    enc.save_checkpoint(enc.init_params(cfg, seed=0), path, meta)
     return path
+
+
+@pytest.fixture
+def checkpoint(tmp_path):
+    return _tiny_checkpoint(tmp_path / "model.json")
+
+
+@pytest.fixture
+def ground_checkpoint(tmp_path):
+    """The tensors of ``checkpoint`` under the meta.task that ground-train writes."""
+    return _tiny_checkpoint(tmp_path / "ground_model.json", {"task": "grounding"})
 
 
 class TestMalformedJsonl:
     @pytest.mark.parametrize("row", ["5", "[1, 2]", "not json"])
     @pytest.mark.parametrize("command", ["stats", "ground-eval", "eval-probe"])
-    def test_bad_row_is_data_error_with_location(self, capsys, tmp_path, checkpoint, command, row):
+    def test_bad_row_is_data_error_with_location(self, capsys, tmp_path, checkpoint,
+                                                 ground_checkpoint, command, row):
         bad = tmp_path / "bad.jsonl"
         bad.write_text(row + "\n")
         classes = tmp_path / "classes.json"
         classes.write_text(json.dumps(["boxer"]))
         argv = {
             "stats": ["stats", "--dataset", str(bad)],
-            "ground-eval": ["ground-eval", "--checkpoint", str(checkpoint), "--regions", str(bad),
-                            "--classes", str(classes)],
+            "ground-eval": ["ground-eval", "--checkpoint", str(ground_checkpoint),
+                            "--regions", str(bad), "--classes", str(classes)],
             "eval-probe": ["eval-probe", "--checkpoint", str(checkpoint), "--images", str(bad)],
         }[command]
         code, _, err = run(capsys, *argv)
@@ -1039,8 +1063,8 @@ class TestClassList:
         (["tench", "big boxer", "Big   BOXER "], "class 2 'Big   BOXER ' repeats class 1"),
     ])
     @pytest.mark.parametrize("command", ["eval-zeroshot", "ground-train", "ground-eval"])
-    def test_repeated_class_name_is_data_error(self, capsys, tmp_path, checkpoint, command,
-                                               names, message):
+    def test_repeated_class_name_is_data_error(self, capsys, tmp_path, checkpoint,
+                                               ground_checkpoint, command, names, message):
         classes = tmp_path / "classes.json"
         classes.write_text(json.dumps(names))
         images = tmp_path / "images.jsonl"
@@ -1053,7 +1077,7 @@ class TestClassList:
                               "--images", str(images)],
             "ground-train": ["ground-train", "--regions", str(regions), "--embed-dim", "4",
                              "--epochs", "1", "--out-checkpoint", str(tmp_path / "g.json")],
-            "ground-eval": ["ground-eval", "--checkpoint", str(checkpoint),
+            "ground-eval": ["ground-eval", "--checkpoint", str(ground_checkpoint),
                             "--regions", str(regions)],
         }[command]
         code, _, err = run(capsys, *argv, "--classes", str(classes))
@@ -1065,7 +1089,8 @@ class TestClassList:
 
     @pytest.mark.parametrize("content", ["5", "{}", "[]", "not json", "[1, null]", '["boxer", 2]'])
     @pytest.mark.parametrize("command", ["eval-zeroshot", "ground-train", "ground-eval"])
-    def test_bad_class_list_is_data_error(self, capsys, tmp_path, checkpoint, command, content):
+    def test_bad_class_list_is_data_error(self, capsys, tmp_path, checkpoint, ground_checkpoint,
+                                          command, content):
         classes = tmp_path / "classes.json"
         classes.write_text(content)
         images = tmp_path / "images.jsonl"
@@ -1078,7 +1103,7 @@ class TestClassList:
                               "--images", str(images)],
             "ground-train": ["ground-train", "--regions", str(regions), "--embed-dim", "4",
                              "--out-checkpoint", str(tmp_path / "g.json")],
-            "ground-eval": ["ground-eval", "--checkpoint", str(checkpoint),
+            "ground-eval": ["ground-eval", "--checkpoint", str(ground_checkpoint),
                             "--regions", str(regions)],
         }[command]
         code, _, err = run(capsys, *argv, "--classes", str(classes))
@@ -1126,6 +1151,50 @@ class TestCorruptCheckpoint:
 def _write_images(path, rows):
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
     return path
+
+
+class TestCheckpointTask:
+    """ground-eval reads only a checkpoint whose meta.task is "grounding", as ground-train
+    writes; eval-zeroshot, eval-probe and a continual base refuse one."""
+
+    @pytest.mark.parametrize("command", ["eval-zeroshot", "eval-probe", "train", "ground-eval"])
+    def test_checkpoint_of_the_other_task_is_a_located_data_error(
+        self, capsys, tmp_path, checkpoint, ground_checkpoint, command
+    ):
+        classes = tmp_path / "classes.json"
+        classes.write_text(json.dumps(["boxer", "crowd"]))
+        rows = [{"image": np.eye(4)[i % 2].tolist(), "text": "boxer", "label": i % 2}
+                for i in range(6)]
+        images = _write_images(tmp_path / "images.jsonl", rows)
+        regions = _write_images(tmp_path / "regions.jsonl", _region_rows(2))
+        out = tmp_path / "out.json"
+
+        def argv(model):
+            return {
+                "eval-zeroshot": ["eval-zeroshot", "--checkpoint", str(model), "--images",
+                                  str(images), "--classes", str(classes), "--out", str(out)],
+                "eval-probe": ["eval-probe", "--checkpoint", str(model), "--images", str(images),
+                               "--shots", "1"],
+                "train": ["train", "--mode", "continual_adapters", "--base-checkpoint",
+                          str(model), "--dataset", str(images), "--out-checkpoint", str(out),
+                          "--epochs", "1"],
+                "ground-eval": _ground_argv(command, regions, classes, model, out),
+            }[command]
+
+        right, wrong = checkpoint, ground_checkpoint
+        if command == "ground-eval":
+            right, wrong = wrong, right
+        code, _, err = run(capsys, *argv(right))
+        assert code == EXIT_OK, err
+        out.unlink(missing_ok=True)
+        code, _, err = run(capsys, *argv(wrong))
+        assert code == EXIT_DATA
+        task, kind = ("None", "grounding") if command == "ground-eval" else ("'grounding'",
+                                                                              "contrastive")
+        assert _one_line(err) == (
+            f"data error: {wrong}: meta.task is {task}; {command} needs a {kind} checkpoint"
+        )
+        assert not out.exists()
 
 
 class TestEvalDefects:
@@ -1334,7 +1403,7 @@ class TestRowWidths:
     @pytest.mark.parametrize("defect", ["wide", "narrow", "ragged"])
     @pytest.mark.parametrize("command", ["ground-train", "ground-eval"])
     def test_targets_need_one_column_per_class(
-        self, capsys, tmp_path, checkpoint, command, defect
+        self, capsys, tmp_path, ground_checkpoint, command, defect
     ):
         # With 3-column targets and 2 classes, ground-eval reported accuracy 0.5.
         rows = _region_rows(2)
@@ -1345,21 +1414,23 @@ class TestRowWidths:
         classes = tmp_path / "classes.json"
         classes.write_text(json.dumps(["boxer", "crowd"]))
         out = tmp_path / "out.json"
-        code, _, err = run(capsys, *_ground_argv(command, regions, classes, checkpoint, out))
+        code, _, err = run(capsys, *_ground_argv(command, regions, classes, ground_checkpoint,
+                                                 out))
         assert code == EXIT_DATA
         lines = err.strip().splitlines()
         assert len(lines) == 1 and f"{regions}:2: targets" in lines[0]
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["ground-train", "ground-eval"])
-    def test_targets_need_one_row_per_region(self, capsys, tmp_path, checkpoint, command):
+    def test_targets_need_one_row_per_region(self, capsys, tmp_path, ground_checkpoint, command):
         rows = _region_rows(2)
         rows[1]["targets"] = np.eye(3, 2).tolist()
         regions = _write_images(tmp_path / "regions.jsonl", rows)
         classes = tmp_path / "classes.json"
         classes.write_text(json.dumps(["boxer", "crowd"]))
         out = tmp_path / "out.json"
-        code, _, err = run(capsys, *_ground_argv(command, regions, classes, checkpoint, out))
+        code, _, err = run(capsys, *_ground_argv(command, regions, classes, ground_checkpoint,
+                                                 out))
         assert code == EXIT_DATA
         assert _one_line(err) == (
             f"data error: {regions}:2: targets row count != features row count"
@@ -1367,14 +1438,15 @@ class TestRowWidths:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["ground-train", "ground-eval"])
-    def test_region_feature_widths_agree(self, capsys, tmp_path, checkpoint, command):
+    def test_region_feature_widths_agree(self, capsys, tmp_path, ground_checkpoint, command):
         rows = _region_rows(2)
         rows[2]["features"] = np.eye(2, 3).tolist()
         regions = _write_images(tmp_path / "regions.jsonl", rows)
         classes = tmp_path / "classes.json"
         classes.write_text(json.dumps(["boxer", "crowd"]))
         out = tmp_path / "out.json"
-        code, _, err = run(capsys, *_ground_argv(command, regions, classes, checkpoint, out))
+        code, _, err = run(capsys, *_ground_argv(command, regions, classes, ground_checkpoint,
+                                                 out))
         assert code == EXIT_DATA
         lines = err.strip().splitlines()
         assert len(lines) == 1 and f"{regions}:3: features width is 3, expected 4" in lines[0]
@@ -1406,14 +1478,16 @@ class TestRowWidths:
     @pytest.mark.parametrize(
         "command", ["train", "eval-zeroshot", "eval-probe", "ground-train", "ground-eval"]
     )
-    def test_first_row_width_must_match_the_model(self, capsys, tmp_path, checkpoint, command):
+    def test_first_row_width_must_match_the_model(self, capsys, tmp_path, checkpoint,
+                                                  ground_checkpoint, command):
         # The checkpoint (and ground-train's --embed-dim) expects width 4.
         classes = tmp_path / "classes.json"
         classes.write_text(json.dumps(["boxer", "crowd"]))
         out = tmp_path / "out.json"
         if command.startswith("ground"):
             path = _write_images(tmp_path / "regions.jsonl", _region_rows(2, width=5))
-            argv, what = _ground_argv(command, path, classes, checkpoint, out), "features"
+            argv = _ground_argv(command, path, classes, ground_checkpoint, out)
+            what = "features"
         else:
             rows = [{"image": [0.5, 0.25, 1.0], "text": "boxer", "label": i % 2}
                     for i in range(4)]
@@ -1501,11 +1575,11 @@ class TestInputContract:
         assert code == EXIT_USAGE
         assert "base checkpoint" in err
 
-    def test_non_utf8_class_list_names_the_file(self, capsys, tmp_path, checkpoint):
+    def test_non_utf8_class_list_names_the_file(self, capsys, tmp_path, ground_checkpoint):
         classes = tmp_path / "classes.json"
         classes.write_bytes(b'["caf\xe9"]')
         regions = _write_images(tmp_path / "regions.jsonl", _region_rows(1))
-        code, _, err = run(capsys, "ground-eval", "--checkpoint", str(checkpoint),
+        code, _, err = run(capsys, "ground-eval", "--checkpoint", str(ground_checkpoint),
                            "--regions", str(regions), "--classes", str(classes))
         assert code == EXIT_DATA
         lines = err.strip().splitlines()

@@ -65,6 +65,9 @@ def assert_one_data_error_line(code, err, needle):
 def workdir(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz")
     enc.save_checkpoint(enc.init_params(CONFIG, seed=0), path / "model.json")
+    # The same tensors under the meta.task that ground-train writes, for ground-eval.
+    enc.save_checkpoint(enc.init_params(CONFIG, seed=0), path / "ground.json",
+                        meta={"task": "grounding"})
     rows = [{"image": np.eye(4)[i % 4].tolist(), "label": i % 4} for i in range(8)]
     (path / "images.jsonl").write_text("\n".join(json.dumps(r) for r in rows) + "\n")
     return path
@@ -138,8 +141,8 @@ def test_blank_class_name_is_one_data_error_line(workdir, command, name, positio
         "ground-train": ["ground-train", "--regions", str(regions), "--classes", str(classes),
                          "--out-checkpoint", str(out), "--embed-dim", "4", "--hidden-dim", "8",
                          "--vocab-size", "16", "--adapter-bottleneck", "2", "--epochs", "1"],
-        "ground-eval": ["ground-eval", "--checkpoint", model, "--regions", str(regions),
-                        "--classes", str(classes), "--out", str(out)],
+        "ground-eval": ["ground-eval", "--checkpoint", str(workdir / "ground.json"),
+                        "--regions", str(regions), "--classes", str(classes), "--out", str(out)],
     }[command]
     code, err = run_quiet(argv)
     assert_one_data_error_line(code, err, f"{classes}: class {position} is blank")
@@ -227,7 +230,7 @@ def test_bad_region_features_are_one_data_error_line(workdir, command, features,
         "ground-train": ["ground-train", "--regions", str(regions), "--classes", str(classes),
                          "--out-checkpoint", str(out), "--embed-dim", "4", "--hidden-dim", "8",
                          "--vocab-size", "16", "--adapter-bottleneck", "2", "--epochs", "1"],
-        "ground-eval": ["ground-eval", "--checkpoint", str(workdir / "model.json"),
+        "ground-eval": ["ground-eval", "--checkpoint", str(workdir / "ground.json"),
                         "--regions", str(regions), "--classes", str(classes), "--out", str(out)],
     }[command]
     code, err = run_quiet(argv)
@@ -299,18 +302,19 @@ def slice_inputs(workdir):
 def slice_argv(reader, path, workdir):
     out = str(workdir / "slice_out.json")
     model, classes = str(workdir / "model.json"), str(workdir / "slice_classes.json")
+    ground_model = str(workdir / "ground.json")
     queries = str(workdir / "slice_queries.txt")
     return {
         "dataset": ["stats", "--dataset", str(path), "--out", out],
         "eval_images": ["eval-probe", "--checkpoint", model, "--images", str(path),
                         "--shots", "1"],
-        "regions": ["ground-eval", "--checkpoint", model, "--regions", str(path),
+        "regions": ["ground-eval", "--checkpoint", ground_model, "--regions", str(path),
                     "--classes", classes, "--out", out],
         "wordnet": ["coverage", "--source", "wn_hier", "--wordnet", str(path),
                     "--queries", queries],
         "wiktionary": ["coverage", "--source", "wiki_def", "--wiktionary", str(path),
                        "--queries", queries],
-        "classes": ["ground-eval", "--checkpoint", model, "--regions",
+        "classes": ["ground-eval", "--checkpoint", ground_model, "--regions",
                     str(workdir / "slice_class_regions.jsonl"), "--classes", str(path)],
     }[reader]
 

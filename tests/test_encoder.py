@@ -272,6 +272,11 @@ def _contrastive_batch(cfg, rng, b=4):
     )
 
 
+def _zero_grads(params):
+    """Zero gradients for every tensor of ``params``: nothing frozen."""
+    return enc.FlatTensors(params.tensors, copy=False)
+
+
 def fd_check(params, loss_fn, grads_dict, rng, coords_per_tensor=3, h=1e-4):
     worst = 0.0
     for key in params.tensors:
@@ -314,13 +319,25 @@ class TestGrads:
         assert forwards == []
 
     def test_adapter_only_masks_base(self, toy_config):
+        # The gradient holds exactly the adapters, with the bits of a full gradient.
         params = enc.init_params(toy_config, seed=6, with_adapters=True)
         params.tensors["layers.0.ad1.up"] += 0.05  # break identity so adapters get signal
-        batch = _contrastive_batch(toy_config, np.random.default_rng(0))
-        spec = enc.LossSpec(trainable="adapters", use_adapters=True)
-        _, g = enc.grads(params, batch, spec)
-        assert all(np.all(g[k] == 0.0) for k in g if not enc.is_adapter_key(k))
-        assert any(np.any(g[k] != 0.0) for k in g if enc.is_adapter_key(k))
+        rng = np.random.default_rng(0)
+        contrastive = _contrastive_batch(toy_config, rng)
+        focal = enc.TrainBatch(token_ids=contrastive.token_ids[:3],
+                               region_features=rng.normal(size=(5, toy_config.embed_dim)),
+                               targets=(rng.random((5, 3)) < 0.4).astype(float))
+        adapters = [k for k in params.tensors if enc.is_adapter_key(k)]
+        for loss, batch in (("contrastive", contrastive), ("ground_focal", focal)):
+            spec = enc.LossSpec(loss=loss, trainable="adapters", use_adapters=True)
+            losses, g = enc.grads(params, batch, spec)
+            full_losses, full = enc.grads(params, batch, enc.LossSpec(loss=loss, use_adapters=True))
+            assert list(full) == list(params.tensors)
+            assert list(g) == adapters and g.flat.size == sum(g[k].size for k in adapters)
+            assert losses == full_losses
+            for key in adapters:
+                assert g[key].tobytes() == full[key].tobytes(), (loss, key)
+            assert any(np.any(g[k] != 0.0) for k in adapters)
 
     def test_contrastive_gradients_match_finite_differences(self, toy_config):
         params = enc.init_params(toy_config, seed=7, with_adapters=True)
@@ -633,7 +650,7 @@ class TestImageBackward:
         images = rng.normal(size=(3, toy_config.image_input_dim))
         out, cache = enc._images_forward(params, images)
         dout = rng.normal(size=out.shape)
-        full, skipped = params.zeros_like(), params.zeros_like()
+        full, skipped = _zero_grads(params), _zero_grads(params)
         dx = enc._ffn_backward(dout, cache, params.tensors, "img.", enc._MLP_KEYS, full)
         assert dx.shape == images.shape
         none = enc._ffn_backward(
@@ -645,10 +662,10 @@ class TestImageBackward:
 
 def _one_text_per_pass_grads(params, batch, spec):
     """Reference contrastive gradient: each distinct (sequence, branch) pair encoded and
-    backpropagated alone, in first-seen order."""
+    backpropagated alone, in first-seen order, with every tensor's gradient computed."""
     from lexivis import objective
 
-    g = params.zeros_like()
+    g = _zero_grads(params)
     flags = batch.adapter_flags
     if flags is None:
         flags = [spec.use_adapters] * len(batch.token_ids)
@@ -673,9 +690,8 @@ def _one_text_per_pass_grads(params, batch, spec):
     for (_, cache), drow in zip(encoded, d_unique):
         enc._text_backward(params, cache, drow[None], g)
     g["log_tau"] += d_tau * params.tau
-    for key in g:
-        if spec.trainable == "adapters" and not enc.is_adapter_key(key):
-            g[key][...] = 0.0
+    if spec.trainable == "adapters":  # the full gradient, on the trainable tensors only
+        g = {key: value for key, value in g.items() if enc.is_adapter_key(key)}
     return {"loss": loss.l_ic, "l_i2t": loss.l_i2t, "l_t2i": loss.l_t2i, "l_ic": loss.l_ic}, g
 
 
@@ -860,7 +876,7 @@ class TestSublayerLoop:
             vecs, cache = enc._text_forward(params, ids, adapters)
             ref_vecs, ref_cache = _unrolled_text_forward(params, ids, adapters)
             assert vecs.tobytes() == ref_vecs.tobytes()
-            g, ref_g = params.zeros_like(), params.zeros_like()
+            g, ref_g = _zero_grads(params), _zero_grads(params)
             enc._text_backward(params, cache, dvecs, g)
             _unrolled_text_backward(params, ref_cache, dvecs, ref_g)
             for key in g:
@@ -889,8 +905,26 @@ class TestCacheLifetime:
         assert len(sublayers) == 2 * (4 if adapters else 2)
         for norm, block, keys, norm_cache, block_cache in sublayers:
             assert (block_cache[0] is None) == (norm is not None), block
-        enc._text_backward(params, cache, rng.normal(size=(2, 8)), params.zeros_like())
+        enc._text_backward(params, cache, rng.normal(size=(2, 8)), _zero_grads(params))
         assert caches == []  # consumed
+
+    @pytest.mark.parametrize("adapters", [False, True])
+    def test_feed_forward_blocks_cache_gelus_tanh_but_no_pre_activation(self, adapters):
+        params, rng = _perturbed_params(text_layers=2, adapters=adapters)
+        t = params.tensors
+        _, (_, _, caches) = enc._text_forward(params, [[3, 4, 5, 1], [6, 7, 8, 1]], adapters)
+        images = rng.normal(size=(3, params.config.image_input_dim))
+        blocks = [(block, keys, block_cache)
+                  for _, block, keys, _, block_cache in caches[:-1] if keys is not None]
+        blocks.append(("img.", enc._MLP_KEYS, enc._images_forward(params, images)[1]))
+        assert len(blocks) == 2 * (3 if adapters else 1) + 1
+        for block, keys, block_cache in blocks:
+            w1, b1 = (block + key for key in keys[:2])
+            x, tanh = block_cache  # the text MLP's input is rebuilt from its norm's xhat
+            (hidden,) = [a for a in _cache_arrays(block_cache) if a.shape[-1] == t[b1].size]
+            assert hidden is tanh, block
+            if x is not None:
+                assert tanh.tobytes() == enc._gelu_tanh(x @ t[w1] + t[b1]).tobytes(), block
 
     @pytest.mark.parametrize("adapters", [False, True])
     def test_each_run_is_released_before_the_next_backward(self, adapters, monkeypatch):
@@ -986,7 +1020,7 @@ class TestAttentionRebuild:
                 if full_cache:
                     _full_cache_attention(monkeypatch)
                 vecs, cache = enc._text_forward(params, ids, adapters)
-                g = params.zeros_like()
+                g = _zero_grads(params)
                 enc._text_backward(params, cache, dvecs, g)
                 results.append((vecs.tobytes(), g.flat.tobytes()))
             monkeypatch.undo()

@@ -3,13 +3,15 @@
 A change that alters one bit of a checkpoint, a loss trace, the grounding
 predictions, the zero-shot report and breakdown, the augmented dataset and
 its statistics, or one seed of the synthetic benchmark fails here. Float
-results depend on the numpy build, its BLAS and the SIMD paths numpy
-dispatches to on this CPU, so the digests are keyed to that stack; on any
-other stack the test skips and names it.
+results depend on the numpy build, its BLAS, the BLAS kernel (core) it
+dispatches to on this CPU and numpy's SIMD paths, so the digests are keyed to
+that stack; on any other stack the test skips and names it.
 """
 
+import ctypes
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,15 +29,27 @@ TINY = ["--embed-dim", "8", "--hidden-dim", "16", "--vocab-size", "64",
         "--adapter-bottleneck", "2", "--max-tokens", "16"]
 
 
+def _blas_core() -> str:
+    """The kernel numpy's bundled OpenBLAS runs on this CPU (OPENBLAS_CORETYPE can set it)."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*"))
+    if not libs:
+        return "unknown"
+    corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
 def _stack() -> str:
     config = np.show_config(mode="dicts")
     blas = config["Build Dependencies"]["blas"]
     simd = ",".join(config["SIMD Extensions"]["found"])
-    return f"numpy {np.__version__}; {blas['name']} {blas['version']}; SIMD {simd}"
+    return (f"numpy {np.__version__}; {blas['name']} {blas['version']} core {_blas_core()}; "
+            f"SIMD {simd}")
 
 
 GOLDEN = {
-    "numpy 2.4.6; scipy-openblas 0.3.31.188.0; SIMD X86_V3,X86_V4,AVX512_ICL,AVX512_SPR": {
+    "numpy 2.4.6; scipy-openblas 0.3.31.188.0 core SkylakeX; "
+    "SIMD X86_V3,X86_V4,AVX512_ICL,AVX512_SPR": {
         "ground.json": "2952cb4212f8903d82054726c2466cfb78bd5713d7442f9fed678a8c35d88a69",
         "ground.csv": "bcae089d8f3c6f7b6196b744c6ebfe3081449399ab6bb0db0539a5672db915fd",
         "caption.json": "c2b5894e39416288013bb1f909851f4a31b1d2b1d53a3db0bccc9eeef02980f5",

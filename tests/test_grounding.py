@@ -168,7 +168,7 @@ class TestFocalLoss:
 
 def _all_caches_grads(params, batch, spec):
     """Reference ground_focal gradient: every text's cache alive until the loss is known."""
-    g = params.zeros_like()
+    g = enc.FlatTensors(params.tensors, copy=False)
     encoded = [
         enc._text_forward(params, np.array([ids]), spec.use_adapters)
         for ids in batch.token_ids

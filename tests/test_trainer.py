@@ -158,6 +158,30 @@ class TestTrain:
         assert moved
         assert result.trace[-1][3] < result.trace[0][3]
 
+    @pytest.mark.parametrize("optimizer", trainer.OPTIMIZERS)
+    def test_continual_optimizer_holds_only_the_adapters(self, optimizer, monkeypatch):
+        data = _synthetic_dataset()
+        base = train(_train_config(epochs=1), data).params
+        before = {k: v.tobytes() for k, v in base.tensors.items()}
+        adapters = sum(v.size for k, v in enc.add_adapters(base, seed=5).tensors.items()
+                       if enc.is_adapter_key(k))
+        optimizers = []
+
+        class Recording(trainer._Optimizer):
+            def __init__(self, *args):
+                super().__init__(*args)
+                optimizers.append(self)
+
+        monkeypatch.setattr(trainer, "_Optimizer", Recording)
+        cfg = _train_config(mode="continual_adapters", epochs=2, optimizer=optimizer)
+        result = train(cfg, data, base)
+        (opt,) = optimizers
+        assert opt.t == len(result.trace) > 0
+        held = [a.size for a in (opt.m, getattr(opt, "v", None)) if a is not None]
+        assert held == {"sgd": [], "momentum": [adapters], "adam": [adapters] * 2}[optimizer]
+        for key, value in before.items():
+            assert result.params.tensors[key].tobytes() == value, key
+
     def test_two_branch_routes_by_augmentation(self):
         data = _synthetic_dataset(n_classes=4, per_class=4)
         # mark half the samples as knowledge hits
