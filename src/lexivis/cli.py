@@ -84,9 +84,10 @@ def _load_lexicon(args) -> dict:
 
 
 def _write_json(path, obj) -> None:
-    """An indented JSON output file, written atomically."""
+    """An indented JSON output file, streamed and written atomically."""
     with atomic_open(path) as handle:
-        handle.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        json.dump(obj, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 def _load_class_names(path) -> list[str]:

@@ -38,6 +38,9 @@ TAU_MAX = 100.0
 _LN_EPS = 1e-5
 _GELU_C = math.sqrt(2.0 / math.pi)
 
+# Rows per pass of encode_images (64-127 per block): its memory beyond inputs and features.
+_IMAGE_BLOCK = 64
+
 
 @dataclass
 class EncoderConfig:
@@ -382,13 +385,22 @@ def _text_forward(params: ModelParams, ids, use_adapters: bool):
 def _text_backward(params: ModelParams, cache: tuple, dvecs: np.ndarray, grads: dict) -> None:
     """Accumulate the gradients of a ``_text_forward`` pass, given d features (B, P).
 
-    Consumes ``cache``: each sublayer's activations are freed once its backward has run."""
+    Consumes ``cache``: each sublayer's activations are freed once its backward has run. Below
+    the lowest sublayer with a tensor in ``grads``, d x only reaches the embeddings, so the
+    backward stops there unless they train."""
     t = params.tensors
     ids, pool, caches = cache
+    floor = 0  # the lowest sublayer whose backward runs
+    if "tok_emb" not in grads:
+        held = {key.rpartition(".")[0] + "." for key in grads}  # "layers.0.ad1.", "lnf.", ...
+        live = [norm in held or block in held for norm, block, *_ in caches[:-1]] + ["lnf." in held]
+        if True not in live:
+            return  # nothing in grads is reached
+        floor = live.index(True)
     dy = np.zeros(ids.shape + (params.config.embed_dim,))
     dy[pool] = dvecs
     dx = _layer_norm_backward(dy, caches.pop(), t, "lnf.", grads)
-    while caches:
+    while len(caches) > floor:
         norm, block, keys, norm_cache, block_cache = caches.pop()
         if norm:  # the norm's output, as _layer_norm computed it, bit for bit
             block_cache = (t[norm + "g"] * norm_cache[0] + t[norm + "b"], *block_cache[1:])
@@ -424,8 +436,18 @@ def _images_forward(params: ModelParams, images: np.ndarray):
 
 
 def encode_images(params: ModelParams, images: np.ndarray) -> np.ndarray:
-    """Unnormalized image features (N, P) for an (N, D) batch of input vectors."""
-    out, _ = _images_forward(params, images)
+    """Unnormalized image features (N, P) for an (N, D) batch of input vectors.
+
+    The rows pass in blocks of 64-127 (below 64 rows, in one pass), so memory beyond the inputs
+    and features is one block's. No block has one row, which goes through gemv: on the golden
+    stack a block of >= 2 rows gives the rows of the full product, bit for bit."""
+    images = np.asarray(images, dtype=np.float64)
+    if images.shape[1:] != (params.config.image_input_dim,):
+        return _images_forward(params, images)[0]  # raises, naming the whole batch's shape
+    parts = max(1, len(images) // _IMAGE_BLOCK)
+    out = np.empty((len(images), params.config.embed_dim))
+    for block, rows in zip(np.array_split(images, parts), np.array_split(out, parts)):
+        rows[...] = _images_forward(params, block)[0]
     return out
 
 

@@ -207,8 +207,9 @@ def run_seed(seed: int, cfg: SynthConfig) -> dict:
             )
             if key in ("train_nok_eval_nok", "train_k_eval_k"):
                 # Column k of a bank depends on class k alone, so its rare columns are the
-                # rare-only bank. The rare images are still encoded on their own: a row
-                # subset through gemm need not give the same bits.
+                # rare-only bank. The rare images are still encoded on their own: on the golden
+                # stack a gemm over >= 2 of the rows gives the full product's rows bit for bit
+                # (one row goes through gemv and does not), but no BLAS promises it.
                 rare = evaluation.ClassEmbeddings(bank.matrix[:, cfg.n_common:], world.rare_names)
                 _, rare_acc[key] = evaluation.zero_shot_classify(
                     params, rare_images, rare, rare_labels

@@ -1750,6 +1750,17 @@ class TestAtomicOutputs:
         ground_trace = (out / "ground.csv").read_text().splitlines()
         assert ground_trace[0] == "step,focal_loss" and len(ground_trace) == 2
 
+    def test_json_output_streams_the_bytes_of_one_dumps(self, tmp_path):
+        obj = {"z": [1, 2.5, None, float("nan")], "a": {"é": "boxer", "rows": [[0.1], []]},
+               "n": -0.0, "t": True}
+        path = tmp_path / "out.json"
+        cli._write_json(path, obj)
+        assert path.read_bytes() == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+        with pytest.raises(TypeError):  # fails mid-stream: the earlier file stays
+            cli._write_json(path, {"a": 1, "b": object()})
+        assert json.loads(path.read_text())["t"] is True
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
 
 class TestBench:
     def test_tiny_bench_runs(self, capsys, tmp_path):

@@ -261,6 +261,83 @@ class TestEncodeImage:
             enc.encode_images(params, np.zeros((2, toy_config.image_input_dim + 1)))
         with pytest.raises(ValueError, match="dim"):
             enc.encode_images(params, np.zeros(toy_config.image_input_dim))
+        with pytest.raises(ValueError, match=r"^image input shape \(300, 6\) != "):
+            enc.encode_images(params, np.zeros((300, toy_config.image_input_dim + 1)))
+
+
+def _image_case(n, seed=0):
+    params = enc.init_params(enc.EncoderConfig(image_input_dim=16), seed=seed)
+    return params, np.random.default_rng(seed).normal(size=(n, 16))
+
+
+class TestImageBlocks:
+    """``encode_images`` runs the image MLP over blocks of 64-127 rows, never one row alone."""
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129, 600])
+    def test_bitwise_equal_to_one_pass(self, n):
+        from tests.test_golden import GOLDEN, _stack
+
+        stack = _stack()
+        if stack not in GOLDEN:  # row blocks keep the full product's bits only where measured
+            pytest.skip(f"row-block bits not measured on this stack: {stack}")
+        params, images = _image_case(n)
+        out = enc.encode_images(params, images)
+        assert out.tobytes() == enc._images_forward(params, images)[0].tobytes()
+
+    def test_zero_shot_predictions_match_one_pass(self):
+        from lexivis import evaluation
+
+        params, images = _image_case(600, seed=1)
+        bank = evaluation.ClassEmbeddings(
+            enc.init_params(params.config, seed=2).tensors["img.W2"][:10].T.copy(),
+            [f"c{i}" for i in range(10)],
+        )
+        preds, _ = evaluation.zero_shot_classify(params, images, bank)
+        feats = enc._images_forward(params, images)[0]
+        feats /= np.linalg.norm(feats, axis=1, keepdims=True)
+        assert np.array_equal(preds, np.argmax(feats @ bank.matrix, axis=1))
+
+    def test_blocks_hold_64_to_127_rows_and_never_one(self, monkeypatch):
+        forward = enc._images_forward
+        blocks = []
+
+        def recording_forward(params, images):
+            blocks.append(len(images))
+            return forward(params, images)
+
+        monkeypatch.setattr(enc, "_images_forward", recording_forward)
+        params, images = _image_case(700)
+        for n in [*range(1, 300), 600, 700]:
+            blocks.clear()
+            assert enc.encode_images(params, images[:n]).shape == (n, params.config.embed_dim)
+            assert sum(blocks) == n
+            if n < 64:
+                assert blocks == [n]
+            else:
+                assert all(64 <= rows <= 127 for rows in blocks), (n, blocks)
+
+    def test_bad_row_is_named_by_its_row_in_the_whole_batch(self):
+        from lexivis import evaluation
+        from lexivis.errors import NumericsError
+
+        params, images = _image_case(300)
+        images[130] = 0.0  # zero biases: a zero input encodes to a zero feature
+        images[200, 3] = np.nan
+        with pytest.raises(NumericsError, match="^image 130 encodes") as raised:
+            evaluation.unit_image_features(params, images)
+        assert raised.value.diagnostics == {"rows": [130, 200]}
+
+    def test_peak_memory_does_not_grow_with_images(self):
+        def peak(n):
+            params, images = _image_case(n)
+            tracemalloc.start()
+            try:
+                out = enc.encode_images(params, images)
+                return tracemalloc.get_traced_memory()[1] - out.nbytes
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4096) < 1.5 * peak(256)
 
 
 def _contrastive_batch(cfg, rng, b=4):
@@ -1076,3 +1153,22 @@ class TestPrimitivesPatchable:
         ffn = 2 * 2 * (3 if adapters else 1) + 1
         assert calls == {"_layer_norm": 10, "_layer_norm_backward": 10, "_attention_forward": 4,
                          "_attention_backward": 4, "_ffn_forward": ffn, "_ffn_backward": ffn}
+
+    def test_adapter_grads_stop_below_the_lowest_adapter(self, calls):
+        # Layer 0's attention and ln1 lie below every adapter, and the embeddings are frozen.
+        params, rng = _perturbed_params(text_layers=2, adapters=True)
+        batch = enc.TrainBatch(images=rng.normal(size=(4, 5)), token_ids=[A, B, D, A],
+                               labels=np.arange(4) % 3)
+        enc.grads(params, batch, enc.LossSpec(trainable="adapters", use_adapters=True))
+        # Per text pass: lnf, layer 1's two norms and layer 0's ln2; six feed-forward blocks.
+        assert calls == {"_layer_norm": 10, "_layer_norm_backward": 8, "_attention_forward": 4,
+                         "_attention_backward": 2, "_ffn_forward": 13, "_ffn_backward": 12}
+
+    def test_adapter_grads_skip_the_backward_of_base_branch_texts(self, calls):
+        params, rng = _perturbed_params(text_layers=2, adapters=True)
+        batch = enc.TrainBatch(images=rng.normal(size=(4, 5)), token_ids=[A, B, D, A],
+                               labels=np.arange(4) % 3, adapter_flags=[False] * 4)
+        _, g = enc.grads(params, batch, enc.LossSpec(trainable="adapters"))
+        assert not g.flat.any()
+        assert calls == {"_layer_norm": 10, "_layer_norm_backward": 0, "_attention_forward": 4,
+                         "_attention_backward": 0, "_ffn_forward": 5, "_ffn_backward": 0}
