@@ -93,10 +93,7 @@ def _write_json(path, obj) -> None:
 def _load_class_names(path) -> list[str]:
     """The class list of the eval and grounding commands: a non-empty JSON array."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            names = json.load(handle)
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text") from exc
+        names = json.loads("\n".join(line for _, line in read_lines(path)))
     except (ValueError, RecursionError) as exc:
         raise DataError(f"{path}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
     if not isinstance(names, list) or not names or not all(isinstance(n, str) for n in names):
@@ -155,6 +152,14 @@ def _load_checkpoint(path, command: str) -> enc.ModelParams:
         kind = "a grounding" if grounding else "a contrastive"
         raise DataError(f"{path}: meta.task is {task!r}; {command} needs {kind} checkpoint")
     return params
+
+
+def _save_run(args, params: enc.ModelParams, meta: dict, trace: list, **header) -> dict:
+    """The end of ``train`` and ``ground-train``: the checkpoint, the trace, the summary's start."""
+    enc.save_checkpoint(params, args.out_checkpoint, meta=meta)
+    if args.trace:
+        trainer.save_trace_csv(trace, args.trace, **header)
+    return {"command": args.subcommand, "checkpoint": str(args.out_checkpoint), "steps": len(trace)}
 
 
 def _check_base_flags(args, base: enc.EncoderConfig) -> None:
@@ -235,17 +240,8 @@ def _cmd_train(args) -> dict:
     if cut:  # stderr only: the summary and checkpoint stay as they are without a cut
         print(f"train: {cut} of {distinct} distinct texts cut to max_tokens "
               f"{result.params.config.max_tokens} (longest {longest} words)", file=sys.stderr)
-    enc.save_checkpoint(
-        result.params,
-        args.out_checkpoint,
-        meta={"mode": args.mode, "seed": args.seed, "source": args.source},
-    )
-    if args.trace:
-        trainer.save_trace_csv(result.trace, args.trace)
     return {
-        "command": "train",
-        "checkpoint": str(args.out_checkpoint),
-        "steps": len(result.trace),
+        **_save_run(args, result.params, {"mode": args.mode, "seed": args.seed}, result.trace),
         "final_l_ic": result.trace[-1][3] if result.trace else None,
         "branch_counts": result.branch_counts,
     }
@@ -348,17 +344,9 @@ def _cmd_ground_train(args) -> dict:
         params, spec, regions, make_batch, args.epochs, 1,
         args.optimizer, args.learning_rate, args.seed,
     )
-    enc.save_checkpoint(
-        params,
-        args.out_checkpoint,
-        meta={"task": "grounding", "seed": args.seed, "classes": class_names},
-    )
-    if args.trace:
-        trainer.save_trace_csv(trace, args.trace, header="step,focal_loss")
+    meta = {"task": "grounding", "seed": args.seed, "classes": class_names}
     return {
-        "command": "ground-train",
-        "checkpoint": str(args.out_checkpoint),
-        "steps": len(trace),
+        **_save_run(args, params, meta, trace, header="step,focal_loss"),
         "final_loss": trace[-1][1] if trace else None,
     }
 
@@ -438,6 +426,16 @@ def _add_encoder_flags(p):
         p.add_argument("--" + dest.replace("_", "-"), type=int)
 
 
+def _add_run_flags(p):
+    """The run settings ``train`` and ``ground-train`` share."""
+    p.add_argument("--out-checkpoint", required=True)
+    p.add_argument("--trace")
+    p.add_argument("--epochs", type=int, default=10)
+    p.add_argument("--learning-rate", type=float, default=1e-3)
+    p.add_argument("--optimizer", default="adam", choices=trainer.OPTIMIZERS)
+    p.add_argument("--seed", type=int, default=0)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="lexivis", description=__doc__)
     parser.add_argument("--config", help="flat key=value config file")
@@ -467,16 +465,10 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_coverage)
 
     p = sub.add_parser("train", help="contrastive pretraining on a triplet dataset")
-    p.add_argument("--source", default="wiki_def", choices=SOURCES)
     _add_encoder_flags(p)
+    _add_run_flags(p)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--out-checkpoint", required=True)
-    p.add_argument("--trace")
     p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--optimizer", default="adam", choices=trainer.OPTIMIZERS)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", default="scratch_1branch", choices=trainer.TRAIN_MODES)
     p.add_argument("--base-checkpoint")
     p.set_defaults(fn=_cmd_train)
@@ -506,15 +498,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("ground-train", help="train the grounding text encoder")
     _add_store_flags(p)
     _add_encoder_flags(p)
+    _add_run_flags(p)
     p.add_argument("--regions", required=True)
     p.add_argument("--classes", required=True)
-    p.add_argument("--out-checkpoint", required=True)
-    p.add_argument("--trace")
     p.add_argument("--with-knowledge", action="store_true")
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--optimizer", default="adam", choices=trainer.OPTIMIZERS)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--focal-alpha", type=float, default=0.25)
     p.add_argument("--focal-gamma", type=float, default=2.0)
     p.set_defaults(fn=_cmd_ground_train)

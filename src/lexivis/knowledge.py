@@ -58,57 +58,46 @@ class KnowledgeItem:
     text: str
 
 
-def iter_jsonl(path, error: type[LexivisError], fields=()) -> Iterator[tuple[str, dict]]:
-    """Yield (``path:lineno``, object) for every non-blank line of a UTF-8 JSONL file.
-
-    Invalid JSON (nesting or an integer too large for ``json``), a row that
-    is not a JSON object, or one missing a name in ``fields`` (the first is
-    named) raises ``error`` with the row's ``path:lineno``: ``SnapshotError``
-    for snapshots, ``DataError`` for data files. Text that is not UTF-8 and
-    a file without a non-blank line raise it naming the file.
-    """
-    empty = True
-    try:
-        with open(path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                where = f"{path}:{lineno}"
-                try:
-                    obj = json.loads(line)
-                except (ValueError, RecursionError) as exc:
-                    raise error(f"{where}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
-                if not isinstance(obj, dict):
-                    raise error(f"{where}: expected a JSON object")
-                for key in fields:
-                    if key not in obj:
-                        raise error(f"{where}: missing field {key!r}")
-                empty = False
-                yield where, obj
-    except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text") from exc
-    if empty:
-        raise error(f"{path}: no rows found")
-
-
-def read_lines(path) -> Iterator[tuple[str, str]]:
+def read_lines(path, error: type[LexivisError] = DataError) -> Iterator[tuple[str, str]]:
     """Yield (``path:lineno``, stripped line) for every non-blank line of a UTF-8 text file.
 
-    Text that is not UTF-8 and a file without a non-blank line raise
-    ``DataError`` naming the file, as in ``iter_jsonl``.
+    The one reader of every input file but a checkpoint; a leading byte-order
+    mark is not part of the text. Text that is not UTF-8 and a file without a
+    non-blank line raise ``error`` naming the file: ``SnapshotError`` for
+    snapshots, ``DataError`` for data files.
     """
     empty = True
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             for lineno, line in enumerate(handle, start=1):
                 line = line.strip()
                 if line:
                     empty = False
                     yield f"{path}:{lineno}", line
     except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text") from exc
+        raise error(f"{path}: not UTF-8 text") from exc
     if empty:
-        raise DataError(f"{path}: no lines found")
+        raise error(f"{path}: no lines found")
+
+
+def iter_jsonl(path, error: type[LexivisError], fields=()) -> Iterator[tuple[str, dict]]:
+    """Yield (``path:lineno``, object) for every line ``read_lines`` yields of a JSONL file.
+
+    Invalid JSON (nesting or an integer too large for ``json``), a row that
+    is not a JSON object, or one missing a name in ``fields`` (the first is
+    named) raises ``error`` with the row's ``path:lineno``.
+    """
+    for where, line in read_lines(path, error):
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise error(f"{where}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
+        if not isinstance(obj, dict):
+            raise error(f"{where}: expected a JSON object")
+        for key in fields:
+            if key not in obj:
+                raise error(f"{where}: missing field {key!r}")
+        yield where, obj
 
 
 def finite_array(

@@ -95,18 +95,12 @@ class SynthWorld:
     store: KnowledgeStore
 
 
-def _common_definition(jargon: str, rival: str) -> str:
-    # The rival class name appears twice, matching the query's own two
-    # mentions in the composed text; only the jargon tokens uniquely
-    # identify the class. A knowledge-trained model learns the jargon,
-    # a knowledge-free model reads two equally-weighted class names.
-    return (
-        f"a specimen kind akin to {jargon} and {jargon} forms often mistaken "
-        f"for {rival} since {rival} specimens look similar"
-    )
-
-
-def _rare_definition(jargon_a: str, jargon_b: str, a: str, b: str) -> str:
+def _definition(jargon_a: str, jargon_b: str, a: str, b: str) -> str:
+    # A rare class mixes two common ones. A common class gives its own jargon
+    # and one rival twice: the rival class name appears twice, matching the
+    # query's own two mentions in the composed text; only the jargon tokens
+    # uniquely identify the class. A knowledge-trained model learns the
+    # jargon, a knowledge-free model reads two equally-weighted class names.
     return (
         f"a specimen kind akin to {jargon_a} and {jargon_b} forms often mistaken "
         f"for {a} since {b} specimens look similar"
@@ -150,12 +144,11 @@ def build_world(seed: int, cfg: SynthConfig) -> SynthWorld:
     if not cfg.empty_knowledge:
         for i, name in enumerate(common):
             rival = common[(i + 1) % cfg.n_common]
-            entries.append(
-                DictionaryEntry(term=name, senses=(_common_definition(DEF_TOKENS[i], rival),))
-            )
+            sense = _definition(DEF_TOKENS[i], DEF_TOKENS[i], rival, rival)
+            entries.append(DictionaryEntry(term=name, senses=(sense,)))
         for j, name in enumerate(rare):
             a, b = pairs[j]
-            sense = _rare_definition(DEF_TOKENS[a], DEF_TOKENS[b], common[a], common[b])
+            sense = _definition(DEF_TOKENS[a], DEF_TOKENS[b], common[a], common[b])
             entries.append(DictionaryEntry(term=name, senses=(sense,)))
     store = KnowledgeStore(wiktionary=Dictionary(entries))
     return SynthWorld(

@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import shlex
 import tracemalloc
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 from lexivis import cli, encoder as enc, evaluation, grounding, knowledge, synth, trainer
 from lexivis.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from lexivis.errors import DataError
-from tests.conftest import FIXTURES
+from tests.conftest import FIXTURES, ROOT
 
 WN = str(FIXTURES / "wordnet.jsonl")
 WK = str(FIXTURES / "wiktionary.jsonl")
@@ -48,6 +49,14 @@ class TestCoverage:
             capsys, "coverage", "--source", "wiki_def", "--wiktionary", WK, "--queries", QUERIES
         )
         assert code == EXIT_OK
+        assert summary["coverage"] == 1.0
+
+    def test_byte_order_mark_is_not_part_of_a_query(self, capsys, tmp_path):
+        queries = tmp_path / "q.txt"
+        queries.write_bytes(b"\xef\xbb\xbfboxer\ntench\n")
+        code, summary, err = run(capsys, "coverage", "--source", "wiki_def", "--wiktionary", WK,
+                                 "--queries", str(queries))
+        assert code == EXIT_OK, err
         assert summary["coverage"] == 1.0
 
     def test_missing_snapshot_is_data_error(self, capsys):
@@ -187,6 +196,31 @@ class TestUsage:
                      str(tmp_path / "m.json"), "--scheme", "combine"])
         assert code == EXIT_USAGE
 
+    def test_train_source_flag_removed(self, capsys, dataset, tmp_path):
+        ckpt = tmp_path / "m.json"
+        train = ["train", "--dataset", str(dataset), "--out-checkpoint", str(ckpt)]
+        code, _, err = run(capsys, *train, "--source", "wiki_def")
+        assert code == EXIT_USAGE
+        assert _one_line(err) == "usage error: unrecognized arguments: --source wiki_def"
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("source = wiki_def\n")
+        code, _, err = run(capsys, "--config", str(cfg), *train)
+        assert code == EXIT_USAGE
+        assert _one_line(err) == f"config error: {cfg}:1: unknown config key 'source'"
+        code, _, err = run(capsys, *train, "--epochs", "1", "--seed", "3")
+        assert code == EXIT_OK, err
+        assert json.loads(ckpt.read_text())["meta"] == {"mode": "scratch_1branch", "seed": 3}
+
+    def test_every_readme_command_parses(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```bash\n(.*?)```", readme, re.S)
+        commands = [shlex.split(line, comments=True)
+                    for line in "".join(blocks).replace("\\\n", " ").splitlines()
+                    if line.startswith("lexivis ")]
+        parser = cli.build_parser()
+        for argv in commands:
+            assert parser.parse_args(argv[1:]).fn, argv
+        assert {argv[1] for argv in commands} == set(parser.subcommands)
 
     @pytest.mark.parametrize("flag, field", [("--embed-dim", "embed_dim"), ("--heads", "num_heads")])
     def test_zero_encoder_dimension_is_usage_error(self, capsys, dataset, tmp_path, flag, field):
@@ -1574,6 +1608,62 @@ class TestInputContract:
                            str(tmp_path / "m.json"), "--mode", "continual_adapters")
         assert code == EXIT_USAGE
         assert "base checkpoint" in err
+
+    # Each input kind: its file's valid text, and a command that reads it from {kind}.
+    _INPUTS = {
+        "dataset": ('{"image": [1.0, 0.0], "text": "boxer is crowd", "kind": "caption"}\n',
+                    "stats --dataset {dataset}"),
+        "images": ('{"image": [1, 0, 0, 0], "label": 0}\n{"image": [0, 1, 0, 0], "label": 1}\n',
+                   "eval-zeroshot --checkpoint {checkpoint} --images {images} --classes {classes}"),
+        "regions": ("".join(json.dumps(r) + "\n" for r in _region_rows(2)),
+                    "ground-eval --checkpoint {ground} --regions {regions} --classes {classes}"),
+        "wordnet": (Path(WN).read_text(encoding="utf-8"),
+                    "coverage --source wn_hier --wordnet {wordnet} --queries {queries}"),
+        "wiktionary": (Path(WK).read_text(encoding="utf-8"),
+                       "coverage --wiktionary {wiktionary} --queries {queries}"),
+        "lexicon": ("is\tOTHER\nthe\tDET\n", "stats --dataset {dataset} --lexicon {lexicon}"),
+        "templates": ("a photo of a {}.\na {} in the wild\n",
+                      "eval-zeroshot --checkpoint {checkpoint} --images {images} "
+                      "--classes {classes} --templates {templates}"),
+        "queries": ("boxer\ntench\n", "coverage --wiktionary {wiktionary} --queries {queries}"),
+        "pretrain_concepts": ("boxer\n",
+                              "eval-zeroshot --checkpoint {checkpoint} --images {images} "
+                              "--classes {classes} --pretrain-concepts {pretrain_concepts}"),
+        "classes": ('[\n  "boxer",\n  "tench"\n]\n',
+                    "eval-zeroshot --checkpoint {checkpoint} --images {images} --classes {classes}"),
+        "config": ("# stats\nmin_freq = 1\n", "--config {config} stats --dataset {dataset}"),
+    }
+
+    @pytest.mark.parametrize("case", ["not_utf8", "blank_lines", "byte_order_mark", "missing"])
+    @pytest.mark.parametrize("kind", list(_INPUTS))
+    def test_every_input_is_read_by_one_reader(self, capsys, tmp_path, checkpoint,
+                                               ground_checkpoint, kind, case):
+        paths = {"checkpoint": checkpoint, "ground": ground_checkpoint}
+        for name, (text, _) in self._INPUTS.items():
+            paths[name] = tmp_path / name
+            paths[name].write_text(text, encoding="utf-8")
+        text, command = self._INPUTS[kind]
+        argv = [arg.format(**paths) for arg in command.split()]
+        path = paths[kind]
+        if case == "byte_order_mark":  # loads as the same text without the mark
+            plain_code, plain, err = run(capsys, *argv)
+            assert plain_code == EXIT_OK, err
+            path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+            code, summary, err = run(capsys, *argv)
+            assert code == EXIT_OK and summary == plain, err
+            return
+        if case == "missing":
+            path.unlink()
+        else:
+            path.write_bytes(b"\xff\n" if case == "not_utf8" else b" \n\n\t\n")
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_DATA
+        line = _one_line(err)
+        if case == "missing":
+            assert line.startswith("data error: ") and str(path) in line
+        else:
+            message = "not UTF-8 text" if case == "not_utf8" else "no lines found"
+            assert line == f"data error: {path}: {message}"
 
     def test_non_utf8_class_list_names_the_file(self, capsys, tmp_path, ground_checkpoint):
         classes = tmp_path / "classes.json"

@@ -52,13 +52,13 @@ GOLDEN = {
     "SIMD X86_V3,X86_V4,AVX512_ICL,AVX512_SPR": {
         "ground.json": "2952cb4212f8903d82054726c2466cfb78bd5713d7442f9fed678a8c35d88a69",
         "ground.csv": "bcae089d8f3c6f7b6196b744c6ebfe3081449399ab6bb0db0539a5672db915fd",
-        "caption.json": "c2b5894e39416288013bb1f909851f4a31b1d2b1d53a3db0bccc9eeef02980f5",
+        "caption.json": "2b12960ced10618d171e83ae4b2de7263133d042bc2cfd4f66244faf83a646a8",
         "predictions.json": "4beb9ad085d2e9152540e22b14ec609a5b3117732b78e59742f0ba21c4d29915",
-        "adapters.json": "05f3fa946102cc133c1cdf4b7315e2631e9e926c15a44a9a9211f82c4811f0fc",
+        "adapters.json": "58f5e86b4f201ea3b92e9d495942618c853c8c2e04eb89f925fcf52f71ef49a7",
         "adapters.csv": "f6bc174ba0b37a9692b51ea3fd70fb4589f8095602b112eca5ad86d61f270777",
-        "sgd.json": "e581d5bf42d9249f2fda09079bf8396abdd800a69748f8d536520f4773e87ea9",
-        "momentum.json": "103679f6ec1712e21e7d9f2ff31385b21233cdcb7a615d00c6157bea16cebf9b",
-        "sgd_adapters.json": "813c00783c5d15ca0c178ec9a2d8ce6bfed5f0579d0715f0da89aac29cd961c1",
+        "sgd.json": "e2e95c2be9e2e61c573b44bcf70597f57ccb89dff7f598f8527022a7df52f177",
+        "momentum.json": "948f1a8eb35f291b8f74204b71647224a8c10f0b44e1e9a1d05b0668bad51f40",
+        "sgd_adapters.json": "38ea9c08948872bf1f30e001f2919f91ceb4e30579c462fd2999c3dee6a34a6a",
         "zeroshot.json": "dfe28a8a4257912b8986b3b2459929da4630722fe5051877e653fe474ace32c4",
         "breakdown.csv": "69cef17b11140dc53546ef18f10dc469bbb744e635fb0941b2203b7b1e41e911",
         "combine.jsonl": "478926f3b73affa10f83b821e5acff1f64d1f120dc6b9afb9093642f4cf1ce11",

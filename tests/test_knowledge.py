@@ -344,8 +344,14 @@ class TestReaders:
     def test_file_without_a_line_is_a_data_error(self, tmp_path, reader, content):
         path = tmp_path / "rows.txt"
         path.write_text(content, encoding="utf-8")
-        with pytest.raises(DataError, match=f"{path}: no (rows|lines) found"):
+        with pytest.raises(DataError, match=f"{path}: no lines found"):
             list(iter_jsonl(path, DataError) if reader == "jsonl" else read_lines(path))
+
+    def test_byte_order_mark_is_not_text(self, tmp_path):
+        path = tmp_path / "rows.txt"
+        path.write_bytes(b'\xef\xbb\xbf{"a": "boxer"}\n')
+        assert list(read_lines(path)) == [(f"{path}:1", '{"a": "boxer"}')]
+        assert list(iter_jsonl(path, DataError)) == [(f"{path}:1", {"a": "boxer"})]
 
     def test_lines_are_stripped_and_located(self, tmp_path):
         path = tmp_path / "list.txt"
