@@ -31,7 +31,7 @@ DETERMINERS = frozenset({"a", "an", "the"})
 MAX_HYPERNYM_HOPS = 32
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SynsetRecord:
     """One WordNet synset: a concept with its lemmas, gloss and parents."""
 
@@ -41,7 +41,7 @@ class SynsetRecord:
     hypernym_ids: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DictionaryEntry:
     """One Wiktionary term with its ordered senses (first sense is retrieved)."""
 
@@ -49,7 +49,7 @@ class DictionaryEntry:
     senses: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KnowledgeItem:
     """A retrieved piece of external knowledge for a query."""
 
@@ -260,13 +260,16 @@ def load_wordnet_snapshot(path) -> WordNetGraph:
     cycle) raises ``SnapshotError`` naming the file.
     """
     records = []
+    ids = {}  # each synset id's first-seen string, shared by the record and every child naming it
     fields = ("id", "lemmas", "definition", "hypernym_ids")
     for where, obj in iter_jsonl(path, SnapshotError, fields):
+        sid = string_field(obj, "id", where, SnapshotError)
         record = SynsetRecord(
-            id=string_field(obj, "id", where, SnapshotError),
+            id=ids.setdefault(sid, sid),
             lemmas=tuple(normalize_text(l) for l in _string_list(obj, "lemmas", where, True)),
             definition=string_field(obj, "definition", where, SnapshotError),
-            hypernym_ids=_string_list(obj, "hypernym_ids", where, False),
+            hypernym_ids=tuple(ids.setdefault(h, h)
+                               for h in _string_list(obj, "hypernym_ids", where, False)),
         )
         if not record.definition.strip():  # retrieved as knowledge, it would compose an empty hit
             raise SnapshotError(f"{where}: definition is blank")

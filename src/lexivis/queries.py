@@ -20,8 +20,9 @@ _STRIP_CHARS = string.punctuation + "‘’“”"
 
 
 def normalize_text(text: str) -> str:
-    """Lowercase and collapse whitespace: the one key for comparing texts."""
-    return " ".join(text.lower().split())
+    """Lowercase and collapse whitespace: the one key for comparing texts (``text`` if it is one)."""
+    norm = " ".join(text.lower().split())
+    return text if norm == text else norm
 
 
 def tokenize(text: str) -> list[str]:
@@ -52,7 +53,7 @@ def load_lexicon(path) -> dict[str, str]:
             first = next(at for at, row in read_lines(path)
                          if tokenize(row.split("\t")[0]) == tokens)
             raise DataError(f"{where}: token {tokens[0]!r} is already listed at {first}")
-        lexicon[tokens[0]] = tag
+        lexicon[tokens[0]] = TAGS[TAGS.index(tag)]  # one string per tag, not one per row
     return lexicon
 
 

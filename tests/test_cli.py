@@ -491,19 +491,6 @@ def _one_line(err):
 class TestConfigValues:
     """``--config`` and ``LEXIVIS_*`` values become subcommand defaults, checked like flags."""
 
-    def test_config_not_utf8_names_the_file(self, capsys, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_bytes(b"min_freq = \xff\n")
-        code, _, err = run(capsys, "--config", str(cfg), "stats", "--dataset", "absent.jsonl")
-        assert code == EXIT_DATA and _one_line(err) == f"data error: {cfg}: not UTF-8 text"
-
-    @pytest.mark.parametrize("content", ["", " \n\n"])
-    def test_empty_config_is_data_error(self, capsys, tmp_path, content):
-        cfg = tmp_path / "empty.cfg"
-        cfg.write_text(content)
-        code, _, err = run(capsys, "--config", str(cfg), *COVERAGE)
-        assert code == EXIT_DATA and _one_line(err) == f"data error: {cfg}: no lines found"
-
     def test_bad_config_value_names_the_line(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("min_freq = abc\n")
@@ -1574,35 +1561,6 @@ class TestInputContract:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and f"{regions}: image_id 'im1' has no targets" in lines[0]
 
-    # Each was accepted: coverage 0.0, every token a NOUN, a null overlap.
-    @pytest.mark.parametrize("empty_input", ["snapshot", "lexicon", "pretrain_concepts"])
-    def test_empty_input_is_a_data_error(self, capsys, tmp_path, dataset, checkpoint, empty_input):
-        empty = tmp_path / "empty.txt"
-        empty.write_text("\n \n")
-        images = _write_images(tmp_path / "images.jsonl",
-                               [{"image": np.eye(4)[i].tolist(), "label": i} for i in range(4)])
-        classes = tmp_path / "classes.json"
-        classes.write_text(json.dumps(["boxer", "tench", "crowd", "fireplug"]))
-        argv = {
-            "snapshot": ["coverage", "--source", "wn_def", "--wordnet", str(empty),
-                         "--queries", QUERIES],
-            "lexicon": ["stats", "--dataset", str(dataset), "--lexicon", str(empty)],
-            "pretrain_concepts": ["eval-zeroshot", "--checkpoint", str(checkpoint),
-                                  "--images", str(images), "--classes", str(classes),
-                                  "--pretrain-concepts", str(empty)],
-        }[empty_input]
-        code, _, err = run(capsys, *argv)
-        assert code == EXIT_DATA
-        lines = err.strip().splitlines()
-        assert len(lines) == 1 and f"{empty}: no " in lines[0]
-
-    def test_missing_list_file_names_the_path(self, capsys, tmp_path):
-        absent = tmp_path / "absent.txt"
-        code, _, err = run(capsys, "coverage", "--wiktionary", WK, "--queries", str(absent))
-        assert code == EXIT_DATA
-        lines = err.strip().splitlines()
-        assert len(lines) == 1 and str(absent) in lines[0]
-
     def test_continual_adapters_without_base_is_a_config_error(self, capsys, tmp_path, dataset):
         code, _, err = run(capsys, "train", "--dataset", str(dataset), "--out-checkpoint",
                            str(tmp_path / "m.json"), "--mode", "continual_adapters")
@@ -1631,10 +1589,13 @@ class TestInputContract:
                               "--classes {classes} --pretrain-concepts {pretrain_concepts}"),
         "classes": ('[\n  "boxer",\n  "tench"\n]\n',
                     "eval-zeroshot --checkpoint {checkpoint} --images {images} --classes {classes}"),
+        "ground_classes": ('[\n  "boxer",\n  "tench"\n]\n', "ground-eval --checkpoint {ground} "
+                           "--regions {regions} --classes {ground_classes}"),
         "config": ("# stats\nmin_freq = 1\n", "--config {config} stats --dataset {dataset}"),
     }
 
-    @pytest.mark.parametrize("case", ["not_utf8", "blank_lines", "byte_order_mark", "missing"])
+    @pytest.mark.parametrize("case", ["not_utf8", "empty", "blank_lines", "byte_order_mark",
+                                      "missing"])
     @pytest.mark.parametrize("kind", list(_INPUTS))
     def test_every_input_is_read_by_one_reader(self, capsys, tmp_path, checkpoint,
                                                ground_checkpoint, kind, case):
@@ -1655,7 +1616,8 @@ class TestInputContract:
         if case == "missing":
             path.unlink()
         else:
-            path.write_bytes(b"\xff\n" if case == "not_utf8" else b" \n\n\t\n")
+            content = {"not_utf8": b"\xff\n", "empty": b"", "blank_lines": b" \n\n\t\n"}[case]
+            path.write_bytes(content)
         code, _, err = run(capsys, *argv)
         assert code == EXIT_DATA
         line = _one_line(err)
@@ -1664,16 +1626,6 @@ class TestInputContract:
         else:
             message = "not UTF-8 text" if case == "not_utf8" else "no lines found"
             assert line == f"data error: {path}: {message}"
-
-    def test_non_utf8_class_list_names_the_file(self, capsys, tmp_path, ground_checkpoint):
-        classes = tmp_path / "classes.json"
-        classes.write_bytes(b'["caf\xe9"]')
-        regions = _write_images(tmp_path / "regions.jsonl", _region_rows(1))
-        code, _, err = run(capsys, "ground-eval", "--checkpoint", str(ground_checkpoint),
-                           "--regions", str(regions), "--classes", str(classes))
-        assert code == EXIT_DATA
-        lines = err.strip().splitlines()
-        assert len(lines) == 1 and f"{classes}: not UTF-8 text" in lines[0]
 
 
 class TestFlagRanges:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from lexivis.errors import DataError, SnapshotError
 from lexivis.knowledge import (
     Dictionary,
     DictionaryEntry,
+    KnowledgeItem,
     KnowledgeStore,
     SynsetRecord,
     WordNetGraph,
@@ -156,6 +158,31 @@ class TestLoadWordnet:
             "boxer, causal agent"
         )
 
+    # Ids of more than one character: CPython shares one-character strings anyway.
+    ONE_STRING_ROWS = [
+        {"id": "n.boxer", "lemmas": ["boxer"], "definition": "fights", "hypernym_ids": ["n.person"]},
+        {"id": "n.person", "lemmas": ["Person "], "definition": "a human", "hypernym_ids": []},
+        {"id": "n.kickboxer", "lemmas": ["kickboxer", "kick boxer"], "definition": "kicks",
+         "hypernym_ids": ["n.boxer", "n.person"]},
+    ]
+
+    def test_hypernym_id_is_the_named_synset_id(self, tmp_path):
+        path = tmp_path / "wn.jsonl"
+        _write_jsonl(path, self.ONE_STRING_ROWS)
+        graph = load_wordnet_snapshot(path)
+        hypernym_ids = [hid for rec in graph.synsets.values() for hid in rec.hypernym_ids]
+        assert hypernym_ids == ["n.person", "n.boxer", "n.person"]
+        assert all(hid is graph.synsets[hid].id for hid in hypernym_ids)
+
+    def test_space_free_lemma_is_its_index_key(self, tmp_path):
+        path = tmp_path / "wn.jsonl"
+        _write_jsonl(path, self.ONE_STRING_ROWS)
+        graph = load_wordnet_snapshot(path)
+        keys = {key: key for key in graph.lemma_index}
+        lemmas = [lemma for rec in graph.synsets.values() for lemma in rec.lemmas if " " not in lemma]
+        assert lemmas == ["boxer", "person", "kickboxer"]
+        assert all(keys[lemma] is lemma for lemma in lemmas)
+
     def test_first_listed_synset_wins_lemma_ties(self):
         records = [
             SynsetRecord("n1", ("bank",), "river bank", ()),
@@ -238,6 +265,15 @@ class TestWiktionary:
         assert dictionary.lookup("a hot dog").senses == ("a sausage",)
         assert dictionary.lookup("") is None
 
+    def test_normalized_term_is_its_own_key(self, tmp_path):
+        path = tmp_path / "wk.jsonl"
+        _write_jsonl(path, [{"term": "hot dog", "senses": ["a sausage"]},
+                            {"term": " Boxer", "senses": ["a fighter"]}])
+        entries = load_wiktionary_snapshot(path).entries
+        assert [(key, entry.term) for key, entry in entries.items()] == [
+            ("hot dog", "hot dog"), ("boxer", " Boxer")]
+        assert next(iter(entries)) is entries["hot dog"].term
+
     @pytest.mark.parametrize("term", ["", " \t"])
     def test_blank_term_is_refused(self, tmp_path, term):
         path = tmp_path / "wk.jsonl"
@@ -247,6 +283,14 @@ class TestWiktionary:
 
 
 class TestRetrieveChecks:
+    def test_records_are_frozen_and_hold_no_dict(self, store):
+        records = [store.wordnet.lookup("boxer"), store.wiktionary.lookup("boxer"),
+                   store.retrieve("boxer", "wn_def")]
+        assert [type(rec) for rec in records] == [SynsetRecord, DictionaryEntry, KnowledgeItem]
+        for rec in records:
+            assert not hasattr(rec, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(rec, dataclasses.fields(rec)[0].name, "boxer")
     def test_unknown_source_raises_before_the_snapshot_check(self):
         with pytest.raises(ValueError, match="unknown knowledge source 'wn_gloss'"):
             KnowledgeStore().retrieve("boxer", "wn_gloss")

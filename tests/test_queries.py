@@ -10,7 +10,9 @@ from lexivis.queries import (
     chunk_noun_phrases,
     construct_query,
     iter_queries,
+    TAGS,
     load_lexicon,
+    normalize_text,
     pos_tag,
     tokenize,
 )
@@ -49,6 +51,13 @@ class TestPosTag:
         lexicon = load_lexicon(path)
         assert lexicon == {"dr": "OTHER"}
         assert pos_tag(tokenize("Dr. Smith"), lexicon) == ["OTHER", "NOUN"]
+
+    def test_lexicon_holds_the_tag_constants(self, tmp_path):
+        path = tmp_path / "lexicon.tsv"
+        path.write_text("the\tdet\nboxer\t NOUN\nfast\tADJ\n")
+        lexicon = load_lexicon(path)
+        assert lexicon == {"the": "DET", "boxer": "NOUN", "fast": "ADJ"}
+        assert all(any(tag is member for member in TAGS) for tag in lexicon.values())
 
 
 def _chunk(sentence, lexicon):
@@ -117,6 +126,13 @@ class TestConstructQuery:
 
     def test_category_is_normalized_like_snapshot_keys(self):
         assert construct_query("Hot  Dog", "category") == "hot dog"
+
+    def test_normalized_text_comes_back_as_itself(self):
+        text = " ".join(["hot", "dog"])  # built at run time, not a shared constant
+        assert normalize_text(text) is text
+        raw = "Hot  Dog"
+        assert normalize_text(raw) == "hot dog" and normalize_text(raw) is not raw
+        assert normalize_text("hot dog ") == "hot dog"
 
     def test_rarest_phrase_wins(self, lexicon):
         freq = Counter({"professional boxer": 1, "boxer": 9, "the crowd": 4, "crowd": 12})
