@@ -127,19 +127,43 @@ def _load_labeled_images(path, width: int, n_classes: int | None = None):
     return np.stack(images), (None if labels[0] is None else np.asarray(labels))
 
 
-# Each encoder flag's dest: (its EncoderConfig field, its default). The flags read None until a
-# command line, config file or variable sets them, so continual training can tell them apart.
-_ENCODER_FLAGS = {
-    "embed_dim": ("embed_dim", 32), "layers": ("text_layers", 2), "heads": ("num_heads", 2),
-    "hidden_dim": ("hidden_dim", 64), "vocab_size": ("vocab_size", 512),
-    "max_tokens": ("max_tokens", 64), "adapter_bottleneck": ("adapter_bottleneck", 8),
+# Each flag that fills a config field, by dest: the field it fills. The flag takes that field's
+# type and default (_add_fields), and the command builds the config from the same pairs (_fill).
+_ENCODER_FLAGS = {  # read None until set, so continual training can check only the set ones
+    "embed_dim": "embed_dim", "layers": "text_layers", "heads": "num_heads",
+    "hidden_dim": "hidden_dim", "vocab_size": "vocab_size", "max_tokens": "max_tokens",
+    "adapter_bottleneck": "adapter_bottleneck",
+}
+# TrainConfig: train reads both groups, ground-train the run flags alone.
+_RUN_FLAGS = {name: name for name in ("epochs", "learning_rate", "optimizer", "seed")}
+_TRAIN_FLAGS = {name: name for name in ("batch_size", "mode")}
+_FOCAL_FLAGS = {"focal_alpha": "alpha", "focal_gamma": "gamma"}
+_SYNTH_FLAGS = {
+    "n_seeds": "seeds", "common_classes": "n_common", "rare_classes": "n_rare",
+    "train_per_class": "train_per_class", "eval_per_class": "eval_per_class", "noise": "noise",
+    "epochs": "epochs", "batch_size": "batch_size", "learning_rate": "learning_rate",
+    "empty_knowledge": "empty_knowledge",
 }
 
 
-def _encoder_config(args, image_dim: int) -> enc.EncoderConfig:
-    fields = {name: default if getattr(args, dest) is None else getattr(args, dest)
-              for dest, (name, default) in _ENCODER_FLAGS.items()}
-    return enc.EncoderConfig(image_input_dim=image_dim, **fields)
+def _add_fields(p, cls, pairs: dict, unset: bool = False, **choices) -> None:
+    """A flag per dest in ``pairs``, typed and defaulted by the ``cls`` field it fills (None
+    with ``unset``). A tuple field is filled by a count: ``--n-seeds 3`` gives seeds 0, 1, 2."""
+    for dest, name in pairs.items():
+        flag, default = "--" + dest.replace("_", "-"), getattr(cls, name)
+        if isinstance(default, bool):
+            p.add_argument(flag, action="store_true", default=default)
+        else:
+            default = len(default) if isinstance(default, tuple) else default
+            p.add_argument(flag, type=type(default), default=None if unset else default,
+                           choices=choices.get(dest))
+
+
+def _fill(args, cls, pairs: dict):
+    """``cls`` built from the set flags of ``pairs``; its other fields keep their defaults."""
+    values = {name: getattr(args, dest) for dest, name in pairs.items()}
+    return cls(**{name: tuple(range(value)) if isinstance(getattr(cls, name), tuple) else value
+                  for name, value in values.items() if value is not None})
 
 
 def _load_checkpoint(path, command: str) -> enc.ModelParams:
@@ -164,7 +188,7 @@ def _save_run(args, params: enc.ModelParams, meta: dict, trace: list, **header) 
 
 def _check_base_flags(args, base: enc.EncoderConfig) -> None:
     """Continual training keeps the base's encoder: an encoder flag that is set must agree."""
-    for dest, (name, _) in _ENCODER_FLAGS.items():
+    for dest, name in _ENCODER_FLAGS.items():
         value, kept = getattr(args, dest), getattr(base, name)
         if value is not None and value != kept:
             raise ConfigError(f"--{dest.replace('_', '-')} {value} differs from the base "
@@ -217,21 +241,14 @@ def _cmd_train(args) -> dict:
     if continual != (args.base_checkpoint is not None):  # checked before any input is read
         raise ConfigError("continual_adapters mode requires a base checkpoint" if continual else
                           f"--base-checkpoint needs --mode continual_adapters, not {args.mode}")
-    config = trainer.TrainConfig(
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        learning_rate=args.learning_rate,
-        optimizer=args.optimizer,
-        seed=args.seed,
-        mode=args.mode,
-    )
+    config = _fill(args, trainer.TrainConfig, {**_RUN_FLAGS, **_TRAIN_FLAGS})
     base = None
     if continual:  # the base's encoder: only the flags that are set are checked against it
         base = _load_checkpoint(args.base_checkpoint, "train")
         _check_base_flags(args, base.config)
         config.encoder = base.config
     else:  # the dataset's first row sets the width
-        config.encoder = _encoder_config(args, image_dim=1)
+        config.encoder = _fill(args, enc.EncoderConfig, _ENCODER_FLAGS)
     rows = trainer.iter_dataset_jsonl(args.dataset, base.config.image_input_dim if base else None)
     first = next(rows)
     config.encoder = replace(config.encoder, image_input_dim=first.image.size)
@@ -318,9 +335,9 @@ def _cmd_eval_probe(args) -> dict:
 
 
 def _cmd_ground_train(args) -> dict:
-    cfg = _encoder_config(args, image_dim=1)
+    cfg = _fill(args, enc.EncoderConfig, _ENCODER_FLAGS)
     cfg = replace(cfg, image_input_dim=cfg.embed_dim)  # as wide as the region features
-    focal = grounding.FocalParams(args.focal_alpha, args.focal_gamma)
+    focal = _fill(args, grounding.FocalParams, _FOCAL_FLAGS)
     trainer.check_schedule(args.epochs, args.learning_rate)
     store = _load_store(args) if args.with_knowledge else None
     class_names = _load_class_names(args.classes)
@@ -329,7 +346,7 @@ def _cmd_ground_train(args) -> dict:
     if unlabeled is not None:
         raise DataError(f"{args.regions}: image_id {unlabeled!r} has no targets; "
                         "ground-train needs targets on every region row")
-    texts = [compose.class_texts(n, store, args.source, cfg.max_tokens)[1][0] for n in class_names]
+    texts = grounding.category_texts(class_names, store, args.source, cfg.max_tokens)
     params = enc.init_params(cfg, seed=args.seed)
     token_ids = [enc.text_to_ids(t, cfg, pooling="cls") for t in texts]
     spec = enc.LossSpec(loss="ground_focal", focal=focal)
@@ -356,8 +373,7 @@ def _cmd_ground_eval(args) -> dict:
     params = _load_checkpoint(args.checkpoint, "ground-eval")
     class_names = _load_class_names(args.classes)
     regions = grounding.load_regions_jsonl(args.regions, len(class_names), params.config.embed_dim)
-    texts = [compose.class_texts(n, store, args.source, params.config.max_tokens)[1][0]
-             for n in class_names]
+    texts = grounding.category_texts(class_names, store, args.source, params.config.max_tokens)
     bank = grounding.encode_phrases_parallel(params, texts)
     rows = []
     accuracies = []
@@ -386,19 +402,7 @@ def _cmd_ground_eval(args) -> dict:
 
 
 def _cmd_bench_synth(args) -> dict:
-    cfg = synth.SynthConfig(
-        n_common=args.common_classes,
-        n_rare=args.rare_classes,
-        train_per_class=args.train_per_class,
-        eval_per_class=args.eval_per_class,
-        noise=args.noise,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        learning_rate=args.learning_rate,
-        seeds=tuple(range(args.n_seeds)),
-        empty_knowledge=args.empty_knowledge,
-    )
-    report = synth.run_bench(cfg)
+    report = synth.run_bench(_fill(args, synth.SynthConfig, _SYNTH_FLAGS))
     if args.out:
         _write_json(args.out, report)
     return {
@@ -421,19 +425,11 @@ def _add_store_flags(p):
     p.add_argument("--source", default="wiki_def", choices=SOURCES)
 
 
-def _add_encoder_flags(p):
-    for dest in _ENCODER_FLAGS:
-        p.add_argument("--" + dest.replace("_", "-"), type=int)
-
-
 def _add_run_flags(p):
     """The run settings ``train`` and ``ground-train`` share."""
     p.add_argument("--out-checkpoint", required=True)
     p.add_argument("--trace")
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--optimizer", default="adam", choices=trainer.OPTIMIZERS)
-    p.add_argument("--seed", type=int, default=0)
+    _add_fields(p, trainer.TrainConfig, _RUN_FLAGS, optimizer=trainer.OPTIMIZERS)
 
 
 def build_parser() -> _Parser:
@@ -465,11 +461,10 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_coverage)
 
     p = sub.add_parser("train", help="contrastive pretraining on a triplet dataset")
-    _add_encoder_flags(p)
+    _add_fields(p, enc.EncoderConfig, _ENCODER_FLAGS, unset=True)
     _add_run_flags(p)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--mode", default="scratch_1branch", choices=trainer.TRAIN_MODES)
+    _add_fields(p, trainer.TrainConfig, _TRAIN_FLAGS, mode=trainer.TRAIN_MODES)
     p.add_argument("--base-checkpoint")
     p.set_defaults(fn=_cmd_train)
 
@@ -497,13 +492,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ground-train", help="train the grounding text encoder")
     _add_store_flags(p)
-    _add_encoder_flags(p)
+    _add_fields(p, enc.EncoderConfig, _ENCODER_FLAGS, unset=True)
     _add_run_flags(p)
     p.add_argument("--regions", required=True)
     p.add_argument("--classes", required=True)
     p.add_argument("--with-knowledge", action="store_true")
-    p.add_argument("--focal-alpha", type=float, default=0.25)
-    p.add_argument("--focal-gamma", type=float, default=2.0)
+    _add_fields(p, grounding.FocalParams, _FOCAL_FLAGS)
     p.set_defaults(fn=_cmd_ground_train)
 
     p = sub.add_parser("ground-eval", help="zero-shot region classification")
@@ -516,16 +510,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_ground_eval)
 
     p = sub.add_parser("bench-synth", help="synthetic rare-concept transfer benchmark")
-    p.add_argument("--n-seeds", type=int, default=5)
-    p.add_argument("--common-classes", type=int, default=8)
-    p.add_argument("--rare-classes", type=int, default=8)
-    p.add_argument("--train-per-class", type=int, default=16)
-    p.add_argument("--eval-per-class", type=int, default=16)
-    p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--empty-knowledge", action="store_true")
+    _add_fields(p, synth.SynthConfig, _SYNTH_FLAGS)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_bench_synth)
 

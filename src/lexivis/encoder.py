@@ -48,7 +48,7 @@ class EncoderConfig:
     text_layers: int = 2
     num_heads: int = 2
     hidden_dim: int = 64
-    vocab_size: int = 256
+    vocab_size: int = 512
     max_tokens: int = 64
     adapter_bottleneck: int = 8
     image_input_dim: int = 8

@@ -74,6 +74,12 @@ def load_regions_jsonl(
     return regions
 
 
+def category_texts(class_names: list[str], store, source: str, max_tokens: int) -> list[str]:
+    """Each class's prompt-free text, ``compose.class_texts`` without a template, as
+    ``ground-train`` trains on and ``ground-eval`` scores against."""
+    return [compose.class_texts(name, store, source, max_tokens)[1][0] for name in class_names]
+
+
 def encode_phrases_parallel(params: enc.ModelParams, texts: list[str]) -> PhraseBank:
     """Encode each category text independently through the base branch.
 

@@ -18,12 +18,15 @@ from .errors import NumericsError
 
 
 def normalize_rows(m: np.ndarray) -> np.ndarray:
-    """Project each feature row onto the unit sphere; a near-zero row is a ``NumericsError``."""
+    """Project each feature row onto the unit sphere; a near-zero row, or one whose norm is NaN
+    or infinite, is a ``NumericsError`` naming the rows."""
     m = np.asarray(m, dtype=np.float64)
     norms = np.linalg.norm(m, axis=1, keepdims=True)
-    rows = np.flatnonzero(norms <= 1e-12).tolist()
-    if rows:
-        raise NumericsError(f"cannot normalize a near-zero row: batch rows {rows}", {"rows": rows})
+    bad = {"near-zero row": norms <= 1e-12, "row of non-finite norm": ~np.isfinite(norms)}
+    for kind, where in bad.items():
+        rows = np.flatnonzero(where).tolist()
+        if rows:
+            raise NumericsError(f"cannot normalize a {kind}: batch rows {rows}", {"rows": rows})
     return m / norms
 
 
@@ -65,8 +68,8 @@ def grouped_contrastive_loss_with_grads(
     sim = np.asarray(sim, dtype=np.float64)
     if sim.ndim != 2 or sim.shape[0] != sim.shape[1]:
         raise ValueError(f"similarity matrix must be square, got {sim.shape}")
-    if tau <= 0:
-        raise ValueError("temperature must be positive")
+    if tau <= 0:  # exp(log_tau) underflows when training diverges
+        raise NumericsError("temperature must be positive", {"tau": tau})
     if not np.all(np.isfinite(sim)):
         raise NumericsError("similarity matrix contains non-finite entries")
 

@@ -51,15 +51,7 @@ class SynthConfig:
     source: ClassVar[str] = "wiki_def"  # build_world's store holds Wiktionary senses only
     empty_knowledge: bool = False
     encoder: EncoderConfig = field(
-        default_factory=lambda: EncoderConfig(
-            embed_dim=32,
-            text_layers=2,
-            num_heads=2,
-            hidden_dim=64,
-            vocab_size=512,
-            max_tokens=32,
-            image_input_dim=16,
-        )
+        default_factory=lambda: EncoderConfig(max_tokens=32, image_input_dim=16)
     )
 
     def __post_init__(self):

@@ -605,6 +605,63 @@ class TestConfigValues:
         assert offenders == []
 
 
+_FIELD_FLAGS = [  # (command, flag dest, config class, the field the flag fills)
+    *((command, dest, trainer.TrainConfig, dest) for command in ("train", "ground-train")
+      for dest in ("epochs", "learning_rate", "optimizer", "seed")),
+    ("train", "batch_size", trainer.TrainConfig, "batch_size"),
+    ("train", "mode", trainer.TrainConfig, "mode"),
+    ("ground-train", "focal_alpha", grounding.FocalParams, "alpha"),
+    ("ground-train", "focal_gamma", grounding.FocalParams, "gamma"),
+    ("bench-synth", "n_seeds", synth.SynthConfig, "seeds"),
+    ("bench-synth", "common_classes", synth.SynthConfig, "n_common"),
+    ("bench-synth", "rare_classes", synth.SynthConfig, "n_rare"),
+    *(("bench-synth", dest, synth.SynthConfig, dest)
+      for dest in ("train_per_class", "eval_per_class", "noise", "epochs", "batch_size",
+                   "learning_rate", "empty_knowledge")),
+]
+_ENCODER_DESTS = ("embed_dim", "layers", "heads", "hidden_dim", "vocab_size", "max_tokens",
+                  "adapter_bottleneck")
+
+
+class TestFlagDefaults:
+    """A flag that fills a config field takes that field's default and type.
+
+    Encoder flags read None until set; a scratch model built from none of them has the
+    ``EncoderConfig`` defaults at its input width.
+    """
+
+    @pytest.mark.parametrize("command, dest, cls, field", _FIELD_FLAGS,
+                             ids=[f"{c}-{d}" for c, d, _, _ in _FIELD_FLAGS])
+    def test_flag_default_is_its_fields(self, command, dest, cls, field):
+        expected = getattr(cls(), field)
+        if field == "seeds":  # --n-seeds N runs seeds 0..N-1
+            assert expected == tuple(range(len(expected)))
+            expected = len(expected)
+        default = cli.build_parser().subcommands[command].get_default(dest)
+        assert default == expected and type(default) is type(expected)
+
+    @pytest.mark.parametrize("command", ["train", "ground-train"])
+    def test_encoder_flags_read_none_until_set(self, command):
+        sub = cli.build_parser().subcommands[command]
+        assert {dest: sub.get_default(dest) for dest in _ENCODER_DESTS} == dict.fromkeys(
+            _ENCODER_DESTS)
+
+    def test_scratch_models_take_the_encoder_defaults(self, capsys, tmp_path, dataset):
+        ckpt = tmp_path / "m.json"
+        code, _, err = run(capsys, "train", "--dataset", str(dataset),
+                           "--out-checkpoint", str(ckpt), "--epochs", "0")
+        assert code == EXIT_OK, err
+        assert enc.load_checkpoint(ckpt)[0].config == enc.EncoderConfig(image_input_dim=4)
+        width = enc.EncoderConfig().embed_dim  # region features are as wide as the embedding
+        regions, classes = tmp_path / "regions.jsonl", tmp_path / "classes.json"
+        regions.write_text("".join(json.dumps(r) + "\n" for r in _region_rows(2, width=width)))
+        classes.write_text(json.dumps(["boxer", "tench"]))
+        code, _, err = run(capsys, "ground-train", "--regions", str(regions), "--classes",
+                           str(classes), "--out-checkpoint", str(ckpt), "--epochs", "0")
+        assert code == EXIT_OK, err
+        assert enc.load_checkpoint(ckpt)[0].config == enc.EncoderConfig(image_input_dim=width)
+
+
 class TestTrainEval:
     def test_train_then_eval(self, capsys, tmp_path, dataset):
         ckpt = tmp_path / "model.json"
@@ -647,6 +704,15 @@ class TestTrainEval:
         assert re.fullmatch(
             r"error: cannot normalize a near-zero row: batch rows \[\d+\] \(training step 0\)", line
         ), line
+        assert not (tmp_path / "model.json").exists()
+
+    def test_collapsed_temperature_names_its_step(self, capsys, tmp_path, dataset):
+        # A huge step underflows tau = exp(log_tau) to 0: a numerics error, not a data error.
+        code, _, err = run(capsys, "train", "--dataset", str(dataset), "--out-checkpoint",
+                           str(tmp_path / "model.json"), "--learning-rate", "1e3")
+        assert code == EXIT_DATA
+        (line,) = err.splitlines()
+        assert re.fullmatch(r"error: temperature must be positive \(training step \d+\)", line), line
         assert not (tmp_path / "model.json").exists()
 
     def test_train_opens_the_dataset_once(self, capsys, tmp_path, dataset, opened_paths):

@@ -47,9 +47,14 @@ def _stack() -> str:
             f"SIMD {simd}")
 
 
+SKYLAKEX = ("numpy 2.4.6; scipy-openblas 0.3.31.188.0 core SkylakeX; "
+            "SIMD X86_V3,X86_V4,AVX512_ICL,AVX512_SPR")
+# The same build under OPENBLAS_CORETYPE=Haswell NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
+# AVX512_SPR": an AVX2 machine's BLAS kernel and SIMD paths, emulated on an AVX-512 CPU.
+HASWELL = "numpy 2.4.6; scipy-openblas 0.3.31.188.0 core Haswell; SIMD X86_V3"
+
 GOLDEN = {
-    "numpy 2.4.6; scipy-openblas 0.3.31.188.0 core SkylakeX; "
-    "SIMD X86_V3,X86_V4,AVX512_ICL,AVX512_SPR": {
+    SKYLAKEX: {
         "ground.json": "2952cb4212f8903d82054726c2466cfb78bd5713d7442f9fed678a8c35d88a69",
         "ground.csv": "bcae089d8f3c6f7b6196b744c6ebfe3081449399ab6bb0db0539a5672db915fd",
         "caption.json": "2b12960ced10618d171e83ae4b2de7263133d042bc2cfd4f66244faf83a646a8",
@@ -59,6 +64,23 @@ GOLDEN = {
         "sgd.json": "e2e95c2be9e2e61c573b44bcf70597f57ccb89dff7f598f8527022a7df52f177",
         "momentum.json": "948f1a8eb35f291b8f74204b71647224a8c10f0b44e1e9a1d05b0668bad51f40",
         "sgd_adapters.json": "38ea9c08948872bf1f30e001f2919f91ceb4e30579c462fd2999c3dee6a34a6a",
+        "zeroshot.json": "dfe28a8a4257912b8986b3b2459929da4630722fe5051877e653fe474ace32c4",
+        "breakdown.csv": "69cef17b11140dc53546ef18f10dc469bbb744e635fb0941b2203b7b1e41e911",
+        "combine.jsonl": "478926f3b73affa10f83b821e5acff1f64d1f120dc6b9afb9093642f4cf1ce11",
+        "concat.jsonl": "97dbd668258ae9e3181c19d51fbbe13d351d38e989c506ad0ebd43d3e71b84b7",
+        "stats.json": "1dfaa447ad9cbfb17b0468c6b98c7e34b50fe626b8dcd1ed45d72abc4d2e3174",
+        "run_seed0.json": "4ec388ffd55840d2d1e7d2a47432946109a9e9d1d5fc4757188589339c7dfa91",
+    },
+    HASWELL: {
+        "ground.json": "7cc2f91cc99d578ba2c1058dbba1adcef3591d5fcf0efd2278123548cc39a74e",
+        "ground.csv": "a25c328b2a8df2ce56bd935541bdbe38b580627a7db222589085fbab1c93cba6",
+        "caption.json": "e02bbf3826c72e8402bc9de3e119ae3c50715fff81bca5382db160007e9a4124",
+        "predictions.json": "44896adf39d90c09f25ee44641e014eed299869126703cd98cd9ec839505c895",
+        "adapters.json": "475cbbd336fd8fe7fca8595c68100811de5bc31169f18ebc3f476afec5eb5725",
+        "adapters.csv": "43c6e34fe89f9792782b257c080513924cdaa83569bac42b33d30690e77e94bf",
+        "sgd.json": "9c559048779eb9e7b27d2757ab060aa664d0b8dcbdd318f82cc09f46045f4342",
+        "momentum.json": "a3fe0af94f80ec19f151c54e6c442ffd8ff3797b2b24b3258e7ffdb57f69889e",
+        "sgd_adapters.json": "4ce3c6e15ed89647e75d92292db38b2c76c88c5cc196d3fd7b127b196710d663",
         "zeroshot.json": "dfe28a8a4257912b8986b3b2459929da4630722fe5051877e653fe474ace32c4",
         "breakdown.csv": "69cef17b11140dc53546ef18f10dc469bbb744e635fb0941b2203b7b1e41e911",
         "combine.jsonl": "478926f3b73affa10f83b821e5acff1f64d1f120dc6b9afb9093642f4cf1ce11",

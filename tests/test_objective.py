@@ -70,6 +70,12 @@ class TestNormalize:
         with pytest.raises(NumericsError, match=message) as raised:
             normalize_rows(rows)
         assert raised.value.diagnostics == {"rows": [1, 3]}
+        for value in (np.nan, np.inf):  # checked before any division: no numpy warning
+            rows = np.array([[1.0, 0.0], [0.0, value], [0.0, 2.0]])
+            message = r"^cannot normalize a row of non-finite norm: batch rows \[1\]$"
+            with pytest.raises(NumericsError, match=message) as raised:
+                normalize_rows(rows)
+            assert raised.value.diagnostics == {"rows": [1]}
 
     def test_zero_vector_errors(self):
         with pytest.raises(ValueError):
