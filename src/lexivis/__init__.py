@@ -8,13 +8,12 @@ zero-shot / few-shot transfer plus region grounding.
 
 __version__ = "0.1.0"
 
-from .errors import ConfigError, DataError, LexivisError, NumericsError, SnapshotError
+from .errors import ConfigError, DataError, LexivisError, NumericsError
 
 __all__ = [
     "ConfigError",
     "DataError",
     "LexivisError",
     "NumericsError",
-    "SnapshotError",
     "__version__",
 ]

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import compose, encoder as enc, evaluation, grounding, queries, synth, trainer
-from .errors import ConfigError, DataError, LexivisError, SnapshotError
+from .errors import ConfigError, DataError, LexivisError
 from .knowledge import (
     SNAPSHOT_OF,
     SOURCES,
@@ -115,7 +115,7 @@ def _load_labeled_images(path, width: int, n_classes: int | None = None):
     With ``n_classes``, a label must index one of that many classes.
     """
     images, labels = [], []
-    for where, obj in iter_jsonl(path, DataError, ("image",)):
+    for where, obj in iter_jsonl(path, ("image",)):
         image = finite_array(obj["image"], 1, where, "image", width)
         label = label_field(obj, where)
         if label is not None and n_classes is not None and not 0 <= label < n_classes:
@@ -572,7 +572,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, SnapshotError) as exc:
+    except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except LexivisError as exc:

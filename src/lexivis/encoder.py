@@ -617,10 +617,10 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     accepted. Adapter tensors are expected iff the checkpoint holds any
     adapter key. Every defect raises ``DataError``: malformed JSON, a data
     element that is not a JSON number, a non-object payload, an unsupported
-    format version, an invalid ``encoder_config``, or a missing, extra or
-    misshapen tensor. Arrays grow only with the values actually read and the
-    expected shapes come from the config alone, so a corrupt config with huge
-    dimensions allocates nothing.
+    format version, an invalid ``encoder_config``, or a missing, extra,
+    misshapen or non-finite tensor. Arrays grow only with the values actually
+    read and the expected shapes come from the config alone, so a corrupt
+    config with huge dimensions allocates nothing.
     """
     payload = checkpoint_json.load(path)
     version = payload.get("format_version")
@@ -649,5 +649,7 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         data = spec.get("data") if isinstance(spec, dict) else None
         if not isinstance(data, np.ndarray) or data.size != size or spec.get("shape") != shape:
             raise DataError(f"{path}: tensor {k!r} must hold {size} values of shape {shape}")
+        if not np.isfinite(data).all():  # else eval would blame the first image it encodes
+            raise DataError(f"{path}: tensor {k!r} holds a NaN or infinite value")
         tensors[k] = data.reshape(shape)
     return ModelParams(config, tensors), payload.get("meta", {})

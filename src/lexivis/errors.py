@@ -5,12 +5,8 @@ class LexivisError(Exception):
     """Base class for all package errors."""
 
 
-class SnapshotError(LexivisError):
-    """A knowledge snapshot file is malformed or internally inconsistent."""
-
-
 class DataError(LexivisError):
-    """An input data file (dataset, regions, lexicon, ...) is invalid or missing."""
+    """An input file (snapshot, dataset, regions, lexicon, ...) is invalid or missing."""
 
 
 class ConfigError(LexivisError):

@@ -59,8 +59,8 @@ def load_regions_jsonl(
     its ``path:lineno``.
     """
     regions = []
-    for where, obj in iter_jsonl(path, DataError, ("image_id", "features")):
-        image_id = string_field(obj, "image_id", where, DataError)
+    for where, obj in iter_jsonl(path, ("image_id", "features")):
+        image_id = string_field(obj, "image_id", where)
         features = finite_array(obj["features"], 2, where, "features", width)
         width = features.shape[1]
         targets = None

@@ -1,9 +1,9 @@
 """Snapshot-backed knowledge stores: WordNet hierarchy/definitions and Wiktionary senses.
 
-Snapshots are UTF-8 JSONL files. WordNet rows carry
-``{id, lemmas, definition, hypernym_ids}``; Wiktionary rows carry
-``{term, senses}``. Loaded stores are immutable and safe for concurrent reads;
-every retrieval is a pure function of (snapshot, query).
+Snapshots are UTF-8 JSONL files, read and refused (``DataError``) like every
+input file. WordNet rows carry ``{id, lemmas, definition, hypernym_ids}``;
+Wiktionary rows carry ``{term, senses}``. Loaded stores are immutable and safe
+for concurrent reads; every retrieval is a pure function of (snapshot, query).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Iterator, Optional, TextIO
 
 import numpy as np
 
-from .errors import DataError, LexivisError, SnapshotError
+from .errors import DataError
 from .queries import normalize_text
 
 # The snapshot each source reads: its ``KnowledgeStore`` field and CLI flag name.
@@ -58,13 +58,12 @@ class KnowledgeItem:
     text: str
 
 
-def read_lines(path, error: type[LexivisError] = DataError) -> Iterator[tuple[str, str]]:
+def read_lines(path) -> Iterator[tuple[str, str]]:
     """Yield (``path:lineno``, stripped line) for every non-blank line of a UTF-8 text file.
 
     The one reader of every input file but a checkpoint; a leading byte-order
     mark is not part of the text. Text that is not UTF-8 and a file without a
-    non-blank line raise ``error`` naming the file: ``SnapshotError`` for
-    snapshots, ``DataError`` for data files.
+    non-blank line raise ``DataError`` naming the file.
     """
     empty = True
     try:
@@ -75,28 +74,28 @@ def read_lines(path, error: type[LexivisError] = DataError) -> Iterator[tuple[st
                     empty = False
                     yield f"{path}:{lineno}", line
     except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text") from exc
+        raise DataError(f"{path}: not UTF-8 text") from exc
     if empty:
-        raise error(f"{path}: no lines found")
+        raise DataError(f"{path}: no lines found")
 
 
-def iter_jsonl(path, error: type[LexivisError], fields=()) -> Iterator[tuple[str, dict]]:
+def iter_jsonl(path, fields=()) -> Iterator[tuple[str, dict]]:
     """Yield (``path:lineno``, object) for every line ``read_lines`` yields of a JSONL file.
 
     Invalid JSON (nesting or an integer too large for ``json``), a row that
     is not a JSON object, or one missing a name in ``fields`` (the first is
-    named) raises ``error`` with the row's ``path:lineno``.
+    named) raises ``DataError`` with the row's ``path:lineno``.
     """
-    for where, line in read_lines(path, error):
+    for where, line in read_lines(path):
         try:
             obj = json.loads(line)
         except (ValueError, RecursionError) as exc:
-            raise error(f"{where}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
+            raise DataError(f"{where}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
         if not isinstance(obj, dict):
-            raise error(f"{where}: expected a JSON object")
+            raise DataError(f"{where}: expected a JSON object")
         for key in fields:
             if key not in obj:
-                raise error(f"{where}: missing field {key!r}")
+                raise DataError(f"{where}: missing field {key!r}")
         yield where, obj
 
 
@@ -158,7 +157,7 @@ class WordNetGraph:
         self.lemma_index: dict[str, str] = {}
         for rec in records:
             if rec.id in self.synsets:
-                raise SnapshotError(f"duplicate synset id {rec.id!r}")
+                raise DataError(f"duplicate synset id {rec.id!r}")
             self.synsets[rec.id] = rec
             for lemma in rec.lemmas:
                 # First-listed synset per lemma wins, preserving file order.
@@ -166,7 +165,7 @@ class WordNetGraph:
         for rec in self.synsets.values():
             for hid in rec.hypernym_ids:
                 if hid not in self.synsets:
-                    raise SnapshotError(
+                    raise DataError(
                         f"synset {rec.id!r} references unknown hypernym id {hid!r}"
                     )
 
@@ -187,7 +186,7 @@ class WordNetGraph:
         current = record
         while current.hypernym_ids:
             if len(path) >= MAX_HYPERNYM_HOPS:
-                raise SnapshotError(
+                raise DataError(
                     f"hypernym chain from {record.id!r} exceeds {MAX_HYPERNYM_HOPS} hops (cycle?)"
                 )
             current = self.synsets[current.hypernym_ids[0]]
@@ -203,7 +202,7 @@ class Dictionary:
         for entry in entries:
             key = normalize_text(entry.term)
             if key in self.entries:
-                raise SnapshotError(f"duplicate dictionary term {entry.term!r}")
+                raise DataError(f"duplicate dictionary term {entry.term!r}")
             self.entries[key] = entry
 
     def __len__(self) -> int:
@@ -225,11 +224,11 @@ class Dictionary:
         return None
 
 
-def string_field(obj: dict, key: str, where: str, error: type[LexivisError]) -> str:
-    """``obj[key]`` when it is a JSON string; otherwise ``error`` at ``where``."""
+def string_field(obj: dict, key: str, where: str) -> str:
+    """``obj[key]`` when it is a JSON string; otherwise ``DataError`` at ``where``."""
     value = obj[key]
     if not isinstance(value, str):
-        raise error(f"{where}: {key} must be a string")
+        raise DataError(f"{where}: {key} must be a string")
     return value
 
 
@@ -246,9 +245,9 @@ def _string_list(obj: dict, key: str, where: str, nonempty: bool) -> tuple[str, 
     if (not isinstance(value, list) or (nonempty and not value)
             or not all(isinstance(v, str) for v in value)):
         what = "a non-empty list" if nonempty else "a list"
-        raise SnapshotError(f"{where}: {key} must be {what} of strings")
+        raise DataError(f"{where}: {key} must be {what} of strings")
     if nonempty and not all(v.strip() for v in value):  # a blank lemma or sense
-        raise SnapshotError(f"{where}: {key} must not hold a blank string")
+        raise DataError(f"{where}: {key} must not hold a blank string")
     return tuple(value)
 
 
@@ -257,44 +256,44 @@ def load_wordnet_snapshot(path) -> WordNetGraph:
 
     Besides malformed rows, duplicate ids and dangling hypernyms, a synset
     whose first-hypernym chain is longer than ``MAX_HYPERNYM_HOPS`` (or a
-    cycle) raises ``SnapshotError`` naming the file.
+    cycle) raises ``DataError`` naming the file.
     """
     records = []
     ids = {}  # each synset id's first-seen string, shared by the record and every child naming it
     fields = ("id", "lemmas", "definition", "hypernym_ids")
-    for where, obj in iter_jsonl(path, SnapshotError, fields):
-        sid = string_field(obj, "id", where, SnapshotError)
+    for where, obj in iter_jsonl(path, fields):
+        sid = string_field(obj, "id", where)
         record = SynsetRecord(
             id=ids.setdefault(sid, sid),
             lemmas=tuple(normalize_text(l) for l in _string_list(obj, "lemmas", where, True)),
-            definition=string_field(obj, "definition", where, SnapshotError),
+            definition=string_field(obj, "definition", where),
             hypernym_ids=tuple(ids.setdefault(h, h)
                                for h in _string_list(obj, "hypernym_ids", where, False)),
         )
         if not record.definition.strip():  # retrieved as knowledge, it would compose an empty hit
-            raise SnapshotError(f"{where}: definition is blank")
+            raise DataError(f"{where}: definition is blank")
         records.append(record)
     try:
         graph = WordNetGraph(records)
         for rec in graph.synsets.values():  # in file order, so the first long chain is named
             graph.hypernym_path(rec)
-    except SnapshotError as exc:  # a duplicate, a dangling reference or a long chain
-        raise SnapshotError(f"{path}: {exc}") from exc
+    except DataError as exc:  # a duplicate, a dangling reference or a long chain
+        raise DataError(f"{path}: {exc}") from exc
     return graph
 
 
 def load_wiktionary_snapshot(path) -> Dictionary:
     """Load a Wiktionary JSONL snapshot of {term, senses} rows."""
     entries = []
-    for where, obj in iter_jsonl(path, SnapshotError, ("term", "senses")):
-        term = string_field(obj, "term", where, SnapshotError)
+    for where, obj in iter_jsonl(path, ("term", "senses")):
+        term = string_field(obj, "term", where)
         if not term.strip():  # it would be the key "" that no query reaches
-            raise SnapshotError(f"{where}: term is blank")
+            raise DataError(f"{where}: term is blank")
         entries.append(DictionaryEntry(term, _string_list(obj, "senses", where, True)))
     try:
         return Dictionary(entries)
-    except SnapshotError as exc:  # a duplicate term
-        raise SnapshotError(f"{path}: {exc}") from exc
+    except DataError as exc:  # a duplicate term
+        raise DataError(f"{path}: {exc}") from exc
 
 
 @dataclass

@@ -60,11 +60,11 @@ def iter_dataset_jsonl(path, width: Optional[int] = None) -> Iterator[Triplet]:
     ``label`` is not a 64-bit integer or null, whose ``augmented`` is not a
     bool, or whose ``origin_text`` or ``query`` is not a string or null.
     """
-    for where, obj in iter_jsonl(path, DataError, ("image", "text")):
+    for where, obj in iter_jsonl(path, ("image", "text")):
         kind = obj.get("kind", "category")
         if kind not in ("category", "caption"):
             raise DataError(f"{where}: kind must be 'category' or 'caption'")
-        text = string_field(obj, "text", where, DataError)
+        text = string_field(obj, "text", where)
         if not text.strip():
             raise DataError(f"{where}: text is blank")
         label, augmented = label_field(obj, where), obj.get("augmented", False)

@@ -82,19 +82,35 @@ class TestCoverage:
         assert str(wordnet) not in opened_paths
 
 
+def _synset(sid, lemma, *hypernym_ids):
+    return {"id": sid, "lemmas": [lemma], "definition": "a " + lemma,
+            "hypernym_ids": list(hypernym_ids)}
+
+
 class TestHypernymCycle:
-    @pytest.mark.parametrize("source", ["wn_def", "wn_hier"])
-    def test_cycle_is_a_data_error_naming_the_snapshot(self, capsys, tmp_path, source):
-        wordnet = tmp_path / "wn.jsonl"
-        rows = [{"id": "n0", "lemmas": ["boxer"], "definition": "a fighter", "hypernym_ids": ["n1"]},
-                {"id": "n1", "lemmas": ["crowd"], "definition": "many", "hypernym_ids": ["n0"]}]
-        wordnet.write_text("".join(json.dumps(r) + "\n" for r in rows))
-        code, _, err = run(capsys, "coverage", "--source", source, "--wordnet", str(wordnet),
+    """A defect between snapshot rows (a cycle, a repeated key or a dangling hypernym) is a
+    data error naming the snapshot file, not a row."""
+
+    @pytest.mark.parametrize("source, rows, message", [
+        ("wn_def", [_synset("n0", "boxer", "n1"), _synset("n1", "crowd", "n0")],
+         "hypernym chain from 'n0' exceeds 32 hops (cycle?)"),
+        ("wn_hier", [_synset("n0", "boxer", "n1"), _synset("n1", "crowd", "n0")],
+         "hypernym chain from 'n0' exceeds 32 hops (cycle?)"),
+        ("wn_def", [_synset("n0", "boxer"), _synset("n0", "crowd")], "duplicate synset id 'n0'"),
+        ("wn_hier", [_synset("n0", "boxer", "n9")],
+         "synset 'n0' references unknown hypernym id 'n9'"),
+        ("wiki_def", [{"term": "boxer", "senses": ["a fighter"]},
+                      {"term": "boxer", "senses": ["a dog"]}], "duplicate dictionary term 'boxer'"),
+    ], ids=["wn_def", "wn_hier", "duplicate_id", "unknown_hypernym", "duplicate_term"])
+    def test_cycle_is_a_data_error_naming_the_snapshot(self, capsys, tmp_path, source, rows,
+                                                       message):
+        snapshot = tmp_path / "snapshot.jsonl"
+        snapshot.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        flag = "--wiktionary" if source == "wiki_def" else "--wordnet"
+        code, _, err = run(capsys, "coverage", "--source", source, flag, str(snapshot),
                            "--queries", QUERIES)
         assert code == EXIT_DATA
-        assert err.strip().splitlines() == [
-            f"data error: {wordnet}: hypernym chain from 'n0' exceeds 32 hops (cycle?)"
-        ]
+        assert err.strip().splitlines() == [f"data error: {snapshot}: {message}"]
 
 
 class TestBlankKnowledge:
@@ -1233,6 +1249,35 @@ class TestCorruptCheckpoint:
         assert _one_line(err) == (
             f"data error: {checkpoint}: checkpoint needs encoder_config and tensors objects"
         )
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["eval-zeroshot", "eval-probe", "train"])
+    def test_non_finite_tensor_is_data_error_naming_it(self, capsys, tmp_path, checkpoint,
+                                                       command, value):
+        payload = json.loads(checkpoint.read_text())
+        payload["tensors"]["img.W1"]["data"][5] = value
+        checkpoint.write_text(json.dumps(payload))  # json writes NaN, Infinity, -Infinity
+        classes = tmp_path / "classes.json"
+        classes.write_text(json.dumps(["boxer", "crowd"]))
+        rows = [{"image": np.eye(4)[i % 2].tolist(), "text": "boxer", "label": i % 2}
+                for i in range(6)]
+        images = _write_images(tmp_path / "images.jsonl", rows)
+        out = tmp_path / "out.json"
+        argv = {
+            "eval-zeroshot": ["eval-zeroshot", "--checkpoint", str(checkpoint), "--images",
+                              str(images), "--classes", str(classes)],
+            "eval-probe": ["eval-probe", "--checkpoint", str(checkpoint), "--images", str(images),
+                           "--shots", "1"],
+            "train": ["train", "--mode", "continual_adapters", "--base-checkpoint",
+                      str(checkpoint), "--dataset", str(images), "--out-checkpoint", str(out)],
+        }[command]
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_DATA
+        assert _one_line(err) == (
+            f"data error: {checkpoint}: tensor 'img.W1' holds a NaN or infinite value"
+        )
+        assert not out.exists()
 
 
 def _write_images(path, rows):

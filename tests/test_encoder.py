@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 import weakref
 
@@ -625,16 +626,25 @@ class TestCheckpointReader:
         params = enc.init_params(toy_config, seed=14, with_adapters=True)
         params.tensors["lnf.b"][:4] = [np.nan, np.inf, -np.inf, -0.0]
         params.tensors["img.b1"][:2] = [5e-324, 1.7976931348623157e308]
-        path = tmp_path / "ckpt.json"
-        enc.save_checkpoint(params, path, meta=AWKWARD_META)
-        payload = json.loads(path.read_text())
-        # Unknown top-level keys are ignored; a bare number must not be cut at
-        # a buffer boundary ("1." of "1.25e-10").
-        payload["zz_note"] = 1.25e-10
-        payload = dict(reversed(payload.items()))  # any key order
-        path.write_text(_layouts(payload)[layout])
         monkeypatch.setattr(checkpoint_json, "_CHUNK", chunk)
-        loaded, meta = enc.load_checkpoint(path)
+
+        def saved():
+            path = tmp_path / "ckpt.json"
+            enc.save_checkpoint(params, path, meta=AWKWARD_META)
+            payload = json.loads(path.read_text())
+            # Unknown top-level keys are ignored; a bare number must not be cut at
+            # a buffer boundary ("1." of "1.25e-10").
+            payload["zz_note"] = 1.25e-10
+            payload = dict(reversed(payload.items()))  # any key order
+            path.write_text(_layouts(payload)[layout])
+            return path
+
+        # json's NaN and Infinity decode bit for bit; load_checkpoint then refuses them.
+        stored = checkpoint_json.load(saved())["tensors"]
+        for name, tensor in params.tensors.items():
+            assert stored[name]["data"].tobytes() == tensor.tobytes(), name
+        params.tensors["lnf.b"][:3] = [0.5, -1.5, 2.5]
+        loaded, meta = enc.load_checkpoint(saved())
         assert meta == AWKWARD_META
         assert loaded.config == params.config
         assert loaded.tensors.keys() == params.tensors.keys()
@@ -703,6 +713,16 @@ class TestCheckpointReader:
         payload["tensors"]["lnf.b"]["data"][1] = element
         path.write_text(json.dumps(payload))
         with pytest.raises(DataError, match=str(path)):
+            enc.load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_tensor_is_data_error_naming_it(self, tmp_path, toy_config, value):
+        params = enc.init_params(toy_config, seed=15)
+        params.tensors["img.W1"][1, 2] = value
+        path = tmp_path / "ckpt.json"
+        enc.save_checkpoint(params, path)
+        message = f"{path}: tensor 'img.W1' holds a NaN or infinite value"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             enc.load_checkpoint(path)
 
     def test_memory_is_bounded_by_the_tensors(self, tmp_path):

@@ -5,12 +5,17 @@ predictions, the zero-shot report and breakdown, the augmented dataset and
 its statistics, or one seed of the synthetic benchmark fails here. Float
 results depend on the numpy build, its BLAS, the BLAS kernel (core) it
 dispatches to on this CPU and numpy's SIMD paths, so the digests are keyed to
-that stack; on any other stack the test skips and names it.
+that stack; on any other stack the test skips and names it. On the SkylakeX
+stack one more test runs this file again under the emulated Haswell stack.
 """
 
 import ctypes
 import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +23,7 @@ import pytest
 
 from lexivis import synth
 from lexivis.cli import EXIT_OK, main
-from tests.conftest import FIXTURES
+from tests.conftest import FIXTURES, ROOT
 
 WK = str(FIXTURES / "wiktionary.jsonl")
 WN = str(FIXTURES / "wordnet.jsonl")
@@ -49,9 +54,11 @@ def _stack() -> str:
 
 SKYLAKEX = ("numpy 2.4.6; scipy-openblas 0.3.31.188.0 core SkylakeX; "
             "SIMD X86_V3,X86_V4,AVX512_ICL,AVX512_SPR")
-# The same build under OPENBLAS_CORETYPE=Haswell NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
-# AVX512_SPR": an AVX2 machine's BLAS kernel and SIMD paths, emulated on an AVX-512 CPU.
+# The same build under HASWELL_ENV: an AVX2 machine's BLAS kernel and SIMD paths, emulated
+# on an AVX-512 CPU.
 HASWELL = "numpy 2.4.6; scipy-openblas 0.3.31.188.0 core Haswell; SIMD X86_V3"
+HASWELL_ENV = {"OPENBLAS_CORETYPE": "Haswell",
+               "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
 
 GOLDEN = {
     SKYLAKEX: {
@@ -200,3 +207,20 @@ def test_synth_seed_matches_golden_digest():
     golden = _golden()
     result = json.dumps(synth.run_seed(0, synth.SynthConfig()), sort_keys=True)
     assert hashlib.sha256(result.encode()).hexdigest() == golden["run_seed0.json"]
+
+
+def test_haswell_stack_matches_its_golden_digests(tmp_path):
+    # Both variables act only when numpy and its OpenBLAS load: the other stack needs a
+    # fresh process, where this test skips itself.
+    if _stack() != SKYLAKEX:
+        pytest.skip("the Haswell stack is emulated from a SkylakeX host only")
+    env = {**os.environ, **HASWELL_ENV, "PYTHONDONTWRITEBYTECODE": "1"}
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider",
+         f"--basetemp={tmp_path / 'haswell'}", __file__],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600,
+    )
+    passed = set(re.findall(r"^PASSED \S+::(\w+)", result.stdout, re.MULTILINE))
+    assert passed == {"test_output_bytes_match_golden_digests",
+                      "test_synth_seed_matches_golden_digest"}, result.stdout + result.stderr
+    assert result.returncode == 0, result.stdout + result.stderr

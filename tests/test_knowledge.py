@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexivis.errors import DataError, SnapshotError
+from lexivis.errors import DataError
 from lexivis.knowledge import (
     Dictionary,
     DictionaryEntry,
@@ -57,13 +57,13 @@ class TestLoadWordnet:
             {"id": "n2", "definition": "x", "hypernym_ids": []},
         ]
         _write_jsonl(path, rows)
-        with pytest.raises(SnapshotError, match=":2"):
+        with pytest.raises(DataError, match=":2"):
             load_wordnet_snapshot(path)
 
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "wn.jsonl"
         path.write_text('{"id": "n1", "lemmas": ["a"], "definition": "x", "hypernym_ids": []}\nnot json\n')
-        with pytest.raises(SnapshotError, match=":2"):
+        with pytest.raises(DataError, match=":2"):
             load_wordnet_snapshot(path)
 
     # 5 raised a TypeError; the string "n0" was read as the ids "n" and "0".
@@ -75,26 +75,26 @@ class TestLoadWordnet:
             {"id": "n1", "lemmas": ["b"], "definition": "x", "hypernym_ids": hypernym_ids},
         ]
         _write_jsonl(path, rows)
-        with pytest.raises(SnapshotError, match=f"{path}:2: hypernym_ids must be a list"):
+        with pytest.raises(DataError, match=f"{path}:2: hypernym_ids must be a list"):
             load_wordnet_snapshot(path)
 
     def test_snapshot_errors_name_the_file(self, tmp_path):
         path = tmp_path / "wn.jsonl"
         _write_jsonl(path, [{"id": "n1", "lemmas": ["a"], "definition": "x", "hypernym_ids": ["n9"]}])
-        with pytest.raises(SnapshotError, match=f"{path}: synset 'n1' references unknown"):
+        with pytest.raises(DataError, match=f"{path}: synset 'n1' references unknown"):
             load_wordnet_snapshot(path)
 
     def test_dangling_hypernym_names_id(self, tmp_path):
         path = tmp_path / "wn.jsonl"
         _write_jsonl(path, [{"id": "n1", "lemmas": ["a"], "definition": "x", "hypernym_ids": ["ghost"]}])
-        with pytest.raises(SnapshotError, match="ghost"):
+        with pytest.raises(DataError, match="ghost"):
             load_wordnet_snapshot(path)
 
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "wn.jsonl"
         row = {"id": "n1", "lemmas": ["a"], "definition": "x", "hypernym_ids": []}
         _write_jsonl(path, [row, row])
-        with pytest.raises(SnapshotError, match="duplicate"):
+        with pytest.raises(DataError, match="duplicate"):
             load_wordnet_snapshot(path)
 
     def test_cycle_is_found_at_load_naming_the_file(self, tmp_path):
@@ -108,7 +108,7 @@ class TestLoadWordnet:
         _write_jsonl(path, rows)
         # n3 only leads into the cycle, and is the first such synset in the file.
         with pytest.raises(
-            SnapshotError, match=rf"^{path}: hypernym chain from 'n3' exceeds 32 hops \(cycle\?\)$"
+            DataError, match=rf"^{path}: hypernym chain from 'n3' exceeds 32 hops \(cycle\?\)$"
         ):
             load_wordnet_snapshot(path)
 
@@ -128,9 +128,9 @@ class TestLoadWordnet:
             assert len(graph.hypernym_path(graph.synsets["s0"])) == 32
             assert len(load_wordnet_snapshot(path)) == 32
         else:
-            with pytest.raises(SnapshotError, match="'s0' exceeds 32 hops"):
+            with pytest.raises(DataError, match="'s0' exceeds 32 hops"):
                 graph.hypernym_path(graph.synsets["s0"])
-            with pytest.raises(SnapshotError, match=f"^{path}: hypernym chain from 's0'"):
+            with pytest.raises(DataError, match=f"^{path}: hypernym chain from 's0'"):
                 load_wordnet_snapshot(path)
 
     def test_lemma_with_a_space_is_indexed_like_its_lookup(self, tmp_path):
@@ -225,7 +225,7 @@ class TestWordnetRetrieval:
             SynsetRecord("b", ("beta",), "", ("a",)),
         ]
         graph = WordNetGraph(records)
-        with pytest.raises(SnapshotError, match="32"):
+        with pytest.raises(DataError, match="32"):
             KnowledgeStore(wordnet=graph).retrieve("alpha", "wn_hier")
 
     def test_long_acyclic_chain_within_cap_is_fine(self):
@@ -256,7 +256,7 @@ class TestWiktionary:
     def test_load_errors(self, tmp_path):
         path = tmp_path / "wk.jsonl"
         _write_jsonl(path, [{"term": "x", "senses": []}])
-        with pytest.raises(SnapshotError, match="senses"):
+        with pytest.raises(DataError, match="senses"):
             load_wiktionary_snapshot(path)
 
     def test_term_is_keyed_like_its_lookup(self):
@@ -278,7 +278,7 @@ class TestWiktionary:
     def test_blank_term_is_refused(self, tmp_path, term):
         path = tmp_path / "wk.jsonl"
         _write_jsonl(path, [{"term": "x", "senses": ["y"]}, {"term": term, "senses": ["z"]}])
-        with pytest.raises(SnapshotError, match=f"^{path}:2: term is blank$"):
+        with pytest.raises(DataError, match=f"^{path}:2: term is blank$"):
             load_wiktionary_snapshot(path)
 
 
@@ -360,13 +360,13 @@ class TestReaders:
     def test_rows_come_with_their_location(self, tmp_path):
         path = tmp_path / "rows.jsonl"
         path.write_text('{"a": 1}\n\n  \n{"a": 2}\n', encoding="utf-8")
-        assert list(iter_jsonl(path, DataError)) == [(f"{path}:1", {"a": 1}), (f"{path}:4", {"a": 2})]
+        assert list(iter_jsonl(path)) == [(f"{path}:1", {"a": 1}), (f"{path}:4", {"a": 2})]
 
     def test_first_missing_field_is_named(self, tmp_path):
         path = tmp_path / "rows.jsonl"
         path.write_text('{"a": 1, "b": 2}\n{"c": 3}\n', encoding="utf-8")
-        with pytest.raises(SnapshotError, match=f"{path}:2: missing field 'a'"):
-            list(iter_jsonl(path, SnapshotError, ("a", "b")))
+        with pytest.raises(DataError, match=f"{path}:2: missing field 'a'"):
+            list(iter_jsonl(path, ("a", "b")))
 
     # The nesting raised RecursionError and the integer an unlocated ValueError.
     @pytest.mark.parametrize("value", ["[" * 100_000 + "]" * 100_000, "9" * 5000])
@@ -374,14 +374,14 @@ class TestReaders:
         path = tmp_path / "rows.jsonl"
         path.write_text('{"a": 1}\n{"a": ' + value + "}\n", encoding="utf-8")
         with pytest.raises(DataError, match=f"{path}:2: invalid JSON"):
-            list(iter_jsonl(path, DataError))
+            list(iter_jsonl(path))
 
     @pytest.mark.parametrize("reader", ["jsonl", "lines"])
     def test_non_utf8_text_names_the_file(self, tmp_path, reader):
         path = tmp_path / "rows.txt"
         path.write_bytes(b'{"a": "caf\xe9"}\n')
         with pytest.raises(DataError, match=f"{path}: not UTF-8 text"):
-            list(iter_jsonl(path, DataError) if reader == "jsonl" else read_lines(path))
+            list(iter_jsonl(path) if reader == "jsonl" else read_lines(path))
 
     @pytest.mark.parametrize("content", ["", "\n  \n\t\n"])
     @pytest.mark.parametrize("reader", ["jsonl", "lines"])
@@ -389,13 +389,13 @@ class TestReaders:
         path = tmp_path / "rows.txt"
         path.write_text(content, encoding="utf-8")
         with pytest.raises(DataError, match=f"{path}: no lines found"):
-            list(iter_jsonl(path, DataError) if reader == "jsonl" else read_lines(path))
+            list(iter_jsonl(path) if reader == "jsonl" else read_lines(path))
 
     def test_byte_order_mark_is_not_text(self, tmp_path):
         path = tmp_path / "rows.txt"
         path.write_bytes(b'\xef\xbb\xbf{"a": "boxer"}\n')
         assert list(read_lines(path)) == [(f"{path}:1", '{"a": "boxer"}')]
-        assert list(iter_jsonl(path, DataError)) == [(f"{path}:1", {"a": "boxer"})]
+        assert list(iter_jsonl(path)) == [(f"{path}:1", {"a": "boxer"})]
 
     def test_lines_are_stripped_and_located(self, tmp_path):
         path = tmp_path / "list.txt"
