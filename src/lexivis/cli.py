@@ -338,7 +338,7 @@ def _cmd_ground_train(args) -> dict:
     cfg = _fill(args, enc.EncoderConfig, _ENCODER_FLAGS)
     cfg = replace(cfg, image_input_dim=cfg.embed_dim)  # as wide as the region features
     focal = _fill(args, grounding.FocalParams, _FOCAL_FLAGS)
-    trainer.check_schedule(args.epochs, args.learning_rate)
+    trainer.check_schedule(args.epochs, args.learning_rate, args.seed)
     store = _load_store(args) if args.with_knowledge else None
     class_names = _load_class_names(args.classes)
     regions = grounding.load_regions_jsonl(args.regions, len(class_names), cfg.embed_dim)

@@ -13,7 +13,7 @@ class ConfigError(LexivisError):
     """A configuration value or combination of values is invalid."""
 
 
-class NumericsError(LexivisError, ValueError):
+class NumericsError(LexivisError):
     """A loss, gradient or feature became non-finite or zero-norm; carries a diagnostic payload."""
 
     def __init__(self, message, diagnostics=None):

@@ -182,8 +182,10 @@ def augment_dataset(
     return out, audit
 
 
-def check_schedule(epochs: int, learning_rate: float) -> None:
-    """Reject a negative epoch count or a learning rate that is not finite and > 0."""
+def check_schedule(epochs: int, learning_rate: float, seed: int) -> None:
+    """Reject a negative epoch count or seed, or a learning rate that is not finite and > 0."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
     if not 0 < learning_rate < float("inf"):  # false for NaN too
@@ -201,7 +203,7 @@ class TrainConfig:
     encoder: enc.EncoderConfig = field(default_factory=enc.EncoderConfig)
 
     def __post_init__(self):
-        check_schedule(self.epochs, self.learning_rate)
+        check_schedule(self.epochs, self.learning_rate, self.seed)
         if self.batch_size < 2:
             raise ConfigError("contrastive training needs batch_size >= 2")
         if self.mode not in TRAIN_MODES:
@@ -280,21 +282,23 @@ def fit(
     """The training loop shared by contrastive training and grounding.
 
     Each epoch visits ``items`` in a seeded permutation, ``batch_size`` at a
-    time; ``make_batch`` turns the sampled items into encoder inputs. The
-    tensors are packed into one vector (``encoder.FlatTensors``), the
-    trainable ones (``spec.trains``) first; each step updates that leading
-    slice, which is all the optimizer holds state for, and clamps log-tau so
-    that tau never exceeds ``TAU_MAX``. Returns the loss trace,
-    with rows (step, l_i2t, l_t2i, l_ic, tau) for the contrastive loss and
-    (step, focal_loss) for grounding, plus the per-branch text counts.
+    time; ``make_batch`` turns the sampled items into encoder inputs. Only the
+    trained tensors (``spec.trains``) are packed into one vector
+    (``encoder.FlatTensors``), in the order ``encoder.grads`` packs their
+    gradient, and ``params.tensors`` takes those views; frozen tensors stay as
+    they are. Each step updates that vector, which is all the optimizer holds
+    state for, and clamps log-tau so that tau never exceeds ``TAU_MAX``. A
+    floating-point fault in a step is a ``NumericsError``, like a numerics
+    fault in the loss, with the step and batch in its diagnostics. Returns
+    the loss trace, with rows (step, l_i2t, l_t2i, l_ic, tau) for the
+    contrastive loss and (step, focal_loss) for grounding, plus the
+    per-branch text counts.
     """
     if optimizer not in OPTIMIZERS:
         raise ConfigError(f"unknown optimizer {optimizer!r}")
-    # A stable sort: the trainable tensors lead in the order grads packs its gradient.
-    order = sorted(params.tensors, key=lambda k: not spec.trains(k))
-    params.tensors = enc.FlatTensors({k: params.tensors[k] for k in order})
-    trained = params.tensors.flat[: sum(params.tensors[k].size for k in order if spec.trains(k))]
-    opt = _Optimizer(optimizer, learning_rate, trained.size)
+    trained = enc.FlatTensors({k: v for k, v in params.tensors.items() if spec.trains(k)})
+    params.tensors.update(trained)
+    opt = _Optimizer(optimizer, learning_rate, trained.flat.size)
     rng = np.random.default_rng(seed)
     trace = []
     branch_counts = {"base": 0, "adapter": 0}
@@ -308,12 +312,14 @@ def fit(
             batch = [items[i] for i in idx]
             train_batch = make_batch(batch)
             try:
-                losses, g = enc.grads(params, train_batch, spec)
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    losses, g = enc.grads(params, train_batch, spec)
+                    opt.step(trained.flat, g.flat)
+            except FloatingPointError as exc:
+                raise NumericsError(str(exc), {"step": len(trace), "batch": batch}) from exc
             except NumericsError as exc:
-                exc.diagnostics["step"] = len(trace)
-                exc.diagnostics["batch"] = batch
+                exc.diagnostics.update(step=len(trace), batch=batch)
                 raise
-            opt.step(trained, g.flat)
             del g  # released before the next step's gradients are built
             if params.tensors["log_tau"] > log_tau_max:
                 params.tensors["log_tau"][...] = log_tau_max

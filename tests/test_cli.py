@@ -731,6 +731,14 @@ class TestTrainEval:
         assert re.fullmatch(r"error: temperature must be positive \(training step \d+\)", line), line
         assert not (tmp_path / "model.json").exists()
 
+    def test_floating_point_overflow_is_one_line_naming_its_step(self, capsys, tmp_path, dataset):
+        # The first update leaves huge but finite weights; the next forward pass overflows.
+        code, _, err = run(capsys, "train", "--dataset", str(dataset), "--out-checkpoint",
+                           str(tmp_path / "model.json"), "--learning-rate", "1e300")
+        assert code == EXIT_DATA
+        assert _one_line(err) == "error: overflow encountered in power (training step 1)"
+        assert not (tmp_path / "model.json").exists()
+
     def test_train_opens_the_dataset_once(self, capsys, tmp_path, dataset, opened_paths):
         code, _, err = run(
             capsys, "train", "--dataset", str(dataset), "--out-checkpoint",
@@ -1529,6 +1537,18 @@ def _ground_argv(command, regions, classes, checkpoint, out):
             "--classes", str(classes), "--out", str(out)]
 
 
+def test_ground_train_floating_point_overflow_is_one_line_naming_its_step(capsys, tmp_path):
+    regions = _write_images(tmp_path / "regions.jsonl", _region_rows(2))
+    classes = tmp_path / "classes.json"
+    classes.write_text(json.dumps(["boxer", "crowd"]))
+    out = tmp_path / "model.json"
+    code, _, err = run(capsys, *_ground_argv("ground-train", regions, classes, None, out),
+                       "--learning-rate", "1e300")
+    assert code == EXIT_DATA
+    assert _one_line(err) == "error: overflow encountered in multiply (training step 1)"
+    assert not out.exists()
+
+
 class TestRowWidths:
     """Rows of one file agree on their widths; a row that does not is located."""
 
@@ -1769,8 +1789,10 @@ class TestFlagRanges:
         ["train", "--learning-rate", "nan"],
         ["train", "--learning-rate", "0"],
         ["train", "--learning-rate", "inf"],
+        ["train", "--seed", "-1"],
         ["bench-synth", "--epochs", "-1"],
         ["ground-train", "--epochs", "-1"],
+        ["ground-train", "--seed", "-3"],
         ["ground-train", "--learning-rate", "-0.1"],
         ["ground-train", "--with-knowledge", "--source", "wn_def"],
         ["ground-eval", "--with-knowledge", "--source", "wn_def"],

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -692,6 +693,47 @@ class TestCheckpointReader:
         with pytest.raises(DataError, match=str(path)):
             enc.load_checkpoint(path)
 
+    def test_trailing_comma_at_the_end_of_a_read_is_data_error(self):
+        # One read ends on the list's last comma and the next starts with its "]".
+        first = '{"tensors":{"b":{"data":[0.5,'
+        reads = iter([first, "]}}}", ""])
+        handle = types.SimpleNamespace(read=lambda size: next(reads))
+        message = f"ckpt.json: malformed checkpoint JSON at char {len(first)}: expecting value"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            checkpoint_json._Reader(handle, "ckpt.json").read()
+
+    def test_empty_objects_read_as_empty_dicts(self, tmp_path, toy_config):
+        path = tmp_path / "ckpt.json"
+        enc.save_checkpoint(enc.init_params(toy_config, seed=15), path)
+        payload = json.loads(path.read_text())
+        payload["tensors"] = {}
+        path.write_text(json.dumps(payload))
+        assert checkpoint_json.load(path)["tensors"] == {}
+        with pytest.raises(DataError, match=f"^{path}: checkpoint tensor '.+' is missing$"):
+            enc.load_checkpoint(path)
+
+    def test_data_that_is_no_list_is_kept_as_read_and_refused(self, tmp_path, toy_config):
+        path = tmp_path / "ckpt.json"
+        enc.save_checkpoint(enc.init_params(toy_config, seed=15), path)
+        payload = json.loads(path.read_text())
+        payload["tensors"]["lnf.b"]["data"] = "0.5"
+        path.write_text(json.dumps(payload))
+        assert checkpoint_json.load(path)["tensors"]["lnf.b"]["data"] == "0.5"
+        message = f"{path}: tensor 'lnf.b' must hold {toy_config.embed_dim} values of shape "
+        with pytest.raises(DataError, match=f"^{re.escape(message)}"):
+            enc.load_checkpoint(path)
+
+    def test_integer_too_long_to_convert_is_data_error(self, tmp_path, toy_config):
+        # json.dumps refuses such an integer too, so it is written as text.
+        path = tmp_path / "ckpt.json"
+        enc.save_checkpoint(enc.init_params(toy_config, seed=15), path)
+        text = path.read_text()
+        start = text.index('"data":[') + len('"data":[')
+        path.write_text(text[:start] + "1" * 4301 + "," + text[start:])
+        with pytest.raises(DataError, match=f"^{path}: malformed checkpoint JSON at char {start}: "
+                                            ".*4300 digits"):
+            enc.load_checkpoint(path)
+
     def test_invalid_utf8_is_data_error(self, tmp_path, toy_config):
         path = tmp_path / "ckpt.json"
         enc.save_checkpoint(enc.init_params(toy_config, seed=15), path)
@@ -1192,3 +1234,9 @@ class TestPrimitivesPatchable:
         assert not g.flat.any()
         assert calls == {"_layer_norm": 10, "_layer_norm_backward": 0, "_attention_forward": 4,
                          "_attention_backward": 0, "_ffn_forward": 5, "_ffn_backward": 0}
+
+
+def test_a_runtime_warning_in_package_code_fails_the_suite():
+    # pyproject.toml turns numpy RuntimeWarnings attributed to lexivis modules into errors.
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        enc._gelu_tanh(np.array([1e200]))

@@ -78,7 +78,7 @@ class TestNormalize:
             assert raised.value.diagnostics == {"rows": [1]}
 
     def test_zero_vector_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericsError):
             normalize_rows(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]))
 
 
@@ -96,7 +96,7 @@ class TestGroupedLossValues:
         assert loss.l_i2t == pytest.approx(1.62652, abs=5e-6)
 
     def test_nonpositive_temperature_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericsError):
             grouped_contrastive_loss(np.eye(2), [0, 1], 0.0)
 
     def test_matches_scalar_oracle_on_random_batches(self):

@@ -49,6 +49,16 @@ class TestWorld:
             others = set(world.common_names) - {name}
             assert others & set(sense.split())
 
+    def test_every_rare_prototype_mixes_two_distinct_common_ones(self):
+        # With two common classes, rare class 2 first draws the same common class twice.
+        world = synth.build_world(0, _tiny_config(n_common=2, n_rare=3, eval_per_class=1,
+                                                  noise=0.0))
+        common, rare = world.eval_images[:2], world.eval_images[2:]
+        assert np.allclose(rare @ common.T, 1 / np.sqrt(2), rtol=0, atol=1e-12)
+        for name in world.rare_names:
+            sense = world.store.wiktionary.entries[name].senses[0].split()
+            assert set(world.common_names) <= set(sense), name
+
     def test_labels_grouped_per_class(self):
         world = synth.build_world(0, _tiny_config())
         labels = {t.text: t.label for t in world.train_triplets}

@@ -248,6 +248,16 @@ class TestTrain:
         with pytest.raises(ConfigError, match="takes no base model"):
             train(_train_config(mode=mode), _synthetic_dataset(), base)
 
+    def test_continual_keeps_the_frozen_base_arrays_in_their_order(self):
+        base = enc.init_params(_train_config().encoder, seed=0, with_adapters=True)
+        order, frozen = list(base.tensors), {
+            k: v for k, v in base.tensors.items() if not enc.is_adapter_key(k)}
+        result = train(_train_config(mode="continual_adapters", epochs=1), _synthetic_dataset(),
+                       base)
+        assert list(result.params.tensors) == order
+        for key, value in frozen.items():
+            assert result.params.tensors[key] is value, key
+
     def test_continual_consumes_an_adapter_base(self):
         data = _synthetic_dataset()
         base = enc.init_params(_train_config().encoder, seed=0, with_adapters=True)
