@@ -139,7 +139,7 @@ _RUN_FLAGS = {name: name for name in ("epochs", "learning_rate", "optimizer", "s
 _TRAIN_FLAGS = {name: name for name in ("batch_size", "mode")}
 _FOCAL_FLAGS = {"focal_alpha": "alpha", "focal_gamma": "gamma"}
 _SYNTH_FLAGS = {
-    "n_seeds": "seeds", "common_classes": "n_common", "rare_classes": "n_rare",
+    "n_seeds": "n_seeds", "common_classes": "n_common", "rare_classes": "n_rare",
     "train_per_class": "train_per_class", "eval_per_class": "eval_per_class", "noise": "noise",
     "epochs": "epochs", "batch_size": "batch_size", "learning_rate": "learning_rate",
     "empty_knowledge": "empty_knowledge",
@@ -147,14 +147,12 @@ _SYNTH_FLAGS = {
 
 
 def _add_fields(p, cls, pairs: dict, unset: bool = False, **choices) -> None:
-    """A flag per dest in ``pairs``, typed and defaulted by the ``cls`` field it fills (None
-    with ``unset``). A tuple field is filled by a count: ``--n-seeds 3`` gives seeds 0, 1, 2."""
+    """A flag per ``pairs`` dest, typed and defaulted by its ``cls`` field (None with ``unset``)."""
     for dest, name in pairs.items():
         flag, default = "--" + dest.replace("_", "-"), getattr(cls, name)
         if isinstance(default, bool):
             p.add_argument(flag, action="store_true", default=default)
         else:
-            default = len(default) if isinstance(default, tuple) else default
             p.add_argument(flag, type=type(default), default=None if unset else default,
                            choices=choices.get(dest))
 
@@ -162,8 +160,7 @@ def _add_fields(p, cls, pairs: dict, unset: bool = False, **choices) -> None:
 def _fill(args, cls, pairs: dict):
     """``cls`` built from the set flags of ``pairs``; its other fields keep their defaults."""
     values = {name: getattr(args, dest) for dest, name in pairs.items()}
-    return cls(**{name: tuple(range(value)) if isinstance(getattr(cls, name), tuple) else value
-                  for name, value in values.items() if value is not None})
+    return cls(**{name: value for name, value in values.items() if value is not None})
 
 
 def _load_checkpoint(path, command: str) -> enc.ModelParams:
@@ -326,9 +323,7 @@ def _cmd_eval_probe(args) -> dict:
         raise DataError(f"{args.images}: eval-probe needs labeled images")
     feats = evaluation.unit_image_features(params, images)
     try:
-        result = evaluation.linear_probe(
-            feats, labels, shots_per_class=args.shots, seeds=tuple(range(args.probe_seeds))
-        )
+        result = evaluation.linear_probe(feats, labels, args.shots, n_seeds=args.probe_seeds)
     except DataError as exc:  # a class too small to leave a held-out remainder
         raise DataError(f"{args.images}: {exc}") from exc
     return {"command": "eval-probe", "shots": args.shots, **result}
@@ -565,23 +560,21 @@ def main(argv=None) -> int:
         if not getattr(args, "fn", None):
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
-        summary = args.fn(args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            summary = args.fn(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as exc:
+    except (DataError, OSError, ValueError) as exc:  # before LexivisError, DataError's base
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except LexivisError as exc:
+    except (LexivisError, FloatingPointError) as exc:
         step = getattr(exc, "diagnostics", {}).get("step")  # set by trainer.fit
         print(f"error: {exc}" + (f" (training step {step})" if step is not None else ""),
               file=sys.stderr)
-        return EXIT_DATA
-    except (OSError, ValueError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK

@@ -116,18 +116,18 @@ def linear_probe(
     features: np.ndarray,
     labels: np.ndarray,
     shots_per_class: int,
-    seeds: tuple = (0, 1, 2),
+    n_seeds: int = 3,
 ) -> dict:
     """Few-shot multinomial logistic probe on frozen features: ``{accuracy, per_seed}``.
 
-    For each seed, exactly ``shots_per_class`` examples per class train a
+    For each seed in 0..n_seeds-1, exactly ``shots_per_class`` examples per class train a
     softmax regression (L2 weight ``PROBE_L2``) by ``PROBE_STEPS`` steps of
     full-batch gradient descent at rate ``PROBE_LR``; accuracy is measured
     on the held-out remainder and averaged across seeds.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
-    if shots_per_class < 1 or not seeds:
+    if shots_per_class < 1 or n_seeds < 1:
         raise ConfigError("a linear probe needs shots_per_class >= 1 and at least one seed")
     # With return_counts, np.unique does not import numpy.ma, as numpy 2.x otherwise does.
     classes, counts = np.unique(labels, return_counts=True)
@@ -142,7 +142,7 @@ def linear_probe(
 
     accuracies = []
     n_classes = len(classes)
-    for seed in seeds:
+    for seed in range(n_seeds):
         rng = np.random.default_rng(seed)
         train_idx = []
         for i in range(n_classes):

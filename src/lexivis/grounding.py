@@ -168,8 +168,11 @@ def focal_loss_with_grad(
 
 
 def classify_regions(regions: RegionSet, bank: PhraseBank) -> list[tuple[int, float]]:
-    """Per-region best category index and its sigmoid score (ties -> lowest index)."""
+    """Per-region best category index and its sigmoid score (ties -> lowest index); a
+    non-finite score, which ``argmax`` would read as category 0, is a ``NumericsError``."""
     scores = ground_scores(regions.features, bank.matrix)
+    if not np.isfinite(scores).all():
+        raise NumericsError(f"image {regions.image_id!r} has a non-finite grounding score")
     out = []
     for row in scores:
         k = int(np.argmax(row))

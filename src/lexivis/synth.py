@@ -47,7 +47,7 @@ class SynthConfig:
     epochs: int = 30
     batch_size: int = 16
     learning_rate: float = 1e-3
-    seeds: tuple = (0, 1, 2, 3, 4)
+    n_seeds: int = 5  # runs seeds 0..n_seeds-1
     source: ClassVar[str] = "wiki_def"  # build_world's store holds Wiktionary senses only
     empty_knowledge: bool = False
     encoder: EncoderConfig = field(
@@ -61,7 +61,7 @@ class SynthConfig:
             raise ConfigError(f"n_rare must lie in [1, {len(RARE_NAMES)}]")
         if self.encoder.image_input_dim < self.n_common:
             raise ConfigError("image_input_dim must be >= n_common for orthogonal prototypes")
-        if not self.seeds:
+        if self.n_seeds < 1:
             raise ConfigError("the benchmark needs at least one seed")
         if self.train_per_class < 1 or self.eval_per_class < 1:
             raise ConfigError("train_per_class and eval_per_class must be >= 1")
@@ -215,10 +215,10 @@ def run_seed(seed: int, cfg: SynthConfig) -> dict:
 
 
 def run_bench(cfg: SynthConfig) -> dict:
-    per_seed = [run_seed(seed, cfg) for seed in cfg.seeds]
+    per_seed = [run_seed(seed, cfg) for seed in range(cfg.n_seeds)]
     return {
-        "n_seeds": len(cfg.seeds),
-        "seeds": list(cfg.seeds),
+        "n_seeds": cfg.n_seeds,
+        "seeds": list(range(cfg.n_seeds)),
         "per_seed": per_seed,
         "rare_wins": sum(r["rare_win"] for r in per_seed),
         "consistency_wins": sum(r["consistency_holds"] for r in per_seed),

@@ -10,7 +10,7 @@ import pytest
 
 from lexivis import cli, encoder as enc, evaluation, grounding, knowledge, synth, trainer
 from lexivis.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from lexivis.errors import DataError
+from lexivis.errors import ConfigError, DataError, NumericsError
 from tests.conftest import FIXTURES, ROOT
 
 WN = str(FIXTURES / "wordnet.jsonl")
@@ -246,6 +246,27 @@ class TestUsage:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and f"{field} must be >= 1" in lines[0]
         assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("error, line, exit_code", [
+    (cli._UsageError("bad"), "usage error: bad", EXIT_USAGE),
+    (ConfigError("bad"), "config error: bad", EXIT_USAGE),
+    (DataError("bad"), "data error: bad", EXIT_DATA),
+    (OSError("bad"), "data error: bad", EXIT_DATA),
+    (ValueError("bad"), "data error: bad", EXIT_DATA),
+    (NumericsError("bad", {"step": 3}), "error: bad (training step 3)", EXIT_DATA),
+    (NumericsError("bad"), "error: bad", EXIT_DATA),
+    (FloatingPointError("overflow encountered in power"),
+     "error: overflow encountered in power", EXIT_DATA),
+], ids=["usage", "config", "data", "os", "value", "numerics-step", "numerics", "floating-point"])
+def test_exit_table(capsys, monkeypatch, error, line, exit_code):
+    def raising(args):
+        raise error
+
+    monkeypatch.setattr(cli, "_cmd_coverage", raising)  # before main builds the parser
+    code, _, err = run(capsys, "coverage", "--wiktionary", WK, "--queries", QUERIES)
+    assert code == exit_code
+    assert _one_line(err) == line
 
 
 class TestAugment:
@@ -628,7 +649,7 @@ _FIELD_FLAGS = [  # (command, flag dest, config class, the field the flag fills)
     ("train", "mode", trainer.TrainConfig, "mode"),
     ("ground-train", "focal_alpha", grounding.FocalParams, "alpha"),
     ("ground-train", "focal_gamma", grounding.FocalParams, "gamma"),
-    ("bench-synth", "n_seeds", synth.SynthConfig, "seeds"),
+    ("bench-synth", "n_seeds", synth.SynthConfig, "n_seeds"),
     ("bench-synth", "common_classes", synth.SynthConfig, "n_common"),
     ("bench-synth", "rare_classes", synth.SynthConfig, "n_rare"),
     *(("bench-synth", dest, synth.SynthConfig, dest)
@@ -650,9 +671,6 @@ class TestFlagDefaults:
                              ids=[f"{c}-{d}" for c, d, _, _ in _FIELD_FLAGS])
     def test_flag_default_is_its_fields(self, command, dest, cls, field):
         expected = getattr(cls(), field)
-        if field == "seeds":  # --n-seeds N runs seeds 0..N-1
-            assert expected == tuple(range(len(expected)))
-            expected = len(expected)
         default = cli.build_parser().subcommands[command].get_default(dest)
         assert default == expected and type(default) is type(expected)
 
@@ -1546,6 +1564,36 @@ def test_ground_train_floating_point_overflow_is_one_line_naming_its_step(capsys
                        "--learning-rate", "1e300")
     assert code == EXIT_DATA
     assert _one_line(err) == "error: overflow encountered in multiply (training step 1)"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, tensor, operation", [
+    ("eval-zeroshot", "img.W1", "power"), ("eval-probe", "img.W1", "power"),
+    ("ground-eval", "tok_emb", "reduce"),
+])
+def test_overflowing_checkpoint_is_one_line_and_writes_nothing(capsys, tmp_path, command, tensor,
+                                                                operation):
+    # Every entry is finite, so the checkpoint loads, but encoding with it overflows.
+    meta = {"task": "grounding"} if command == "ground-eval" else None
+    ckpt = _tiny_checkpoint(tmp_path / "model.json", meta)
+    params, _ = enc.load_checkpoint(ckpt)
+    params.tensors[tensor][...] = 1e308
+    enc.save_checkpoint(params, ckpt, meta)
+    classes = tmp_path / "classes.json"
+    classes.write_text(json.dumps(["boxer", "crowd"]))
+    out = tmp_path / "out.json"
+    if command == "ground-eval":
+        regions = _write_images(tmp_path / "regions.jsonl", _region_rows(2))
+        argv = _ground_argv(command, regions, classes, ckpt, out)
+    else:
+        rows = [{"image": np.eye(4)[i].tolist(), "label": i % 2} for i in range(4)]
+        argv = [command, "--checkpoint", str(ckpt), "--images",
+                str(_write_images(tmp_path / "images.jsonl", rows))]
+        argv += (["--classes", str(classes), "--out", str(out)] if command == "eval-zeroshot"
+                 else ["--shots", "1"])
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_DATA
+    assert _one_line(err) == f"error: overflow encountered in {operation}"
     assert not out.exists()
 
 

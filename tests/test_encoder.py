@@ -1237,6 +1237,6 @@ class TestPrimitivesPatchable:
 
 
 def test_a_runtime_warning_in_package_code_fails_the_suite():
-    # pyproject.toml turns numpy RuntimeWarnings attributed to lexivis modules into errors.
+    # pyproject.toml turns every RuntimeWarning into an error, numpy's own included.
     with pytest.raises(RuntimeWarning, match="overflow"):
         enc._gelu_tanh(np.array([1e200]))

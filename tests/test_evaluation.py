@@ -214,12 +214,12 @@ class TestLinearProbe:
         assert json.loads(summary)["command"] == "eval-probe"
         assert verdict == "0 False"
 
-    @pytest.mark.parametrize("shots, seeds", [(0, (0,)), (1, ())])
-    def test_no_shots_or_no_seeds_is_a_config_error(self, shots, seeds):
+    @pytest.mark.parametrize("shots, n_seeds", [(0, 1), (1, 0)])
+    def test_no_shots_or_no_seeds_is_a_config_error(self, shots, n_seeds):
         feats = np.zeros((6, 2))
         labels = np.array([0, 0, 0, 1, 1, 1])
         with pytest.raises(ConfigError):
-            linear_probe(feats, labels, shots_per_class=shots, seeds=seeds)
+            linear_probe(feats, labels, shots_per_class=shots, n_seeds=n_seeds)
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)

@@ -10,7 +10,9 @@ from lexivis import encoder as enc, trainer
 from lexivis.errors import ConfigError, DataError, NumericsError
 from lexivis.grounding import (
     FocalParams,
+    PhraseBank,
     RegionSet,
+    classify_regions,
     encode_phrases_parallel,
     focal_loss,
     focal_loss_with_grad,
@@ -272,6 +274,12 @@ class TestRegionClassify:
         regions = RegionSet("im0", np.random.default_rng(1).normal(size=(4, toy_config.embed_dim)))
         preds = zero_shot_region_classify(params, regions, ["a", "b"])
         assert all(0.0 < s < 1.0 for _, s in preds)
+
+    def test_non_finite_score_names_the_image(self):
+        # argmax would read the NaN score as the best category.
+        bank = PhraseBank(np.array([[1.0, np.nan], [0.0, 1.0]]), ["a", "b"])
+        with pytest.raises(NumericsError, match="image 'im7' has a non-finite grounding score"):
+            classify_regions(RegionSet("im7", np.eye(2)), bank)
 
     def test_background_rows_excluded_from_accuracy(self):
         preds = [(0, 0.9), (1, 0.8)]

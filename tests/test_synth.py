@@ -17,7 +17,7 @@ def _tiny_config(**overrides):
         eval_per_class=4,
         epochs=4,
         batch_size=8,
-        seeds=(0,),
+        n_seeds=1,
     )
     base.update(overrides)
     return synth.SynthConfig(**base)
@@ -70,7 +70,7 @@ class TestWorld:
         with pytest.raises(ConfigError):
             synth.SynthConfig(encoder=EncoderConfig(image_input_dim=4), n_common=8)
         with pytest.raises(ConfigError):
-            synth.SynthConfig(seeds=())
+            synth.SynthConfig(n_seeds=0)
 
     def test_source_is_fixed_to_the_wiktionary_world(self):
         # build_world's store holds Wiktionary senses only; another source would miss every query.
@@ -109,8 +109,8 @@ class TestBench:
         assert cells["train_nok_eval_k"] == cells["train_k_eval_nok"]
 
     def test_report_schema_stable_across_seed_counts(self):
-        one = synth.run_bench(_tiny_config(seeds=(0,)))
-        two = synth.run_bench(_tiny_config(seeds=(0, 1)))
+        one = synth.run_bench(_tiny_config(n_seeds=1))
+        two = synth.run_bench(_tiny_config(n_seeds=2))
         assert set(one) == set(two)
         assert set(one["per_seed"][0]) == set(two["per_seed"][0])
         assert one["n_seeds"] == 1 and two["n_seeds"] == 2
