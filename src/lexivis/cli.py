@@ -16,17 +16,19 @@ flag, any other value clears it. Precedence: explicit flag, environment, file.
 from __future__ import annotations
 
 import argparse
+import inspect
 import itertools
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import compose, encoder as enc, evaluation, grounding, queries, synth, trainer
-from .errors import ConfigError, DataError, LexivisError
+from .errors import ConfigError, DataError, LexivisError, NumericsError
 from .knowledge import (
     SNAPSHOT_OF,
     SOURCES,
@@ -163,6 +165,15 @@ def _fill(args, cls, pairs: dict):
     return cls(**{name: value for name, value in values.items() if value is not None})
 
 
+@contextmanager
+def _stage(name: str):
+    """Name ``name`` in a floating-point fault of the block, which ``main``'s rule raises."""
+    try:
+        yield
+    except FloatingPointError as exc:
+        raise NumericsError(f"{exc} ({name})") from exc
+
+
 def _load_checkpoint(path, command: str) -> enc.ModelParams:
     """A checkpoint's params, if it was made for ``command``'s task: ground-eval reads the
     ``meta.task`` "grounding" that ground-train writes, and the other commands refuse it."""
@@ -275,15 +286,17 @@ def _cmd_eval_zeroshot(args) -> dict:
         raise DataError(f"{args.images}: {flag} needs labeled images")
     templates = (compose.load_templates(args.templates) if args.templates
                  else [args.template or compose.PromptTemplate()])
-    bank = evaluation.build_class_embeddings(
-        params,
-        class_names,
-        store=store,
-        source=args.source,
-        branch_mode=args.branch_mode,
-        templates=templates,
-    )
-    preds, _ = evaluation.zero_shot_classify(params, images, bank)
+    with _stage("encoding class texts"):
+        bank = evaluation.build_class_embeddings(
+            params,
+            class_names,
+            store=store,
+            source=args.source,
+            branch_mode=args.branch_mode,
+            templates=templates,
+        )
+    with _stage("encoding eval images"):
+        preds, _ = evaluation.zero_shot_classify(params, images, bank)
     summary = {
         "command": "eval-zeroshot",
         "n_images": int(len(images)),
@@ -321,7 +334,8 @@ def _cmd_eval_probe(args) -> dict:
     images, labels = _load_labeled_images(args.images, params.config.image_input_dim)
     if labels is None:
         raise DataError(f"{args.images}: eval-probe needs labeled images")
-    feats = evaluation.unit_image_features(params, images)
+    with _stage("encoding eval images"):
+        feats = evaluation.unit_image_features(params, images)
     try:
         result = evaluation.linear_probe(feats, labels, args.shots, n_seeds=args.probe_seeds)
     except DataError as exc:  # a class too small to leave a held-out remainder
@@ -369,7 +383,8 @@ def _cmd_ground_eval(args) -> dict:
     class_names = _load_class_names(args.classes)
     regions = grounding.load_regions_jsonl(args.regions, len(class_names), params.config.embed_dim)
     texts = grounding.category_texts(class_names, store, args.source, params.config.max_tokens)
-    bank = grounding.encode_phrases_parallel(params, texts)
+    with _stage("encoding the phrase bank"):
+        bank = grounding.encode_phrases_parallel(params, texts)
     rows = []
     accuracies = []
     for region in regions:
@@ -481,8 +496,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval-probe", help="few-shot linear probe on frozen features")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--images", required=True)
-    p.add_argument("--shots", type=int, default=5)
-    p.add_argument("--probe-seeds", type=int, default=3)
+    probe = inspect.signature(evaluation.linear_probe).parameters  # the flags' defaults
+    p.add_argument("--shots", type=int, default=probe["shots_per_class"].default)
+    p.add_argument("--probe-seeds", type=int, default=probe["n_seeds"].default)
     p.set_defaults(fn=_cmd_eval_probe)
 
     p = sub.add_parser("ground-train", help="train the grounding text encoder")

@@ -115,7 +115,7 @@ def zero_shot_classify(
 def linear_probe(
     features: np.ndarray,
     labels: np.ndarray,
-    shots_per_class: int,
+    shots_per_class: int = 5,
     n_seeds: int = 3,
 ) -> dict:
     """Few-shot multinomial logistic probe on frozen features: ``{accuracy, per_seed}``.

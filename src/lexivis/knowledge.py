@@ -9,6 +9,7 @@ for concurrent reads; every retrieval is a pure function of (snapshot, query).
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -29,6 +30,9 @@ DETERMINERS = frozenset({"a", "an", "the"})
 
 # Hard cap on hypernym traversal; crossing it means the snapshot has a cycle.
 MAX_HYPERNYM_HOPS = 32
+
+# json.loads's own decoder, called once per row without its per-call set-up.
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,14 +69,14 @@ def read_lines(path) -> Iterator[tuple[str, str]]:
     mark is not part of the text. Text that is not UTF-8 and a file without a
     non-blank line raise ``DataError`` naming the file.
     """
-    empty = True
+    empty, name = True, str(path)
     try:
         with open(path, encoding="utf-8-sig") as handle:
             for lineno, line in enumerate(handle, start=1):
                 line = line.strip()
                 if line:
                     empty = False
-                    yield f"{path}:{lineno}", line
+                    yield f"{name}:{lineno}", line
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text") from exc
     if empty:
@@ -84,11 +88,18 @@ def iter_jsonl(path, fields=()) -> Iterator[tuple[str, dict]]:
 
     Invalid JSON (nesting or an integer too large for ``json``), a row that
     is not a JSON object, or one missing a name in ``fields`` (the first is
-    named) raises ``DataError`` with the row's ``path:lineno``.
+    named) raises ``DataError`` with the row's ``path:lineno``. A row is read
+    as ``json.loads`` reads it, with the same error messages.
     """
     for where, line in read_lines(path):
         try:
-            obj = json.loads(line)
+            # The two checks json.loads adds to the decoder's: a stripped line
+            # has no JSON whitespace left to skip at either end.
+            if line[0] == "\ufeff":  # not the file's leading mark, which read_lines drops
+                raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+            obj, end = _raw_decode(line)
+            if end != len(line):
+                raise json.JSONDecodeError("Extra data", line, end)
         except (ValueError, RecursionError) as exc:
             raise DataError(f"{where}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
         if not isinstance(obj, dict):
@@ -112,17 +123,23 @@ def finite_array(
         array = np.asarray(value)
     except ValueError:  # ragged rows
         array = np.empty(0, dtype=object)
-    # Numbers (or bools) only: a string, null or an integer beyond 64 bits
-    # gives another dtype kind, and a float64 cast would accept a string "0".
-    if (
-        array.dtype.kind not in "biuf" or array.ndim != ndim or array.size == 0
-        or not np.isfinite(array).all()
-    ):
-        shape = "list" if ndim == 1 else "matrix"
-        raise DataError(f"{where}: {what} must be a non-empty {shape} of finite numbers")
+    # The common row, a list of floats, is checked by its sum, which a NaN or
+    # an infinite entry makes non-finite; numpy's check costs more on a short
+    # row. Any other array, or a sum that overflows, is checked by numpy.
+    if not (ndim == array.ndim == 1 and array.dtype == np.float64 and array.size
+            and math.isfinite(sum(value))):
+        # Numbers (or bools) only: a string, null or an integer beyond 64 bits
+        # gives another dtype kind, and a float64 cast would accept a string "0".
+        if (
+            array.dtype.kind not in "biuf" or array.ndim != ndim or array.size == 0
+            or not np.isfinite(array).all()
+        ):
+            shape = "list" if ndim == 1 else "matrix"
+            raise DataError(f"{where}: {what} must be a non-empty {shape} of finite numbers")
+        array = array.astype(np.float64, copy=False)
     if width is not None and array.shape[-1] != width:
         raise DataError(f"{where}: {what} width is {array.shape[-1]}, expected {width}")
-    return array.astype(np.float64, copy=False)
+    return array
 
 
 @contextmanager
@@ -186,9 +203,7 @@ class WordNetGraph:
         current = record
         while current.hypernym_ids:
             if len(path) >= MAX_HYPERNYM_HOPS:
-                raise DataError(
-                    f"hypernym chain from {record.id!r} exceeds {MAX_HYPERNYM_HOPS} hops (cycle?)"
-                )
+                raise _long_chain(record.id)
             current = self.synsets[current.hypernym_ids[0]]
             path.append(current)
         return path
@@ -240,15 +255,43 @@ def label_field(obj: dict, where: str) -> Optional[int]:
     return label
 
 
+_STR = frozenset((str,))
+
+
 def _string_list(obj: dict, key: str, where: str, nonempty: bool) -> tuple[str, ...]:
     value = obj[key]
-    if (not isinstance(value, list) or (nonempty and not value)
-            or not all(isinstance(v, str) for v in value)):
+    if (type(value) is not list or (nonempty and not value)
+            or not _STR.issuperset(map(type, value))):
         what = "a non-empty list" if nonempty else "a list"
         raise DataError(f"{where}: {key} must be {what} of strings")
-    if nonempty and not all(v.strip() for v in value):  # a blank lemma or sense
+    if nonempty and not all(map(str.strip, value)):  # a blank lemma or sense
         raise DataError(f"{where}: {key} must not hold a blank string")
     return tuple(value)
+
+
+def _long_chain(sid: str) -> DataError:
+    return DataError(f"hypernym chain from {sid!r} exceeds {MAX_HYPERNYM_HOPS} hops (cycle?)")
+
+
+def _check_chain_lengths(synsets: dict[str, SynsetRecord]) -> None:
+    """Refuse the first synset, in ``synsets`` order, whose ``hypernym_path`` would refuse it.
+
+    Each synset's chain length is kept once known, so every first-hypernym
+    link is walked once, not once per synset below it.
+    """
+    length = {None: 0}  # synset id -> synsets on its first-hypernym chain; None is above a root
+    for rec in synsets.values():
+        chain, sid = [], rec.id
+        while sid not in length and len(chain) <= MAX_HYPERNYM_HOPS:
+            chain.append(sid)
+            parents = synsets[sid].hypernym_ids
+            sid = parents[0] if parents else None
+        n = length.get(sid, 0)  # a walk cut at the cap holds one synset too many already
+        for sid in reversed(chain):
+            n += 1
+            length[sid] = n
+        if n > MAX_HYPERNYM_HOPS:
+            raise _long_chain(rec.id)
 
 
 def load_wordnet_snapshot(path) -> WordNetGraph:
@@ -263,20 +306,17 @@ def load_wordnet_snapshot(path) -> WordNetGraph:
     fields = ("id", "lemmas", "definition", "hypernym_ids")
     for where, obj in iter_jsonl(path, fields):
         sid = string_field(obj, "id", where)
-        record = SynsetRecord(
-            id=ids.setdefault(sid, sid),
-            lemmas=tuple(normalize_text(l) for l in _string_list(obj, "lemmas", where, True)),
-            definition=string_field(obj, "definition", where),
-            hypernym_ids=tuple(ids.setdefault(h, h)
-                               for h in _string_list(obj, "hypernym_ids", where, False)),
-        )
-        if not record.definition.strip():  # retrieved as knowledge, it would compose an empty hit
+        lemmas = _string_list(obj, "lemmas", where, True)
+        definition = string_field(obj, "definition", where)
+        hypernym_ids = _string_list(obj, "hypernym_ids", where, False)
+        if not definition.strip():  # retrieved as knowledge, it would compose an empty hit
             raise DataError(f"{where}: definition is blank")
-        records.append(record)
+        sid = ids.setdefault(sid, sid)
+        records.append(SynsetRecord(sid, tuple(map(normalize_text, lemmas)), definition,
+                                    tuple(map(ids.setdefault, hypernym_ids, hypernym_ids))))
     try:
         graph = WordNetGraph(records)
-        for rec in graph.synsets.values():  # in file order, so the first long chain is named
-            graph.hypernym_path(rec)
+        _check_chain_lengths(graph.synsets)  # in file order, so the first long chain is named
     except DataError as exc:  # a duplicate, a dangling reference or a long chain
         raise DataError(f"{path}: {exc}") from exc
     return graph

@@ -25,6 +25,8 @@ TRAIN_MODES = ("scratch_1branch", "scratch_2branch", "continual_adapters")
 
 OPTIMIZERS = ("sgd", "momentum", "adam")
 
+_STR_OR_NULL = (str, type(None))
+
 # Values per pass of the two Adam steps that need a second operand beside the gradient.
 _ADAM_BLOCK = 8192
 
@@ -71,7 +73,7 @@ def iter_dataset_jsonl(path, width: Optional[int] = None) -> Iterator[Triplet]:
         if type(augmented) is not bool:
             raise DataError(f"{where}: augmented must be true or false")
         for key in ("origin_text", "query"):
-            if not isinstance(obj.get(key), (str, type(None))):
+            if not isinstance(obj.get(key), _STR_OR_NULL):
                 raise DataError(f"{where}: {key} must be a string or null")
         image = finite_array(obj["image"], 1, where, "image", width)
         width = image.size

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import re
 import shlex
@@ -673,6 +674,12 @@ class TestFlagDefaults:
         expected = getattr(cls(), field)
         default = cli.build_parser().subcommands[command].get_default(dest)
         assert default == expected and type(default) is type(expected)
+
+    def test_probe_flags_take_the_linear_probe_defaults(self):
+        sub = cli.build_parser().subcommands["eval-probe"]
+        probe = inspect.signature(evaluation.linear_probe).parameters
+        assert sub.get_default("shots") == probe["shots_per_class"].default == 5
+        assert sub.get_default("probe_seeds") == probe["n_seeds"].default == 3
 
     @pytest.mark.parametrize("command", ["train", "ground-train"])
     def test_encoder_flags_read_none_until_set(self, command):
@@ -1567,13 +1574,23 @@ def test_ground_train_floating_point_overflow_is_one_line_naming_its_step(capsys
     assert not out.exists()
 
 
+# The stage each overflowing tensor faults in, as the error line names it.
+_OVERFLOW_STAGE = {
+    ("eval-zeroshot", "img.W1"): "encoding eval images",
+    ("eval-zeroshot", "tok_emb"): "encoding class texts",
+    ("eval-probe", "img.W1"): "encoding eval images",
+    ("ground-eval", "tok_emb"): "encoding the phrase bank",
+}
+
+
 @pytest.mark.parametrize("command, tensor, operation", [
     ("eval-zeroshot", "img.W1", "power"), ("eval-probe", "img.W1", "power"),
-    ("ground-eval", "tok_emb", "reduce"),
+    ("ground-eval", "tok_emb", "reduce"), ("eval-zeroshot", "tok_emb", "reduce"),
 ])
 def test_overflowing_checkpoint_is_one_line_and_writes_nothing(capsys, tmp_path, command, tensor,
                                                                 operation):
-    # Every entry is finite, so the checkpoint loads, but encoding with it overflows.
+    # Every entry is finite, so the checkpoint loads, but encoding with it overflows; the
+    # line names the stage, which a bare numpy operation left to guess.
     meta = {"task": "grounding"} if command == "ground-eval" else None
     ckpt = _tiny_checkpoint(tmp_path / "model.json", meta)
     params, _ = enc.load_checkpoint(ckpt)
@@ -1593,7 +1610,8 @@ def test_overflowing_checkpoint_is_one_line_and_writes_nothing(capsys, tmp_path,
                  else ["--shots", "1"])
     code, _, err = run(capsys, *argv)
     assert code == EXIT_DATA
-    assert _one_line(err) == f"error: overflow encountered in {operation}"
+    stage = _OVERFLOW_STAGE[command, tensor]
+    assert _one_line(err) == f"error: overflow encountered in {operation} ({stage})"
     assert not out.exists()
 
 

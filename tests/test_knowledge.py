@@ -1,11 +1,13 @@
 import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lexivis import knowledge
 from lexivis.errors import DataError
 from lexivis.knowledge import (
     Dictionary,
@@ -35,6 +37,26 @@ BOXER_CHAIN = [
 
 def _write_jsonl(path, rows):
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
+
+
+def _synset(sid, parent=None):
+    return {"id": sid, "lemmas": [f"w{sid}"], "definition": "x",
+            "hypernym_ids": [] if parent is None else [parent]}
+
+
+def _chain(ids):
+    """Synset rows for a first-hypernym chain, from ``ids[0]`` up to the root ``ids[-1]``."""
+    return [_synset(sid, parent) for sid, parent in zip(ids, [*ids[1:], None])]
+
+
+def _chain_error(path, sid):
+    return rf"^{path}: hypernym chain from '{sid}' exceeds 32 hops \(cycle\?\)$"
+
+
+@pytest.fixture(scope="module")
+def scratch_file(tmp_path_factory):
+    """One file path for the examples of a property test to overwrite in turn."""
+    return tmp_path_factory.mktemp("rows") / "rows.jsonl"
 
 
 class TestLoadWordnet:
@@ -132,6 +154,62 @@ class TestLoadWordnet:
                 graph.hypernym_path(graph.synsets["s0"])
             with pytest.raises(DataError, match=f"^{path}: hypernym chain from 's0'"):
                 load_wordnet_snapshot(path)
+
+    @pytest.mark.parametrize("order", ["root-first", "leaf-first"])
+    @pytest.mark.parametrize("n", [32, 33])
+    def test_chain_cap_holds_in_either_file_order(self, tmp_path, n, order):
+        rows = _chain([f"s{i}" for i in range(n)])
+        path = tmp_path / "wn.jsonl"
+        _write_jsonl(path, rows[::-1] if order == "root-first" else rows)
+        if n == 32:
+            assert len(load_wordnet_snapshot(path)) == 32
+        else:
+            with pytest.raises(DataError, match=_chain_error(path, "s0")):
+                load_wordnet_snapshot(path)
+
+    def test_cycle_reached_through_earlier_synsets_names_the_first(self, tmp_path):
+        # t and u lead into the cycle a -> b -> a and are listed before it.
+        rows = [_synset("t", "u"), _synset("u", "a"), _synset("root"), _synset("a", "b"),
+                _synset("b", "a")]
+        path = tmp_path / "wn.jsonl"
+        _write_jsonl(path, rows)
+        with pytest.raises(DataError, match=_chain_error(path, "t")):
+            load_wordnet_snapshot(path)
+
+    def test_long_chain_over_an_upper_part_checked_through_a_sibling(self, tmp_path):
+        # "a" checks u1..u30 (31 synsets with it); "b3" joins u1 three links down: 33.
+        upper = _chain([f"u{i}" for i in range(1, 31)])
+        lower = [_synset("b3", "b2"), _synset("b2", "b1"), _synset("b1", "u1")]
+        path = tmp_path / "wn.jsonl"
+        _write_jsonl(path, [_synset("a", "u1"), *upper, *lower])
+        with pytest.raises(DataError, match=_chain_error(path, "b3")):
+            load_wordnet_snapshot(path)
+        _write_jsonl(path, [_synset("a", "u1"), *upper, *lower[1:]])  # b2 has 32
+        assert len(load_wordnet_snapshot(path)) == 33
+
+    # Under a cap of 3, graphs of a few synsets have long chains and cycles often.
+    @settings(max_examples=150, deadline=None)
+    @given(parents=st.lists(st.one_of(st.none(), st.integers(0, 7)), min_size=1, max_size=8))
+    def test_load_refuses_the_synset_hypernym_path_refuses_first(self, scratch_file, parents):
+        rows = [_synset(f"n{i}", None if p is None or p >= len(parents) else f"n{p}")
+                for i, p in enumerate(parents)]
+        _write_jsonl(scratch_file, rows)
+        reference = WordNetGraph([
+            SynsetRecord(r["id"], tuple(r["lemmas"]), "x", tuple(r["hypernym_ids"])) for r in rows
+        ])
+        with mock.patch.object(knowledge, "MAX_HYPERNYM_HOPS", 3):
+            expected = got = None
+            for rec in reference.synsets.values():  # the check, one hypernym_path per synset
+                try:
+                    reference.hypernym_path(rec)
+                except DataError as exc:
+                    expected = f"{scratch_file}: {exc}"
+                    break
+            try:
+                load_wordnet_snapshot(scratch_file)
+            except DataError as exc:
+                got = str(exc)
+        assert got == expected
 
     def test_lemma_with_a_space_is_indexed_like_its_lookup(self, tmp_path):
         path = tmp_path / "wn.jsonl"
@@ -354,8 +432,48 @@ def test_determinism_across_reloads(tmp_path, wordnet_graph):
         assert KnowledgeStore(wordnet=again).retrieve(q, "wn_hier").text == expected
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+# json.dumps writes NaN, Infinity and -Infinity for the floats that have no JSON number.
+JSON_TEXTS = st.one_of(
+    st.dictionaries(st.text(max_size=3), JSON_VALUES, max_size=4), JSON_VALUES
+).flatmap(lambda v: st.sampled_from([json.dumps(v), json.dumps(v, ensure_ascii=False)]))
+JSONL_LINES = st.one_of(
+    JSON_TEXTS,
+    JSON_TEXTS.map(lambda text: "\ufeff" + text),  # a byte-order mark past the file's start
+    st.tuples(JSON_TEXTS, st.sampled_from([" x", "{}", "1", "]", ' {"b": 2}', "\ufeff", ",", " NaN",
+                                           "\x1c1", "\u20282"])).map("".join),  # trailing data
+    st.tuples(JSON_TEXTS, st.integers(0, 30)).map(lambda a: a[0][: a[1]]),  # cut short
+    st.sampled_from(['{"a": NaN}', '{"a": Infinity}', '{"a": -Infinity}', '{"a": nan}', "NaN",
+                     '{"a": inf}', "[" * 100_000 + "]" * 100_000, '{"a": ' + "9" * 5000 + "}"]),
+    st.text(max_size=12),
+).map(str.strip).filter(lambda line: line and "\n" not in line and "\r" not in line)
+
+
+def _loads_outcome(where, line):
+    """What ``iter_jsonl`` should make of ``line``: json.loads's object or its error message."""
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        return f"{where}: invalid JSON ({getattr(exc, 'msg', exc)})"
+    return obj if isinstance(obj, dict) else f"{where}: expected a JSON object"
+
+
 class TestReaders:
     """The line-level contract every input file shares (``iter_jsonl``, ``read_lines``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(line=JSONL_LINES)
+    def test_a_row_reads_as_json_loads_reads_it(self, scratch_file, line):
+        scratch_file.write_text('{"first": 1}\n' + line + "\n", encoding="utf-8")
+        try:
+            got = list(iter_jsonl(scratch_file))[1][1]
+        except DataError as exc:
+            got = str(exc)
+        assert repr(got) == repr(_loads_outcome(f"{scratch_file}:2", line))
 
     def test_rows_come_with_their_location(self, tmp_path):
         path = tmp_path / "rows.jsonl"
@@ -435,7 +553,52 @@ class TestAtomicOpen:
         assert path.read_text() == "A\nB\n"
 
 
+NUMBERS = st.one_of(st.floats(), st.integers(-(2**70), 2**70), st.booleans())
+ENTRIES = st.one_of(NUMBERS, st.none(), st.text(max_size=2))
+FEATURE_VALUES = st.one_of(
+    st.lists(st.floats(), max_size=5),
+    st.integers(1, 4).flatmap(  # equal-length rows, finite or not
+        lambda n: st.lists(st.lists(st.floats(), min_size=n, max_size=n), max_size=4)),
+    st.lists(st.lists(st.floats(), max_size=4), max_size=4),  # ragged or empty rows
+    st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=3),
+             min_size=2, max_size=3),  # finite rows, often ragged
+    st.lists(ENTRIES, max_size=5),  # ints, bools, mixed, strings, null
+    st.lists(st.lists(ENTRIES, max_size=3), max_size=3),
+    st.lists(st.one_of(ENTRIES, st.lists(ENTRIES, max_size=2)), max_size=3),  # nested
+    st.lists(st.lists(st.lists(st.floats(), max_size=2), max_size=2), max_size=2),
+    ENTRIES,
+)
+
+
+def _numpy_outcome(value, ndim, width):
+    """``finite_array`` as numpy alone checks a value: the float64 array, or the error message."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # ragged rows
+        array = np.empty(0, dtype=object)
+    if (array.dtype.kind not in "biuf" or array.ndim != ndim or array.size == 0
+            or not np.isfinite(array).all()):
+        shape = "list" if ndim == 1 else "matrix"
+        return f"row:1: v must be a non-empty {shape} of finite numbers"
+    if width is not None and array.shape[-1] != width:
+        return f"row:1: v width is {array.shape[-1]}, expected {width}"
+    return array.astype(np.float64, copy=False)
+
+
 class TestFiniteArray:
+    @settings(max_examples=400, deadline=None)
+    @given(value=FEATURE_VALUES, ndim=st.sampled_from([1, 2]),
+           width=st.sampled_from([None, 1, 2, 3]))
+    def test_checks_a_value_as_numpy_does(self, value, ndim, width):
+        expected = _numpy_outcome(value, ndim, width)
+        try:
+            got = finite_array(value, ndim, "row:1", "v", width)
+        except DataError as exc:
+            assert str(exc) == expected
+        else:
+            assert not isinstance(expected, str), expected
+            assert got.dtype == expected.dtype == np.float64 and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
     # A numeric string used to pass: the float64 cast converted "0" to 0.0.
     @pytest.mark.parametrize(
         "value", [["0", 1.0], [None, 1.0], [10**20, 1.0], [[1.0], [1.0, 2.0]], "1.5"],
