@@ -71,8 +71,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _load_store(args) -> KnowledgeStore:
-    """The one snapshot ``--source`` reads; without its flag that is a config error."""
+def _load_store(args) -> KnowledgeStore | None:
+    """The one snapshot ``--source`` reads; without its flag that is a config error. None,
+    reading nothing, where ``--with-knowledge`` gates the snapshot flags and is unset."""
+    if not getattr(args, "with_knowledge", True):
+        return None
     snapshot = SNAPSHOT_OF[args.source]
     path = getattr(args, snapshot)
     if not path:
@@ -129,8 +132,9 @@ def _load_labeled_images(path, width: int, n_classes: int | None = None):
     return np.stack(images), (None if labels[0] is None else np.asarray(labels))
 
 
-# Each flag that fills a config field, by dest: the field it fills. The flag takes that field's
-# type and default (_add_fields), and the command builds the config from the same pairs (_fill).
+# Each flag that fills a config field or a library parameter, by dest: the name it fills. The
+# flag takes that name's type and default (_add_fields); a command builds a config from the
+# same pairs (_fill).
 _ENCODER_FLAGS = {  # read None until set, so continual training can check only the set ones
     "embed_dim": "embed_dim", "layers": "text_layers", "heads": "num_heads",
     "hidden_dim": "hidden_dim", "vocab_size": "vocab_size", "max_tokens": "max_tokens",
@@ -140,6 +144,8 @@ _ENCODER_FLAGS = {  # read None until set, so continual training can check only 
 _RUN_FLAGS = {name: name for name in ("epochs", "learning_rate", "optimizer", "seed")}
 _TRAIN_FLAGS = {name: name for name in ("batch_size", "mode")}
 _FOCAL_FLAGS = {"focal_alpha": "alpha", "focal_gamma": "gamma"}
+_AUGMENT_FLAGS = {name: name for name in ("scheme", "template", "max_tokens")}
+_PROBE_FLAGS = {"shots": "shots_per_class", "probe_seeds": "n_seeds"}
 _SYNTH_FLAGS = {
     "n_seeds": "n_seeds", "common_classes": "n_common", "rare_classes": "n_rare",
     "train_per_class": "train_per_class", "eval_per_class": "eval_per_class", "noise": "noise",
@@ -148,10 +154,12 @@ _SYNTH_FLAGS = {
 }
 
 
-def _add_fields(p, cls, pairs: dict, unset: bool = False, **choices) -> None:
-    """A flag per ``pairs`` dest, typed and defaulted by its ``cls`` field (None with ``unset``)."""
+def _add_fields(p, owner, pairs: dict, unset: bool = False, **choices) -> None:
+    """A flag per ``pairs`` dest, typed and defaulted by the field of config class ``owner``,
+    or the parameter of library function ``owner``, that it fills (None with ``unset``)."""
+    params = inspect.signature(owner).parameters
     for dest, name in pairs.items():
-        flag, default = "--" + dest.replace("_", "-"), getattr(cls, name)
+        flag, default = "--" + dest.replace("_", "-"), params[name].default
         if isinstance(default, bool):
             p.add_argument(flag, action="store_true", default=default)
         else:
@@ -214,16 +222,9 @@ def _cmd_augment(args) -> dict:
     lexicon = _load_lexicon(args)
     dataset = trainer.DatasetFile(Path(args.dataset))
     audit: dict[str, int] = {}
-    rows = trainer.iter_augmented(
-        dataset,
-        audit,
-        store,
-        source=args.source,
-        scheme=args.scheme,
-        template=args.template,
-        max_tokens=args.max_tokens,
-        lexicon=lexicon,
-    )
+    rows = trainer.iter_augmented(dataset, audit, store, args.source, scheme=args.scheme,
+                                  template=args.template, max_tokens=args.max_tokens,
+                                  lexicon=lexicon)
     trainer.save_dataset_jsonl(rows, args.out)
     return {"command": "augment", "out": str(args.out), **audit}
 
@@ -275,7 +276,7 @@ def _cmd_train(args) -> dict:
 def _cmd_eval_zeroshot(args) -> dict:
     if args.templates and args.template:
         raise ConfigError("give --templates or --template, not both")
-    store = _load_store(args) if args.with_knowledge else None
+    store = _load_store(args)
     params = _load_checkpoint(args.checkpoint, "eval-zeroshot")
     class_names = _load_class_names(args.classes)
     images, labels = _load_labeled_images(
@@ -287,14 +288,8 @@ def _cmd_eval_zeroshot(args) -> dict:
     templates = (compose.load_templates(args.templates) if args.templates
                  else [args.template or compose.PromptTemplate()])
     with _stage("encoding class texts"):
-        bank = evaluation.build_class_embeddings(
-            params,
-            class_names,
-            store=store,
-            source=args.source,
-            branch_mode=args.branch_mode,
-            templates=templates,
-        )
+        bank = evaluation.build_class_embeddings(params, class_names, store, args.source,
+                                                 args.branch_mode, templates)
     with _stage("encoding eval images"):
         preds, _ = evaluation.zero_shot_classify(params, images, bank)
     summary = {
@@ -348,7 +343,7 @@ def _cmd_ground_train(args) -> dict:
     cfg = replace(cfg, image_input_dim=cfg.embed_dim)  # as wide as the region features
     focal = _fill(args, grounding.FocalParams, _FOCAL_FLAGS)
     trainer.check_schedule(args.epochs, args.learning_rate, args.seed)
-    store = _load_store(args) if args.with_knowledge else None
+    store = _load_store(args)
     class_names = _load_class_names(args.classes)
     regions = grounding.load_regions_jsonl(args.regions, len(class_names), cfg.embed_dim)
     unlabeled = next((r.image_id for r in regions if r.targets is None), None)
@@ -378,25 +373,18 @@ def _cmd_ground_train(args) -> dict:
 
 
 def _cmd_ground_eval(args) -> dict:
-    store = _load_store(args) if args.with_knowledge else None
+    store = _load_store(args)
     params = _load_checkpoint(args.checkpoint, "ground-eval")
     class_names = _load_class_names(args.classes)
     regions = grounding.load_regions_jsonl(args.regions, len(class_names), params.config.embed_dim)
     texts = grounding.category_texts(class_names, store, args.source, params.config.max_tokens)
     with _stage("encoding the phrase bank"):
         bank = grounding.encode_phrases_parallel(params, texts)
-    rows = []
-    accuracies = []
+    rows, accuracies = [], []
     for region in regions:
         preds = grounding.classify_regions(region, bank)
-        rows.append(
-            {
-                "image_id": region.image_id,
-                "predictions": [
-                    {"category": int(k), "score": s} for k, s in preds
-                ],
-            }
-        )
+        rows.append({"image_id": region.image_id,
+                     "predictions": [{"category": int(k), "score": s} for k, s in preds]})
         if region.targets is not None:
             acc = grounding.region_accuracy(preds, region.targets)
             if acc is not None:
@@ -429,10 +417,13 @@ def _cmd_bench_synth(args) -> dict:
 # Parser assembly
 
 
-def _add_store_flags(p):
+def _add_store_flags(p, gated: bool = False):
+    """The flags ``_load_store`` reads; ``gated`` adds ``--with-knowledge``, which reads them."""
     p.add_argument("--wordnet", help="WordNet snapshot JSONL")
     p.add_argument("--wiktionary", help="Wiktionary snapshot JSONL")
-    p.add_argument("--source", default="wiki_def", choices=SOURCES)
+    _add_fields(p, evaluation.build_class_embeddings, {"source": "source"}, source=SOURCES)
+    if gated:
+        p.add_argument("--with-knowledge", action="store_true")
 
 
 def _add_run_flags(p):
@@ -452,16 +443,14 @@ def build_parser() -> _Parser:
     _add_store_flags(p)
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--scheme", default="concat", choices=("concat", "combine"))
     p.add_argument("--lexicon")
-    p.add_argument("--template", type=compose.PromptTemplate, default=compose.DEFAULT_TEMPLATE)
-    p.add_argument("--max-tokens", type=int, default=compose.DEFAULT_MAX_TOKENS)
+    _add_fields(p, trainer.iter_augmented, _AUGMENT_FLAGS, scheme=compose.CAPTION_SCHEMES)
     p.set_defaults(fn=_cmd_augment)
 
     p = sub.add_parser("stats", help="dataset concept/vocabulary statistics")
     p.add_argument("--dataset", required=True)
     p.add_argument("--lexicon")
-    p.add_argument("--min-freq", type=int, default=5)
+    _add_fields(p, evaluation.dataset_stats, {"min_freq": "min_freq"})
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_stats)
 
@@ -479,12 +468,12 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_train)
 
     p = sub.add_parser("eval-zeroshot", help="zero-shot classification from a checkpoint")
-    _add_store_flags(p)
+    _add_store_flags(p, gated=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--images", required=True)
     p.add_argument("--classes", required=True)
-    p.add_argument("--with-knowledge", action="store_true")
-    p.add_argument("--branch-mode", default="one_branch", choices=evaluation.BRANCH_MODES)
+    _add_fields(p, evaluation.build_class_embeddings, {"branch_mode": "branch_mode"},
+                branch_mode=evaluation.BRANCH_MODES)
     p.add_argument("--template", type=compose.PromptTemplate, help="not with --templates")
     p.add_argument("--templates", help="file with one template per line (ensemble)")
     p.add_argument("--pretrain-concepts", help="file of pretraining concepts for overlap")
@@ -496,27 +485,23 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval-probe", help="few-shot linear probe on frozen features")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--images", required=True)
-    probe = inspect.signature(evaluation.linear_probe).parameters  # the flags' defaults
-    p.add_argument("--shots", type=int, default=probe["shots_per_class"].default)
-    p.add_argument("--probe-seeds", type=int, default=probe["n_seeds"].default)
+    _add_fields(p, evaluation.linear_probe, _PROBE_FLAGS)
     p.set_defaults(fn=_cmd_eval_probe)
 
     p = sub.add_parser("ground-train", help="train the grounding text encoder")
-    _add_store_flags(p)
+    _add_store_flags(p, gated=True)
     _add_fields(p, enc.EncoderConfig, _ENCODER_FLAGS, unset=True)
     _add_run_flags(p)
     p.add_argument("--regions", required=True)
     p.add_argument("--classes", required=True)
-    p.add_argument("--with-knowledge", action="store_true")
     _add_fields(p, grounding.FocalParams, _FOCAL_FLAGS)
     p.set_defaults(fn=_cmd_ground_train)
 
     p = sub.add_parser("ground-eval", help="zero-shot region classification")
-    _add_store_flags(p)
+    _add_store_flags(p, gated=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--regions", required=True)
     p.add_argument("--classes", required=True)
-    p.add_argument("--with-knowledge", action="store_true")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_ground_eval)
 

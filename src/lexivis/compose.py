@@ -22,6 +22,8 @@ DEFAULT_TEMPLATE = "a photo of a {}"
 
 DEFAULT_MAX_TOKENS = 64
 
+CAPTION_SCHEMES = ("concat", "combine")
+
 
 @dataclass(frozen=True)
 class PromptTemplate:
@@ -138,7 +140,7 @@ def compose_caption_texts(
     """
     if not caption.strip():
         raise ValueError("caption must be non-empty")
-    if scheme not in ("concat", "combine"):
+    if scheme not in CAPTION_SCHEMES:
         raise ValueError(f"unknown caption scheme {scheme!r}")
     if knowledge is None:
         parts = {"original_caption": caption, "query": query, "knowledge": None}

@@ -148,7 +148,8 @@ def atomic_open(path) -> Iterator[TextIO]:
 
     The text goes to a temporary file beside ``path`` that replaces it on
     success and is deleted on any failure, so a failed write leaves an
-    existing ``path`` untouched. ``path`` may be a file the block reads.
+    existing ``path`` untouched. ``path`` may be a file the block reads. An
+    ``OSError`` from opening or replacing the temporary file names ``path``.
     """
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
@@ -156,8 +157,10 @@ def atomic_open(path) -> Iterator[TextIO]:
         with open(tmp, "w", encoding="utf-8") as handle:
             yield handle
         tmp.replace(path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(tmp):
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 

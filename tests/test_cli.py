@@ -1,6 +1,7 @@
 import csv
 import inspect
 import json
+import os
 import re
 import shlex
 import tracemalloc
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lexivis import cli, encoder as enc, evaluation, grounding, knowledge, synth, trainer
+from lexivis import cli, compose, encoder as enc, evaluation, grounding, knowledge, synth, trainer
 from lexivis.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from lexivis.errors import ConfigError, DataError, NumericsError
 from tests.conftest import FIXTURES, ROOT
@@ -643,7 +644,7 @@ class TestConfigValues:
         assert offenders == []
 
 
-_FIELD_FLAGS = [  # (command, flag dest, config class, the field the flag fills)
+_FIELD_FLAGS = [  # (command, flag dest, config class or library function, the name it fills)
     *((command, dest, trainer.TrainConfig, dest) for command in ("train", "ground-train")
       for dest in ("epochs", "learning_rate", "optimizer", "seed")),
     ("train", "batch_size", trainer.TrainConfig, "batch_size"),
@@ -656,30 +657,73 @@ _FIELD_FLAGS = [  # (command, flag dest, config class, the field the flag fills)
     *(("bench-synth", dest, synth.SynthConfig, dest)
       for dest in ("train_per_class", "eval_per_class", "noise", "epochs", "batch_size",
                    "learning_rate", "empty_knowledge")),
+    *(("augment", dest, trainer.iter_augmented, dest)
+      for dest in ("scheme", "template", "max_tokens")),
+    ("stats", "min_freq", evaluation.dataset_stats, "min_freq"),
+    ("eval-zeroshot", "branch_mode", evaluation.build_class_embeddings, "branch_mode"),
+    ("eval-probe", "shots", evaluation.linear_probe, "shots_per_class"),
+    ("eval-probe", "probe_seeds", evaluation.linear_probe, "n_seeds"),
+    *((command, "source", evaluation.build_class_embeddings, "source")
+      for command in ("augment", "coverage", "eval-zeroshot", "ground-train", "ground-eval")),
+]
+_CHOICE_FLAGS = [  # (command, flag dest, the library's names of its values)
+    ("augment", "scheme", compose.CAPTION_SCHEMES),
+    ("eval-zeroshot", "branch_mode", evaluation.BRANCH_MODES),
+    ("train", "mode", trainer.TRAIN_MODES),
+    *((command, "optimizer", trainer.OPTIMIZERS) for command in ("train", "ground-train")),
+    *((command, "source", knowledge.SOURCES)
+      for command in ("augment", "coverage", "eval-zeroshot", "ground-train", "ground-eval")),
 ]
 _ENCODER_DESTS = ("embed_dim", "layers", "heads", "hidden_dim", "vocab_size", "max_tokens",
                   "adapter_bottleneck")
 
 
+def _owner_default(owner, name):
+    """What ``owner`` fills ``name`` with when it is not given."""
+    if isinstance(owner, type):
+        return getattr(owner(), name)
+    return inspect.signature(owner).parameters[name].default
+
+
 class TestFlagDefaults:
-    """A flag that fills a config field takes that field's default and type.
+    """A flag that fills a config field or a library parameter takes its default and type,
+    and its choices from the library's names.
 
     Encoder flags read None until set; a scratch model built from none of them has the
     ``EncoderConfig`` defaults at its input width.
     """
 
-    @pytest.mark.parametrize("command, dest, cls, field", _FIELD_FLAGS,
+    @pytest.mark.parametrize("command, dest, owner, name", _FIELD_FLAGS,
                              ids=[f"{c}-{d}" for c, d, _, _ in _FIELD_FLAGS])
-    def test_flag_default_is_its_fields(self, command, dest, cls, field):
-        expected = getattr(cls(), field)
+    def test_flag_default_is_its_fields(self, command, dest, owner, name):
+        expected = _owner_default(owner, name)
         default = cli.build_parser().subcommands[command].get_default(dest)
         assert default == expected and type(default) is type(expected)
 
-    def test_probe_flags_take_the_linear_probe_defaults(self):
-        sub = cli.build_parser().subcommands["eval-probe"]
-        probe = inspect.signature(evaluation.linear_probe).parameters
-        assert sub.get_default("shots") == probe["shots_per_class"].default == 5
-        assert sub.get_default("probe_seeds") == probe["n_seeds"].default == 3
+    @pytest.mark.parametrize("command, dest, owner, name", _FIELD_FLAGS,
+                             ids=[f"{c}-{d}" for c, d, _, _ in _FIELD_FLAGS])
+    def test_flag_follows_a_changed_owner_default(self, monkeypatch, command, dest, owner,
+                                                  name):
+        # Edited where an edit of the owner's source would land: in the defaults its calls
+        # and constructions use.
+        fn = owner.__init__ if isinstance(owner, type) else owner
+        names = list(inspect.signature(fn).parameters)[-len(fn.__defaults__):]
+        defaults = dict(zip(names, fn.__defaults__))
+        old, choices = defaults[name], cli.build_parser().subcommands[command].flags[dest].choices
+        if choices:
+            new = next(c for c in choices if c != old)
+        elif isinstance(old, compose.PromptTemplate):
+            new = compose.PromptTemplate("a sketch of a {}")
+        else:
+            new = not old if isinstance(old, bool) else old + 1
+        assert new != old
+        monkeypatch.setattr(fn, "__defaults__", tuple({**defaults, name: new}.values()))
+        assert cli.build_parser().subcommands[command].get_default(dest) == new
+
+    @pytest.mark.parametrize("command, dest, names", _CHOICE_FLAGS,
+                             ids=[f"{c}-{d}" for c, d, _ in _CHOICE_FLAGS])
+    def test_flag_choices_are_the_librarys_names(self, command, dest, names):
+        assert cli.build_parser().subcommands[command].flags[dest].choices == names
 
     @pytest.mark.parametrize("command", ["train", "ground-train"])
     def test_encoder_flags_read_none_until_set(self, command):
@@ -1168,6 +1212,33 @@ def checkpoint(tmp_path):
 def ground_checkpoint(tmp_path):
     """The tensors of ``checkpoint`` under the meta.task that ground-train writes."""
     return _tiny_checkpoint(tmp_path / "ground_model.json", {"task": "grounding"})
+
+
+class TestKnowledgeGate:
+    @pytest.mark.parametrize("command", ["eval-zeroshot", "ground-train", "ground-eval"])
+    def test_snapshot_flags_read_nothing_without_with_knowledge(
+        self, capsys, tmp_path, opened_paths, checkpoint, ground_checkpoint, command
+    ):
+        missing = str(tmp_path / "missing.jsonl")  # reading it would exit 2
+        classes = tmp_path / "classes.json"
+        classes.write_text(json.dumps(["boxer", "tench"]))
+        regions = tmp_path / "regions.jsonl"
+        regions.write_text(json.dumps(
+            {"image_id": "a", "features": np.eye(2, 4).tolist(), "targets": np.eye(2).tolist()}
+        ) + "\n")
+        images = tmp_path / "images.jsonl"
+        images.write_text(json.dumps({"image": [1.0, 0.0, 0.0, 0.0], "label": 0}) + "\n")
+        argv = {
+            "eval-zeroshot": ["--checkpoint", str(checkpoint), "--images", str(images)],
+            "ground-train": ["--regions", str(regions), "--out-checkpoint",
+                             str(tmp_path / "g.json"), "--embed-dim", "4", "--epochs", "0"],
+            "ground-eval": ["--checkpoint", str(ground_checkpoint), "--regions", str(regions)],
+        }[command]
+        code, summary, err = run(capsys, command, *argv, "--classes", str(classes),
+                                 "--wiktionary", missing)
+        assert code == EXIT_OK, err
+        assert summary.get("with_knowledge", False) is False
+        assert missing not in opened_paths
 
 
 class TestMalformedJsonl:
@@ -2001,6 +2072,29 @@ class TestAtomicOutputs:
             cli._write_json(path, {"a": 1, "b": object()})
         assert json.loads(path.read_text())["t"] is True
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    @pytest.mark.parametrize("command", ["train", "eval-zeroshot"])
+    def test_missing_output_directory_names_the_users_path(
+        self, capsys, tmp_path, monkeypatch, dataset, checkpoint, command
+    ):
+        monkeypatch.chdir(tmp_path)
+        images, classes = tmp_path / "images.jsonl", tmp_path / "classes.json"
+        images.write_text(json.dumps({"image": [1.0, 0.0, 0.0, 0.0], "label": 0}) + "\n")
+        classes.write_text(json.dumps(["boxer", "tench"]))
+        argv = {
+            "train": ["--dataset", str(dataset), "--out-checkpoint", "m.json", "--epochs", "1",
+                      "--trace", "nodir/t.csv"],
+            "eval-zeroshot": ["--checkpoint", str(checkpoint), "--images", str(images),
+                              "--classes", str(classes), "--breakdown-csv", "nodir/b.csv"],
+        }[command]
+        errs = []
+        for pid in (101, 202):  # the temporary file beside the output is named by the pid
+            monkeypatch.setattr(os, "getpid", lambda pid=pid: pid)
+            code, _, err = run(capsys, command, *argv)
+            assert code == EXIT_DATA
+            errs.append(err)
+        expected = f"data error: [Errno 2] No such file or directory: '{argv[-1]}'\n"
+        assert errs == [expected, expected]
 
 
 class TestBench:

@@ -2,20 +2,29 @@
 
 A change that alters one bit of a checkpoint, a loss trace, the grounding
 predictions, the zero-shot report and breakdown, the augmented dataset and
-its statistics, or one seed of the synthetic benchmark fails here. Float
-results depend on the numpy build, its BLAS, the BLAS kernel (core) it
-dispatches to on this CPU and numpy's SIMD paths, so the digests are keyed to
-that stack; on any other stack the test skips and names it. On the SkylakeX
-stack one more test runs this file again under the emulated Haswell stack.
+its statistics, or one seed of the synthetic benchmark fails here. At
+workload scale, each benchmark workload's output digest over one pass of its
+seed-0 inputs is pinned too. Float results depend on the numpy build, its
+BLAS, the BLAS kernel (core) it dispatches to on this CPU and numpy's SIMD
+paths, so the digests are keyed to that stack; on any other stack the test
+skips and names it. On the SkylakeX stack one more test runs this file again
+under the emulated Haswell stack.
+
+``python -m tests.test_golden`` (from the repository root, with ``src`` on
+``PYTHONPATH``) prints this stack's key and its two tables as Python literals,
+to paste in when a stack is added or ``perfbench/gen.py`` changes its inputs.
 """
 
+import contextlib
 import ctypes
 import hashlib
+import importlib
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +103,24 @@ GOLDEN = {
         "concat.jsonl": "97dbd668258ae9e3181c19d51fbbe13d351d38e989c506ad0ebd43d3e71b84b7",
         "stats.json": "1dfaa447ad9cbfb17b0468c6b98c7e34b50fe626b8dcd1ed45d72abc4d2e3174",
         "run_seed0.json": "4ec388ffd55840d2d1e7d2a47432946109a9e9d1d5fc4757188589339c7dfa91",
+    },
+}
+
+
+# Each perfbench workload's ``run.workload_digest`` over one untraced pass of each of its
+# seed-0 inputs. Its inputs come from perfbench/gen.py: a change there is a re-pin.
+WORKLOAD_DIGESTS = {
+    SKYLAKEX: {
+        "synth_rare": "0f84290928906ce8735fdb25c692fc4505c1c4780a22b64d1d0c9ef5bc53202e",
+        "caption_2branch": "b56bfff17432ef878adf8135af30d6070a083da84c9888126eb660ad53920716",
+        "grounding": "67fe4a972488903160ca26a69531a7251798f874c7e3216c7f9474325f1d3753",
+        "lexical_prep": "a550d1ccee3bfedc876df15b3de154ef26ac5e44ec20b69e7279ebcbad00ca06",
+    },
+    HASWELL: {
+        "synth_rare": "0f84290928906ce8735fdb25c692fc4505c1c4780a22b64d1d0c9ef5bc53202e",
+        "caption_2branch": "2011256b40d55f6e82aae7e1ca6873a97fb50780423dacc4069f9cb97da5c457",
+        "grounding": "acfd81bb012c836f67b1b1d6e2d391f67d981684c660f3ae7c3147fcf50ad120",
+        "lexical_prep": "a550d1ccee3bfedc876df15b3de154ef26ac5e44ec20b69e7279ebcbad00ca06",
     },
 }
 
@@ -190,11 +217,34 @@ def _outputs(tmp_path) -> dict:
     }
 
 
-def _golden() -> dict:
+def _seed_digest() -> str:
+    result = json.dumps(synth.run_seed(0, synth.SynthConfig()), sort_keys=True)
+    return hashlib.sha256(result.encode()).hexdigest()
+
+
+def _workload_digests(work: Path) -> dict:
+    """Every workload's digest, its inputs generated in and its passes run from ``work``,
+    by ``perfbench/workloads.py`` and ``run.py`` as they are."""
+    digests = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(ROOT / "perfbench"))
+        workloads, run = (importlib.import_module(name) for name in ("workloads", "run"))
+        patch.chdir(work)
+        for name, workload in workloads.WORKLOADS.items():
+            workload.generate(work, 0)
+            passes = [run.run_pass(workload, key, 0, i, None)
+                      for i, key in enumerate(workload.keys(0))]
+            errors = [op.error for p in passes for op in p.ops if op.error]
+            assert errors == [], name
+            digests[name] = run.workload_digest(passes)
+    return digests
+
+
+def _golden(table: dict = GOLDEN) -> dict:
     stack = _stack()
-    if stack not in GOLDEN:
+    if stack not in table:
         pytest.skip(f"no golden digests for this stack: {stack}")
-    return GOLDEN[stack]
+    return table[stack]
 
 
 def test_output_bytes_match_golden_digests(tmp_path):
@@ -204,9 +254,14 @@ def test_output_bytes_match_golden_digests(tmp_path):
 
 def test_synth_seed_matches_golden_digest():
     # The default synth model has more values than one Adam block: multi-block updates end to end.
-    golden = _golden()
-    result = json.dumps(synth.run_seed(0, synth.SynthConfig()), sort_keys=True)
-    assert hashlib.sha256(result.encode()).hexdigest() == golden["run_seed0.json"]
+    assert _seed_digest() == _golden()["run_seed0.json"]
+
+
+def test_workload_outputs_match_golden_digests(tmp_path):
+    # Eval row blocks, eval-probe, coverage, a K=40 bank and a 4,400-row corpus: sizes the
+    # fixture above never reaches.
+    golden = _golden(WORKLOAD_DIGESTS)
+    assert _workload_digests(tmp_path) == golden
 
 
 def test_haswell_stack_matches_its_golden_digests(tmp_path):
@@ -222,5 +277,22 @@ def test_haswell_stack_matches_its_golden_digests(tmp_path):
     )
     passed = set(re.findall(r"^PASSED \S+::(\w+)", result.stdout, re.MULTILINE))
     assert passed == {"test_output_bytes_match_golden_digests",
-                      "test_synth_seed_matches_golden_digest"}, result.stdout + result.stderr
+                      "test_synth_seed_matches_golden_digest",
+                      "test_workload_outputs_match_golden_digests"}, result.stdout + result.stderr
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def _literal(table: dict) -> str:
+    entries = "".join(f"    {json.dumps(k)}: {json.dumps(v)},\n" for k, v in table.items())
+    return "{\n" + entries + "}"
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sys.stderr):
+        (Path(tmp) / "cli").mkdir()
+        (Path(tmp) / "workloads").mkdir()
+        golden = {**_outputs(Path(tmp) / "cli"), "run_seed0.json": _seed_digest()}
+        workload = _workload_digests(Path(tmp) / "workloads")
+    print(f"STACK = {json.dumps(_stack())}")
+    print(f"GOLDEN[STACK] = {_literal(golden)}")
+    print(f"WORKLOAD_DIGESTS[STACK] = {_literal(workload)}")
