@@ -16,6 +16,7 @@ flag, any other value clears it. Precedence: explicit flag, environment, file.
 from __future__ import annotations
 
 import argparse
+import errno
 import inspect
 import itertools
 import json
@@ -44,6 +45,7 @@ from .knowledge import (
 )
 
 ENV_PREFIX = "LEXIVIS_"
+_OUTPUTS = ("out", "out_checkpoint", "trace", "breakdown_csv")  # the dests of written files
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -173,6 +175,19 @@ def _fill(args, cls, pairs: dict):
     return cls(**{name: value for name, value in values.items() if value is not None})
 
 
+def _check_outputs(args) -> None:
+    """Refuse before the work an output ``atomic_open`` refuses after it, or two naming one file."""
+    flags: dict[Path, str] = {}  # each resolved path's first output flag; an input may share it
+    for dest in filter(lambda dest: getattr(args, dest, None), _OUTPUTS):
+        path, flag = Path(getattr(args, dest)), "--" + dest.replace("_", "-")
+        if not path.parent.is_dir():
+            os.stat(str(path))  # raises as opening it would: its directory is missing or a file
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        if flags.setdefault(path.resolve(), flag) != flag:
+            raise ConfigError(f"{flags[path.resolve()]} and {flag} name one file: {path}")
+
+
 @contextmanager
 def _stage(name: str):
     """Name ``name`` in a floating-point fault of the block, which ``main``'s rule raises."""
@@ -286,7 +301,7 @@ def _cmd_eval_zeroshot(args) -> dict:
         flag = "--breakdown-csv" if args.breakdown_csv else "--pretrain-concepts"
         raise DataError(f"{args.images}: {flag} needs labeled images")
     templates = (compose.load_templates(args.templates) if args.templates
-                 else [args.template or compose.PromptTemplate()])
+                 else args.template and [args.template])  # None: the library's default prompt
     with _stage("encoding class texts"):
         bank = evaluation.build_class_embeddings(params, class_names, store, args.source,
                                                  args.branch_mode, templates)
@@ -352,7 +367,7 @@ def _cmd_ground_train(args) -> dict:
                         "ground-train needs targets on every region row")
     texts = grounding.category_texts(class_names, store, args.source, cfg.max_tokens)
     params = enc.init_params(cfg, seed=args.seed)
-    token_ids = [enc.text_to_ids(t, cfg, pooling="cls") for t in texts]
+    token_ids = [enc.text_to_ids(t, cfg, grounding.POOLING) for t in texts]
     spec = enc.LossSpec(loss="ground_focal", focal=focal)
 
     def make_batch(batch: list[grounding.RegionSet]) -> enc.TrainBatch:
@@ -561,7 +576,8 @@ def main(argv=None) -> int:
         if not getattr(args, "fn", None):
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
+        _check_outputs(args)
+        with np.errstate(**trainer.FLOAT_RULE):
             summary = args.fn(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -18,8 +18,6 @@ from .queries import construct_query, tokenize
 
 SEPARATOR = ", "
 
-DEFAULT_TEMPLATE = "a photo of a {}"
-
 DEFAULT_MAX_TOKENS = 64
 
 CAPTION_SCHEMES = ("concat", "combine")
@@ -29,7 +27,7 @@ CAPTION_SCHEMES = ("concat", "combine")
 class PromptTemplate:
     """A natural-language wrapper with exactly one '{}' placeholder."""
 
-    pattern: str = DEFAULT_TEMPLATE
+    pattern: str = "a photo of a {}"
 
     def __post_init__(self):
         if self.pattern.count("{}") != 1:
@@ -64,8 +62,8 @@ class AugmentedText:
     parts: dict = field(default_factory=dict)
 
 
-def _word_budget(max_tokens: int) -> int:
-    # One slot is reserved for the pooling token the encoder adds.
+def word_budget(max_tokens: int) -> int:
+    """The words a sequence of ``max_tokens`` holds: one slot is the encoder's pooling token."""
     return max_tokens - 1
 
 
@@ -80,7 +78,7 @@ def _budgeted_knowledge(
     fixed_texts: list[str], knowledge: str, max_tokens: int
 ) -> Optional[str]:
     """Trim knowledge so the full composition fits the token budget."""
-    room = _word_budget(max_tokens) - sum(len(t.split()) for t in fixed_texts)
+    room = word_budget(max_tokens) - sum(len(t.split()) for t in fixed_texts)
     return (_trim_words(knowledge, room) or None) if room > 0 else None
 
 
@@ -118,7 +116,7 @@ def check_class_budget(name: str, text: str, max_tokens: int) -> str:
     Only knowledge is trimmed to the budget, so a long prompt or query can
     still exceed it; the class is named rather than encoded cut short.
     """
-    budget = _word_budget(max_tokens)
+    budget = word_budget(max_tokens)
     n_tokens = len(tokenize(text))
     if n_tokens > budget:
         raise DataError(f"class {name!r} has {n_tokens} tokens; max is {budget}")
@@ -146,7 +144,7 @@ def compose_caption_texts(
         parts = {"original_caption": caption, "query": query, "knowledge": None}
         return [AugmentedText(text=caption, parts=parts)]
 
-    budget = _word_budget(max_tokens)
+    budget = word_budget(max_tokens)
     know = _budgeted_knowledge([caption, query], knowledge, max_tokens)
     cap = caption
     if know is None:

@@ -23,7 +23,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from . import checkpoint_json
+from . import checkpoint_json, compose
 from .errors import ConfigError, DataError
 from .knowledge import atomic_open
 from .queries import tokenize
@@ -49,7 +49,7 @@ class EncoderConfig:
     num_heads: int = 2
     hidden_dim: int = 64
     vocab_size: int = 512
-    max_tokens: int = 64
+    max_tokens: int = compose.DEFAULT_MAX_TOKENS
     adapter_bottleneck: int = 8
     image_input_dim: int = 8
 
@@ -77,7 +77,7 @@ def text_to_ids(text: str, config: EncoderConfig, pooling: str = "eos") -> list[
     """Tokenize a text and add the token it pools at, EOS last or CLS first: the ids say which."""
     if pooling not in ("eos", "cls"):
         raise ValueError(f"unknown pooling {pooling!r}")
-    words = tokenize(text)[: config.max_tokens - 1]
+    words = tokenize(text)[: compose.word_budget(config.max_tokens)]
     # Deterministic, platform-stable bucket ids in [NUM_RESERVED, vocab_size).
     ids = [NUM_RESERVED + zlib.crc32(w.encode("utf-8")) % (config.vocab_size - NUM_RESERVED)
            for w in words]

@@ -18,6 +18,8 @@ from . import compose, encoder as enc
 from .errors import ConfigError, DataError, NumericsError
 from .knowledge import finite_array, iter_jsonl, string_field
 
+POOLING = "cls"  # the token every category text pools at, in ground-train and ground-eval
+
 
 @dataclass
 class RegionSet:
@@ -92,7 +94,7 @@ def encode_phrases_parallel(params: enc.ModelParams, texts: list[str]) -> Phrase
     cols = []
     for text in texts:
         compose.check_class_budget(text, text, params.config.max_tokens)
-        cols.append(enc.encode_text(params, enc.text_to_ids(text, params.config, pooling="cls")))
+        cols.append(enc.encode_text(params, enc.text_to_ids(text, params.config, POOLING)))
     return PhraseBank(matrix=np.stack(cols, axis=1), texts=list(texts))
 
 

@@ -49,6 +49,7 @@ class SynthConfig:
     learning_rate: float = 1e-3
     n_seeds: int = 5  # runs seeds 0..n_seeds-1
     source: ClassVar[str] = "wiki_def"  # build_world's store holds Wiktionary senses only
+    template: ClassVar[PromptTemplate] = PromptTemplate("{}")  # class texts, trained and evaluated
     empty_knowledge: bool = False
     encoder: EncoderConfig = field(
         default_factory=lambda: EncoderConfig(max_tokens=32, image_input_dim=16)
@@ -156,13 +157,8 @@ def build_world(seed: int, cfg: SynthConfig) -> SynthWorld:
 def _train_condition(world: SynthWorld, cfg: SynthConfig, seed: int, with_knowledge: bool):
     triplets = world.train_triplets
     if with_knowledge:
-        triplets, _ = trainer.augment_dataset(
-            triplets,
-            world.store,
-            source=cfg.source,
-            template=PromptTemplate("{}"),
-            max_tokens=cfg.encoder.max_tokens,
-        )
+        recipe = dict(template=cfg.template, max_tokens=cfg.encoder.max_tokens)
+        triplets, _ = trainer.augment_dataset(triplets, world.store, cfg.source, **recipe)
     return trainer.train(cfg.train_config(seed), triplets)
 
 
@@ -185,7 +181,7 @@ def run_seed(seed: int, cfg: SynthConfig) -> dict:
             bank = evaluation.build_class_embeddings(
                 params, world.common_names + world.rare_names,
                 store=world.store if with_k else None, source=cfg.source,
-                templates=[PromptTemplate("{}")],
+                templates=[cfg.template],
             )
             _, cells[key] = evaluation.zero_shot_classify(
                 params, world.eval_images, bank, world.eval_labels

@@ -27,6 +27,8 @@ OPTIMIZERS = ("sgd", "momentum", "adam")
 
 _STR_OR_NULL = (str, type(None))
 
+FLOAT_RULE = dict(over="raise", invalid="raise", divide="raise")  # cli.main's and each fit step's
+
 # Values per pass of the two Adam steps that need a second operand beside the gradient.
 _ADAM_BLOCK = 8192
 
@@ -104,15 +106,7 @@ def save_dataset_jsonl(triplets: Iterable[Triplet], path) -> None:
     encode = json.JSONEncoder(sort_keys=True).encode
     with atomic_open(path) as handle:
         for t in triplets:
-            row = {
-                "image": np.asarray(t.image, dtype=np.float64).ravel().tolist(),
-                "text": t.text,
-                "kind": t.kind,
-                "label": t.label,
-                "augmented": t.augmented,
-                "origin_text": t.origin_text,
-                "query": t.query,
-            }
+            row = {**vars(t), "image": np.asarray(t.image, dtype=np.float64).ravel().tolist()}
             handle.write(encode(row) + "\n")
 
 
@@ -168,20 +162,12 @@ def iter_augmented(
 
 
 def augment_dataset(
-    triplets: list[Triplet],
-    store: KnowledgeStore,
-    source: str,
-    scheme: str = "concat",
-    template: compose.PromptTemplate = compose.PromptTemplate(),
-    max_tokens: int = compose.DEFAULT_MAX_TOKENS,
-    lexicon: Optional[dict[str, str]] = None,
+    triplets: list[Triplet], store: KnowledgeStore, source: str, **recipe
 ) -> tuple[list[Triplet], dict[str, int]]:
-    """``iter_augmented`` over an in-memory list: the augmented list and its counts."""
+    """``iter_augmented`` over an in-memory list, with its keyword ``recipe`` (``scheme``,
+    ``template``, ``max_tokens``, ``lexicon``) and defaults: the augmented list and its counts."""
     audit: dict[str, int] = {}
-    out = list(
-        iter_augmented(triplets, audit, store, source, scheme, template, max_tokens, lexicon)
-    )
-    return out, audit
+    return list(iter_augmented(triplets, audit, store, source, **recipe)), audit
 
 
 def check_schedule(epochs: int, learning_rate: float, seed: int) -> None:
@@ -314,7 +300,7 @@ def fit(
             batch = [items[i] for i in idx]
             train_batch = make_batch(batch)
             try:
-                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                with np.errstate(**FLOAT_RULE):
                     losses, g = enc.grads(params, train_batch, spec)
                     opt.step(trained.flat, g.flat)
             except FloatingPointError as exc:
@@ -388,8 +374,9 @@ def train(
 
     token_ids = np.fromiter(all_ids(), dtype=np.int32)
     starts = np.array(starts)
-    words = [len(queries.tokenize(text)) for text in text_index]  # cut past max_tokens - 1 words
-    cut = (sum(n >= cfg.max_tokens for n in words), len(words), max(words, default=0))
+    words = [len(queries.tokenize(text)) for text in text_index]
+    budget = compose.word_budget(cfg.max_tokens)  # the words text_to_ids keeps
+    cut = (sum(n > budget for n in words), len(words), max(words, default=0))
     del text_index, groups, words  # training needs none of them
     labels = rows["label"] if rows["labeled"].all() else rows["group"]
     spec = enc.LossSpec(loss="contrastive", trainable="adapters" if continual else "all")

@@ -1,3 +1,5 @@
+import argparse
+import ast
 import csv
 import inspect
 import json
@@ -2095,6 +2097,86 @@ class TestAtomicOutputs:
             errs.append(err)
         expected = f"data error: [Errno 2] No such file or directory: '{argv[-1]}'\n"
         assert errs == [expected, expected]
+
+
+class TestOutputPrecheck:
+    """A command checks its outputs before it reads any input: a refusal opens no input and
+    writes nothing, with the line writing would print after the work, or a config error."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path, dataset, checkpoint):
+        images, classes = tmp_path / "images.jsonl", tmp_path / "classes.json"
+        images.write_text(json.dumps({"image": [1.0, 0.0, 0.0, 0.0], "label": 0}) + "\n")
+        classes.write_text(json.dumps(["boxer", "tench"]))
+        regions = _write_images(tmp_path / "regions.jsonl", _region_rows(2))
+        small = ["--embed-dim", "4", "--hidden-dim", "8", "--vocab-size", "16",
+                 "--adapter-bottleneck", "2", "--epochs", "1"]
+        return {
+            "train": ["--dataset", str(dataset), *small],
+            "ground-train": ["--regions", str(regions), "--classes", str(classes), *small],
+            "eval-zeroshot": ["--checkpoint", str(checkpoint), "--images", str(images),
+                              "--classes", str(classes)],
+        }
+
+    @pytest.mark.parametrize("command, outputs, line", [
+        ("train", ["--out-checkpoint", "m.json", "--trace", "nodir/t.csv"],
+         "data error: [Errno 2] No such file or directory: 'nodir/t.csv'"),
+        ("train", ["--out-checkpoint", "adir", "--trace", "t.csv"],
+         "data error: [Errno 21] Is a directory: 'adir'"),
+        ("train", ["--out-checkpoint", "x", "--trace", "./x"],
+         "config error: --out-checkpoint and --trace name one file: x"),
+        ("ground-train", ["--out-checkpoint", "nodir/g.json"],
+         "data error: [Errno 2] No such file or directory: 'nodir/g.json'"),
+        ("ground-train", ["--out-checkpoint", "g.json", "--trace", "adir"],
+         "data error: [Errno 21] Is a directory: 'adir'"),
+        ("ground-train", ["--out-checkpoint", "g", "--trace", "adir/../g"],
+         "config error: --out-checkpoint and --trace name one file: adir/../g"),
+        ("eval-zeroshot", ["--out", "z.json", "--breakdown-csv", "nodir/b.csv"],
+         "data error: [Errno 2] No such file or directory: 'nodir/b.csv'"),
+        ("eval-zeroshot", ["--out", "adir"], "data error: [Errno 21] Is a directory: 'adir'"),
+        ("eval-zeroshot", ["--out", "z", "--breakdown-csv", "z"],
+         "config error: --out and --breakdown-csv name one file: z"),
+    ])
+    def test_a_refused_output_opens_no_input_and_writes_nothing(
+        self, capsys, tmp_path, monkeypatch, opened_paths, inputs, command, outputs, line
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        argv = [command, *inputs[command], *outputs]
+        files = sorted(tmp_path.rglob("*"))
+        opened_paths.clear()
+        code, _, err = run(capsys, *argv)
+        assert code == (EXIT_DATA if line.startswith("data") else EXIT_USAGE)
+        assert err == line + "\n"
+        assert sorted(tmp_path.rglob("*")) == files
+        assert not {arg for arg in argv if os.path.isfile(arg)} & set(opened_paths)
+
+    def test_bench_synth_checks_its_output_before_it_runs(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(synth, "run_bench", lambda cfg: pytest.fail("the benchmark ran"))
+        code, _, err = run(capsys, "bench-synth", "--n-seeds", "1", "--out", "nodir/b.json")
+        assert code == EXIT_DATA
+        assert err == "data error: [Errno 2] No such file or directory: 'nodir/b.json'\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_the_check_covers_every_output_of_every_subcommand(self, tmp_path):
+        # An output is an ``args.<dest>`` that cli hands to a function writing with atomic_open.
+        writers = {name for module in (cli, enc, evaluation, trainer)
+                   for name, fn in vars(module).items()
+                   if inspect.isfunction(fn) and "atomic_open(" in inspect.getsource(fn)}
+        written = {
+            arg.attr for call in ast.walk(ast.parse(inspect.getsource(cli)))
+            if isinstance(call, ast.Call)
+            and getattr(call.func, "attr", getattr(call.func, "id", None)) in writers
+            for arg in call.args
+            if isinstance(arg, ast.Attribute) and getattr(arg.value, "id", None) == "args"
+        }
+        assert {"out", "out_checkpoint", "trace", "breakdown_csv"} <= written
+        for name, sub in cli.build_parser().subcommands.items():
+            for dest in written & set(sub.flags):
+                args = argparse.Namespace(**{dest: str(tmp_path / "nodir" / "x")})
+                with pytest.raises(FileNotFoundError):
+                    cli._check_outputs(args)
 
 
 class TestBench:
