@@ -142,7 +142,7 @@ _ENCODER_FLAGS = {  # read None until set, so continual training can check only 
     "hidden_dim": "hidden_dim", "vocab_size": "vocab_size", "max_tokens": "max_tokens",
     "adapter_bottleneck": "adapter_bottleneck",
 }
-# TrainConfig: train reads both groups, ground-train the run flags alone.
+# RunConfig: ground-train reads the run flags, train also TrainConfig's own two.
 _RUN_FLAGS = {name: name for name in ("epochs", "learning_rate", "optimizer", "seed")}
 _TRAIN_FLAGS = {name: name for name in ("batch_size", "mode")}
 _FOCAL_FLAGS = {"focal_alpha": "alpha", "focal_gamma": "gamma"}
@@ -214,7 +214,7 @@ def _save_run(args, params: enc.ModelParams, meta: dict, trace: list, **header) 
     enc.save_checkpoint(params, args.out_checkpoint, meta=meta)
     if args.trace:
         trainer.save_trace_csv(trace, args.trace, **header)
-    return {"command": args.subcommand, "checkpoint": str(args.out_checkpoint), "steps": len(trace)}
+    return {"checkpoint": str(args.out_checkpoint), "steps": len(trace)}
 
 
 def _check_base_flags(args, base: enc.EncoderConfig) -> None:
@@ -241,7 +241,7 @@ def _cmd_augment(args) -> dict:
                                   template=args.template, max_tokens=args.max_tokens,
                                   lexicon=lexicon)
     trainer.save_dataset_jsonl(rows, args.out)
-    return {"command": "augment", "out": str(args.out), **audit}
+    return {"out": str(args.out), **audit}
 
 
 def _cmd_stats(args) -> dict:
@@ -250,14 +250,14 @@ def _cmd_stats(args) -> dict:
     stats = evaluation.dataset_stats(dataset, lexicon=lexicon, min_freq=args.min_freq)
     if args.out:
         _write_json(args.out, stats)
-    return {"command": "stats", **stats}
+    return stats
 
 
 def _cmd_coverage(args) -> dict:
     store = _load_store(args)
     query_list = [query for _, query in read_lines(args.queries)]
     cov = knowledge_coverage(query_list, store, args.source)
-    return {"command": "coverage", "source": args.source, "queries": len(query_list), "coverage": cov}
+    return {"source": args.source, "queries": len(query_list), "coverage": cov}
 
 
 def _cmd_train(args) -> dict:
@@ -268,14 +268,14 @@ def _cmd_train(args) -> dict:
     config = _fill(args, trainer.TrainConfig, {**_RUN_FLAGS, **_TRAIN_FLAGS})
     base = None
     if continual:  # the base's encoder: only the flags that are set are checked against it
-        base = _load_checkpoint(args.base_checkpoint, "train")
+        base = _load_checkpoint(args.base_checkpoint, args.subcommand)
         _check_base_flags(args, base.config)
-        config.encoder = base.config
+        config = replace(config, encoder=base.config)
     else:  # the dataset's first row sets the width
-        config.encoder = _fill(args, enc.EncoderConfig, _ENCODER_FLAGS)
+        config = replace(config, encoder=_fill(args, enc.EncoderConfig, _ENCODER_FLAGS))
     rows = trainer.iter_dataset_jsonl(args.dataset, base.config.image_input_dim if base else None)
     first = next(rows)
-    config.encoder = replace(config.encoder, image_input_dim=first.image.size)
+    config = replace(config, encoder=replace(config.encoder, image_input_dim=first.image.size))
     result = trainer.train(config, itertools.chain([first], rows), base)
     cut, distinct, longest = result.cut
     if cut:  # stderr only: the summary and checkpoint stay as they are without a cut
@@ -292,7 +292,7 @@ def _cmd_eval_zeroshot(args) -> dict:
     if args.templates and args.template:
         raise ConfigError("give --templates or --template, not both")
     store = _load_store(args)
-    params = _load_checkpoint(args.checkpoint, "eval-zeroshot")
+    params = _load_checkpoint(args.checkpoint, args.subcommand)
     class_names = _load_class_names(args.classes)
     images, labels = _load_labeled_images(
         args.images, params.config.image_input_dim, len(class_names)
@@ -308,7 +308,6 @@ def _cmd_eval_zeroshot(args) -> dict:
     with _stage("encoding eval images"):
         preds, _ = evaluation.zero_shot_classify(params, images, bank)
     summary = {
-        "command": "eval-zeroshot",
         "n_images": int(len(images)),
         "n_classes": len(class_names),
         "with_knowledge": bool(args.with_knowledge),
@@ -331,7 +330,7 @@ def _cmd_eval_zeroshot(args) -> dict:
         summary["knowledge_coverage_pct"] = report["knowledge_coverage_pct"]
         payload["report"] = report
     if args.out:
-        _write_json(args.out, {**summary, **payload})
+        _write_json(args.out, {"command": args.subcommand, **summary, **payload})
     if args.breakdown_csv:  # the images are labeled, as checked above
         evaluation.write_breakdown_csv([(args.dataset_name, payload["report"])], args.breakdown_csv)
     return summary
@@ -340,7 +339,7 @@ def _cmd_eval_zeroshot(args) -> dict:
 def _cmd_eval_probe(args) -> dict:
     if args.shots < 1 or args.probe_seeds < 1:
         raise ConfigError("--shots and --probe-seeds must be >= 1")
-    params = _load_checkpoint(args.checkpoint, "eval-probe")
+    params = _load_checkpoint(args.checkpoint, args.subcommand)
     images, labels = _load_labeled_images(args.images, params.config.image_input_dim)
     if labels is None:
         raise DataError(f"{args.images}: eval-probe needs labeled images")
@@ -350,14 +349,14 @@ def _cmd_eval_probe(args) -> dict:
         result = evaluation.linear_probe(feats, labels, args.shots, n_seeds=args.probe_seeds)
     except DataError as exc:  # a class too small to leave a held-out remainder
         raise DataError(f"{args.images}: {exc}") from exc
-    return {"command": "eval-probe", "shots": args.shots, **result}
+    return {"shots": args.shots, **result}
 
 
 def _cmd_ground_train(args) -> dict:
     cfg = _fill(args, enc.EncoderConfig, _ENCODER_FLAGS)
     cfg = replace(cfg, image_input_dim=cfg.embed_dim)  # as wide as the region features
     focal = _fill(args, grounding.FocalParams, _FOCAL_FLAGS)
-    trainer.check_schedule(args.epochs, args.learning_rate, args.seed)
+    run = _fill(args, trainer.RunConfig, _RUN_FLAGS)
     store = _load_store(args)
     class_names = _load_class_names(args.classes)
     regions = grounding.load_regions_jsonl(args.regions, len(class_names), cfg.embed_dim)
@@ -366,7 +365,7 @@ def _cmd_ground_train(args) -> dict:
         raise DataError(f"{args.regions}: image_id {unlabeled!r} has no targets; "
                         "ground-train needs targets on every region row")
     texts = grounding.category_texts(class_names, store, args.source, cfg.max_tokens)
-    params = enc.init_params(cfg, seed=args.seed)
+    params = enc.init_params(cfg, seed=run.seed)
     token_ids = [enc.text_to_ids(t, cfg, grounding.POOLING) for t in texts]
     spec = enc.LossSpec(loss="ground_focal", focal=focal)
 
@@ -376,11 +375,8 @@ def _cmd_ground_train(args) -> dict:
             token_ids=token_ids, region_features=region.features, targets=region.targets
         )
 
-    trace, _ = trainer.fit(
-        params, spec, regions, make_batch, args.epochs, 1,
-        args.optimizer, args.learning_rate, args.seed,
-    )
-    meta = {"task": "grounding", "seed": args.seed, "classes": class_names}
+    trace, _ = trainer.fit(params, spec, regions, make_batch, run, 1)
+    meta = {"task": "grounding", "seed": run.seed, "classes": class_names}
     return {
         **_save_run(args, params, meta, trace, header="step,focal_loss"),
         "final_loss": trace[-1][1] if trace else None,
@@ -389,7 +385,7 @@ def _cmd_ground_train(args) -> dict:
 
 def _cmd_ground_eval(args) -> dict:
     store = _load_store(args)
-    params = _load_checkpoint(args.checkpoint, "ground-eval")
+    params = _load_checkpoint(args.checkpoint, args.subcommand)
     class_names = _load_class_names(args.classes)
     regions = grounding.load_regions_jsonl(args.regions, len(class_names), params.config.embed_dim)
     texts = grounding.category_texts(class_names, store, args.source, params.config.max_tokens)
@@ -407,7 +403,6 @@ def _cmd_ground_eval(args) -> dict:
     if args.out:
         _write_json(args.out, rows)
     return {
-        "command": "ground-eval",
         "n_images": len(regions),
         "accuracy": float(np.mean(accuracies)) if accuracies else None,
         "with_knowledge": bool(args.with_knowledge),
@@ -419,7 +414,6 @@ def _cmd_bench_synth(args) -> dict:
     if args.out:
         _write_json(args.out, report)
     return {
-        "command": "bench-synth",
         "n_seeds": report["n_seeds"],
         "rare_wins": report["rare_wins"],
         "consistency_wins": report["consistency_wins"],
@@ -445,7 +439,7 @@ def _add_run_flags(p):
     """The run settings ``train`` and ``ground-train`` share."""
     p.add_argument("--out-checkpoint", required=True)
     p.add_argument("--trace")
-    _add_fields(p, trainer.TrainConfig, _RUN_FLAGS, optimizer=trainer.OPTIMIZERS)
+    _add_fields(p, trainer.RunConfig, _RUN_FLAGS, optimizer=trainer.OPTIMIZERS)
 
 
 def build_parser() -> _Parser:
@@ -593,7 +587,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}" + (f" (training step {step})" if step is not None else ""),
               file=sys.stderr)
         return EXIT_DATA
-    print(json.dumps(summary, sort_keys=True))
+    print(json.dumps({"command": args.subcommand, **summary}, sort_keys=True))
     return EXIT_OK
 
 

@@ -42,7 +42,7 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _IMAGE_BLOCK = 64
 
 
-@dataclass
+@dataclass(frozen=True)
 class EncoderConfig:
     embed_dim: int = 32
     text_layers: int = 2
@@ -64,10 +64,13 @@ class EncoderConfig:
                 raise ConfigError(f"{name} must be >= {low}, got {value}")
         if self.embed_dim % self.num_heads != 0:
             raise ConfigError("embed_dim must be divisible by num_heads")
-        if not 0 < self.adapter_bottleneck < self.hidden_dim:
-            raise ConfigError("adapter_bottleneck must lie in (0, hidden_dim)")
         if self.vocab_size <= NUM_RESERVED:
             raise ConfigError(f"vocab_size must exceed {NUM_RESERVED}")
+
+    def check_adapters(self) -> None:
+        """Refuse a bottleneck that adapters cannot have; a model without adapters is not bound."""
+        if not 0 < self.adapter_bottleneck < self.hidden_dim:
+            raise ConfigError("adapter_bottleneck must lie in (0, hidden_dim)")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -131,6 +134,8 @@ def _param_specs(config: EncoderConfig, with_adapters: bool) -> Iterator[tuple]:
     ``init`` is "ones", "zeros", "tau" or the fan-in of a uniform draw. The
     specs are generated lazily, so a reader can stop at the first mismatch.
     """
+    if with_adapters:
+        config.check_adapters()
     p, h, a = config.embed_dim, config.hidden_dim, config.adapter_bottleneck
     d = config.image_input_dim
     yield from [("tok_emb", (config.vocab_size, p), p), ("pos_emb", (config.max_tokens, p), p)]
@@ -617,7 +622,8 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     accepted. Adapter tensors are expected iff the checkpoint holds any
     adapter key. Every defect raises ``DataError``: malformed JSON, a data
     element that is not a JSON number, a non-object payload, an unsupported
-    format version, an invalid ``encoder_config``, or a missing, extra,
+    format version, an invalid ``encoder_config`` (also one that breaks
+    ``check_adapters`` beside adapter tensors), or a missing, extra,
     misshapen or non-finite tensor. Arrays grow only with the values actually
     read and the expected shapes come from the config alone, so a corrupt
     config with huge dimensions allocates nothing.
@@ -629,17 +635,17 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     stored = payload.get("tensors")
     if not isinstance(payload.get("encoder_config"), dict) or not isinstance(stored, dict):
         raise DataError(f"{path}: checkpoint needs encoder_config and tensors objects")
-    try:
-        config = EncoderConfig(**payload["encoder_config"])
-    except (TypeError, ConfigError) as exc:
-        raise DataError(f"{path}: bad encoder_config ({exc})") from exc
     with_adapters = any(is_adapter_key(k) for k in stored)
     schema = {}
-    # Stop at the first missing tensor: a huge stored layer count ends there.
-    for name, shape, _ in _param_specs(config, with_adapters):
-        if name not in stored:
-            raise DataError(f"{path}: checkpoint tensor {name!r} is missing")
-        schema[name] = shape
+    try:
+        config = EncoderConfig(**payload["encoder_config"])
+        # Stop at the first missing tensor: a huge stored layer count ends there.
+        for name, shape, _ in _param_specs(config, with_adapters):
+            if name not in stored:
+                raise DataError(f"{path}: checkpoint tensor {name!r} is missing")
+            schema[name] = shape
+    except (TypeError, ConfigError) as exc:
+        raise DataError(f"{path}: bad encoder_config ({exc})") from exc
     extra = sorted(stored.keys() - schema.keys())
     if extra:
         raise DataError(f"{path}: unexpected checkpoint tensors {extra}")

@@ -14,7 +14,7 @@ train/eval-consistency cells plus rare-class accuracies and coverage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -37,7 +37,7 @@ DEF_TOKENS = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthConfig:
     n_common: int = 8
     n_rare: int = 8
@@ -51,9 +51,7 @@ class SynthConfig:
     source: ClassVar[str] = "wiki_def"  # build_world's store holds Wiktionary senses only
     template: ClassVar[PromptTemplate] = PromptTemplate("{}")  # class texts, trained and evaluated
     empty_knowledge: bool = False
-    encoder: EncoderConfig = field(
-        default_factory=lambda: EncoderConfig(max_tokens=32, image_input_dim=16)
-    )
+    encoder: EncoderConfig = EncoderConfig(max_tokens=32, image_input_dim=16)
 
     def __post_init__(self):
         if not 1 <= self.n_common <= len(COMMON_NAMES):

@@ -10,7 +10,7 @@ Every run is fully determined by (seed, config, data).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -170,34 +170,40 @@ def augment_dataset(
     return list(iter_augmented(triplets, audit, store, source, **recipe)), audit
 
 
-def check_schedule(epochs: int, learning_rate: float, seed: int) -> None:
-    """Reject a negative epoch count or seed, or a learning rate that is not finite and > 0."""
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    if epochs < 0:
-        raise ConfigError(f"epochs must be >= 0, got {epochs}")
-    if not 0 < learning_rate < float("inf"):  # false for NaN too
-        raise ConfigError(f"learning_rate must be finite and > 0, got {learning_rate}")
+@dataclass(frozen=True)
+class RunConfig:
+    """The schedule of one training run, which ``fit`` reads."""
 
-
-@dataclass
-class TrainConfig:
-    batch_size: int = 8
     epochs: int = 10
     learning_rate: float = 1e-3
     optimizer: str = "adam"
     seed: int = 0
-    mode: str = "scratch_1branch"
-    encoder: enc.EncoderConfig = field(default_factory=enc.EncoderConfig)
 
     def __post_init__(self):
-        check_schedule(self.epochs, self.learning_rate, self.seed)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.epochs < 0:
+            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        if not 0 < self.learning_rate < float("inf"):  # false for NaN too
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if self.optimizer not in OPTIMIZERS:
+            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
+
+
+@dataclass(frozen=True)
+class TrainConfig(RunConfig):
+    batch_size: int = 8
+    mode: str = "scratch_1branch"
+    encoder: enc.EncoderConfig = enc.EncoderConfig()
+
+    def __post_init__(self):
+        super().__post_init__()
         if self.batch_size < 2:
             raise ConfigError("contrastive training needs batch_size >= 2")
         if self.mode not in TRAIN_MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {TRAIN_MODES}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
+        if self.mode != "scratch_1branch":  # the two modes that build or train adapters
+            self.encoder.check_adapters()
 
 
 @dataclass
@@ -261,11 +267,8 @@ def fit(
     spec: enc.LossSpec,
     items: Sequence,
     make_batch: Callable[[list], enc.TrainBatch],
-    epochs: int,
+    run: RunConfig,
     batch_size: int,
-    optimizer: str,
-    learning_rate: float,
-    seed: int,
 ) -> tuple[list[tuple], dict]:
     """The training loop shared by contrastive training and grounding.
 
@@ -282,16 +285,14 @@ def fit(
     contrastive loss and (step, focal_loss) for grounding, plus the
     per-branch text counts.
     """
-    if optimizer not in OPTIMIZERS:
-        raise ConfigError(f"unknown optimizer {optimizer!r}")
     trained = enc.FlatTensors({k: v for k, v in params.tensors.items() if spec.trains(k)})
     params.tensors.update(trained)
-    opt = _Optimizer(optimizer, learning_rate, trained.flat.size)
-    rng = np.random.default_rng(seed)
+    opt = _Optimizer(run.optimizer, run.learning_rate, trained.flat.size)
+    rng = np.random.default_rng(run.seed)
     trace = []
     branch_counts = {"base": 0, "adapter": 0}
     log_tau_max = np.nextafter(np.log(enc.TAU_MAX), -np.inf)  # exp(log(TAU_MAX)) rounds above it
-    for _ in range(epochs):
+    for _ in range(run.epochs):
         order = rng.permutation(len(items))
         for start in range(0, len(items), batch_size):
             idx = order[start : start + batch_size]
@@ -389,10 +390,8 @@ def train(
             adapter_flags=rows["adapter"][batch].tolist(),
         )
 
-    trace, branch_counts = fit(
-        params, spec, range(len(rows)), make_batch, config.epochs, config.batch_size,
-        config.optimizer, config.learning_rate, config.seed,
-    )
+    trace, branch_counts = fit(params, spec, range(len(rows)), make_batch, config,
+                               config.batch_size)
     return TrainResult(params=params, trace=trace, branch_counts=branch_counts, cut=cut)
 
 

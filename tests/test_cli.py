@@ -647,7 +647,7 @@ class TestConfigValues:
 
 
 _FIELD_FLAGS = [  # (command, flag dest, config class or library function, the name it fills)
-    *((command, dest, trainer.TrainConfig, dest) for command in ("train", "ground-train")
+    *((command, dest, trainer.RunConfig, dest) for command in ("train", "ground-train")
       for dest in ("epochs", "learning_rate", "optimizer", "seed")),
     ("train", "batch_size", trainer.TrainConfig, "batch_size"),
     ("train", "mode", trainer.TrainConfig, "mode"),
@@ -1177,6 +1177,28 @@ class TestGrounding:
         assert repr(long_name) in line and "12 tokens; max is 7" in line
         assert not out.exists()
 
+    def test_fit_runs_the_run_config_the_flags_build(self, capsys, tmp_path, monkeypatch):
+        classes, regions = self._ground_files(tmp_path, ["boxer", "crowd"])
+        calls = []
+        fit = trainer.fit
+
+        def recording(*args, **kwargs):
+            calls.append(inspect.signature(fit).bind(*args, **kwargs).arguments)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "fit", recording)
+        code, _, err = run(capsys, "ground-train", "--regions", str(regions),
+                           "--classes", str(classes), "--out-checkpoint",
+                           str(tmp_path / "ground.json"), "--embed-dim", "8", "--hidden-dim",
+                           "16", "--vocab-size", "64", "--adapter-bottleneck", "2",
+                           "--epochs", "2", "--learning-rate", "0.01", "--optimizer", "sgd",
+                           "--seed", "3")
+        assert code == EXIT_OK, err
+        (arguments,) = calls
+        assert arguments["run"] == trainer.RunConfig(epochs=2, learning_rate=0.01,
+                                                     optimizer="sgd", seed=3)
+        assert arguments["batch_size"] == 1
+
     def test_eval_encodes_the_phrase_bank_once(self, capsys, tmp_path, monkeypatch):
         classes, regions = self._ground_files(tmp_path, ["boxer", "crowd", "fireplug"])
         cfg = enc.EncoderConfig(embed_dim=8, text_layers=1, hidden_dim=16, vocab_size=64,
@@ -1196,6 +1218,75 @@ class TestGrounding:
         assert code == EXIT_OK, err
         assert summary["n_images"] == 3
         assert len(calls) == 1
+
+
+class TestAdapterRule:
+    """``adapter_bottleneck < hidden_dim`` binds the runs that build or load adapters alone."""
+
+    SMALL = ["--embed-dim", "8", "--hidden-dim", "8", "--vocab-size", "64", "--epochs", "1"]
+    RULE = "adapter_bottleneck must lie in (0, hidden_dim)"
+
+    def test_train_without_adapters_is_not_bound(self, capsys, tmp_path, dataset):
+        ckpt = tmp_path / "model.json"
+        code, _, err = run(capsys, "train", "--dataset", str(dataset),
+                           "--out-checkpoint", str(ckpt), *self.SMALL)
+        assert code == EXIT_OK, err
+        config = enc.load_checkpoint(ckpt)[0].config
+        assert config.adapter_bottleneck == config.hidden_dim == 8
+
+    def test_ground_train_is_not_bound(self, capsys, tmp_path):
+        classes = tmp_path / "classes.json"
+        classes.write_text(json.dumps(["boxer", "crowd"]))
+        regions = tmp_path / "regions.jsonl"
+        regions.write_text(json.dumps({"image_id": "a", "features": np.eye(2, 8).tolist(),
+                                       "targets": np.eye(2).tolist()}) + "\n")
+        code, summary, err = run(capsys, "ground-train", "--regions", str(regions),
+                                 "--classes", str(classes),
+                                 "--out-checkpoint", str(tmp_path / "ground.json"), *self.SMALL)
+        assert code == EXIT_OK, err
+        assert summary["steps"] == 1
+
+    def test_scratch_2branch_is_refused_before_any_input_is_read(self, capsys, tmp_path,
+                                                                 opened_paths):
+        opened_paths.clear()
+        code, _, err = run(capsys, "train", "--mode", "scratch_2branch", "--hidden-dim", "8",
+                           "--dataset", str(tmp_path / "absent"),
+                           "--out-checkpoint", str(tmp_path / "model.json"))
+        assert code == EXIT_USAGE
+        assert _one_line(err) == f"config error: {self.RULE}"
+        assert opened_paths == [] and list(tmp_path.iterdir()) == []
+
+    def test_continual_adapters_on_a_base_that_breaks_it_is_refused(self, capsys, tmp_path,
+                                                                    dataset, monkeypatch,
+                                                                    opened_paths):
+        base, out = tmp_path / "base.json", tmp_path / "adapters.json"
+        assert run(capsys, "train", "--dataset", str(dataset), "--out-checkpoint", str(base),
+                   *self.SMALL)[0] == EXIT_OK
+        steps = []
+        monkeypatch.setattr(enc, "grads", lambda *args: steps.append(args))
+        opened_paths.clear()
+        code, _, err = run(capsys, "train", "--dataset", str(dataset), "--mode",
+                           "continual_adapters", "--base-checkpoint", str(base),
+                           "--out-checkpoint", str(out), "--epochs", "1")
+        assert code == EXIT_USAGE
+        assert _one_line(err) == f"config error: {self.RULE}"
+        assert steps == [] and not out.exists() and str(dataset) not in opened_paths
+
+    def test_a_checkpoint_with_adapters_that_breaks_it_is_a_data_error(self, capsys, tmp_path):
+        cfg = enc.EncoderConfig(embed_dim=4, text_layers=1, hidden_dim=8, vocab_size=16,
+                                max_tokens=8, adapter_bottleneck=2, image_input_dim=4)
+        ckpt = tmp_path / "model.json"
+        enc.save_checkpoint(enc.init_params(cfg, seed=0, with_adapters=True), ckpt)
+        payload = json.loads(ckpt.read_text())
+        payload["encoder_config"]["adapter_bottleneck"] = 8
+        ckpt.write_text(json.dumps(payload))
+        images = _write_images(tmp_path / "images.jsonl",
+                               [{"image": np.eye(4)[i % 4].tolist(), "label": i % 4}
+                                for i in range(8)])
+        code, _, err = run(capsys, "eval-probe", "--checkpoint", str(ckpt), "--images",
+                           str(images))
+        assert code == EXIT_DATA
+        assert _one_line(err) == f"data error: {ckpt}: bad encoder_config ({self.RULE})"
 
 
 def _tiny_checkpoint(path, meta=None):

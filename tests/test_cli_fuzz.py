@@ -65,6 +65,9 @@ def assert_one_data_error_line(code, err, needle):
 def workdir(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz")
     enc.save_checkpoint(enc.init_params(CONFIG, seed=0), path / "model.json")
+    # With adapter tensors, whose shapes a changed adapter_bottleneck contradicts too.
+    enc.save_checkpoint(enc.init_params(CONFIG, seed=0, with_adapters=True),
+                        path / "adapters.json")
     # The same tensors under the meta.task that ground-train writes, for ground-eval.
     enc.save_checkpoint(enc.init_params(CONFIG, seed=0), path / "ground.json",
                         meta={"task": "grounding"})
@@ -77,7 +80,7 @@ def workdir(tmp_path_factory):
 @given(mutation=CONFIG_MUTATIONS)
 def test_corrupt_config_value_is_one_data_error_line(workdir, mutation):
     key, value = mutation
-    payload = json.loads((workdir / "model.json").read_text())
+    payload = json.loads((workdir / "adapters.json").read_text())
     payload["encoder_config"][key] = value
     corrupt = workdir / "corrupt.json"
     corrupt.write_text(json.dumps(payload))

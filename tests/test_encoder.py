@@ -101,8 +101,14 @@ class TestConfig:
             enc.EncoderConfig(embed_dim=10, num_heads=3)
 
     def test_bottleneck_bound(self):
-        with pytest.raises(ConfigError):
-            enc.EncoderConfig(adapter_bottleneck=64, hidden_dim=64)
+        # The rule binds a model with adapters only; a config without them may break it.
+        config = enc.EncoderConfig(adapter_bottleneck=64, hidden_dim=64)
+        plain = enc.init_params(config, seed=0)
+        for build in (config.check_adapters, lambda: enc.init_params(config, 0, True),
+                      lambda: enc.add_adapters(plain, seed=0)):
+            with pytest.raises(ConfigError, match="adapter_bottleneck must lie in"):
+                build()
+        assert not plain.has_adapters
 
     @pytest.mark.parametrize("value", [32.0, True, "32", None])
     def test_dimensions_must_be_plain_ints(self, value):

@@ -303,7 +303,7 @@ class TestKnowledgeGain:
         # One region set, so each epoch is exactly one full-batch step.
         trace, _ = trainer.fit(
             params, spec, [RegionSet("common", features, targets)], make_batch,
-            epochs=steps, batch_size=1, optimizer="adam", learning_rate=1e-2, seed=seed,
+            trainer.RunConfig(epochs=steps, learning_rate=1e-2, seed=seed), batch_size=1,
         )
         assert len(trace) == steps
         return params

@@ -547,8 +547,8 @@ class TestAtomicOpen:
     def test_block_may_read_the_target(self, tmp_path):
         path = tmp_path / "out.txt"
         path.write_text("a\nb\n")
-        with atomic_open(path) as handle:
-            for line in open(path):
+        with atomic_open(path) as handle, open(path) as source:
+            for line in source:
                 handle.write(line.upper())
         assert path.read_text() == "A\nB\n"
 

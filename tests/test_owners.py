@@ -1,9 +1,11 @@
 """Each value that augment, train and eval must agree on has one owner, which every user follows."""
 
+import dataclasses
 import functools
 import json
 
 import numpy as np
+import pytest
 
 from lexivis import compose, encoder as enc, evaluation, grounding, synth, trainer
 from lexivis.cli import EXIT_OK, main
@@ -108,3 +110,12 @@ def test_eval_zeroshot_leaves_the_default_prompt_to_build_class_embeddings(
             "--classes", str(classes)]
     assert main(argv) == EXIT_OK, capsys.readouterr().err
     assert seen == [None]
+
+
+@pytest.mark.parametrize("config, name", [
+    (EncoderConfig(), "hidden_dim"), (trainer.RunConfig(), "seed"),
+    (TrainConfig(), "encoder"), (synth.SynthConfig(), "epochs"),
+], ids=["EncoderConfig", "RunConfig", "TrainConfig", "SynthConfig"])
+def test_a_config_is_frozen_so_its_checks_hold_for_its_life(config, name):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(config, name, getattr(config, name))

@@ -226,8 +226,7 @@ class TestTrain:
             labels=np.array([t.label for t in data]),
         )
         trace, _ = trainer.fit(params, enc.LossSpec(), range(len(data)), lambda _: batch,
-                               epochs=1, batch_size=len(data), optimizer="adam",
-                               learning_rate=1e-3, seed=0)
+                               trainer.RunConfig(epochs=1), batch_size=len(data))
         assert len(trace) == 1
         # exp(log(100.0)) rounds to 100.00000000000004, so the clamp is one ulp below log(100.0).
         assert params.tensors["log_tau"] == np.nextafter(np.log(enc.TAU_MAX), -np.inf)  # bitwise
@@ -371,13 +370,14 @@ class TestFlatOptimizer:
         assert opt.scratch.size == trainer._ADAM_BLOCK
         assert step_peak < 8 * size / 2
 
-    def test_fit_rejects_an_unknown_optimizer_before_the_first_step(self, monkeypatch):
+    def test_run_config_refuses_an_unknown_optimizer_before_the_first_step(self, monkeypatch):
         params = enc.init_params(_train_config().encoder, seed=3)
         before = {k: v.copy() for k, v in params.tensors.items()}
         steps = []
         monkeypatch.setattr(enc, "grads", lambda *args: steps.append(args))
         with pytest.raises(ConfigError, match="unknown optimizer 'adamw'"):
-            trainer.fit(params, enc.LossSpec(), range(4), steps.append, 1, 2, "adamw", 0.1, 0)
+            trainer.fit(params, enc.LossSpec(), range(4), steps.append,
+                        trainer.RunConfig(1, 0.1, "adamw", 0), 2)
         assert steps == []
         assert all(params.tensors[k].tobytes() == v.tobytes() for k, v in before.items())
 
